@@ -71,6 +71,8 @@ class AnalysisReport:
     seconds: float
     num_moments: int
     support_only: bool
+    solved_moments: int
+    solved_largest_block: int
 
 
 @dataclass(frozen=True)
@@ -98,7 +100,7 @@ class CertificationResult:
 @dataclass(frozen=True)
 class BisectionResult:
     k_star: float
-    evaluations: tuple[tuple[float, bool, float], ...]  # (k, certified, raw)
+    evaluations: tuple[tuple[float, bool, float], ...]  # (k, certified, upper_bound)
 
 
 @dataclass(frozen=True)
@@ -154,9 +156,11 @@ def upper_probability(
     upper_bound < 1 - margin are certified robustly D-stable (the exact
     value is then 0); with moment information p_upper itself is the
     probability bound.  A solver status other than Optimal yields
-    Inconclusive with diagnostics attached; the bound still holds, and on an
-    Infeasible solve it can fall below 0, which only says that no measure
-    meets the moment constraints.
+    Inconclusive with diagnostics attached.  On an Infeasible solve no
+    measure meets the moment constraints, so any figure holds vacuously (the
+    bound is typically far below 0); p_upper is then reported as the
+    trivial 1 and p_lower as 0, so the figures never read as a stability
+    guarantee, while `upper_bound` keeps the computed value.
     """
     start = time.perf_counter()
     lifted = build_lifted(problem)
@@ -175,6 +179,8 @@ def upper_probability(
 
     raw = solution.primal_value
     p_upper = min(1.0, max(0.0, solution.upper_bound))
+    if solution.status is SolverStatus.INFEASIBLE:
+        p_upper = 1.0
     support_only = problem.is_support_only()
     candidate = None
     if solution.status is SolverStatus.OPTIMAL:
@@ -203,6 +209,8 @@ def upper_probability(
         seconds=seconds,
         num_moments=sdp.num_moments,
         support_only=support_only,
+        solved_moments=solution.solved_moments,
+        solved_largest_block=max(solution.solved_blocks, default=0),
     )
 
 
@@ -272,7 +280,7 @@ def bisect_margin(
 
     def certified_at(k: float) -> bool:
         result = certify_robust(family(k), tau=tau, margin=margin, settings=settings)
-        evaluations.append((k, result.certified, result.raw_value))
+        evaluations.append((k, result.certified, result.upper_bound))
         return result.certified
 
     if certified_at(k_hi):

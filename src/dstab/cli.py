@@ -62,7 +62,7 @@ _SECTIONS = ("variables", "matrix", "delta", "region", "moments", "options")
 
 def _substitute(text: str, bindings: dict[str, float], path: str) -> str:
     for name, value in bindings.items():
-        text = text.replace(f"${name}", f"({value!r})")
+        text = text.replace(f"${name}", f"({float(value)!r})")
     if "$" in text:
         leftovers = sorted(
             {tok.split()[0] for tok in text.split("$")[1:] if tok}
@@ -353,7 +353,9 @@ def _bindings(args) -> dict[str, float]:
 
 
 def _print_report(report: analysis.AnalysisReport, out) -> None:
-    print(f"tau:        {report.tau}   (moment variables: {report.num_moments})", file=out)
+    print(f"tau:        {report.tau}   (moment variables: {report.num_moments}; "
+          f"solved {report.solved_moments}, largest block {report.solved_largest_block})",
+          file=out)
     print(
         f"solver:     {report.solver_status.value}, {report.iterations} iterations, "
         f"{fmt(report.seconds)} s", file=out,
@@ -471,9 +473,9 @@ def _cmd_bisect(args, out) -> int:
         family, args.lo, args.hi, tau=_tau_from(options, args), tol=args.tol,
         margin=_margin_from(options, args), settings=_settings_from(options, args),
     )
-    for k, certified, raw in result.evaluations:
+    for k, certified, bound in result.evaluations:
         print(f"k={fmt(k)}: {'certified' if certified else 'not certified'} "
-              f"(raw {fmt(raw)})", file=out)
+              f"(bound {fmt(bound)})", file=out)
     print(f"k_star: {fmt(result.k_star)}", file=out)
     return 0
 

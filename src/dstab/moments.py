@@ -67,46 +67,57 @@ class LinearMatrixForm:
         return max((sum(alpha) for alpha, _r, _c, _v in self.terms), default=0)
 
 
-def _freeze_terms(dim: int, num_vars: int, by_alpha: dict) -> LinearMatrixForm:
-    terms = []
-    for alpha in sorted(by_alpha):
-        rows, cols, vals = by_alpha[alpha]
-        terms.append(
-            (
-                alpha,
-                np.asarray(rows, dtype=np.intp),
-                np.asarray(cols, dtype=np.intp),
-                np.asarray(vals, dtype=float),
-            )
-        )
-    return LinearMatrixForm(dimension=dim, num_vars=num_vars, terms=tuple(terms))
+def _freeze_terms(dim: int, num_vars: int, alphas, rows, cols, vals) -> LinearMatrixForm:
+    """Group the entries (alphas[e], rows[e], cols[e], vals[e]) by exponent:
+    terms in ascending exponent order, and within one exponent the entries
+    in their given order (the sort is stable)."""
+    order = np.lexsort(alphas.T[::-1])
+    alphas = alphas[order]
+    rows = rows[order].astype(np.intp)
+    cols = cols[order].astype(np.intp)
+    vals = vals[order].astype(float)
+    starts = np.flatnonzero(np.any(alphas[1:] != alphas[:-1], axis=1)) + 1
+    bounds = [0, *starts.tolist(), len(order)] if len(order) else []
+    terms = tuple(
+        (tuple(alphas[lo].tolist()), rows[lo:hi], cols[lo:hi], vals[lo:hi])
+        for lo, hi in zip(bounds, bounds[1:])
+    )
+    return LinearMatrixForm(dimension=dim, num_vars=num_vars, terms=terms)
 
 
 _FORM_CACHE: dict[tuple, LinearMatrixForm] = {}
 _FORM_LOCK = threading.Lock()
 
 
-def moment_matrix_form(num_vars: int, order: int) -> LinearMatrixForm:
-    """Pencil of the moment matrix truncated to `order`: entry (i, j) is
-    m_{beta_i + beta_j} over the graded-lex basis."""
-    key = ("moment", num_vars, order)
+def _pencil(key: tuple, q: Polynomial, num_vars: int, order: int) -> LinearMatrixForm:
+    """Pencil with entry (i, j) = sum_gamma q_gamma m_{beta_i + beta_j + gamma}
+    over the graded-lex basis beta of degree <= order, cached under key."""
     with _FORM_LOCK:
         cached = _FORM_CACHE.get(key)
     if cached is not None:
         return cached
-    basis = monomial_basis(num_vars, order)
-    by_alpha: dict[Exponent, tuple[list, list, list]] = {}
-    for i, bi in enumerate(basis.elements):
-        for j, bj in enumerate(basis.elements):
-            alpha = tuple(a + b for a, b in zip(bi, bj))
-            rows, cols, vals = by_alpha.setdefault(alpha, ([], [], []))
-            rows.append(i)
-            cols.append(j)
-            vals.append(1.0)
-    form = _freeze_terms(len(basis), num_vars, by_alpha)
+    basis = np.array(monomial_basis(num_vars, order).elements, dtype=np.intp)
+    basis = basis.reshape(-1, num_vars)
+    gammas = np.array(list(q.terms), dtype=np.intp).reshape(-1, num_vars)
+    coeffs = np.array(list(q.terms.values()), dtype=float)
+    n, t = len(basis), len(gammas)
+    # entries in (i, j, gamma) order
+    alphas = basis[:, None, None, :] + basis[None, :, None, :] + gammas[None, None, :, :]
+    rows, cols, _g = np.indices((n, n, t))
+    form = _freeze_terms(
+        n, num_vars, alphas.reshape(-1, num_vars), rows.ravel(), cols.ravel(),
+        np.broadcast_to(coeffs, (n, n, t)).ravel(),
+    )
     with _FORM_LOCK:
         _FORM_CACHE[key] = form
     return form
+
+
+def moment_matrix_form(num_vars: int, order: int) -> LinearMatrixForm:
+    """Pencil of the moment matrix truncated to `order`: entry (i, j) is
+    m_{beta_i + beta_j} over the graded-lex basis."""
+    one = Polynomial.constant(num_vars, 1.0)
+    return _pencil(("moment", num_vars, order), one, num_vars, order)
 
 
 def localizing_matrix_form(q: Polynomial, num_vars: int, order: int) -> LinearMatrixForm:
@@ -116,25 +127,7 @@ def localizing_matrix_form(q: Polynomial, num_vars: int, order: int) -> LinearMa
         raise PolynomialError(
             f"localizing polynomial has {q.num_vars} vars, expected {num_vars}"
         )
-    key = ("localizing", q.key(), order)
-    with _FORM_LOCK:
-        cached = _FORM_CACHE.get(key)
-    if cached is not None:
-        return cached
-    basis = monomial_basis(num_vars, order)
-    by_alpha: dict[Exponent, tuple[list, list, list]] = {}
-    for i, bi in enumerate(basis.elements):
-        for j, bj in enumerate(basis.elements):
-            for gamma, coeff in q.terms.items():
-                alpha = tuple(a + b + g for a, b, g in zip(bi, bj, gamma))
-                rows, cols, vals = by_alpha.setdefault(alpha, ([], [], []))
-                rows.append(i)
-                cols.append(j)
-                vals.append(coeff)
-    form = _freeze_terms(len(basis), num_vars, by_alpha)
-    with _FORM_LOCK:
-        _FORM_CACHE[key] = form
-    return form
+    return _pencil(("localizing", q.key(), order), q, num_vars, order)
 
 
 def assemble(form: LinearMatrixForm, m: MomentVector) -> np.ndarray:

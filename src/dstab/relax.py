@@ -18,6 +18,22 @@ lift knows a bound on every coordinate, every scaled coordinate of a point
 of the support has |z_i| / s_i <= 1, so the scaled moments of a probability
 measure on the support are bounded too; the solver turns these a-priori
 moment bounds into a rigorous upper bound on the optimal value.
+
+Assembly also finds the sign symmetries of the relaxation: the flips
+z_i -> -z_i over a subset s of the coordinates that map it onto itself.
+Under such a flip m_alpha changes sign when sum_{i in s} alpha_i is odd, a
+moment or localizing matrix of an even polynomial becomes D M D with D a
+diagonal of signs, and the localizer of an odd polynomial becomes D M D of
+its negation.  So the relaxation is invariant when the objective, every
+support inequality and every moment row are even under s, except that a
+support equality or a `= 0` moment row need only have uniform parity (all
+terms odd or all even).  Read on the exponents mod 2, these conditions are
+linear over GF(2); the valid s form a subspace whose basis is stored as
+`SDPProblem.sign_symmetries`.  Averaging over the group they generate turns
+any optimal measure into an invariant one whose odd moments vanish, which
+is what the solver exploits (Gatermann and Parrilo, JPAA 192, 2004; Riener,
+Theobald, Andren and Lasserre, Math. Oper. Res. 38(1), 2013).  Detection
+reads polynomial parities only; there is no user flag.
 """
 
 from __future__ import annotations
@@ -55,7 +71,13 @@ class SDPProblem:
 
     `moment_bounds[k]` bounds |m_k| for the scaled moments of every
     probability measure on the lifted support (inf where no bound is
-    known; None when no bound is known for any moment)."""
+    known; None when no bound is known for any moment).
+
+    `sign_symmetries` is derived data: a basis of the sign flips that leave
+    the relaxation invariant, each given as the sorted indices of the
+    coordinates it negates (see the module docstring).  The solver fixes
+    the moments that are odd under any of them at 0; an SDP with no
+    generators is solved without that reduction."""
 
     n_z: int
     tau: int
@@ -67,6 +89,7 @@ class SDPProblem:
     scale_pow: np.ndarray
     z_vars: tuple[str, ...]
     moment_bounds: np.ndarray | None = None
+    sign_symmetries: tuple[tuple[int, ...], ...] = ()
 
     @property
     def num_moments(self) -> int:
@@ -110,7 +133,10 @@ class SDPSolution:
     the status and accuracy of the solve, and it is +inf when the SDP
     carries no finite a-priori moment bounds.  `dual_multipliers` follow the
     order of `SDPProblem.constraints`; `dual_psd_blocks` follow
-    `psd_blocks`.
+    `psd_blocks`.  All of these have the full size of the SDP, whatever
+    reduction the solver applied; `solved_moments` and `solved_blocks`
+    record the size of the problem it actually iterated on (moment
+    variables and PSD block dimensions after the reduction).
     """
 
     moments: MomentVector
@@ -125,6 +151,8 @@ class SDPSolution:
     slack_duals: np.ndarray = field(default_factory=lambda: np.zeros(0))
     infeasibility_ray: dict | None = None
     upper_bound: float = math.inf
+    solved_moments: int = 0
+    solved_blocks: tuple[int, ...] = ()
 
     @property
     def optimal(self) -> bool:
@@ -146,6 +174,47 @@ def _scale_polynomial(p: Polynomial, scales) -> Polynomial:
 def _normalize(p: Polynomial) -> Polynomial:
     scale = p.max_abs_coeff()
     return p.scale(1.0 / scale) if scale > 0 else p
+
+
+def _parity(alpha) -> int:
+    """Exponent vector mod 2 as a bit mask over the coordinates."""
+    return sum(1 << i for i, e in enumerate(alpha) if e % 2)
+
+
+def _sign_symmetries(even, uniform, n_z: int) -> tuple[tuple[int, ...], ...]:
+    """Basis of the sign flips s (sets of coordinates) under which every
+    polynomial in `even` is even and every polynomial in `uniform` has
+    uniform parity.
+
+    Each term alpha of an even polynomial gives the GF(2) equation
+    <alpha mod 2, s> = 0, and each pair of terms of a uniform one gives
+    <alpha + beta mod 2, s> = 0; the flips are the null space of these
+    rows, returned as one generator per free column of their reduced row
+    echelon form."""
+    rows = set()
+    for p in even:
+        rows.update(_parity(alpha) for alpha in p.terms)
+    for p in uniform:
+        parities = [_parity(alpha) for alpha in p.terms]
+        rows.update(b ^ parities[0] for b in parities)
+    pivots: dict[int, int] = {}  # pivot column -> reduced row
+    for row in rows:
+        for col, pivot_row in pivots.items():
+            if row >> col & 1:
+                row ^= pivot_row
+        if row:
+            col = row.bit_length() - 1
+            for other, other_row in pivots.items():
+                if other_row >> col & 1:
+                    pivots[other] = other_row ^ row
+            pivots[col] = row
+    generators = []
+    for free in range(n_z):
+        if free in pivots:
+            continue
+        flip = [free] + [col for col, row in pivots.items() if row >> free & 1]
+        generators.append(tuple(sorted(flip)))
+    return tuple(generators)
 
 
 def assemble_relaxation(
@@ -199,7 +268,11 @@ def assemble_relaxation(
     def rescale(p: Polynomial) -> Polynomial:
         return _scale_polynomial(p, scales).prune(prune_eps)
 
-    objective = row_vector(rescale(lifted.objective))
+    objective_scaled = rescale(lifted.objective)
+    objective = row_vector(objective_scaled)
+    # parity classes for the sign-symmetry detection
+    even: list[Polynomial] = [objective_scaled]
+    uniform: list[Polynomial] = []
 
     constraints: list[LinearConstraintRow] = []
     for k, (f, rel, target) in enumerate(lifted.moment_constraints):
@@ -207,6 +280,7 @@ def assemble_relaxation(
         norm = max(f_scaled.max_abs_coeff(), abs(target))
         if norm == 0:
             continue
+        (uniform if rel == "=" and target == 0 else even).append(f_scaled)
         constraints.append(
             LinearConstraintRow(
                 coeffs=row_vector(f_scaled.scale(1.0 / norm)),
@@ -239,6 +313,7 @@ def assemble_relaxation(
         q_scaled = _normalize(rescale(q))
         if q_scaled.is_zero():
             continue
+        (even if rel is Relation.GE else uniform).append(q_scaled)
         if rel is Relation.GE:
             add_localizer(q_scaled, f"q[{j}]")
         elif equality_encoding == "pair":
@@ -273,6 +348,7 @@ def assemble_relaxation(
         scale_pow=scale_pow,
         z_vars=lifted.z_vars,
         moment_bounds=moment_bounds,
+        sign_symmetries=_sign_symmetries(even, uniform, n_z),
     )
 
 

@@ -13,6 +13,27 @@ iterate.  Neither is a safe bound on its own; `upper_bound` is, by the
 a-posteriori error bound of Jansson, Chaykin and Keil (SIAM J. Numer. Anal.
 46(1), 2007) over the a-priori moment bounds of the relaxation.
 
+Presolve and reduction, before the iteration:
+
+- each +/- localizer pair (the pair encoding of a support equality)
+  becomes the entrywise equations A_b(y) = 0;
+- every moment that is odd under one of the SDP's sign symmetries
+  (`SDPProblem.sign_symmetries`, found by `relax`) is fixed at 0: an
+  invariant optimum exists, whose odd moments vanish.  Equality rows left
+  empty are dropped;
+- every block is split into the connected components of the sparsity
+  pattern that remains.  A matrix that is block-diagonal up to a
+  permutation is PSD exactly when its diagonal pieces are, so this step is
+  exact for any block.  For the order-3 Hurwitz relaxation it takes 1716
+  moments and a 120x120 moment block to 459 moments and pieces of at most
+  35x35.
+
+The reduced SDP is solved, and moments, multipliers, slacks and dual
+blocks are scattered back to the full size in the original order (zero
+odd moments, block-diagonal duals).  `upper_bound` is evaluated on the full
+problem from the scattered dual; since it holds for any dual, a wrong
+symmetry could only loosen it, never make it unsound.
+
 Algorithm: infeasible-start path following in the Nesterov-Todd scaling.
 Each iteration linearizes the centering condition X = sigma*mu*S^-1 with
 the symmetric operator V(.)V (V the inverse NT scaling point, so the Newton
@@ -20,12 +41,15 @@ direction satisfies the linearized equations exactly and the Schur
 complement tr(A_i V A_j V) is symmetric positive definite), takes an
 affine predictor step to pick the centering weight sigma by Mehrotra's
 rule, then recomputes the corrected direction; each Newton system gets one
-step of iterative refinement, and steps use a fraction-to-boundary rule.  Everything is plain deterministic numpy: fixed
-summation order, no randomization, so identical inputs produce identical
-iterates for a fixed BLAS library and thread count.  Numerical breakdown
-(a Schur complement that loses positive definiteness, or a vanishing step)
-is reported as SlowProgress together with the best iterate seen; it never
-raises.
+step of iterative refinement, and steps use a fraction-to-boundary rule.
+Blocks of equal dimension are stacked, so the NT scaling, the step-length
+eigenvalues and the definiteness checks take one batched numpy call per
+dimension, however many small blocks the splitting produces.  Everything
+is plain deterministic numpy: fixed summation order, no randomization, so
+identical inputs produce identical iterates for a fixed BLAS library and
+thread count.  Numerical breakdown (a Schur complement that loses positive
+definiteness, or a vanishing step) is reported as SlowProgress together
+with the best iterate seen; it never raises.
 """
 
 from __future__ import annotations
@@ -35,7 +59,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import cho_factor, cho_solve, solve_triangular
+from scipy.linalg import cho_factor, cho_solve
 
 from .moments import MomentVector
 from .relax import SDPProblem, SDPSolution, SolverStatus
@@ -70,10 +94,12 @@ class SolverSettings:
 
 
 class _Block:
-    """One PSD block A_b(y) with precompiled sparse pencil structure."""
+    """One PSD block A_b(y) = sum_i y_i A_b,i, kept as its nonzero entries
+    sorted by variable, with the transposed pencil (one row vec(A_b,i) per
+    variable) stored once for adjoints and Schur rows."""
 
-    __slots__ = ("dim", "vars", "pencil", "var_pos", "rows", "cols", "vals",
-                 "starts", "global_vars")
+    __slots__ = ("dim", "vars", "var_pos", "rows", "cols", "vals", "starts",
+                 "global_vars", "pencil_t")
 
     def __init__(self, dim: int, var_idx, rows, cols, vals):
         self.dim = dim
@@ -89,12 +115,10 @@ class _Block:
         self.vars, self.var_pos = np.unique(var_idx, return_inverse=True)
         self.global_vars = var_idx
         self.starts = np.searchsorted(self.var_pos, np.arange(len(self.vars) + 1))
-        flat = self.rows * dim + self.cols
-        # pencil: (dim^2 x nvars) sparse matrix with column i = vec(A_{b,i})
-        self.pencil = sp.csr_matrix(
-            (self.vals, (flat, self.var_pos)), shape=(dim * dim, len(self.vars))
+        self.pencil_t = sp.csr_matrix(
+            (self.vals, (self.var_pos, self.rows * dim + self.cols)),
+            shape=(len(self.vars), dim * dim),
         )
-        self.pencil.sum_duplicates()
 
     def negates(self, other: "_Block") -> bool:
         """True when other's pencil is the exact negation of this one."""
@@ -107,24 +131,15 @@ class _Block:
             and np.array_equal(self.vals, -other.vals)
         )
 
-    def assemble(self, y: np.ndarray) -> np.ndarray:
-        flat = self.pencil @ y[self.vars]
-        return flat.reshape(self.dim, self.dim)
-
     def adjoint_into(self, w: np.ndarray, out: np.ndarray) -> None:
         """out[vars] += A_b^*(w) for a dense symmetric w."""
-        out[self.vars] += self.pencil.T @ w.ravel()
+        out[self.vars] += self.pencil_t @ w.ravel()
 
-    def schur_into(self, h: np.ndarray, s_inv: np.ndarray, x: np.ndarray) -> None:
-        """h += the HKM Schur contribution tr(A_i S^-1 A_j X)."""
+    def schur_into(self, h: np.ndarray, v: np.ndarray) -> None:
+        """h += the Schur contribution tr(A_i V A_j V), in chunks of
+        variables so the dense A_i never take much memory."""
         k = self.dim
         nv = len(self.vars)
-        if k == 1:
-            scale = float(s_inv[0, 0] * x[0, 0])
-            coeffs = np.zeros(nv)
-            np.add.at(coeffs, self.var_pos, self.vals)
-            h[np.ix_(self.vars, self.vars)] += scale * np.outer(coeffs, coeffs)
-            return
         chunk = max(1, min(nv, int(2.0e6 // (k * k)) or 1))
         for a in range(0, nv, chunk):
             b = min(a + chunk, nv)
@@ -135,9 +150,43 @@ class _Block:
                 (self.var_pos[lo:hi] - a, self.rows[lo:hi], self.cols[lo:hi]),
                 self.vals[lo:hi],
             )
-            g = np.matmul(s_inv, np.matmul(t, x))
-            h_rows = (self.pencil.T @ g.reshape(b - a, k * k).T).T
+            g = np.matmul(v, np.matmul(t, v))
+            h_rows = (self.pencil_t @ g.reshape(b - a, k * k).T).T
             h[np.ix_(self.vars[a:b], self.vars)] += h_rows
+
+
+class _Group:
+    """All blocks of one dimension k, stacked: S, X, their scaling points
+    and steps are (n, k, k) arrays, so every dense operation on them is one
+    numpy call, and A(y) and A*(W) are one sparse product each."""
+
+    def __init__(self, blocks: list, n_y: int):
+        k = blocks[0].dim
+        self.blocks = blocks
+        self.dim = k
+        flat = np.concatenate([j * k * k + b.rows * k + b.cols for j, b in enumerate(blocks)])
+        var_idx = np.concatenate([b.global_vars for b in blocks])
+        vals = np.concatenate([b.vals for b in blocks])
+        self.pencil = sp.csr_matrix((vals, (flat, var_idx)), shape=(len(blocks) * k * k, n_y))
+        self.pencil_t = self.pencil.T.tocsr()
+        if k == 1:
+            # tr(A_i V A_j V) = v^2 a_i a_j: one dense update over the used
+            # variables replaces a call per block
+            self.used = np.unique(var_idx)
+            self.coef = self.pencil[:, self.used].toarray()
+
+    def assemble(self, y: np.ndarray) -> np.ndarray:
+        return (self.pencil @ y).reshape(-1, self.dim, self.dim)
+
+    def adjoint(self, w: np.ndarray) -> np.ndarray:
+        return self.pencil_t @ w.ravel()
+
+    def schur_into(self, h: np.ndarray, v: np.ndarray) -> None:
+        if self.dim == 1:
+            h[np.ix_(self.used, self.used)] += self.coef.T @ (v.reshape(-1, 1) ** 2 * self.coef)
+            return
+        for block, vb in zip(self.blocks, v):
+            block.schur_into(h, vb)
 
 
 def _compile_blocks(sdp: SDPProblem):
@@ -295,23 +344,92 @@ def _rigorous_upper_bound(dual_value, r_c, blocks, x_blocks, y_bound) -> float:
     return bound
 
 
+def _components(dim: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Connected-component label (its smallest node) of each of the dim
+    nodes of the graph with edges (rows[e], cols[e]); both directions of
+    every edge must be listed."""
+    label = np.arange(dim)
+    while True:
+        new = label.copy()
+        np.minimum.at(new, rows, label[cols])
+        new = new[new]
+        if np.array_equal(new, label):
+            return label
+        label = new
+
+
+def _reduce(sdp: SDPProblem, blocks: list, n_y: int):
+    """Fix every moment that is odd under a sign symmetry of the SDP at 0
+    and split every block into the connected components of the entries
+    that remain.
+
+    An invariant optimum exists (see `relax`), so the odd moments may be
+    fixed; after that each block is block-diagonal up to a permutation, and
+    it is PSD exactly when each diagonal piece is, whatever the symmetries.
+    Returns the mask of kept variables and, per piece that carries entries,
+    (source block index, its rows in the source block, the piece as a block
+    over the kept variables)."""
+    n_m = sdp.num_moments
+    keep = np.ones(n_y, dtype=bool)
+    if sdp.sign_symmetries:
+        parity = np.array(sdp.basis.elements) % 2
+        for flip in sdp.sign_symmetries:
+            keep[:n_m] &= parity[:, list(flip)].sum(axis=1) % 2 == 0
+    position = np.cumsum(keep) - 1
+    pieces = []
+    for b, block in enumerate(blocks):
+        live = keep[block.global_vars]
+        label = _components(block.dim, block.rows[live], block.cols[live])
+        for root in np.unique(label[block.rows[live]]):
+            idx = np.nonzero(label == root)[0]
+            local = np.empty(block.dim, dtype=np.intp)
+            local[idx] = np.arange(len(idx))
+            sel = live & (label[block.rows] == root)
+            pieces.append((b, idx, _Block(
+                len(idx), position[block.global_vars[sel]],
+                local[block.rows[sel]], local[block.cols[sel]], block.vals[sel],
+            )))
+    return keep, pieces
+
+
+def _sym(a: np.ndarray) -> np.ndarray:
+    return 0.5 * (a + a.swapaxes(-1, -2))
+
+
+def _nt_scaling(s: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """S^-1 and the NT scaling point V = W^-1 (W X W = S) of a stack of
+    blocks: from S = L L', eig(L' X L) = U diag(d) U', V = Y sqrt(d) Y'
+    with Y = L^-T U.  Then V S V = X, and the Schur complement
+    tr(A_i V A_j V) is symmetric positive definite."""
+    chol = np.linalg.cholesky(s)
+    l_inv_t = np.linalg.inv(chol).swapaxes(-1, -2)
+    mid = chol.swapaxes(-1, -2) @ x @ chol
+    d, u = np.linalg.eigh(_sym(mid))
+    if d[:, 0].min() <= 0:
+        raise np.linalg.LinAlgError("NT scaling lost definiteness")
+    y_mat = l_inv_t @ u
+    v = (y_mat * np.sqrt(d)[:, None, :]) @ y_mat.swapaxes(-1, -2)
+    return _sym(l_inv_t @ l_inv_t.swapaxes(-1, -2)), _sym(v)
+
+
 def _max_step(s: np.ndarray, ds: np.ndarray) -> float:
-    """Largest t with S + t*dS PSD, via the Cholesky-whitened eigenvalues."""
+    """Largest t with S + t*dS PSD for every block of the stack, via the
+    Cholesky-whitened eigenvalues; 0 when some S is not positive definite."""
     try:
         chol = np.linalg.cholesky(s)
     except np.linalg.LinAlgError:
         return 0.0
-    w = solve_triangular(chol, ds, lower=True, check_finite=False)
-    w = solve_triangular(chol, w.T, lower=True, check_finite=False)
-    lam_min = float(np.linalg.eigvalsh(0.5 * (w + w.T))[0])
+    l_inv = np.linalg.inv(chol)
+    w = l_inv @ ds @ l_inv.swapaxes(-1, -2)
+    lam_min = float(np.linalg.eigvalsh(_sym(w))[:, 0].min())
     if lam_min >= -1e-14:
         return np.inf
     return -1.0 / lam_min
 
 
-def _is_pd(mat: np.ndarray) -> bool:
+def _is_pd(stack: np.ndarray) -> bool:
     try:
-        np.linalg.cholesky(mat)
+        np.linalg.cholesky(stack)
         return True
     except np.linalg.LinAlgError:
         return False
@@ -348,53 +466,50 @@ class _SchurFactor:
 _LOG_HEADER = "  iter          mu    p_infeas    d_infeas         gap  alpha_p  alpha_d"
 
 
-def solve(sdp: SDPProblem, settings: SolverSettings | None = None) -> SDPSolution:
-    """Solve the assembled moment SDP.
+@dataclass
+class _Outcome:
+    """Final state of the interior-point loop; `x` holds one (n, k, k)
+    stack per group, and `ray` is (residual, objective, norm) of the dual
+    ray on an Infeasible stop."""
 
-    Returns an Optimal solution when primal/dual residuals and the relative
-    duality gap fall below the tolerances; Infeasible (heuristic, via a
-    Farkas-style dual ray) when the dual objective diverges along a
-    near-feasible ray; SlowProgress with the best iterate on numerical
-    breakdown; IterLimit at the iteration cap.
-    """
-    settings = settings or SolverSettings()
-    c, g_user, g_user_rhs, psd_raw, slack_blocks = _compile_blocks(sdp)
+    status: SolverStatus
+    iterations: int
+    y: np.ndarray
+    nu: np.ndarray
+    x: list
+    pobj: float
+    dobj: float
+    p_inf: float
+    d_inf: float
+    ray: tuple | None
+
+
+def _interior_point(c, g_mat, g_vec, groups, y, settings, log) -> _Outcome:
+    """Path following from the primal point y with S = X = eta*I."""
     n_y = len(c)
-    n_m = sdp.num_moments
-    n_slack = len(slack_blocks)
-    n_user_rows = g_user.shape[0]
-
-    kept, plan, pair_rows, pair_specs = _pair_presolve(psd_raw, n_y)
-    g_mat = np.vstack([g_user, pair_rows]) if len(pair_rows) else g_user
-    g_vec = np.concatenate([g_user_rhs, np.zeros(len(pair_rows))])
-    blocks = kept + slack_blocks
-    n_kept = len(kept)
     m_eq = g_mat.shape[0]
-    k_total = sum(b.dim for b in blocks)
+    k_total = sum(g.dim * len(g.blocks) for g in groups)
 
-    log = settings.log_stream
-    if settings.log_iterations and log is None:
-        log = sys.stderr
-    if log is not None:
-        print(_LOG_HEADER, file=log)
-
-    y = np.zeros(n_y)
-    y[sdp.normalization_index] = 1.0
-    y[n_m:] = 1.0
     nu = np.zeros(m_eq)
     eta = settings.initial_scale
-    s_blocks = [eta * np.eye(b.dim) for b in blocks]
-    x_blocks = [eta * np.eye(b.dim) for b in blocks]
+    s_st = [np.tile(eta * np.eye(g.dim), (len(g.blocks), 1, 1)) for g in groups]
+    x_st = [s.copy() for s in s_st]
 
     gamma = settings.step_fraction
     c_norm = 1.0 + (np.abs(c).max() if len(c) else 0.0)
     g_norm = 1.0 + (np.abs(g_vec).max() if len(g_vec) else 0.0)
 
-    def adjoint(mats) -> np.ndarray:
+    def adjoint(stacks) -> np.ndarray:
         out = np.zeros(n_y)
-        for b, w in zip(blocks, mats):
-            b.adjoint_into(w, out)
+        for g, w in zip(groups, stacks):
+            out += g.adjoint(w)
         return out
+
+    def inner(xs, ss) -> float:
+        return sum(float(np.vdot(x, s)) for x, s in zip(xs, ss))
+
+    def step(stacks, steps) -> float:
+        return min(_max_step(s, d) for s, d in zip(stacks, steps))
 
     best = None
     best_score = np.inf
@@ -406,18 +521,18 @@ def solve(sdp: SDPProblem, settings: SolverSettings | None = None) -> SDPSolutio
 
     for it in range(1, settings.max_iterations + 1):
         iterations = it
-        r_link = [b.assemble(y) - s for b, s in zip(blocks, s_blocks)]
+        r_link = [g.assemble(y) - s for g, s in zip(groups, s_st)]
         r_g = g_vec - g_mat @ y
-        r_c = c - g_mat.T @ nu - adjoint(x_blocks)
-        mu = sum(float(np.tensordot(x, s)) for x, s in zip(x_blocks, s_blocks)) / k_total
+        r_c = c - g_mat.T @ nu - adjoint(x_st)
+        mu = inner(x_st, s_st) / k_total
 
         pobj = float(c @ y)
         dobj = float(g_vec @ nu)
         p_inf = max(
             (np.abs(r_g).max() if len(r_g) else 0.0) / g_norm,
             max(
-                np.abs(r).max() / (1.0 + np.abs(s).max())
-                for r, s in zip(r_link, s_blocks)
+                float((np.abs(r).max(axis=(1, 2)) / (1.0 + np.abs(s).max(axis=(1, 2)))).max())
+                for r, s in zip(r_link, s_st)
             ),
         )
         d_inf = np.abs(r_c).max() / c_norm
@@ -426,8 +541,7 @@ def solve(sdp: SDPProblem, settings: SolverSettings | None = None) -> SDPSolutio
         if score < 0.99 * best_score:
             best_score = score
             best_iter = it
-            best = (y.copy(), nu.copy(), [x.copy() for x in x_blocks], pobj, dobj,
-                    p_inf, d_inf, it)
+            best = (y.copy(), nu.copy(), [x.copy() for x in x_st], pobj, dobj, p_inf, d_inf)
 
         if p_inf <= settings.feasibility_tol and d_inf <= settings.feasibility_tol \
                 and gap <= settings.gap_tol:
@@ -438,18 +552,15 @@ def solve(sdp: SDPProblem, settings: SolverSettings | None = None) -> SDPSolutio
         # (nu, X) approaches a Farkas-style ray (G' nu + A*(X) = 0 with
         # positive objective) exactly when the primal is infeasible and the
         # dual objective diverges.  Reported, not proven.
-        ray_norm = np.linalg.norm(nu) + sum(np.linalg.norm(x, "fro") for x in x_blocks)
+        ray_norm = np.linalg.norm(nu) + sum(
+            float(np.linalg.norm(x, axis=(1, 2)).sum()) for x in x_st
+        )
         if ray_norm > 0 and p_inf > 100.0 * settings.feasibility_tol and dobj > 0:
-            ray_res = np.linalg.norm(g_mat.T @ nu + adjoint(x_blocks)) / ray_norm
+            ray_res = np.linalg.norm(g_mat.T @ nu + adjoint(x_st)) / ray_norm
             ray_obj = dobj / ray_norm
             if ray_obj >= settings.infeasibility_threshold * max(ray_res, 1e-300):
                 status = SolverStatus.INFEASIBLE
-                ray = {
-                    "multipliers": nu[:n_user_rows] / ray_norm,
-                    "psd_blocks": [x / ray_norm for x in x_blocks[:n_kept]],
-                    "residual": float(ray_res),
-                    "objective": float(ray_obj),
-                }
+                ray = (float(ray_res), float(ray_obj), float(ray_norm))
                 break
         if pobj < -1e12 * max(1.0, abs(dobj)):
             status = SolverStatus.UNBOUNDED
@@ -459,31 +570,11 @@ def solve(sdp: SDPProblem, settings: SolverSettings | None = None) -> SDPSolutio
             break
 
         try:
-            # NT scaling per block: V = W^-1 with W X W = S, computed from
-            # S = Ls Ls', eig(Ls' X Ls) = U diag(d) U', V = Y sqrt(d) Y'
-            # with Y = Ls^-T U.  Then V S V = X and the Schur complement
-            # tr(A_i V A_j V) is symmetric positive definite.
-            s_inv = []
-            v_scale = []
-            for s in s_blocks:
-                k = s.shape[0]
-                chol = np.linalg.cholesky(s)
-                inv = cho_solve((chol, True), np.eye(k), check_finite=False)
-                s_inv.append(0.5 * (inv + inv.T))
-            for s, x in zip(s_blocks, x_blocks):
-                chol = np.linalg.cholesky(s)
-                mid = chol.T @ x @ chol
-                d, u = np.linalg.eigh(0.5 * (mid + mid.T))
-                if d[0] <= 0:
-                    raise np.linalg.LinAlgError("NT scaling lost definiteness")
-                y_mat = solve_triangular(chol, u, lower=True, trans="T",
-                                         check_finite=False)
-                v = (y_mat * np.sqrt(d)) @ y_mat.T
-                v_scale.append(0.5 * (v + v.T))
+            s_inv, v_scale = zip(*(_nt_scaling(s, x) for s, x in zip(s_st, x_st)))
 
             h = np.zeros((n_y, n_y))
-            for b, v in zip(blocks, v_scale):
-                b.schur_into(h, v, v)
+            for g, v in zip(groups, v_scale):
+                g.schur_into(h, v)
             h = 0.5 * (h + h.T)
             h_fac = _SchurFactor(h)
 
@@ -506,8 +597,8 @@ def solve(sdp: SDPProblem, settings: SolverSettings | None = None) -> SDPSolutio
                 dnu = eq_q @ (eq_inv * (eq_q.T @ (rhs_g - g_mat @ u)))
                 return u + w_gt @ dnu, dnu
 
-            def newton(comp_mats):
-                rhs1 = adjoint([cm - w for cm, w in zip(comp_mats, vrv)]) - r_c
+            def newton(comp):
+                rhs1 = adjoint([cm - w for cm, w in zip(comp, vrv)]) - r_c
                 dy, dnu = kkt_solve(rhs1, r_g)
                 # One step of iterative refinement.  Near the optimum H is so
                 # ill-conditioned (and may carry jitter) that the first solve
@@ -516,45 +607,36 @@ def solve(sdp: SDPProblem, settings: SolverSettings | None = None) -> SDPSolutio
                 # the rigorous bound.
                 e_y, e_nu = kkt_solve(rhs1 - (h @ dy - g_mat.T @ dnu), r_g - g_mat @ dy)
                 dy, dnu = dy + e_y, dnu + e_nu
-                ds = [b.assemble(dy) + r for b, r in zip(blocks, r_link)]
-                dx = []
-                for cm, v, dsb in zip(comp_mats, v_scale, ds):
-                    raw = cm - v @ dsb @ v
-                    dx.append(0.5 * (raw + raw.T))
+                ds = [g.assemble(dy) + r for g, r in zip(groups, r_link)]
+                dx = [_sym(cm - v @ d @ v) for cm, v, d in zip(comp, v_scale, ds)]
                 return dy, dnu, ds, dx
 
             # Predictor (affine scaling, sigma = 0).
-            _dy_a, _dnu_a, ds_a, dx_a = newton([-x for x in x_blocks])
-            ap_a = min(1.0, gamma * min(_max_step(s, d) for s, d in zip(s_blocks, ds_a)))
-            ad_a = min(1.0, gamma * min(_max_step(x, d) for x, d in zip(x_blocks, dx_a)))
-            mu_aff = sum(
-                float(np.tensordot(x + ad_a * dx, s + ap_a * ds))
-                for x, s, dx, ds in zip(x_blocks, s_blocks, dx_a, ds_a)
-            ) / k_total
+            _dy_a, _dnu_a, ds_a, dx_a = newton([-x for x in x_st])
+            ap_a = min(1.0, gamma * step(s_st, ds_a))
+            ad_a = min(1.0, gamma * step(x_st, dx_a))
+            mu_aff = inner([x + ad_a * d for x, d in zip(x_st, dx_a)],
+                           [s + ap_a * d for s, d in zip(s_st, ds_a)]) / k_total
             sigma = min(1.0, max(0.0, mu_aff / mu) ** 3)
 
             # Centering step toward sigma*mu.
-            dy, dnu, ds, dx = newton(
-                [sigma * mu * si - x for si, x in zip(s_inv, x_blocks)]
-            )
+            dy, dnu, ds, dx = newton([sigma * mu * si - x for si, x in zip(s_inv, x_st)])
         except np.linalg.LinAlgError:
             status = SolverStatus.SLOW_PROGRESS
             break
 
-        alpha_p = min(1.0, gamma * min(_max_step(s, d) for s, d in zip(s_blocks, ds)))
-        alpha_d = min(1.0, gamma * min(_max_step(x, d) for x, d in zip(x_blocks, dx)))
+        alpha_p = min(1.0, gamma * step(s_st, ds))
+        alpha_d = min(1.0, gamma * step(x_st, dx))
 
         # Commit, backing off deterministically if rounding broke definiteness.
         committed = False
         for _ in range(12):
-            s_new = [0.5 * ((s + alpha_p * d) + (s + alpha_p * d).T)
-                     for s, d in zip(s_blocks, ds)]
-            x_new = [0.5 * ((x + alpha_d * d) + (x + alpha_d * d).T)
-                     for x, d in zip(x_blocks, dx)]
+            s_new = [_sym(s + alpha_p * d) for s, d in zip(s_st, ds)]
+            x_new = [_sym(x + alpha_d * d) for x, d in zip(x_st, dx)]
             if all(_is_pd(m) for m in s_new) and all(_is_pd(m) for m in x_new):
                 y = y + alpha_p * dy
                 nu = nu + alpha_d * dnu
-                s_blocks, x_blocks = s_new, x_new
+                s_st, x_st = s_new, x_new
                 committed = True
                 break
             alpha_p *= 0.5
@@ -574,10 +656,71 @@ def solve(sdp: SDPProblem, settings: SolverSettings | None = None) -> SDPSolutio
             stall = 0
 
     if status in (SolverStatus.SLOW_PROGRESS, SolverStatus.ITER_LIMIT) and best is not None:
-        y, nu, x_blocks, pobj, dobj, p_inf, d_inf, _it = best
+        y, nu, x_st, pobj, dobj, p_inf, d_inf = best
+    return _Outcome(status, iterations, y, nu, x_st, pobj, dobj, p_inf, d_inf, ray)
 
+
+def solve(sdp: SDPProblem, settings: SolverSettings | None = None) -> SDPSolution:
+    """Solve the assembled moment SDP.
+
+    Returns an Optimal solution when primal/dual residuals and the relative
+    duality gap fall below the tolerances; Infeasible (heuristic, via a
+    Farkas-style dual ray) when the dual objective diverges along a
+    near-feasible ray; SlowProgress with the best iterate on numerical
+    breakdown; IterLimit at the iteration cap.  The iteration runs on the
+    reduced SDP (`_reduce`); every reported array is scattered back to the
+    full size, and the rigorous bound is taken on the full problem.
+    """
+    settings = settings or SolverSettings()
+    c, g_user, g_user_rhs, psd_raw, slack_blocks = _compile_blocks(sdp)
+    n_y = len(c)
+    n_m = sdp.num_moments
+    n_slack = len(slack_blocks)
+    n_user_rows = g_user.shape[0]
+
+    kept, plan, pair_rows, pair_specs = _pair_presolve(psd_raw, n_y)
+    g_mat = np.vstack([g_user, pair_rows]) if len(pair_rows) else g_user
+    g_vec = np.concatenate([g_user_rhs, np.zeros(len(pair_rows))])
+    blocks = kept + slack_blocks
+    n_kept = len(kept)
+
+    keep, pieces = _reduce(sdp, blocks, n_y)
+    g_keep = g_mat[:, keep]
+    live_rows = np.any(g_keep != 0.0, axis=1) | (g_vec != 0.0)
+    n_kept_vars = int(keep.sum())
+    members = [[p for p, (_b, _idx, piece) in enumerate(pieces) if piece.dim == k]
+               for k in sorted({piece.dim for _b, _idx, piece in pieces})]
+    groups = [_Group([pieces[p][2] for p in ps], n_kept_vars) for ps in members]
+
+    log = settings.log_stream
+    if settings.log_iterations and log is None:
+        log = sys.stderr
+    if log is not None:
+        print(_LOG_HEADER, file=log)
+
+    y0 = np.zeros(n_y)
+    y0[sdp.normalization_index] = 1.0
+    y0[n_m:] = 1.0
+    out = _interior_point(c[keep], g_keep[live_rows], g_vec[live_rows], groups,
+                          y0[keep], settings, log)
+
+    # Scatter back to the full size: odd moments and dropped rows at 0, the
+    # dual blocks block-diagonal in their source positions.
+    y = np.zeros(n_y)
+    y[keep] = out.y
+    nu = np.zeros(len(g_vec))
+    nu[live_rows] = out.nu
+    x_blocks = [np.zeros((b.dim, b.dim)) for b in blocks]
+    for stack, ps in zip(out.x, members):
+        for x, p in zip(stack, ps):
+            b, idx, _piece = pieces[p]
+            x_blocks[b][np.ix_(idx, idx)] = x
+
+    adjoint_x = np.zeros(n_y)
+    for b, x in zip(blocks, x_blocks):
+        b.adjoint_into(x, adjoint_x)
     upper_bound = _rigorous_upper_bound(
-        -float(g_vec @ nu), c - g_mat.T @ nu - adjoint(x_blocks),
+        -float(g_vec @ nu), c - g_mat.T @ nu - adjoint_x,
         blocks, x_blocks, _a_priori_bounds(sdp),
     )
     moments = MomentVector(
@@ -585,6 +728,15 @@ def solve(sdp: SDPProblem, settings: SolverSettings | None = None) -> SDPSolutio
         order=sdp.tau,
         values=y[:n_m] * sdp.scale_pow,
     )
+    ray = None
+    if out.ray is not None:
+        ray_res, ray_obj, ray_norm = out.ray
+        ray = {
+            "multipliers": nu[:n_user_rows] / ray_norm,
+            "psd_blocks": [x / ray_norm for x in x_blocks[:n_kept]],
+            "residual": ray_res,
+            "objective": ray_obj,
+        }
 
     # Reassemble dual blocks in the original block order, rebuilding PSD
     # pairs for the equality localizers eliminated by the presolve.
@@ -600,23 +752,23 @@ def solve(sdp: SDPProblem, settings: SolverSettings | None = None) -> SDPSolutio
             plus, minus = pair_cache[idx]
             dual_blocks.append(plus if kind == "pair+" else minus)
 
-    gap_report = (-dobj) - (-pobj)
-    solution = SDPSolution(
+    return SDPSolution(
         moments=moments,
-        primal_value=-pobj,
-        dual_value=-dobj,
+        primal_value=-out.pobj,
+        dual_value=-out.dobj,
         dual_multipliers=-nu[:n_user_rows],  # dual rows of the maximize form
         dual_psd_blocks=tuple(dual_blocks),
-        status=status,
-        iterations=iterations,
-        residuals={"primal_infeas": float(p_inf), "dual_infeas": float(d_inf),
-                   "gap": float(gap_report)},
+        status=out.status,
+        iterations=out.iterations,
+        residuals={"primal_infeas": float(out.p_inf), "dual_infeas": float(out.d_inf),
+                   "gap": float(out.pobj - out.dobj)},
         slacks=y[n_m:].copy(),
         slack_duals=np.array([float(x_blocks[n_kept + k][0, 0]) for k in range(n_slack)]),
         infeasibility_ray=ray,
         upper_bound=upper_bound,
+        solved_moments=int(keep[:n_m].sum()),
+        solved_blocks=tuple(piece.dim for b, _idx, piece in pieces if b < n_kept),
     )
-    return solution
 
 
 def residuals(sdp: SDPProblem, solution: SDPSolution) -> dict:

@@ -207,8 +207,10 @@ class TestBisect:
     def test_running_family(self):
         result = bisect_margin(running_family, 0.5, 1.0, tau=2, tol=1e-3)
         assert 1.0 - 2e-3 <= result.k_star < 1.0
-        ks = [k for k, _c, _raw in result.evaluations]
+        ks = [k for k, _c, _bound in result.evaluations]
         assert ks[0] == 1.0 and ks[1] == 0.5  # bracket checked first
+        for _k, certified, bound in result.evaluations:
+            assert certified == (bound < 1.0 - 1e-3)
 
     def test_certified_at_both_ends(self):
         result = bisect_margin(running_family, 0.2, 0.8, tau=2, tol=1e-2)
@@ -262,6 +264,15 @@ class TestInfeasibleMoments:
         assert report.solver_status is SolverStatus.INFEASIBLE
         assert report.verdict is Verdict.INCONCLUSIVE
         assert report.candidate is None
+
+    def test_infeasible_reports_trivial_probabilities(self):
+        # no measure meets the moments, so the computed bound (far below 0)
+        # holds vacuously; the printed figures must not read as a guarantee
+        report = upper_probability(running_problem(mean=2.0), tau=2)
+        assert report.solver_status is SolverStatus.INFEASIBLE
+        assert report.p_upper == 1.0
+        assert report.p_lower_stability == 0.0
+        assert report.upper_bound < 0.0
 
 
 class TestRandomSandwich:

@@ -49,6 +49,13 @@ class TestLoadProblem:
         lower, upper = delta_box_bounds(problem.delta)
         assert lower[0] == 8.5 and upper[0] == 9.5
 
+    def test_numpy_float_binding(self, problems_dir):
+        import numpy as np
+        plain, _ = load_problem(problems_dir / "bifurcation.prob", {"k": 0.45})
+        numpy_float, _ = load_problem(problems_dir / "bifurcation.prob",
+                                      {"k": np.float64(0.45)})
+        assert numpy_float == plain
+
     def test_all_problem_files_load(self, problems_dir):
         bindings = {"k": 0.4, "sigma2": 0.05}
         for path in sorted(problems_dir.glob("*.prob")):
@@ -144,6 +151,8 @@ class TestCommands:
         assert code == 0
         assert "p_upper:    0.5" in out
         assert "ViolationProbabilityBound" in out
+        # the sign-symmetry reduction: 70 moments, of which 30 are even
+        assert "(moment variables: 70; solved 30, largest block 8)" in out
 
     def test_certify_not_certified_exit_two(self, problems_dir, capsys):
         code = main(["certify", str(problems_dir / SUPPORT)])
@@ -199,6 +208,11 @@ class TestCommands:
         assert code == 0
         k_star = float(out.splitlines()[-1].split(":")[1])
         assert 0.96 <= k_star < 1.0
+        certified = [line for line in out.splitlines() if ": certified (" in line]
+        assert certified
+        for line in certified:
+            bound = float(line.split("(bound ")[1].rstrip(")"))
+            assert bound < 1.0 - 1e-3
 
     def test_oracle_output(self, problems_dir, capsys):
         code = main(["oracle", str(problems_dir / RUNNING), "--grid", "101"])
@@ -251,3 +265,4 @@ class TestBindAndInfeasible:
         out = capsys.readouterr().out
         assert code == 2
         assert "Inconclusive" in out and "Infeasible" in out
+        assert "p_upper:    1   " in out and "p_lower:    0   " in out

@@ -51,6 +51,39 @@ class TestMomentMatrixForm:
         assert np.linalg.matrix_rank(mat, tol=1e-12) == 1
 
 
+def _loop_form(q: Polynomial, num_vars: int, order: int):
+    """Reference pencil built entry by entry in (i, j, gamma) order, the
+    terms sorted by exponent."""
+    basis = monomial_basis(num_vars, order).elements
+    by_alpha = {}
+    for i, bi in enumerate(basis):
+        for j, bj in enumerate(basis):
+            for gamma, coeff in q.terms.items():
+                alpha = tuple(a + b + g for a, b, g in zip(bi, bj, gamma))
+                rows, cols, vals = by_alpha.setdefault(alpha, ([], [], []))
+                rows.append(i)
+                cols.append(j)
+                vals.append(coeff)
+    return [(alpha, *by_alpha[alpha]) for alpha in sorted(by_alpha)]
+
+
+class TestFormsMatchLoopReference:
+    @pytest.mark.parametrize("text,order", [
+        ("1", 2), ("rho", 1), ("1 - x1^2 - x2^2", 2),
+        ("0.5*rho*lre - 2*x1*x2 + x2^3", 1), ("rho - rho^2 + 3*lre", 3),
+    ])
+    def test_same_terms_in_same_order(self, text, order):
+        q = parse_polynomial(text, Z_RUN)
+        form = moment_matrix_form(4, order) if text == "1" else \
+            localizing_matrix_form(q, 4, order)
+        reference = _loop_form(q, 4, order)
+        assert [alpha for alpha, *_rest in form.terms] == [r[0] for r in reference]
+        for (alpha, rows, cols, vals), (_a, r_rows, r_cols, r_vals) in zip(form.terms, reference):
+            assert isinstance(alpha[0], int)
+            assert rows.tolist() == r_rows and cols.tolist() == r_cols
+            assert vals.tolist() == r_vals
+
+
 class TestLocalizingForm:
     def test_unit_polynomial_matches_moment_matrix(self):
         one = Polynomial.constant(3, 1.0)

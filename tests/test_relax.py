@@ -97,6 +97,63 @@ class TestStats:
         assert stats.largest_block == 2
 
 
+def flip_group(generators) -> set[frozenset]:
+    """Every sign flip the generators span (sets of negated coordinates)."""
+    group = {frozenset()}
+    for gen in generators:
+        group |= {element ^ frozenset(gen) for element in group}
+    return group
+
+
+class TestSignSymmetries:
+    def test_hurwitz_eigenvector_and_conjugation(self):
+        sdp = assemble_relaxation(build_lifted(hurwitz_problem()), 3)
+        assert sdp.z_vars == ("rho1", "lre", "lim", "xre1", "xre2", "xim1", "xim2")
+        x_flip = frozenset({3, 4, 5, 6})        # x -> -x
+        conjugation = frozenset({2, 5, 6})      # (lim, xim) -> -(lim, xim)
+        assert len(sdp.sign_symmetries) == 2
+        assert flip_group(sdp.sign_symmetries) == flip_group([x_flip, conjugation])
+
+    def test_running_example_two_x_flips(self, mean_sdp):
+        assert mean_sdp.z_vars == ("rho", "lre", "x1", "x2")
+        assert sorted(mean_sdp.sign_symmetries) == [(2,), (3,)]
+
+    def test_odd_inequality_loses_its_flip(self):
+        from dstab.poly import Polynomial
+        from dstab.sets import Relation, SemialgebraicSet
+        lifted = build_lifted(running_problem(mean=0.5))
+        x1 = Polynomial.variable(4, 2)
+        support = SemialgebraicSet(
+            lifted.support.variables,
+            lifted.support.constraints + ((x1, Relation.GE),),
+        )
+        sdp = assemble_relaxation(dataclasses.replace(lifted, support=support), 2)
+        assert sdp.sign_symmetries == ((3,),)
+
+    def test_odd_equality_keeps_its_flip(self):
+        from dstab.poly import Polynomial
+        from dstab.sets import Relation, SemialgebraicSet
+        lifted = build_lifted(running_problem(mean=0.5))
+        x1 = Polynomial.variable(4, 2)
+        support = SemialgebraicSet(
+            lifted.support.variables,
+            lifted.support.constraints + ((x1 * Polynomial.variable(4, 0), Relation.EQ),),
+        )
+        sdp = assemble_relaxation(dataclasses.replace(lifted, support=support), 2)
+        assert sorted(sdp.sign_symmetries) == [(2,), (3,)]
+
+    def test_odd_moment_row(self):
+        # E[rho] = 0.5 is even under every x flip; a lifted row E[x1] = 0.5
+        # would not be, while E[x1] = 0 only needs uniform parity
+        from dstab.poly import Polynomial
+        lifted = build_lifted(running_problem(mean=0.5))
+        x1 = Polynomial.variable(4, 2)
+        for target, expected in ((0.5, [(3,)]), (0.0, [(2,), (3,)])):
+            rows = lifted.moment_constraints + ((x1, "=", target),)
+            sdp = assemble_relaxation(dataclasses.replace(lifted, moment_constraints=rows), 2)
+            assert sorted(sdp.sign_symmetries) == expected
+
+
 class TestScaling:
     def test_scale_pow_matches_variable_scales(self):
         lifted = build_lifted(hurwitz_problem())

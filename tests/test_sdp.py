@@ -4,8 +4,10 @@ import io
 import numpy as np
 import pytest
 
-from conftest import running_problem
+from conftest import PROBLEMS_DIR, hurwitz_problem, running_problem
 
+from dstab.analysis import DEFAULT_CERTIFICATION_MARGIN
+from dstab.cli import load_problem
 from dstab.moments import moment_matrix_form, moments_of_atomic
 from dstab.poly import monomial_basis
 from dstab.problem import build_lifted
@@ -163,3 +165,57 @@ class TestIterationLimit:
         # the best iterate is still a usable approximation
         assert np.isfinite(solution.primal_value)
         assert solution.moments.mass == pytest.approx(1.0, abs=0.5)
+
+
+def _reduction_cases():
+    support, _ = load_problem(PROBLEMS_DIR / "running_example_support.prob")
+    cases = [
+        ("running/tau2", running_problem(mean=0.5), 2),
+        ("support/tau1", support, 1),
+        ("support/tau2", support, 2),
+        ("hurwitz/tau2", hurwitz_problem(), 2),
+    ]
+    for sigma2 in (0.05, 0.1, 0.13, 0.15, 0.25):
+        cases.append((f"var{sigma2}", running_problem(mean=0.5, variance=sigma2), 2))
+    return cases
+
+
+class TestSignReduction:
+    """The solver fixes the moments that are odd under a sign symmetry at 0
+    and splits the blocks; dropping the generators gives the unreduced
+    solve of the same SDP."""
+
+    @pytest.mark.parametrize("name,problem,tau", _reduction_cases(),
+                             ids=[case[0] for case in _reduction_cases()])
+    def test_matches_unreduced(self, name, problem, tau):
+        sdp = assemble_relaxation(build_lifted(problem), tau)
+        assert sdp.sign_symmetries
+        reduced = solve(sdp)
+        full = solve(dataclasses.replace(sdp, sign_symmetries=()))
+        assert reduced.solved_moments < full.solved_moments == sdp.num_moments
+        assert reduced.status is full.status
+        assert reduced.primal_value == pytest.approx(full.primal_value, abs=1e-7)
+        certified = 1.0 - DEFAULT_CERTIFICATION_MARGIN
+        assert (reduced.upper_bound < certified) == (full.upper_bound < certified)
+
+    def test_full_size_outputs(self, mean_sdp, mean_solution):
+        assert mean_solution.solved_moments == 30
+        assert max(mean_solution.solved_blocks) == 8
+        assert mean_solution.moments.values.shape == (mean_sdp.num_moments,)
+        dims = tuple(np.asarray(x).shape for x in mean_solution.dual_psd_blocks)
+        assert dims == tuple((d, d) for d in mean_sdp.block_dimensions())
+        assert len(mean_solution.dual_multipliers) == len(mean_sdp.constraints)
+        r = residuals(mean_sdp, mean_solution)
+        assert r["primal_infeas"] <= 1e-7
+        assert r["dual_infeas"] <= 1e-7
+
+    def test_odd_moments_are_zero(self, mean_sdp, mean_solution):
+        for alpha, value in zip(mean_sdp.basis.elements, mean_solution.moments.values):
+            if alpha[2] % 2 or alpha[3] % 2:  # odd under an x flip
+                assert value == 0.0
+
+    def test_bound_holds_under_wrong_generators(self, mean_sdp, mean_solution):
+        # flipping rho is no symmetry (E[rho] = 0.5): the reduced SDP is
+        # then a different problem, but the bound is taken on the full one
+        wrong = solve(dataclasses.replace(mean_sdp, sign_symmetries=((0,),)))
+        assert wrong.upper_bound >= mean_solution.primal_value - 1e-7
