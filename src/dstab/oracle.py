@@ -1,13 +1,15 @@
 """Independent brute-force verification layer.
 
 Everything here deliberately avoids the moment machinery so it can serve as
-a cross-check: a small dense eigensolver (Householder Hessenberg reduction
-followed by explicitly shifted QR with 2x2 deflation, so complex pairs of
-real matrices appear without complex arithmetic until extraction), a
-deterministic grid search for uncertainty values whose spectrum enters the
-instability region, and a finite LP over atomic measures solved by a dense
-two-phase simplex with Bland's rule.  Grid search provides lower-bound
-semantics only: a grid can miss thin violation sets.
+a cross-check: spectra from LAPACK's general eigensolver (numpy's eigvals,
+stacked over chunks of grid points), a deterministic grid search for
+uncertainty values whose spectrum enters the instability region, and a
+finite LP over atomic measures solved by a dense two-phase simplex with
+Bland's rule, vectorised over the tableau but pivoting one step at a time,
+so its path and answer are deterministic.  The simplex is kept in place of
+scipy's HiGHS because importing scipy.optimize alone raises the peak memory
+of an oracle run by about 21 MB (about 47 MB to 68 MB).  Grid search
+provides lower-bound semantics only: a grid can miss thin violation sets.
 """
 
 from __future__ import annotations
@@ -27,128 +29,28 @@ class OracleError(RuntimeError):
     pass
 
 
-class EigenConvergenceError(OracleError):
-    """QR iteration hit its sweep cap without deflating everything."""
-
-
 class AtomicLPInfeasible(OracleError):
     """No atomic measure on the supplied grid satisfies the moment
     constraints; the caller should refine the grid."""
 
 
 # ----------------------------------------------------------------------
-# Dense eigensolver.
+# Spectra.
 
-def _hessenberg(a: np.ndarray) -> np.ndarray:
-    h = a.copy()
-    n = h.shape[0]
-    for k in range(n - 2):
-        x = h[k + 1:, k]
-        norm_x = np.linalg.norm(x)
-        if norm_x == 0.0:
-            continue
-        v = x.copy()
-        v[0] += norm_x if x[0] >= 0 else -norm_x
-        v_norm = np.linalg.norm(v)
-        if v_norm == 0.0:
-            continue
-        v = v / v_norm
-        h[k + 1:, k:] -= 2.0 * np.outer(v, v @ h[k + 1:, k:])
-        h[:, k + 1:] -= 2.0 * np.outer(h[:, k + 1:] @ v, v)
-        h[k + 2:, k] = 0.0
-    return h
-
-
-def _eig_2x2(block: np.ndarray) -> list[complex]:
-    trace = block[0, 0] + block[1, 1]
-    det = block[0, 0] * block[1, 1] - block[0, 1] * block[1, 0]
-    disc = trace * trace - 4.0 * det
-    if disc >= 0.0:
-        root = np.sqrt(disc)
-        # avoid cancellation: compute the larger-magnitude root first
-        if trace >= 0:
-            lam1 = (trace + root) / 2.0
-        else:
-            lam1 = (trace - root) / 2.0
-        lam2 = det / lam1 if lam1 != 0.0 else (trace - np.sign(trace + 1.0) * root) / 2.0
-        return [complex(lam1), complex(lam2)]
-    root = np.sqrt(-disc) / 2.0
-    return [complex(trace / 2.0, root), complex(trace / 2.0, -root)]
-
-
-def eigenvalues(matrix, max_sweeps_per_block: int = 80) -> np.ndarray:
-    """All eigenvalues of a real square matrix (n <= 64), sorted by
-    (real, imag).  Raises EigenConvergenceError instead of returning silent
-    garbage when the QR iteration fails to deflate."""
+def eigenvalues(matrix) -> np.ndarray:
+    """All eigenvalues of a real square matrix, or of each matrix in a
+    stacked (N, n, n) array, from LAPACK's eigvals, sorted by (real, imag)
+    along the last axis.  Raises OracleError for a non-square shape or
+    non-finite entries."""
     a = np.array(matrix, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
         raise OracleError(f"matrix must be square, got shape {a.shape}")
-    n = a.shape[0]
-    if n > 64:
-        raise OracleError("dense oracle eigensolver is limited to n <= 64")
-    if n == 0:
-        return np.zeros(0, dtype=complex)
-    if n == 1:
-        return np.array([complex(a[0, 0])])
-
-    eps = np.finfo(float).eps
-    tiny = eps * max(np.abs(a).sum(), 1.0)
-    h = _hessenberg(a)
-    eigs: list[complex] = []
-    hi = n - 1
-    sweeps = 0
-    while hi >= 0:
-        if hi == 0:
-            eigs.append(complex(h[0, 0]))
-            break
-        for k in range(1, hi + 1):
-            if abs(h[k, k - 1]) <= eps * (abs(h[k - 1, k - 1]) + abs(h[k, k])) + tiny:
-                h[k, k - 1] = 0.0
-        lo = hi
-        while lo > 0 and h[lo, lo - 1] != 0.0:
-            lo -= 1
-        if lo == hi:
-            eigs.append(complex(h[hi, hi]))
-            hi -= 1
-            sweeps = 0
-            continue
-        if lo == hi - 1:
-            eigs.extend(_eig_2x2(h[lo:hi + 1, lo:hi + 1]))
-            hi -= 2
-            sweeps = 0
-            continue
-
-        sweeps += 1
-        if sweeps > max_sweeps_per_block:
-            raise EigenConvergenceError(
-                f"QR iteration did not converge on a block of size {hi - lo + 1}"
-            )
-        block = h[lo:hi + 1, lo:hi + 1]
-        m = block.shape[0]
-        t22 = block[m - 2:, m - 2:]
-        trace = t22[0, 0] + t22[1, 1]
-        det = t22[0, 0] * t22[1, 1] - t22[0, 1] * t22[1, 0]
-        disc = trace * trace - 4.0 * det
-        if sweeps % 12 == 0:
-            # exceptional shift to break symmetric stalls
-            shift = abs(block[m - 1, m - 2]) + abs(block[m - 2, m - 3])
-            q, r = np.linalg.qr(block - shift * np.eye(m))
-            block = r @ q + shift * np.eye(m)
-        elif disc >= 0.0:
-            # Wilkinson: the real trailing eigenvalue closer to the corner
-            root = np.sqrt(disc)
-            cand = [(trace + root) / 2.0, (trace - root) / 2.0]
-            shift = min(cand, key=lambda lam: abs(lam - block[m - 1, m - 1]))
-            q, r = np.linalg.qr(block - shift * np.eye(m))
-            block = r @ q + shift * np.eye(m)
-        else:
-            # complex pair: explicit double shift stays in real arithmetic
-            m2 = block @ block - trace * block + det * np.eye(m)
-            q, _r = np.linalg.qr(m2)
-            block = _hessenberg(q.T @ block @ q)
-        h[lo:hi + 1, lo:hi + 1] = block
-    order = np.lexsort((np.imag(eigs), np.real(eigs)))
-    return np.asarray(eigs, dtype=complex)[order]
+    try:
+        eigs = np.linalg.eigvals(a).astype(complex)
+    except np.linalg.LinAlgError as err:
+        raise OracleError(f"eigenvalues failed: {err}") from err
+    order = np.lexsort((eigs.imag, eigs.real), axis=-1)
+    return np.take_along_axis(eigs, order, axis=-1)
 
 
 def unit_eigenvector(matrix, lam: complex) -> tuple[np.ndarray, float]:
@@ -175,8 +77,8 @@ class ViolationWitness:
     eig_residual: float
 
 
-def _region_depth(problem: DStabilityProblem, lam: complex, tol: float) -> float | None:
-    """Depth of lam inside the instability region (None when outside):
+def _region_depth(problem: DStabilityProblem, lam: complex, tol: float) -> float:
+    """Depth of lam inside the instability region (NaN when outside):
     the smallest constraint residual, with equalities scored as -|value|."""
     point = (lam.real, lam.imag)
     depth = np.inf
@@ -184,13 +86,36 @@ def _region_depth(problem: DStabilityProblem, lam: complex, tol: float) -> float
         value = p.evaluate(point)
         if rel is Relation.GE:
             if value < -tol:
-                return None
+                return np.nan
             depth = min(depth, value)
         else:
             if abs(value) > tol:
-                return None
+                return np.nan
             depth = min(depth, -abs(value))
     return float(depth) if np.isfinite(depth) else 0.0
+
+
+# Points per stacked eigenvalues call: keeps the (chunk, n, n) buffer small
+# on 200 000-point grids.
+_SPECTRUM_CHUNK = 4096
+
+
+def _spectra(problem: DStabilityProblem, points, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted spectra of A(rho) at each point, shape (N, n), and the region
+    depth of every eigenvalue (NaN outside the instability region), with one
+    eigenvalues call per chunk of at most _SPECTRUM_CHUNK points."""
+    n = problem.matrix.size
+    spectra = np.empty((len(points), n), dtype=complex)
+    for start in range(0, len(points), _SPECTRUM_CHUNK):
+        chunk = points[start:start + _SPECTRUM_CHUNK]
+        matrices = np.empty((len(chunk), n, n))
+        for k, rho in enumerate(chunk):
+            matrices[k] = problem.matrix.evaluate(rho)
+        spectra[start:start + len(chunk)] = eigenvalues(matrices)
+    depths = np.empty(spectra.shape)
+    for k, lam in enumerate(spectra.flat):
+        depths.flat[k] = _region_depth(problem, lam, tol)
+    return spectra, depths
 
 
 def grid_points(problem: DStabilityProblem, points_per_axis: int,
@@ -254,34 +179,29 @@ def grid_violation_search(
     violation probability is 1 in the support-only setting.
     """
     try:
-        candidates = list(grid_points(problem, points_per_axis, max_points, seed))
+        points = grid_points(problem, points_per_axis, max_points, seed)
     except OracleError:
         if extra_points is None:
             raise
-        candidates = []
+        points = np.zeros((0, len(problem.uncertainty_variables)))
     if extra_points is not None:
-        for point in extra_points:
-            point = np.asarray(point, dtype=float)
-            if problem.delta.contains(point, 1e-9):
-                candidates.append(point)
-
-    best: ViolationWitness | None = None
-    matrix = problem.matrix
-    for rho in candidates:
-        a = matrix.evaluate(rho)
-        for lam in eigenvalues(a):
-            depth = _region_depth(problem, lam, membership_tol)
-            if depth is None:
-                continue
-            _v, residual = unit_eigenvector(a, lam)
-            if residual > EIG_RESIDUAL_TOL * max(1.0, np.abs(a).max()):
-                continue
-            if best is None or depth > best.min_region_residual:
-                best = ViolationWitness(
-                    rho=np.array(rho), lam=complex(lam),
-                    min_region_residual=depth, eig_residual=residual,
-                )
-    return best
+        extra = [np.asarray(point, dtype=float) for point in extra_points]
+        points = np.vstack([points] + [p for p in extra if problem.delta.contains(p, 1e-9)])
+    spectra, depths = _spectra(problem, points, membership_tol)
+    # Deepest first, ties toward the earliest candidate and eigenvalue: the
+    # first one whose eigenpair checks out is the witness.
+    flat = depths.ravel()
+    inside = np.flatnonzero(~np.isnan(flat))
+    for k in inside[np.argsort(-flat[inside], kind="stable")]:
+        i, j = divmod(int(k), spectra.shape[1])
+        a = problem.matrix.evaluate(points[i])
+        _v, residual = unit_eigenvector(a, spectra[i, j])
+        if residual <= EIG_RESIDUAL_TOL * max(1.0, np.abs(a).max()):
+            return ViolationWitness(
+                rho=points[i].copy(), lam=complex(spectra[i, j]),
+                min_region_residual=float(flat[k]), eig_residual=residual,
+            )
+    return None
 
 
 # ----------------------------------------------------------------------
@@ -290,36 +210,28 @@ def grid_violation_search(
 _SIMPLEX_TOL = 1e-9
 
 
-def _pivot(tableau: np.ndarray, basis: list[int], row: int, col: int) -> None:
-    tableau[row] /= tableau[row, col]
-    for r in range(tableau.shape[0]):
-        if r != row and tableau[r, col] != 0.0:
-            tableau[r] -= tableau[r, col] * tableau[row]
+def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
+    pivot_row = tableau[row] / tableau[row, col]
+    tableau -= np.outer(tableau[:, col], pivot_row)
+    tableau[row] = pivot_row
     basis[row] = col
 
 
 def _bland_iterate(tableau, basis, cost, allowed, max_iter=20000):
     """Minimize cost over the tableau with Bland's anti-cycling rule."""
-    m = tableau.shape[0]
     for _ in range(max_iter):
         reduced = cost - cost[basis] @ tableau[:, :-1]
-        entering = -1
-        for j in range(len(cost)):
-            if allowed[j] and reduced[j] < -_SIMPLEX_TOL:
-                entering = j
-                break
-        if entering < 0:
+        improving = np.flatnonzero(allowed & (reduced < -_SIMPLEX_TOL))
+        if improving.size == 0:
             return
-        ratios = []
-        for r in range(m):
-            if tableau[r, entering] > _SIMPLEX_TOL:
-                ratios.append((tableau[r, -1] / tableau[r, entering], basis[r], r))
-        if not ratios:
+        entering = improving[0]
+        column = tableau[:, entering]
+        rows = np.flatnonzero(column > _SIMPLEX_TOL)
+        if rows.size == 0:
             raise OracleError("LP is unbounded")
         # smallest ratio, ties by smallest basis index (Bland)
-        ratios.sort(key=lambda t: (t[0], t[1]))
-        _ratio, _b, row = ratios[0]
-        _pivot(tableau, basis, row, entering)
+        ratios = tableau[rows, -1] / column[rows]
+        _pivot(tableau, basis, rows[np.lexsort((basis[rows], ratios))[0]], entering)
     raise OracleError("simplex iteration limit exceeded")
 
 
@@ -352,24 +264,19 @@ def simplex_maximize(c, a_eq, b_eq, a_le=None, b_le=None):
     rhs = np.abs(rhs)
 
     # initial basis: slack columns where usable, artificials elsewhere
-    basis = [-1] * m
-    for r in range(a_eq.shape[0], m):
-        col = n + (r - a_eq.shape[0])
-        if rows[r, col] > 0:
-            basis[r] = col
-    art_cols = []
-    for r in range(m):
-        if basis[r] < 0:
-            art_cols.append(rows.shape[1] + len(art_cols))
-            basis[r] = art_cols[-1]
-    width = n + n_slack + len(art_cols)
+    basis = np.full(m, -1)
+    slack = np.arange(n_slack)
+    slack = slack[rows[a_eq.shape[0] + slack, n + slack] > 0]
+    basis[a_eq.shape[0] + slack] = n + slack
+    art_rows = np.flatnonzero(basis < 0)
+    basis[art_rows] = n + n_slack + np.arange(len(art_rows))
+    width = n + n_slack + len(art_rows)
     tableau = np.zeros((m, width + 1))
     tableau[:, :n + n_slack] = rows
-    for k, r in enumerate([r for r in range(m) if basis[r] >= n + n_slack]):
-        tableau[r, n + n_slack + k] = 1.0
+    tableau[art_rows, basis[art_rows]] = 1.0
     tableau[:, -1] = rhs
 
-    if art_cols:
+    if len(art_rows):
         phase1 = np.zeros(width)
         phase1[n + n_slack:] = 1.0
         allowed = np.ones(width, dtype=bool)
@@ -377,12 +284,10 @@ def simplex_maximize(c, a_eq, b_eq, a_le=None, b_le=None):
         if phase1[basis] @ tableau[:, -1] > 1e-7:
             raise AtomicLPInfeasible("moment constraints unsatisfiable on this grid")
         # drive any degenerate artificial out of the basis when possible
-        for r in range(m):
-            if basis[r] >= n + n_slack:
-                for j in range(n + n_slack):
-                    if abs(tableau[r, j]) > _SIMPLEX_TOL:
-                        _pivot(tableau, basis, r, j)
-                        break
+        for r in np.flatnonzero(basis >= n + n_slack):
+            nonzero = np.flatnonzero(np.abs(tableau[r, :n + n_slack]) > _SIMPLEX_TOL)
+            if nonzero.size:
+                _pivot(tableau, basis, r, nonzero[0])
 
     cost = np.zeros(width)
     cost[:n] = -c  # minimize -c.x
@@ -391,9 +296,8 @@ def simplex_maximize(c, a_eq, b_eq, a_le=None, b_le=None):
     _bland_iterate(tableau, basis, cost, allowed)
 
     x = np.zeros(width)
-    for r in range(m):
-        x[basis[r]] = tableau[r, -1]
-    if any(basis[r] >= n + n_slack and tableau[r, -1] > 1e-7 for r in range(m)):
+    x[basis] = tableau[:, -1]
+    if np.any((basis >= n + n_slack) & (tableau[:, -1] > 1e-7)):
         raise AtomicLPInfeasible("moment constraints unsatisfiable on this grid")
     return x[:n], float(c @ x[:n])
 
@@ -432,13 +336,8 @@ def atomic_lp_bound(
         if not problem.delta.contains(atom, 1e-9):
             raise OracleError(f"atom {atom} lies outside the uncertainty support")
 
-    violating = np.zeros(len(atoms), dtype=bool)
-    for k, atom in enumerate(atoms):
-        spectrum = eigenvalues(problem.matrix.evaluate(atom))
-        violating[k] = any(
-            _region_depth(problem, lam, membership_tol) is not None
-            for lam in spectrum
-        )
+    _, depths = _spectra(problem, atoms, membership_tol)
+    violating = ~np.isnan(depths).all(axis=1)
 
     objective = violating.astype(float)
     a_eq = [np.ones(len(atoms))]

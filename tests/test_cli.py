@@ -1,9 +1,14 @@
 import csv
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
 from conftest import running_problem
 
+import dstab
 from dstab.cli import ProblemFileError, load_problem, main, save_problem
 from dstab.poly import parse_polynomial
 from dstab.sets import Relation
@@ -221,6 +226,15 @@ class TestCommands:
         assert "witness rho = (1)" in out
         assert "lower bound 0.5" in out
 
+    def test_oracle_non_finite_matrix_exit_one(self, problems_dir, tmp_path, capsys):
+        # 1e400 overflows to inf, and inf * 0 gives NaN entries at rho = 0
+        text = (problems_dir / SUPPORT).read_text().replace("\nrho - 1\n", "\n1e400*rho - 1\n")
+        path = tmp_path / "overflow.prob"
+        path.write_text(text)
+        code = main(["oracle", str(path), "--grid", "5"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("oracle error: ")
+
     def test_hierarchy(self, problems_dir, capsys):
         code = main(["hierarchy", str(problems_dir / RUNNING),
                      "--tau", "1", "--tau-max", "2"])
@@ -266,3 +280,13 @@ class TestBindAndInfeasible:
         assert code == 2
         assert "Inconclusive" in out and "Infeasible" in out
         assert "p_upper:    1   " in out and "p_lower:    0   " in out
+
+
+def test_cli_import_leaves_out_scipy_optimize():
+    # scipy.optimize alone adds about 20 MB of peak memory to every command
+    src_dir = str(pathlib.Path(dstab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src_dir}
+    probe = "import sys, dstab.cli; print('scipy.optimize' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", probe], env=env,
+                            capture_output=True, text=True, timeout=120, check=True)
+    assert result.stdout.strip() == "False"

@@ -3,6 +3,7 @@ import pytest
 
 from conftest import hurwitz_problem, running_problem
 
+from dstab import oracle
 from dstab.oracle import (
     AtomicLPInfeasible,
     OracleError,
@@ -71,8 +72,21 @@ class TestEigenvalues:
     def test_validation(self):
         with pytest.raises(OracleError):
             eigenvalues(np.zeros((2, 3)))
+        eigs = eigenvalues(np.diag(np.arange(65.0, 0.0, -1.0)))
+        assert eigs.shape == (65,)
+        assert np.array_equal(eigs, np.arange(1.0, 66.0))
+
+    def test_non_finite_entries_raise(self):
         with pytest.raises(OracleError):
-            eigenvalues(np.eye(65))
+            eigenvalues(np.array([[1.0, np.nan], [0.0, 2.0]]))
+
+    def test_stacked_rows_equal_single_calls(self):
+        rng = np.random.default_rng(5)
+        stack = rng.standard_normal((7, 4, 4))
+        stacked = eigenvalues(stack)
+        assert stacked.shape == (7, 4)
+        for row, m in zip(stacked, stack):
+            assert np.array_equal(row, eigenvalues(m))
 
 
 class TestGridSearch:
@@ -108,6 +122,19 @@ class TestGridSearch:
         witness = grid_violation_search(problem, 21)
         assert witness.rho[0] == pytest.approx(2.0)
         assert witness.lam == pytest.approx(2.0)
+
+    def test_chunk_size_does_not_change_results(self, support_problem, mean_problem,
+                                               monkeypatch):
+        atoms = grid_points(mean_problem, 41)
+        whole = (grid_violation_search(support_problem, 101),
+                 atomic_lp_bound(mean_problem, atoms))
+        monkeypatch.setattr(oracle, "_SPECTRUM_CHUNK", 4)
+        chunked = (grid_violation_search(support_problem, 101),
+                   atomic_lp_bound(mean_problem, atoms))
+        assert np.array_equal(whole[0].rho, chunked[0].rho)
+        assert whole[0].lam == chunked[0].lam
+        assert np.array_equal(whole[1].violating, chunked[1].violating)
+        assert np.array_equal(whole[1].weights, chunked[1].weights)
 
     def test_extra_points_on_measure_zero_support(self):
         # equality-constrained delta that no grid point satisfies: the grid
