@@ -6,10 +6,15 @@ stacked over chunks of grid points), a deterministic grid search for
 uncertainty values whose spectrum enters the instability region, and a
 finite LP over atomic measures solved by a dense two-phase simplex with
 Bland's rule, vectorised over the tableau but pivoting one step at a time,
-so its path and answer are deterministic.  The simplex is kept in place of
-scipy's HiGHS because importing scipy.optimize alone raises the peak memory
-of an oracle run by about 21 MB (about 47 MB to 68 MB).  Grid search
-provides lower-bound semantics only: a grid can miss thin violation sets.
+so its path and answer are deterministic.  Everything before the simplex
+works on whole point stacks: A(rho), Delta membership, region depths and
+the LP's moment rows are evaluated once per grid (or chunk of grid
+points), never point by point; polynomial powers are repeated products, so
+the same point gives the same bits alone and in a stack.  The simplex is
+kept in place of scipy's HiGHS because importing scipy.optimize alone
+raises the peak memory of an oracle run by about 21 MB (about 47 MB to
+68 MB).  Grid search provides lower-bound semantics only: a grid can miss
+thin violation sets.
 """
 
 from __future__ import annotations
@@ -23,6 +28,9 @@ from .sets import Relation
 
 EIG_RESIDUAL_TOL = 1e-8
 VIOLATION_MEMBERSHIP_TOL = 1e-9
+# Region depths closer than this to the deepest one are ties in the grid
+# search: depth differences this small are rounding noise of the spectra.
+DEPTH_TIE_TOL = 1e-12
 
 
 class OracleError(RuntimeError):
@@ -77,45 +85,36 @@ class ViolationWitness:
     eig_residual: float
 
 
-def _region_depth(problem: DStabilityProblem, lam: complex, tol: float) -> float:
-    """Depth of lam inside the instability region (NaN when outside):
-    the smallest constraint residual, with equalities scored as -|value|."""
-    point = (lam.real, lam.imag)
-    depth = np.inf
-    for p, rel in problem.region.region_set.constraints:
-        value = p.evaluate(point)
-        if rel is Relation.GE:
-            if value < -tol:
-                return np.nan
-            depth = min(depth, value)
-        else:
-            if abs(value) > tol:
-                return np.nan
-            depth = min(depth, -abs(value))
-    return float(depth) if np.isfinite(depth) else 0.0
+def _region_depth(problem: DStabilityProblem, lam: np.ndarray, tol: float) -> np.ndarray:
+    """Depth of each eigenvalue in the array lam inside the instability
+    region (NaN when outside): the smallest constraint residual, with
+    equalities scored as -|value|, and 0 when it is not finite."""
+    region_set = problem.region.region_set
+    points = np.stack((lam.real, lam.imag), axis=-1)
+    depth = np.full(lam.shape, np.inf)
+    for p, rel in region_set.constraints:
+        value = p.evaluate(points)
+        score = value if rel is Relation.GE else -np.abs(value)
+        depth = np.where(score < depth, score, depth)
+    depth = np.where(np.isfinite(depth), depth, 0.0)
+    return np.where(region_set.contains(points, tol), depth, np.nan)
 
 
-# Points per stacked eigenvalues call: keeps the (chunk, n, n) buffer small
-# on 200 000-point grids.
+# Points per stacked evaluation and eigenvalues call: keeps the (chunk, n, n)
+# buffer small on 200 000-point grids.
 _SPECTRUM_CHUNK = 4096
 
 
 def _spectra(problem: DStabilityProblem, points, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """Sorted spectra of A(rho) at each point, shape (N, n), and the region
     depth of every eigenvalue (NaN outside the instability region), with one
-    eigenvalues call per chunk of at most _SPECTRUM_CHUNK points."""
-    n = problem.matrix.size
-    spectra = np.empty((len(points), n), dtype=complex)
+    matrix evaluation and one eigenvalues call per chunk of at most
+    _SPECTRUM_CHUNK points."""
+    spectra = np.empty((len(points), problem.matrix.size), dtype=complex)
     for start in range(0, len(points), _SPECTRUM_CHUNK):
-        chunk = points[start:start + _SPECTRUM_CHUNK]
-        matrices = np.empty((len(chunk), n, n))
-        for k, rho in enumerate(chunk):
-            matrices[k] = problem.matrix.evaluate(rho)
-        spectra[start:start + len(chunk)] = eigenvalues(matrices)
-    depths = np.empty(spectra.shape)
-    for k, lam in enumerate(spectra.flat):
-        depths.flat[k] = _region_depth(problem, lam, tol)
-    return spectra, depths
+        chunk = slice(start, start + _SPECTRUM_CHUNK)
+        spectra[chunk] = eigenvalues(problem.matrix.evaluate(points[chunk]))
+    return spectra, _region_depth(problem, spectra, tol)
 
 
 def grid_points(problem: DStabilityProblem, points_per_axis: int,
@@ -140,19 +139,19 @@ def grid_points(problem: DStabilityProblem, points_per_axis: int,
         pts = np.stack([m.ravel() for m in mesh], axis=1)
         if box_only:
             return pts
-        keep = [p for p in pts if problem.delta.contains(p, 1e-9)]
-        pts = np.array(keep) if keep else np.zeros((0, n))
+        pts = pts[problem.delta.contains(pts, 1e-9)]
     else:
-        # Rejection sampling against the membership test (seeded).
+        # Seeded rejection sampling against the membership test: at most 20
+        # batches of max_points draws, keeping the first max_points accepted
+        # in draw order.
         rng = np.random.default_rng(seed)
         accepted = []
-        for _ in range(max_points * 20):
-            candidate = rng.uniform(lower, upper)
-            if problem.delta.contains(candidate, 1e-9):
-                accepted.append(candidate)
-                if len(accepted) >= max_points:
-                    break
-        pts = np.array(accepted) if accepted else np.zeros((0, n))
+        for _ in range(20):
+            candidates = rng.uniform(lower, upper, size=(max_points, n))
+            accepted.append(candidates[problem.delta.contains(candidates, 1e-9)])
+            if sum(map(len, accepted)) >= max_points:
+                break
+        pts = np.concatenate(accepted)[:max_points]
     if len(pts) == 0:
         raise OracleError(
             "no grid point satisfies the delta constraints; the support is "
@@ -173,10 +172,13 @@ def grid_violation_search(
     is not a box), compute every spectrum, and return the deepest witness
     of an eigenvalue inside the instability region, or None.
 
-    Ties are broken toward the earliest candidate, so results do not depend
-    on evaluation order.  A returned witness has an eigenpair residual of
-    at most EIG_RESIDUAL_TOL; finding one proves that the worst-case
-    violation probability is 1 in the support-only setting.
+    Depths within DEPTH_TIE_TOL of the deepest remaining one count as
+    equal (they differ by rounding noise alone, e.g. for eigenvalues on the
+    imaginary axis), and among equals the earliest candidate and eigenvalue
+    wins, so results depend neither on evaluation order nor on the last
+    bits the eigensolver returns.  A returned witness has an eigenpair
+    residual of at most EIG_RESIDUAL_TOL; finding one proves that the
+    worst-case violation probability is 1 in the support-only setting.
     """
     try:
         points = grid_points(problem, points_per_axis, max_points, seed)
@@ -185,22 +187,23 @@ def grid_violation_search(
             raise
         points = np.zeros((0, len(problem.uncertainty_variables)))
     if extra_points is not None:
-        extra = [np.asarray(point, dtype=float) for point in extra_points]
-        points = np.vstack([points] + [p for p in extra if problem.delta.contains(p, 1e-9)])
+        extra = np.asarray(extra_points, dtype=float).reshape(len(extra_points), points.shape[1])
+        points = np.vstack([points, extra[problem.delta.contains(extra, 1e-9)]])
     spectra, depths = _spectra(problem, points, membership_tol)
-    # Deepest first, ties toward the earliest candidate and eigenvalue: the
-    # first one whose eigenpair checks out is the witness.
     flat = depths.ravel()
-    inside = np.flatnonzero(~np.isnan(flat))
-    for k in inside[np.argsort(-flat[inside], kind="stable")]:
-        i, j = divmod(int(k), spectra.shape[1])
-        a = problem.matrix.evaluate(points[i])
-        _v, residual = unit_eigenvector(a, spectra[i, j])
-        if residual <= EIG_RESIDUAL_TOL * max(1.0, np.abs(a).max()):
-            return ViolationWitness(
-                rho=points[i].copy(), lam=complex(spectra[i, j]),
-                min_region_residual=float(flat[k]), eig_residual=residual,
-            )
+    remaining = np.flatnonzero(~np.isnan(flat))
+    while remaining.size:
+        tied = flat[remaining] >= flat[remaining].max() - DEPTH_TIE_TOL
+        for k in remaining[tied]:
+            i, j = divmod(int(k), spectra.shape[1])
+            a = problem.matrix.evaluate(points[i])
+            _v, residual = unit_eigenvector(a, spectra[i, j])
+            if residual <= EIG_RESIDUAL_TOL * max(1.0, np.abs(a).max()):
+                return ViolationWitness(
+                    rho=points[i].copy(), lam=complex(spectra[i, j]),
+                    min_region_residual=float(flat[k]), eig_residual=residual,
+                )
+        remaining = remaining[~tied]
     return None
 
 
@@ -332,9 +335,9 @@ def atomic_lp_bound(
         raise OracleError(
             f"atoms have dimension {atoms.shape[1]}, expected {n_rho}"
         )
-    for atom in atoms:
-        if not problem.delta.contains(atom, 1e-9):
-            raise OracleError(f"atom {atom} lies outside the uncertainty support")
+    outside = np.flatnonzero(~problem.delta.contains(atoms, 1e-9))
+    if outside.size:
+        raise OracleError(f"atom {atoms[outside[0]]} lies outside the uncertainty support")
 
     _, depths = _spectra(problem, atoms, membership_tol)
     violating = ~np.isnan(depths).all(axis=1)
@@ -345,7 +348,7 @@ def atomic_lp_bound(
     a_le = []
     b_le = []
     for mc in problem.moment_constraints:
-        row = np.array([mc.f.evaluate(atom) for atom in atoms])
+        row = mc.f.evaluate(atoms)
         if mc.relation == "=":
             a_eq.append(row)
             b_eq.append(mc.target)

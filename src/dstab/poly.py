@@ -20,6 +20,8 @@ import math
 import re
 from dataclasses import dataclass, field
 
+import numpy as np
+
 Exponent = tuple[int, ...]
 
 
@@ -172,19 +174,33 @@ class Polynomial:
         return Polynomial(self.num_vars, {a: c for a, c in self.terms.items() if abs(c) > eps})
 
     # ------------------------------------------------------------------
-    def evaluate(self, point) -> float:
-        """Plain monomial summation; exact for constants by construction."""
-        if len(point) != self.num_vars:
+    def evaluate(self, point):
+        """Value at one point of shape (num_vars,), as a float, or at each
+        point of a stack of shape (..., num_vars), as an array of shape (...).
+
+        Plain monomial summation in dictionary order, exact for constants by
+        construction.  Powers are built by repeated multiplication, never
+        `**` (numpy's and libm's powers round differently), so a point and
+        the same point inside a stack give the same bits.  Overflow and
+        inf * 0 give inf and NaN without a warning, as Python floats do."""
+        x = np.asarray(point, dtype=float)
+        if x.ndim == 0 or x.shape[-1] != self.num_vars:
             raise PolynomialError(
-                f"point has dimension {len(point)}, expected {self.num_vars}"
+                f"points of shape {x.shape} do not have {self.num_vars} coordinates"
             )
-        total = 0.0
-        for alpha, coeff in self.terms.items():
-            term = coeff
-            for x, e in zip(point, alpha):
-                if e:
-                    term *= float(x) ** e
-            total += term
+        # Python floats for one point (numpy scalars are slower), arrays for a stack
+        columns = x.tolist() if x.ndim == 1 else np.moveaxis(x, -1, 0)
+        total = 0.0 if x.ndim == 1 else np.zeros(x.shape[:-1])
+        with np.errstate(invalid="ignore", over="ignore"):
+            for alpha, coeff in self.terms.items():
+                term = coeff
+                for column, e in zip(columns, alpha):
+                    if e:
+                        power = column
+                        for _ in range(e - 1):
+                            power = power * column
+                        term = term * power
+                total = total + term
         return total
 
     def substitute(self, index: int, value: float) -> "Polynomial":

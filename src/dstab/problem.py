@@ -65,9 +65,14 @@ class UncertainMatrix:
         return True
 
     def evaluate(self, rho) -> np.ndarray:
-        return np.array(
-            [[p.evaluate(rho) for p in row] for row in self.entries], dtype=float
-        )
+        """A(rho) of shape (n, n) for one point, or (..., n, n) for a stack
+        of points of shape (..., p)."""
+        rho = np.asarray(rho, dtype=float)
+        out = np.empty(rho.shape[:-1] + (self.size, self.size))
+        for i, row in enumerate(self.entries):
+            for j, p in enumerate(row):
+                out[..., i, j] = p.evaluate(rho)
+        return out
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
+import numpy as np
+
 from .poly import Polynomial, PolynomialError
 
 REGION_VARS = ("lre", "lim")
@@ -52,22 +54,22 @@ class SemialgebraicSet:
     def num_vars(self) -> int:
         return len(self.variables)
 
-    def contains(self, point, tol: float = DEFAULT_MEMBERSHIP_TOL) -> bool:
+    def contains(self, point, tol: float = DEFAULT_MEMBERSHIP_TOL):
         """Numeric membership: >= constraints may dip to -tol, equalities
-        must hold within |value| <= tol."""
-        if len(point) != self.num_vars:
+        must hold within |value| <= tol.  A bool for one point of shape
+        (num_vars,), a bool array of shape (...) for a stack (..., num_vars).
+        A NaN constraint value does not exclude a point."""
+        x = np.asarray(point, dtype=float)
+        if x.ndim == 0 or x.shape[-1] != self.num_vars:
             raise PolynomialError(
-                f"point dimension {len(point)} != set dimension {self.num_vars}"
+                f"point shape {x.shape} does not match set dimension {self.num_vars}"
             )
+        inside = np.ones(x.shape[:-1], dtype=bool)
         for p, rel in self.constraints:
-            value = p.evaluate(point)
-            if rel is Relation.GE:
-                if value < -tol:
-                    return False
-            else:
-                if abs(value) > tol:
-                    return False
-        return True
+            value = p.evaluate(x)
+            outside = value < -tol if rel is Relation.GE else abs(value) > tol
+            inside &= np.logical_not(outside)
+        return bool(inside) if x.ndim == 1 else inside
 
     def expand_equalities(self) -> "SemialgebraicSet":
         """Rewrite each p == 0 as the pair p >= 0, -p >= 0."""

@@ -1,6 +1,7 @@
 import csv
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -261,6 +262,59 @@ class TestCommands:
         with open(csv_path, newline="") as handle:
             rows = list(csv.reader(handle))
         assert len(rows) == 2
+
+
+# `dstab oracle` output pinned line for line, so that a faster oracle cannot
+# quietly change a witness or a bound.  In the lti_hinf witness the real part
+# of lambda, the region depth and the eigenpair residual are rounding noise of
+# the eigensolver (an eigenvalue on the imaginary axis), so only their size is
+# checked; the witness itself is fixed by the depth tie rule.
+_NOISE = "<noise>"
+_NO_MEASURE = ("oracle error: no grid point satisfies the delta constraints; the support "
+               "is likely measure-zero (equality constraints) - pass explicit points\n")
+ORACLE_GOLDEN = [
+    (["hurwitz.prob", "--grid", "11"], 0,
+     "grid search (11 points/axis): no violation found\n"
+     "atomic LP over 11 atoms: lower bound 0 on the violation probability\n", ""),
+    ([RUNNING], 0,
+     "grid search (101 points/axis): witness rho = (1), lambda = 0+0j, region depth 0, "
+     "eigenpair residual 0\n"
+     "atomic LP over 101 atoms: lower bound 0.5 on the violation probability\n", ""),
+    ([SUPPORT], 0,
+     "grid search (101 points/axis): witness rho = (1), lambda = 0+0j, region depth 0, "
+     "eigenpair residual 0\n"
+     "atomic LP over 101 atoms: lower bound 1 on the violation probability\n", ""),
+    ([VARIANCE, "--bind", "sigma2=0.1"], 0,
+     "grid search (101 points/axis): witness rho = (1), lambda = 0+0j, region depth 0, "
+     "eigenpair residual 0\n"
+     "atomic LP over 101 atoms: lower bound 0.285714286 on the violation probability\n", ""),
+    ([VARIANCE, "--grid", "5000", "--bind", "sigma2=0.13"], 0,
+     "grid search (5000 points/axis): witness rho = (1), lambda = 0+0j, region depth 0, "
+     "eigenpair residual 0\n"
+     "atomic LP over 5000 atoms: lower bound 0.342105255 on the violation probability\n", ""),
+    (["lti_stability.prob", "--grid", "8"], 0,
+     "grid search (8 points/axis): no violation found\n"
+     "atomic LP over 4096 atoms: lower bound 0 on the violation probability\n", ""),
+    (["lti_hinf.prob", "--grid", "4"], 0,
+     "grid search (4 points/axis): witness rho = (0.95, 0.0166666667, -0.25, -0.05), "
+     f"lambda = {_NOISE}-0.464560786j, region depth {_NOISE}, eigenpair residual {_NOISE}\n"
+     "atomic LP over 256 atoms: lower bound 1 on the violation probability\n", ""),
+    (["bifurcation.prob", "--bind", "k=0.4"], 1, "", _NO_MEASURE),
+    (["bifurcation_probabilistic.prob", "--bind", "sigma2=0.05"], 1, "", _NO_MEASURE),
+]
+
+
+@pytest.mark.parametrize("args, code, stdout, stderr", ORACLE_GOLDEN,
+                         ids=[" ".join(case[0]) for case in ORACLE_GOLDEN])
+def test_oracle_golden_output(problems_dir, capsys, args, code, stdout, stderr):
+    assert main(["oracle", str(problems_dir / args[0]), *args[1:]]) == code
+    out, err = capsys.readouterr()
+    assert err == stderr
+    expected = stdout.split(_NOISE)
+    noise = re.fullmatch("(.*)".join(map(re.escape, expected)), out, re.DOTALL)
+    assert noise is not None, out
+    for figure in noise.groups():
+        assert abs(float(figure)) <= 1e-12
 
 
 class TestBindAndInfeasible:

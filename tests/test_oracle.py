@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -15,8 +17,8 @@ from dstab.oracle import (
     unit_eigenvector,
 )
 from dstab.poly import parse_polynomial
-from dstab.problem import DStabilityProblem, UncertainMatrix
-from dstab.sets import Relation, box_set, region_preset
+from dstab.problem import DStabilityProblem, UncertainMatrix, delta_box_bounds
+from dstab.sets import Relation, box_set, custom_region, region_preset
 
 
 def _sorted(values):
@@ -135,6 +137,48 @@ class TestGridSearch:
         assert whole[0].lam == chunked[0].lam
         assert np.array_equal(whole[1].violating, chunked[1].violating)
         assert np.array_equal(whole[1].weights, chunked[1].weights)
+
+    @pytest.mark.parametrize("region", [
+        region_preset("left_half_plane_closure"),
+        region_preset("unit_disk_exterior_closure"),
+        region_preset("imaginary_axis"),
+        region_preset("origin"),
+        custom_region([(parse_polynomial("lre^3 - lim + 0.5", ["lre", "lim"]), Relation.GE),
+                       (parse_polynomial("lre*lim^2 - lre", ["lre", "lim"]), Relation.EQ)]),
+    ])
+    def test_region_depth_stack_matches_points(self, region, support_problem):
+        problem = dataclasses.replace(support_problem, region=region)
+        rng = np.random.default_rng(21)
+        lam = rng.uniform(-1.5, 1.5, (30, 4)) + 1j * rng.uniform(-1.5, 1.5, (30, 4))
+        lam[:10] = lam[:10].real   # on the real axis
+        lam[10:20] = 1j * lam[10:20].imag   # on the imaginary axis
+        lam[0, 0] = 0.0
+        depths = oracle._region_depth(problem, lam, 1e-6)
+        assert depths.shape == lam.shape
+        for index in np.ndindex(lam.shape):
+            single = oracle._region_depth(problem, lam[index], 1e-6)
+            assert np.array_equal(single, depths[index], equal_nan=True)
+        assert not np.isnan(depths).all()
+
+    def test_witness_ignores_rounding_noise_in_depths(self, problems_dir, monkeypatch):
+        # eigenvalues on the imaginary axis have real parts of about 1e-15,
+        # so the witness must not depend on their sign or size
+        from dstab.cli import load_problem
+        problem, _ = load_problem(problems_dir / "lti_hinf.prob")
+        plain = grid_violation_search(problem, 4)
+        exact_eigenvalues = oracle.eigenvalues
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+
+            def noisy(matrix):
+                eigs = exact_eigenvalues(matrix)
+                return eigs + rng.choice([-1e-15, 1e-15], size=eigs.shape)
+
+            monkeypatch.setattr(oracle, "eigenvalues", noisy)
+            witness = grid_violation_search(problem, 4)
+            assert np.array_equal(witness.rho, plain.rho)
+            assert witness.lam.imag == plain.lam.imag
+            assert abs(witness.lam.real - plain.lam.real) <= 1.5e-15
 
     def test_extra_points_on_measure_zero_support(self):
         # equality-constrained delta that no grid point satisfies: the grid
@@ -260,6 +304,67 @@ class TestGridPoints:
         assert pts.shape == (500, 3)
         again = grid_points(problem, 1000, max_points=500, seed=1)
         assert np.array_equal(pts, again)
+
+
+class TestGridPointsOnDisc:
+    """grid_points on a non-box Delta against the per-candidate loop it
+    replaced."""
+
+    @staticmethod
+    def _disc_problem():
+        names = ["a", "b"]
+        delta = box_set(tuple(names), [-1.0, -1.0], [1.0, 1.0]).with_constraints(
+            [(parse_polynomial("1 - a^2 - b^2", names), Relation.GE)]
+        )
+        matrix = UncertainMatrix(
+            tuple(names),
+            ((parse_polynomial("a", names), parse_polynomial("b", names)),
+             (parse_polynomial("-b", names), parse_polynomial("a - 1", names))),
+        )
+        return DStabilityProblem(matrix=matrix, delta=delta,
+                                 region=region_preset("left_half_plane_closure"))
+
+    @staticmethod
+    def _reference(problem, points_per_axis, max_points, seed):
+        lower, upper = delta_box_bounds(problem.delta)
+        n = len(lower)
+        if points_per_axis ** n <= max_points:
+            axes = [np.linspace(lower[i], upper[i], points_per_axis) for i in range(n)]
+            mesh = np.meshgrid(*axes, indexing="ij")
+            pts = np.stack([m.ravel() for m in mesh], axis=1)
+            keep = [p for p in pts if problem.delta.contains(p, 1e-9)]
+            return np.array(keep)
+        rng = np.random.default_rng(seed)
+        accepted = []
+        for _ in range(max_points * 20):
+            candidate = rng.uniform(lower, upper)
+            if problem.delta.contains(candidate, 1e-9):
+                accepted.append(candidate)
+                if len(accepted) >= max_points:
+                    break
+        return np.array(accepted)
+
+    @pytest.mark.parametrize("points_per_axis, max_points, seed", [
+        (7, 100, 0), (100, 37, 0), (100, 37, 5), (100, 1, 2),
+    ])
+    def test_matches_per_candidate_loop(self, points_per_axis, max_points, seed):
+        problem = self._disc_problem()
+        pts = grid_points(problem, points_per_axis, max_points=max_points, seed=seed)
+        expected = self._reference(problem, points_per_axis, max_points, seed)
+        assert np.array_equal(pts, expected)
+
+    def test_sparse_acceptance_stops_at_twenty_draws_per_point(self):
+        # a thin lens: few of the 20 * max_points draws land in it
+        problem = self._disc_problem()
+        names = ["a", "b"]
+        thin = problem.delta.with_constraints(
+            [(parse_polynomial("0.0001 - b^2", names), Relation.GE)]
+        )
+        problem = dataclasses.replace(problem, delta=thin)
+        pts = grid_points(problem, 100, max_points=50, seed=3)
+        expected = self._reference(problem, 100, 50, 3)
+        assert 0 < len(pts) < 50
+        assert np.array_equal(pts, expected)
 
 
 class TestBifurcationJacobian:

@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from dstab.poly import (
@@ -239,3 +240,43 @@ class TestProperties:
         p = Polynomial(1, {(0,): 1.0, (1,): 1e-14})
         assert p.prune(1e-12).terms == {(0,): 1.0}
         assert p.prune(0).terms == p.terms
+
+
+class TestStackEvaluate:
+    def test_stack_matches_points_bit_for_bit(self):
+        rng = random.Random(2024)
+        np_rng = np.random.default_rng(2024)
+        for _ in range(100):
+            n = rng.randint(1, 4)
+            terms = {
+                tuple(rng.randint(0, 6) for _ in range(n)): rng.uniform(-5, 5)
+                for _ in range(rng.randint(1, 8))
+            }
+            p = Polynomial(n, terms)
+            stack = np_rng.uniform(-3.0, 3.0, size=(4, 5, n))
+            values = p.evaluate(stack)
+            assert values.shape == (4, 5)
+            for index in np.ndindex(4, 5):
+                single = p.evaluate(list(stack[index]))
+                assert isinstance(single, float)
+                assert single == values[index]
+
+    def test_powers_are_repeated_products(self):
+        cube = parse_polynomial("x^3", ["x"])
+        for x in np.random.default_rng(3).uniform(-3.0, 3.0, 200):
+            assert cube.evaluate([x]) == x * x * x
+
+    def test_zero_polynomial_keeps_stack_shape(self):
+        values = Polynomial.zero(2).evaluate(np.ones((3, 2)))
+        assert values.shape == (3,) and not values.any()
+
+    def test_non_finite_values_without_warning(self):
+        # inf * 0 is NaN, as for Python floats; pytest turns warnings into errors
+        p = Polynomial(1, {(1,): math.inf, (0,): -1.0})
+        assert math.isnan(p.evaluate([0.0]))
+        assert np.isnan(p.evaluate(np.zeros((2, 1)))).all()
+        assert Polynomial(1, {(2,): 1.0}).evaluate([1e200]) == math.inf
+
+    def test_stack_dimension_mismatch(self):
+        with pytest.raises(PolynomialError):
+            parse_polynomial("x", ["x"]).evaluate(np.zeros((3, 2)))

@@ -160,6 +160,19 @@ class TestSpectralBound:
             eigs = np.linalg.eigvals(problem.matrix.evaluate([rho]))
             assert np.all(np.abs(eigs) <= radius + 1e-9)
 
+    def test_stacked_evaluate_matches_points(self):
+        names = ["a", "b"]
+        rows = [["a^3 - 2*b", "a*b^2 + 0.3"], ["-1.7", "b^4 - a^2*b"]]
+        matrix = UncertainMatrix(
+            tuple(names),
+            tuple(tuple(parse_polynomial(e, names) for e in row) for row in rows),
+        )
+        stack = np.random.default_rng(8).uniform(-2.0, 2.0, size=(3, 40, 2))
+        values = matrix.evaluate(stack)
+        assert values.shape == (3, 40, 2, 2)
+        for index in np.ndindex(3, 40):
+            assert np.array_equal(values[index], matrix.evaluate(stack[index]))
+
     def test_interval_evaluate(self):
         p = parse_polynomial("rho^2 - rho", ["rho"])
         lo, hi = interval_evaluate(p, [0.0], [1.0])

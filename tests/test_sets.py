@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from dstab.poly import parse_polynomial
@@ -109,6 +110,22 @@ class TestContains:
     def test_dimension_mismatch(self):
         with pytest.raises(Exception):
             box_set(("x",), [0.0], [1.0]).contains([1.0, 2.0])
+
+    def test_stack_matches_points(self):
+        names = ["x", "y"]
+        disc = box_set(names, [-1.0, -1.0], [1.0, 1.0]).with_constraints([
+            (parse_polynomial("1 - x^2 - y^2", names), Relation.GE),
+            (parse_polynomial("x*y^3 - y", names), Relation.EQ),
+        ])
+        rng = np.random.default_rng(11)
+        stack = rng.uniform(-1.2, 1.2, size=(6, 50, 2))
+        stack[0, :, 1] = 0.0  # on the equality's zero set
+        for tol in (0.0, 1e-9, 0.5):
+            inside = disc.contains(stack, tol)
+            assert inside.shape == (6, 50) and inside.dtype == bool
+            for index in np.ndindex(6, 50):
+                assert inside[index] == disc.contains(stack[index], tol)
+            assert inside[0].any() and not inside.all()
 
 
 class TestCompactify:
