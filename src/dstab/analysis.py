@@ -146,7 +146,6 @@ def upper_probability(
     tau: int | None = None,
     settings: SolverSettings | None = None,
     margin: float = DEFAULT_CERTIFICATION_MARGIN,
-    equality_encoding: str = "pair",
 ) -> AnalysisReport:
     """Solve the order-tau relaxation and report the violation-probability
     bound with the verdict dictated by the available information.
@@ -173,7 +172,7 @@ def upper_probability(
             stacklevel=2,
         )
         tau = tau_min
-    sdp = assemble_relaxation(lifted, tau, equality_encoding=equality_encoding)
+    sdp = assemble_relaxation(lifted, tau)
     solution = solve(sdp, settings)
     seconds = time.perf_counter() - start
 

@@ -23,7 +23,7 @@ from pathlib import Path
 from . import analysis, oracle
 from .poly import PolynomialError, parse_polynomial
 from .problem import DStabilityProblem, MomentConstraint, UncertainMatrix, build_lifted, minimal_order
-from .relax import assemble_relaxation, export_sdp, problem_stats
+from .relax import assemble_relaxation, export_sdp
 from .sdp import SolverSettings
 from .sets import (
     REGION_VARS,
@@ -512,11 +512,10 @@ def _cmd_export(args, out) -> int:
     lifted = build_lifted(problem)
     tau = _tau_from(options, args) or minimal_order(lifted)
     sdp = assemble_relaxation(lifted, tau)
-    stats = problem_stats(sdp)
-    export_sdp(sdp, args.output)
-    print(f"tau {stats.tau}: {stats.num_moments} moment variables, "
-          f"blocks {list(stats.block_dimensions)}, "
-          f"{stats.num_constraints} linear rows -> {args.output}", file=out)
+    dims = export_sdp(sdp, args.output)
+    print(f"tau {sdp.tau}: {sdp.num_moments} moment variables, "
+          f"blocks {list(dims)}, "
+          f"{len(sdp.constraints)} linear rows -> {args.output}", file=out)
     return 0
 
 
@@ -528,35 +527,38 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, tau=True):
+    # each flag is registered only on the subcommands that read it, so
+    # argparse rejects it everywhere else
+    def common(p, tau=True, solver=True, csv=False):
         p.add_argument("problem", help="problem file")
         if tau:
             p.add_argument("--tau", type=int, default=None, help="relaxation order")
-        p.add_argument("--margin", type=float, default=None,
-                       help="certification margin on the bound < 1")
         p.add_argument("--bind", action="append", default=[], metavar="NAME=VALUE",
                        help="bind a $placeholder in the problem file")
-        p.add_argument("--log-iterations", action="store_true",
-                       help="print one solver line per interior-point iteration")
-        p.add_argument("--csv", default=None, help="also write results as CSV")
+        if solver:
+            p.add_argument("--margin", type=float, default=None,
+                           help="certification margin on the bound < 1")
+            p.add_argument("--log-iterations", action="store_true",
+                           help="print one solver line per interior-point iteration")
+        if csv:
+            p.add_argument("--csv", default=None, help="also write results as CSV")
 
     p = sub.add_parser("analyze", help="upper bound on the violation probability")
-    common(p)
+    common(p, csv=True)
     p.add_argument("--export-sdp", default=None, metavar="PATH")
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("certify", help="robust D-stability certificate (support-only)")
     common(p)
-    p.add_argument("--export-sdp", default=None, metavar="PATH")
     p.set_defaults(func=_cmd_certify)
 
     p = sub.add_parser("hierarchy", help="solve a range of relaxation orders")
-    common(p)
+    common(p, csv=True)
     p.add_argument("--tau-max", type=int, default=None)
     p.set_defaults(func=_cmd_hierarchy)
 
     p = sub.add_parser("sweep", help="sweep a $parameter of the problem file")
-    common(p)
+    common(p, csv=True)
     p.add_argument("--param", required=True, help="placeholder name to sweep")
     p.add_argument("--values", required=True, help="comma-separated values")
     p.set_defaults(func=_cmd_sweep)
@@ -570,14 +572,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_bisect)
 
     p = sub.add_parser("oracle", help="independent grid search and atomic LP bound")
-    common(p, tau=False)
+    common(p, tau=False, solver=False)
     p.add_argument("--grid", type=int, default=101, help="grid points per axis")
     p.add_argument("--seed", type=int, default=0,
                    help="seed for rejection sampling on non-box supports")
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("export-sdp", help="write the assembled SDP as sparse text")
-    common(p)
+    common(p, solver=False)
     p.add_argument("output", help="output path")
     p.set_defaults(func=_cmd_export)
 

@@ -88,9 +88,14 @@ class ViolationWitness:
 def _region_depth(problem: DStabilityProblem, lam: np.ndarray, tol: float) -> np.ndarray:
     """Depth of each eigenvalue in the array lam inside the instability
     region (NaN when outside): the smallest constraint residual, with
-    equalities scored as -|value|, and 0 when it is not finite."""
+    equalities scored as -|value|, and 0 when it is not finite.  A region
+    restricted to the real axis is read at lre alone, as in
+    `StabilityRegionComplement.contains`."""
     region_set = problem.region.region_set
-    points = np.stack((lam.real, lam.imag), axis=-1)
+    if problem.region.real_spectrum_only:
+        points = lam.real[..., None]
+    else:
+        points = np.stack((lam.real, lam.imag), axis=-1)
     depth = np.full(lam.shape, np.inf)
     for p, rel in region_set.constraints:
         value = p.evaluate(points)

@@ -167,12 +167,6 @@ class Polynomial:
     def scale(self, factor: float) -> "Polynomial":
         return Polynomial(self.num_vars, {a: c * factor for a, c in self.terms.items()})
 
-    def prune(self, eps: float) -> "Polynomial":
-        """Drop terms with |coefficient| <= eps (eps=0 keeps canonical exact form)."""
-        if eps <= 0:
-            return self
-        return Polynomial(self.num_vars, {a: c for a, c in self.terms.items() if abs(c) > eps})
-
     # ------------------------------------------------------------------
     def evaluate(self, point):
         """Value at one point of shape (num_vars,), as a float, or at each

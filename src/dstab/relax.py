@@ -3,10 +3,11 @@
 The relaxation maximizes sum_alpha h_alpha m_alpha over truncated moment
 vectors m subject to: the normalization m_0...0 = 1, one linear row per
 lifted expectation constraint, positive semidefiniteness of the moment
-matrix at order tau, and of one localizing matrix per support constraint at
-order tau - ceil(deg q / 2).  Support equalities are expanded into
-inequality pairs by default; a kernel encoding (entrywise linear equations
-M(q m) = 0) is available behind a switch.
+matrix at order tau, and one localizing matrix per support constraint at
+order tau - ceil(deg q / 2): positive semidefinite for an inequality
+q >= 0, and zero entry by entry, M(q m) = 0, for an equality q = 0.  The
+PSD blocks and the equality forms are kept apart (`SDPProblem.psd_blocks`
+and `SDPProblem.equalities`); each equality is assembled once.
 
 For conditioning, the moment variables are rescaled: each coordinate z_i is
 divided by its magnitude s_i (box half-width for rho, ball radius for the
@@ -67,7 +68,13 @@ class LinearConstraintRow:
 @dataclass(frozen=True)
 class SDPProblem:
     """Concrete moment SDP: maximize objective . m subject to the linear
-    rows and the PSD pencil blocks (all expressed in scaled moments).
+    rows, the PSD pencil blocks and the equality forms (all expressed in
+    scaled moments).
+
+    `psd_blocks` holds the moment matrix and one localizer per support
+    inequality; `equalities` holds the localizing form of each support
+    equality, which must vanish entry by entry.  Both label a localizer of
+    support constraint j as `q[j]`.
 
     `moment_bounds[k]` bounds |m_k| for the scaled moments of every
     probability measure on the lifted support (inf where no bound is
@@ -75,7 +82,7 @@ class SDPProblem:
 
     `sign_symmetries` is derived data: a basis of the sign flips that leave
     the relaxation invariant, each given as the sorted indices of the
-    coordinates it negates (see the module docstring).  The solver fixes
+    coordinates it flips (see the module docstring).  The solver fixes
     the moments that are odd under any of them at 0; an SDP with no
     generators is solved without that reduction."""
 
@@ -90,6 +97,7 @@ class SDPProblem:
     z_vars: tuple[str, ...]
     moment_bounds: np.ndarray | None = None
     sign_symmetries: tuple[tuple[int, ...], ...] = ()
+    equalities: tuple[tuple[str, LinearMatrixForm], ...] = ()
 
     @property
     def num_moments(self) -> int:
@@ -133,10 +141,13 @@ class SDPSolution:
     the status and accuracy of the solve, and it is +inf when the SDP
     carries no finite a-priori moment bounds.  `dual_multipliers` follow the
     order of `SDPProblem.constraints`; `dual_psd_blocks` follow
-    `psd_blocks`.  All of these have the full size of the SDP, whatever
-    reduction the solver applied; `solved_moments` and `solved_blocks`
-    record the size of the problem it actually iterated on (moment
-    variables and PSD block dimensions after the reduction).
+    `psd_blocks`; `equality_duals` follow `equalities`, one symmetric
+    multiplier matrix W_e each, which enters dual stationarity as A_e*(W_e)
+    just as a PSD dual block does, but carries no sign constraint.  All of
+    these have the full size of the SDP, whatever reduction the solver
+    applied; `solved_moments` and `solved_blocks` record the size of the
+    problem it actually iterated on (moment variables and PSD block
+    dimensions after the reduction).
     """
 
     moments: MomentVector
@@ -153,6 +164,7 @@ class SDPSolution:
     upper_bound: float = math.inf
     solved_moments: int = 0
     solved_blocks: tuple[int, ...] = ()
+    equality_duals: tuple[np.ndarray, ...] = ()
 
     @property
     def optimal(self) -> bool:
@@ -217,22 +229,9 @@ def _sign_symmetries(even, uniform, n_z: int) -> tuple[tuple[int, ...], ...]:
     return tuple(generators)
 
 
-def assemble_relaxation(
-    lifted: LiftedProblem,
-    tau: int,
-    equality_encoding: str = "pair",
-    prune_eps: float = 0.0,
-) -> SDPProblem:
-    """Build the order-tau SDP for a lifted problem.
-
-    `equality_encoding`: "pair" expands each support equality q = 0 into the
-    localizer pair for q >= 0 and -q >= 0 (the default); "kernel" instead
-    adds the entrywise linear equations M(q m) = 0.  `prune_eps` drops
-    coefficients of magnitude <= prune_eps from the rescaled polynomials
-    (default 0: exact arithmetic only).
-    """
-    if equality_encoding not in ("pair", "kernel"):
-        raise RelaxationError(f"bad equality_encoding {equality_encoding!r}")
+def assemble_relaxation(lifted: LiftedProblem, tau: int) -> SDPProblem:
+    """Build the order-tau SDP for a lifted problem: a PSD localizer for
+    each support inequality, an equality form for each support equality."""
     tau_min = minimal_order(lifted)
     if tau < tau_min:
         raise RelaxationError(
@@ -265,10 +264,7 @@ def assemble_relaxation(
             row[basis.index(alpha)] += coeff
         return row
 
-    def rescale(p: Polynomial) -> Polynomial:
-        return _scale_polynomial(p, scales).prune(prune_eps)
-
-    objective_scaled = rescale(lifted.objective)
+    objective_scaled = _scale_polynomial(lifted.objective, scales)
     objective = row_vector(objective_scaled)
     # parity classes for the sign-symmetry detection
     even: list[Polynomial] = [objective_scaled]
@@ -276,7 +272,7 @@ def assemble_relaxation(
 
     constraints: list[LinearConstraintRow] = []
     for k, (f, rel, target) in enumerate(lifted.moment_constraints):
-        f_scaled = rescale(f)
+        f_scaled = _scale_polynomial(f, scales)
         norm = max(f_scaled.max_abs_coeff(), abs(target))
         if norm == 0:
             continue
@@ -304,38 +300,18 @@ def assemble_relaxation(
         ("moment", moment_matrix_form(n_z, tau))
     ]
 
-    def add_localizer(q: Polynomial, label: str) -> None:
-        order = tau - math.ceil(q.degree / 2)
-        blocks.append((label, localizing_matrix_form(q, n_z, order)))
-
-    kernel_rows: list[LinearConstraintRow] = []
+    equalities: list[tuple[str, LinearMatrixForm]] = []
     for j, (q, rel) in enumerate(lifted.support.constraints):
-        q_scaled = _normalize(rescale(q))
+        q_scaled = _normalize(_scale_polynomial(q, scales))
         if q_scaled.is_zero():
             continue
-        (even if rel is Relation.GE else uniform).append(q_scaled)
+        form = localizing_matrix_form(q_scaled, n_z, tau - math.ceil(q_scaled.degree / 2))
         if rel is Relation.GE:
-            add_localizer(q_scaled, f"q[{j}]")
-        elif equality_encoding == "pair":
-            add_localizer(q_scaled, f"q[{j}]+")
-            add_localizer(-q_scaled, f"q[{j}]-")
+            even.append(q_scaled)
+            blocks.append((f"q[{j}]", form))
         else:
-            order = tau - math.ceil(q_scaled.degree / 2)
-            sub_basis = monomial_basis(n_z, order)
-            for i, bi in enumerate(sub_basis.elements):
-                for jj in range(i, len(sub_basis)):
-                    bj = sub_basis.elements[jj]
-                    row = np.zeros(num_moments)
-                    for gamma, coeff in q_scaled.terms.items():
-                        alpha = tuple(a + b + g for a, b, g in zip(bi, bj, gamma))
-                        row[basis.index(alpha)] += coeff
-                    kernel_rows.append(
-                        LinearConstraintRow(
-                            coeffs=row, relation="=", rhs=0.0,
-                            label=f"kernel[{j}]({i},{jj})",
-                        )
-                    )
-    constraints.extend(kernel_rows)
+            uniform.append(q_scaled)
+            equalities.append((f"q[{j}]", form))
 
     return SDPProblem(
         n_z=n_z,
@@ -349,6 +325,7 @@ def assemble_relaxation(
         z_vars=lifted.z_vars,
         moment_bounds=moment_bounds,
         sign_symmetries=_sign_symmetries(even, uniform, n_z),
+        equalities=tuple(equalities),
     )
 
 
@@ -364,13 +341,31 @@ def problem_stats(sdp: SDPProblem) -> SDPStats:
     )
 
 
-def export_sdp(sdp: SDPProblem, path) -> None:
-    """Write the assembled SDP in a plain sparse text format.
+def _file_blocks(sdp: SDPProblem) -> list[tuple[str, LinearMatrixForm, float]]:
+    """(label, form, sign) of each block of the DSTAB-SDP 1 file, the moment
+    matrix first and the localizers in support order.  The file encodes a
+    support equality q[j] = 0 as the PSD pair q[j]+ (its form) and q[j]-
+    (the negated form)."""
+    blocks = [(label, form, 1.0) for label, form in sdp.psd_blocks]
+    for label, form in sdp.equalities:
+        blocks += [(label + "+", form, 1.0), (label + "-", form, -1.0)]
+
+    def support_index(block) -> int:
+        label = block[0].rstrip("+-")
+        return int(label[2:-1]) if label.startswith("q[") else -1
+
+    return sorted(blocks, key=support_index)
+
+
+def export_sdp(sdp: SDPProblem, path) -> tuple[int, ...]:
+    """Write the assembled SDP in a plain sparse text format and return the
+    dimensions of the blocks written, in file order.
 
     Layout: a header with the dimensions, the graded-lex basis (one
     exponent vector per line), the objective as (moment-index, coefficient)
     pairs, each linear row, then each PSD block as (row, col, moment-index,
-    coefficient) quadruples.  Indices are zero-based.
+    coefficient) quadruples, with every support equality written as a +/-
+    block pair.  Indices are zero-based.
     """
     lines = ["DSTAB-SDP 1"]
     lines.append(f"nz {sdp.n_z} tau {sdp.tau} moments {sdp.num_moments}")
@@ -387,13 +382,16 @@ def export_sdp(sdp: SDPProblem, path) -> None:
         lines.append(f"constraint {k} {row.relation} {float(row.rhs)!r} {len(nnz)} {row.label}")
         for idx in nnz:
             lines.append(f"{idx} {float(row.coeffs[idx])!r}")
-    for k, (label, form) in enumerate(sdp.psd_blocks):
+    dims = []
+    for k, (label, form, sign) in enumerate(_file_blocks(sdp)):
         count = sum(len(vals) for _a, _r, _c, vals in form.terms)
         lines.append(f"block {k} {form.dimension} {count} {label}")
         for alpha, rows, cols, vals in form.terms:
             idx = sdp.basis.index(alpha)
-            for r, c, v in zip(rows, cols, vals):
+            for r, c, v in zip(rows, cols, sign * vals):
                 lines.append(f"{r} {c} {idx} {float(v)!r}")
+        dims.append(form.dimension)
     lines.append("end")
     with open(path, "w") as handle:
         handle.write("\n".join(lines) + "\n")
+    return tuple(dims)

@@ -6,6 +6,11 @@ The solver works on the internal minimization form
 
 where y stacks the (scaled) moment variables and one nonnegative slack per
 one-sided linear constraint (each slack carries its own 1x1 PSD block).
+G holds the linear rows of the SDP and, for each support equality
+A_e(y) = 0, one row per upper-triangle entry of A_e in row-major order;
+all-zero rows are dropped and a row equal to an earlier one is kept once.
+G is assembled sparse; only its part on the live rows and kept moments
+(see below) becomes dense for the iteration.
 The engine's maximization objective is negated on entry and the reported
 values are mapped back, so `primal_value` is the relaxation value at the
 final primal iterate and `dual_value` the dual objective at the final dual
@@ -13,10 +18,8 @@ iterate.  Neither is a safe bound on its own; `upper_bound` is, by the
 a-posteriori error bound of Jansson, Chaykin and Keil (SIAM J. Numer. Anal.
 46(1), 2007) over the a-priori moment bounds of the relaxation.
 
-Presolve and reduction, before the iteration:
+Reduction, before the iteration:
 
-- each +/- localizer pair (the pair encoding of a support equality)
-  becomes the entrywise equations A_b(y) = 0;
 - every moment that is odd under one of the SDP's sign symmetries
   (`SDPProblem.sign_symmetries`, found by `relax`) is fixed at 0: an
   invariant optimum exists, whose odd moments vanish.  Equality rows left
@@ -30,9 +33,10 @@ Presolve and reduction, before the iteration:
 
 The reduced SDP is solved, and moments, multipliers, slacks and dual
 blocks are scattered back to the full size in the original order (zero
-odd moments, block-diagonal duals).  `upper_bound` is evaluated on the full
-problem from the scattered dual; since it holds for any dual, a wrong
-symmetry could only loosen it, never make it unsound.
+odd moments, block-diagonal duals); the multipliers of each equality's
+rows are gathered into its multiplier matrix.  `upper_bound` is evaluated
+on the full problem from the scattered dual; since it holds for any dual,
+a wrong symmetry could only loosen it, never make it unsound.
 
 Algorithm: infeasible-start path following in the Nesterov-Todd scaling.
 Each iteration linearizes the centering condition X = sigma*mu*S^-1 with
@@ -120,17 +124,6 @@ class _Block:
             shape=(len(self.vars), dim * dim),
         )
 
-    def negates(self, other: "_Block") -> bool:
-        """True when other's pencil is the exact negation of this one."""
-        return (
-            self.dim == other.dim
-            and len(self.vals) == len(other.vals)
-            and np.array_equal(self.global_vars, other.global_vars)
-            and np.array_equal(self.rows, other.rows)
-            and np.array_equal(self.cols, other.cols)
-            and np.array_equal(self.vals, -other.vals)
-        )
-
     def adjoint_into(self, w: np.ndarray, out: np.ndarray) -> None:
         """out[vars] += A_b^*(w) for a dense symmetric w."""
         out[self.vars] += self.pencil_t @ w.ravel()
@@ -189,8 +182,20 @@ class _Group:
             block.schur_into(h, vb)
 
 
+def _form_entries(sdp: SDPProblem, form):
+    """Entries (moment index, row, col, value) of a pencil, term by term."""
+    var_idx, rows, cols, vals = [], [], [], []
+    for alpha, r, cc, v in form.terms:
+        var_idx.append(np.full(len(v), sdp.basis.index(alpha), dtype=np.intp))
+        rows.append(r)
+        cols.append(cc)
+        vals.append(v)
+    return (np.concatenate(var_idx), np.concatenate(rows),
+            np.concatenate(cols), np.concatenate(vals))
+
+
 def _compile_blocks(sdp: SDPProblem):
-    """Lower the SDP into solver arrays: objective, equality rows with
+    """Lower the SDP into solver arrays: objective, linear rows with
     slacks for one-sided constraints, and compiled PSD blocks."""
     n_m = sdp.num_moments
     slack_rows = [i for i, row in enumerate(sdp.constraints) if row.relation != "="]
@@ -214,98 +219,70 @@ def _compile_blocks(sdp: SDPProblem):
     g_mat = np.array(g_rows) if g_rows else np.zeros((0, n_y))
     g_vec = np.array(g_rhs)
 
-    psd_blocks = []
-    for _label, form in sdp.psd_blocks:
-        var_idx, rows, cols, vals = [], [], [], []
-        for alpha, r, cc, v in form.terms:
-            idx = sdp.basis.index(alpha)
-            var_idx.append(np.full(len(v), idx, dtype=np.intp))
-            rows.append(r)
-            cols.append(cc)
-            vals.append(v)
-        psd_blocks.append(
-            _Block(
-                form.dimension,
-                np.concatenate(var_idx),
-                np.concatenate(rows),
-                np.concatenate(cols),
-                np.concatenate(vals),
-            )
-        )
+    psd_blocks = [_Block(form.dimension, *_form_entries(sdp, form))
+                  for _label, form in sdp.psd_blocks]
     slack_blocks = [_Block(1, [n_m + k], [0], [0], [1.0]) for k in range(n_slack)]
     return c, g_mat, g_vec, psd_blocks, slack_blocks
 
 
-def _pair_presolve(psd_blocks: list, n_y: int):
-    """Replace each +/- pencil pair (the pair encoding of a support
-    equality, whose blocks are forced singular at every feasible point) by
-    the exact entrywise equations A_b(y) = 0.
+def _equality_rows(sdp: SDPProblem, n_y: int):
+    """The support equalities A_e(y) = 0 as sparse rows over y: one row per
+    upper-triangle entry (r, c) of each form, in row-major order, all-zero
+    rows dropped, and a row equal to an earlier one (of any equality) kept
+    once, the first occurrence winning.
 
-    Returns the kept blocks, a reporting plan over the original block
-    order, the extra equality rows (deduplicated), and per-pair entry keys
-    used to rebuild a PSD dual pair from the row multipliers.
-    """
+    Returns the rows (csr) and, per equality, its dimension and the entries
+    (r, c) whose row was kept, with that row's position, from which the
+    multiplier matrix is rebuilt (`_multiplier_matrices`)."""
+    if not sdp.equalities:
+        return sp.csr_matrix((0, n_y)), []
+    dims = [form.dimension for _label, form in sdp.equalities]
+    offsets = np.concatenate([[0], np.cumsum([d * d for d in dims])]).astype(np.intp)
+    coo_rows, coo_vars, coo_vals = [], [], []
+    for (_label, form), offset in zip(sdp.equalities, offsets):
+        var_idx, rows, cols, vals = _form_entries(sdp, form)
+        upper = rows <= cols
+        coo_rows.append(offset + rows[upper] * form.dimension + cols[upper])
+        coo_vars.append(var_idx[upper])
+        coo_vals.append(vals[upper])
+    entries = sp.csr_matrix(
+        (np.concatenate(coo_vals), (np.concatenate(coo_rows), np.concatenate(coo_vars))),
+        shape=(int(offsets[-1]), n_y),
+    )
+    # canonical form (sorted, summed, no stored zeros): equal rows then
+    # have equal byte stamps
+    entries.sum_duplicates()
+    entries.eliminate_zeros()
+    indptr, indices, data = entries.indptr, entries.indices, entries.data
+    seen: set[tuple[bytes, bytes]] = set()
     kept = []
-    plan = []
-    extra_rows: list[np.ndarray] = []
-    row_index: dict[bytes, int] = {}
-    pair_specs = []
-    i = 0
-    while i < len(psd_blocks):
-        block = psd_blocks[i]
-        if i + 1 < len(psd_blocks) and block.negates(psd_blocks[i + 1]):
-            entries: dict[tuple[int, int], np.ndarray] = {}
-            for var, r, cc, v in zip(block.global_vars, block.rows, block.cols, block.vals):
-                if r > cc:
-                    continue
-                row = entries.get((int(r), int(cc)))
-                if row is None:
-                    row = entries[(int(r), int(cc))] = np.zeros(n_y)
-                row[var] += v
-            keys = []
-            positions = []
-            for key in sorted(entries):
-                row = entries[key]
-                if not row.any():
-                    continue
-                stamp = row.tobytes()
-                pos = row_index.get(stamp)
-                owner = pos is None
-                if owner:
-                    pos = len(extra_rows)
-                    row_index[stamp] = pos
-                    extra_rows.append(row)
-                keys.append((key, pos, owner))
-                positions.append(pos)
-            plan.append(("pair+", len(pair_specs)))
-            plan.append(("pair-", len(pair_specs)))
-            pair_specs.append((block.dim, keys))
-            i += 2
-        else:
-            plan.append(("direct", len(kept)))
-            kept.append(block)
-            i += 1
-    rows = np.array(extra_rows) if extra_rows else np.zeros((0, n_y))
-    return kept, plan, rows, pair_specs
+    for flat in np.flatnonzero(np.diff(indptr)):
+        lo, hi = indptr[flat], indptr[flat + 1]
+        stamp = (indices[lo:hi].tobytes(), data[lo:hi].tobytes())
+        if stamp not in seen:
+            seen.add(stamp)
+            kept.append(flat)
+    kept = np.array(kept, dtype=np.intp)
+    layout = []
+    for e, dim in enumerate(dims):
+        pos = np.flatnonzero((kept >= offsets[e]) & (kept < offsets[e + 1]))
+        r, cc = np.divmod(kept[pos] - offsets[e], dim)
+        layout.append((dim, r, cc, pos))
+    return entries[kept], layout
 
 
-def _pair_duals(pair, multipliers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Split the row multipliers of an eliminated pair into PSD dual blocks
-    (X_plus, X_minus) with X_plus - X_minus equal to the multiplier matrix."""
-    dim, keys = pair
-    omega = np.zeros((dim, dim))
-    for (r, cc), pos, owner in keys:
-        if not owner:
-            continue
-        w = multipliers[pos]
-        if r == cc:
-            omega[r, r] = w
-        else:
-            omega[r, cc] = omega[cc, r] = 0.5 * w
-    lam, vec = np.linalg.eigh(omega)
-    plus = (vec * np.maximum(lam, 0.0)) @ vec.T
-    minus = (vec * np.maximum(-lam, 0.0)) @ vec.T
-    return plus, minus
+def _multiplier_matrices(layout, multipliers: np.ndarray) -> list[np.ndarray]:
+    """The multiplier matrix W_e of each equality from its row multipliers:
+    A_e*(W_e) equals the rows' adjoint (the off-diagonal weight is split
+    between the two triangles)."""
+    out = []
+    for dim, r, cc, pos in layout:
+        w = np.zeros((dim, dim))
+        weight = np.where(r == cc, 1.0, 0.5) * multipliers[pos]
+        w[r, cc] = weight
+        w[cc, r] = weight
+        out.append(w)
+    return out
 
 
 def _a_priori_bounds(sdp: SDPProblem) -> np.ndarray | None:
@@ -580,9 +557,9 @@ def _interior_point(c, g_mat, g_vec, groups, y, settings, log) -> _Outcome:
 
             w_gt = h_fac.solve(g_mat.T)
             schur_eq = g_mat @ w_gt
-            # The pair presolve can leave redundant (zero-rhs) equality
-            # rows, so the small equality system is solved by a spectral
-            # pseudo-inverse rather than Cholesky.
+            # The entrywise rows of the support equalities can be linearly
+            # dependent (zero-rhs rows), so the small equality system is
+            # solved by a spectral pseudo-inverse rather than Cholesky.
             eq_w, eq_q = np.linalg.eigh(0.5 * (schur_eq + schur_eq.T))
             cut = max(eq_w[-1], 0.0) * 1e-13
             eq_inv = np.where(eq_w > cut, 1.0 / np.where(eq_w > cut, eq_w, 1.0), 0.0)
@@ -672,21 +649,21 @@ def solve(sdp: SDPProblem, settings: SolverSettings | None = None) -> SDPSolutio
     full size, and the rigorous bound is taken on the full problem.
     """
     settings = settings or SolverSettings()
-    c, g_user, g_user_rhs, psd_raw, slack_blocks = _compile_blocks(sdp)
+    c, g_user, g_user_rhs, psd_blocks, slack_blocks = _compile_blocks(sdp)
     n_y = len(c)
     n_m = sdp.num_moments
     n_slack = len(slack_blocks)
     n_user_rows = g_user.shape[0]
+    n_psd = len(psd_blocks)
 
-    kept, plan, pair_rows, pair_specs = _pair_presolve(psd_raw, n_y)
-    g_mat = np.vstack([g_user, pair_rows]) if len(pair_rows) else g_user
-    g_vec = np.concatenate([g_user_rhs, np.zeros(len(pair_rows))])
-    blocks = kept + slack_blocks
-    n_kept = len(kept)
+    eq_rows, eq_layout = _equality_rows(sdp, n_y)
+    g_mat = sp.vstack([sp.csr_matrix(g_user), eq_rows], format="csr")
+    g_vec = np.concatenate([g_user_rhs, np.zeros(eq_rows.shape[0])])
+    blocks = psd_blocks + slack_blocks
 
     keep, pieces = _reduce(sdp, blocks, n_y)
-    g_keep = g_mat[:, keep]
-    live_rows = np.any(g_keep != 0.0, axis=1) | (g_vec != 0.0)
+    g_keep = g_mat[:, np.flatnonzero(keep)]
+    live_rows = (np.diff(g_keep.indptr) > 0) | (g_vec != 0.0)
     n_kept_vars = int(keep.sum())
     members = [[p for p, (_b, _idx, piece) in enumerate(pieces) if piece.dim == k]
                for k in sorted({piece.dim for _b, _idx, piece in pieces})]
@@ -701,7 +678,7 @@ def solve(sdp: SDPProblem, settings: SolverSettings | None = None) -> SDPSolutio
     y0 = np.zeros(n_y)
     y0[sdp.normalization_index] = 1.0
     y0[n_m:] = 1.0
-    out = _interior_point(c[keep], g_keep[live_rows], g_vec[live_rows], groups,
+    out = _interior_point(c[keep], g_keep[live_rows].toarray(), g_vec[live_rows], groups,
                           y0[keep], settings, log)
 
     # Scatter back to the full size: odd moments and dropped rows at 0, the
@@ -715,6 +692,7 @@ def solve(sdp: SDPProblem, settings: SolverSettings | None = None) -> SDPSolutio
         for x, p in zip(stack, ps):
             b, idx, _piece = pieces[p]
             x_blocks[b][np.ix_(idx, idx)] = x
+    equality_duals = _multiplier_matrices(eq_layout, nu[n_user_rows:])
 
     adjoint_x = np.zeros(n_y)
     for b, x in zip(blocks, x_blocks):
@@ -733,49 +711,37 @@ def solve(sdp: SDPProblem, settings: SolverSettings | None = None) -> SDPSolutio
         ray_res, ray_obj, ray_norm = out.ray
         ray = {
             "multipliers": nu[:n_user_rows] / ray_norm,
-            "psd_blocks": [x / ray_norm for x in x_blocks[:n_kept]],
+            "psd_blocks": [x / ray_norm for x in x_blocks[:n_psd]],
             "residual": ray_res,
             "objective": ray_obj,
         }
-
-    # Reassemble dual blocks in the original block order, rebuilding PSD
-    # pairs for the equality localizers eliminated by the presolve.
-    pair_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    pair_multipliers = nu[n_user_rows:]
-    dual_blocks: list[np.ndarray] = []
-    for kind, idx in plan:
-        if kind == "direct":
-            dual_blocks.append(x_blocks[idx])
-        else:
-            if idx not in pair_cache:
-                pair_cache[idx] = _pair_duals(pair_specs[idx], pair_multipliers)
-            plus, minus = pair_cache[idx]
-            dual_blocks.append(plus if kind == "pair+" else minus)
 
     return SDPSolution(
         moments=moments,
         primal_value=-out.pobj,
         dual_value=-out.dobj,
         dual_multipliers=-nu[:n_user_rows],  # dual rows of the maximize form
-        dual_psd_blocks=tuple(dual_blocks),
+        dual_psd_blocks=tuple(x_blocks[:n_psd]),
         status=out.status,
         iterations=out.iterations,
         residuals={"primal_infeas": float(out.p_inf), "dual_infeas": float(out.d_inf),
                    "gap": float(out.pobj - out.dobj)},
         slacks=y[n_m:].copy(),
-        slack_duals=np.array([float(x_blocks[n_kept + k][0, 0]) for k in range(n_slack)]),
+        slack_duals=np.array([float(x_blocks[n_psd + k][0, 0]) for k in range(n_slack)]),
         infeasibility_ray=ray,
         upper_bound=upper_bound,
         solved_moments=int(keep[:n_m].sum()),
-        solved_blocks=tuple(piece.dim for b, _idx, piece in pieces if b < n_kept),
+        solved_blocks=tuple(piece.dim for b, _idx, piece in pieces if b < n_psd),
+        equality_duals=tuple(equality_duals),
     )
 
 
 def residuals(sdp: SDPProblem, solution: SDPSolution) -> dict:
     """Recompute feasibility and gap measures from scratch (the solver loop
-    is not trusted): worst linear-row violation plus worst block negative
-    eigenvalue on the primal side, dual stationarity residual on the dual
-    side, and gap = dual_value - primal_value."""
+    is not trusted): worst linear-row violation, worst block negative
+    eigenvalue and worst equality-form eigenvalue magnitude on the primal
+    side, dual stationarity residual on the dual side, and gap =
+    dual_value - primal_value."""
     from .moments import assemble
 
     m_scaled = solution.moments.values / sdp.scale_pow
@@ -792,8 +758,11 @@ def residuals(sdp: SDPProblem, solution: SDPSolution) -> dict:
     for _label, form in sdp.psd_blocks:
         mat = assemble(form, scaled_vector)
         primal = max(primal, -float(np.linalg.eigvalsh(mat)[0]))
+    for _label, form in sdp.equalities:
+        mat = assemble(form, scaled_vector)
+        primal = max(primal, float(np.abs(np.linalg.eigvalsh(mat)).max()))
 
-    # Dual stationarity in the minimize form, against the raw block list.
+    # Dual stationarity in the minimize form, against the full SDP.
     c, g_mat, _g_vec, psd_blocks, slack_blocks = _compile_blocks(sdp)
     nu = -np.asarray(solution.dual_multipliers)
     out = np.zeros(len(c))
@@ -801,6 +770,8 @@ def residuals(sdp: SDPProblem, solution: SDPSolution) -> dict:
         b.adjoint_into(np.asarray(x), out)
     for b, xs in zip(slack_blocks, solution.slack_duals):
         b.adjoint_into(np.array([[xs]]), out)
+    for (_label, form), w in zip(sdp.equalities, solution.equality_duals):
+        _Block(form.dimension, *_form_entries(sdp, form)).adjoint_into(np.asarray(w), out)
     dual = float(np.linalg.norm(c - g_mat.T @ nu - out, np.inf))
 
     return {

@@ -2,9 +2,9 @@
 membership tests and ball compactification.
 
 A set is a conjunction of polynomial relations (>= 0 or = 0) over an ordered
-variable list.  Equality constraints are first-class here; the relaxation
-layer expands them into inequality pairs (or kernel equations) when the SDP
-is assembled.  Instability regions are sets over the eigenvalue coordinates
+variable list.  Equality constraints are first-class here and in the
+relaxation, which gives each one a localizing form that must vanish entry
+by entry (see `relax`).  Instability regions are sets over the eigenvalue coordinates
 (lre, lim); the four preset regions use closures so the region is a closed
 set, as the moment machinery requires.
 """
@@ -58,7 +58,7 @@ class SemialgebraicSet:
         """Numeric membership: >= constraints may dip to -tol, equalities
         must hold within |value| <= tol.  A bool for one point of shape
         (num_vars,), a bool array of shape (...) for a stack (..., num_vars).
-        A NaN constraint value does not exclude a point."""
+        A constraint that evaluates to NaN (e.g. inf * 0) excludes the point."""
         x = np.asarray(point, dtype=float)
         if x.ndim == 0 or x.shape[-1] != self.num_vars:
             raise PolynomialError(
@@ -67,20 +67,8 @@ class SemialgebraicSet:
         inside = np.ones(x.shape[:-1], dtype=bool)
         for p, rel in self.constraints:
             value = p.evaluate(x)
-            outside = value < -tol if rel is Relation.GE else abs(value) > tol
-            inside &= np.logical_not(outside)
+            inside &= value >= -tol if rel is Relation.GE else abs(value) <= tol
         return bool(inside) if x.ndim == 1 else inside
-
-    def expand_equalities(self) -> "SemialgebraicSet":
-        """Rewrite each p == 0 as the pair p >= 0, -p >= 0."""
-        out = []
-        for p, rel in self.constraints:
-            if rel is Relation.EQ:
-                out.append((p, Relation.GE))
-                out.append((-p, Relation.GE))
-            else:
-                out.append((p, rel))
-        return SemialgebraicSet(self.variables, tuple(out))
 
     def with_constraints(self, extra) -> "SemialgebraicSet":
         return SemialgebraicSet(self.variables, self.constraints + tuple(extra))

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import os
 import pathlib
 import re
@@ -249,6 +250,27 @@ class TestCommands:
         assert code == 0
         assert target.read_text().startswith("DSTAB-SDP 1")
 
+    @pytest.mark.parametrize("argv", [
+        ["certify", SUPPORT, "--export-sdp", "out.sdp"],
+        ["certify", SUPPORT, "--csv", "out.csv"],
+        ["bisect", SUPPORT, "--param", "k", "--lo", "0", "--hi", "1", "--csv", "out.csv"],
+        ["oracle", SUPPORT, "--margin", "0.1"],
+        ["oracle", SUPPORT, "--log-iterations"],
+        ["oracle", SUPPORT, "--csv", "out.csv"],
+        ["export-sdp", SUPPORT, "out.sdp", "--margin", "0.1"],
+        ["export-sdp", SUPPORT, "out.sdp", "--log-iterations"],
+        ["export-sdp", SUPPORT, "out.sdp", "--csv", "out.csv"],
+    ], ids=lambda argv: f"{argv[0]} {argv[-2] if argv[-1][0] != '-' else argv[-1]}")
+    def test_unread_flag_is_a_usage_error(self, problems_dir, tmp_path, capsys, argv):
+        # a flag the subcommand would ignore is rejected, and nothing is written
+        argv = [str(problems_dir / a) if a == SUPPORT else
+                str(tmp_path / a) if a.startswith("out.") else a for a in argv]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_analyze_with_log_iterations(self, problems_dir, capsys):
         code = main(["analyze", str(problems_dir / RUNNING), "--log-iterations"])
         assert code == 0
@@ -262,6 +284,30 @@ class TestCommands:
         with open(csv_path, newline="") as handle:
             rows = list(csv.reader(handle))
         assert len(rows) == 2
+
+
+# `dstab export-sdp` output pinned byte for byte: the file writes each
+# support equality as a +/- block pair in support order, whatever form the
+# solver uses for it.
+EXPORT_GOLDEN = [
+    (["hurwitz.prob", "--tau", "3"],
+     "b921c76d4f7d6ffd622d3dcd065e4319696d1af8d1a64f77082fc02c75acd963",
+     "tau 3: 1716 moment variables, blocks [120, 36, 36, 36, 8, 8, 8, 8, 8, 8, 8, 8, "
+     "36, 36], 1 linear rows -> "),
+    ([VARIANCE, "--bind", "sigma2=0.1"],
+     "b08a53db0658b75055d8e1151d7b7dfa3c5f4287d9efd96fccf496b4c2ae24e7",
+     "tau 2: 70 moment variables, blocks [15, 5, 5, 5, 5, 5, 5, 5, 5, 5], "
+     "3 linear rows -> "),
+]
+
+
+@pytest.mark.parametrize("args, sha256, stdout", EXPORT_GOLDEN,
+                         ids=[case[0][0] for case in EXPORT_GOLDEN])
+def test_export_sdp_golden_output(problems_dir, tmp_path, capsys, args, sha256, stdout):
+    target = tmp_path / "out.sdp"
+    assert main(["export-sdp", str(problems_dir / args[0]), *args[1:], str(target)]) == 0
+    assert capsys.readouterr().out == f"{stdout}{target}\n"
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == sha256
 
 
 # `dstab oracle` output pinned line for line, so that a faster oracle cannot

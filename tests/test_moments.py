@@ -15,6 +15,7 @@ from dstab.moments import (
 )
 from dstab.poly import Polynomial, PolynomialError, monomial_basis, parse_polynomial
 from dstab.problem import build_lifted
+from dstab.sets import Relation
 
 Z_RUN = ["rho", "lre", "x1", "x2"]
 
@@ -187,20 +188,26 @@ def _random_running_z_measure(rng: random.Random, max_atoms: int = 4):
 
 class TestNecessaryConditions:
     def test_random_measures_give_psd_pencils(self):
+        # moment matrix and >= localizers are PSD, equality localizers vanish
         rng = random.Random(2024)
         lifted = build_lifted(running_problem(mean=None))
         tau = 2
-        forms = [moment_matrix_form(4, tau)]
-        for q, _rel in lifted.support.expand_equalities().constraints:
-            forms.append(localizing_matrix_form(q, 4, tau - math.ceil(q.degree / 2)))
+        psd_forms = [moment_matrix_form(4, tau)]
+        zero_forms = []
+        for q, rel in lifted.support.constraints:
+            form = localizing_matrix_form(q, 4, tau - math.ceil(q.degree / 2))
+            (psd_forms if rel is Relation.GE else zero_forms).append(form)
+        assert len(zero_forms) == 2
         for _ in range(100):
             atoms, weights = _random_running_z_measure(rng)
             assert all(lifted.support.contains(a, 1e-12) for a in atoms)
             m = moments_of_atomic(atoms, weights, 4, tau)
             assert m.mass == pytest.approx(1.0, abs=1e-12)
-            for form in forms:
+            for form in psd_forms:
                 eigs = np.linalg.eigvalsh(assemble(form, m))
                 assert eigs[0] >= -1e-8
+            for form in zero_forms:
+                assert np.abs(assemble(form, m)).max() <= 1e-12
 
     def test_nesting(self):
         rng = random.Random(3)

@@ -103,6 +103,18 @@ class TestGridSearch:
     def test_hurwitz_clean(self):
         assert grid_violation_search(hurwitz_problem(), 1001) is None
 
+    def test_region_restricted_to_real(self, support_problem):
+        # a region over lre alone is evaluated at the real parts
+        real = dataclasses.replace(
+            support_problem, region=support_problem.region.restricted_to_real()
+        )
+        assert real.region.real_spectrum_only
+        witness = grid_violation_search(real, 11)
+        assert witness is not None
+        assert witness.rho[0] == pytest.approx(1.0)
+        assert abs(witness.lam) <= 1e-9
+        assert real.region.contains(witness.lam, 1e-6)
+
     def test_shrunk_support_clean(self):
         problem = running_problem(mean=None, upper=0.9)
         assert grid_violation_search(problem, 300) is None

@@ -236,11 +236,6 @@ class TestProperties:
         q = parse_polynomial("-2 + y*x", ["x", "y"])
         assert p == q and hash(p) == hash(q)
 
-    def test_prune(self):
-        p = Polynomial(1, {(0,): 1.0, (1,): 1e-14})
-        assert p.prune(1e-12).terms == {(0,): 1.0}
-        assert p.prune(0).terms == p.terms
-
 
 class TestStackEvaluate:
     def test_stack_matches_points_bit_for_bit(self):

@@ -40,12 +40,13 @@ class TestRunningAssembly:
 
     def test_block_layout(self, mean_sdp):
         # moment block at full order tau, localizers at tau - ceil(deg/2);
-        # equality constraints appear as +/- adjacent pairs
+        # each support equality has one form, kept apart from the PSD blocks
         labels = [label for label, _f in mean_sdp.psd_blocks]
         dims = mean_sdp.block_dimensions()
-        assert labels[0] == "moment" and dims[0] == 15
-        assert dims[1:] == (5,) * 9
-        assert labels[4:8] == ["q[3]+", "q[3]-", "q[4]+", "q[4]-"]
+        assert labels == ["moment", "q[0]", "q[1]", "q[2]", "q[5]", "q[6]"]
+        assert dims == (15,) + (5,) * 5
+        assert [label for label, _f in mean_sdp.equalities] == ["q[3]", "q[4]"]
+        assert [form.dimension for _l, form in mean_sdp.equalities] == [5, 5]
 
     def test_stats(self, mean_sdp):
         stats = problem_stats(mean_sdp)
@@ -62,10 +63,6 @@ class TestRunningAssembly:
         lifted = build_lifted(hurwitz_problem())
         with pytest.raises(RelaxationError, match="minimal order"):
             assemble_relaxation(lifted, 1)
-
-    def test_bad_encoding_rejected(self, mean_sdp):
-        with pytest.raises(RelaxationError):
-            assemble_relaxation(build_lifted(running_problem()), 2, equality_encoding="x")
 
 
 class TestStats:
@@ -170,7 +167,7 @@ class TestScaling:
         sdp = assemble_relaxation(build_lifted(hurwitz_problem()), 2)
         for row in sdp.constraints:
             assert max(np.abs(row.coeffs).max(), abs(row.rhs)) <= 1.0 + 1e-12
-        for _label, form in sdp.psd_blocks[1:]:
+        for _label, form in sdp.psd_blocks[1:] + sdp.equalities:
             biggest = max(np.abs(v).max() for _a, _r, _c, v in form.terms)
             assert biggest <= 1.0 + 1e-12
 
@@ -185,6 +182,8 @@ class TestFeasibilityTransfer:
             assert value == pytest.approx(row.rhs, abs=1e-10)
         for _label, form in mean_sdp.psd_blocks:
             assert np.linalg.eigvalsh(assemble(form, m))[0] >= -1e-8
+        for _label, form in mean_sdp.equalities:
+            assert np.abs(assemble(form, m)).max() <= 1e-12
         objective = float(mean_sdp.objective @ m.values)
         solution = solve(mean_sdp, SolverSettings())
         assert objective <= solution.primal_value + 1e-6
@@ -201,27 +200,31 @@ class TestFeasibilityTransfer:
         m2 = MomentVector(4, 2, trunc)
         for _label, form in sdp2.psd_blocks:
             assert np.linalg.eigvalsh(assemble(form, m2))[0] >= -1e-8
+        for _label, form in sdp2.equalities:
+            assert np.abs(assemble(form, m2)).max() <= 1e-12
         for row in sdp2.constraints:
             assert row.coeffs @ m2.values == pytest.approx(row.rhs, abs=1e-10)
 
 
-class TestKernelEncoding:
-    def test_same_optimum_as_pair_encoding(self):
-        lifted = build_lifted(running_problem(mean=0.5))
-        pair = solve(assemble_relaxation(lifted, 2, equality_encoding="pair"))
-        kernel_sdp = assemble_relaxation(lifted, 2, equality_encoding="kernel")
-        kernel = solve(kernel_sdp)
-        assert kernel.status.value == "Optimal"
-        assert kernel.primal_value == pytest.approx(pair.primal_value, abs=1e-6)
-        # kernel mode trades the pair blocks for linear rows
-        assert len(kernel_sdp.psd_blocks) < 10
-        assert len(kernel_sdp.constraints) > 2
+class TestEqualityForms:
+    def test_running_example_optimum(self, mean_sdp):
+        # the worst case of the running example with E[rho] = 0.5 is 0.5
+        solution = solve(mean_sdp)
+        assert solution.status.value == "Optimal"
+        assert solution.primal_value == pytest.approx(0.5, abs=1e-6)
+        assert solution.upper_bound >= 0.5
+        assert len(solution.equality_duals) == len(mean_sdp.equalities) == 2
+        # the optimal moments annihilate every equality form
+        scaled = MomentVector(4, 2, solution.moments.values / mean_sdp.scale_pow)
+        for _label, form in mean_sdp.equalities:
+            assert np.abs(assemble(form, scaled)).max() <= 1e-7
 
 
 class TestExport:
     def test_round_trip_structure(self, mean_sdp, tmp_path):
         path = tmp_path / "out.sdp"
-        export_sdp(mean_sdp, path)
+        dims = export_sdp(mean_sdp, path)
+        assert dims == (15,) + (5,) * 9
         lines = path.read_text().splitlines()
         assert lines[0] == "DSTAB-SDP 1"
         assert lines[1] == "nz 4 tau 2 moments 70"
@@ -237,18 +240,8 @@ class TestExport:
         for idx, coeff in entries.items():
             assert mean_sdp.objective[idx] == coeff
         assert lines[-1] == "end"
-        assert sum(1 for ln in lines if ln.startswith("block ")) == 10
+        # the file writes each support equality as a +/- pair, in support order
+        blocks = [ln.split() for ln in lines if ln.startswith("block ")]
+        assert [b[4] for b in blocks] == ["moment", "q[0]", "q[1]", "q[2]", "q[3]+",
+                                          "q[3]-", "q[4]+", "q[4]-", "q[5]", "q[6]"]
 
-
-class TestPruneEps:
-    def test_tiny_coefficients_dropped(self):
-        import dataclasses
-        from dstab.poly import Polynomial
-        lifted = build_lifted(running_problem(mean=0.5))
-        noisy = lifted.objective + Polynomial.monomial(4, (4, 0, 0, 0), 1e-14)
-        lifted = dataclasses.replace(lifted, objective=noisy)
-        exact = assemble_relaxation(lifted, 2)
-        pruned = assemble_relaxation(lifted, 2, prune_eps=1e-12)
-        idx = exact.basis.index((4, 0, 0, 0))
-        assert exact.objective[idx] == 1e-14
-        assert pruned.objective[idx] == 0.0

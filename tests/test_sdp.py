@@ -17,7 +17,7 @@ from dstab.relax import (
     SolverStatus,
     assemble_relaxation,
 )
-from dstab.sdp import SolverSettings, residuals, solve
+from dstab.sdp import SolverSettings, _equality_rows, residuals, solve
 
 
 def hankel_sdp() -> SDPProblem:
@@ -102,6 +102,10 @@ class TestSolve:
         assert ray is not None
         assert ray["objective"] > 0
         assert ray["residual"] < 1e-5
+        # the ray's blocks align with the SDP's PSD blocks
+        assert len(sdp.psd_blocks) == 6
+        assert [x.shape for x in ray["psd_blocks"]] == \
+            [(d, d) for d in sdp.block_dimensions()]
 
     def test_settings_validation(self):
         with pytest.raises(ValueError):
@@ -204,6 +208,8 @@ class TestSignReduction:
         assert mean_solution.moments.values.shape == (mean_sdp.num_moments,)
         dims = tuple(np.asarray(x).shape for x in mean_solution.dual_psd_blocks)
         assert dims == tuple((d, d) for d in mean_sdp.block_dimensions())
+        assert [w.shape for w in mean_solution.equality_duals] == \
+            [(f.dimension, f.dimension) for _l, f in mean_sdp.equalities]
         assert len(mean_solution.dual_multipliers) == len(mean_sdp.constraints)
         r = residuals(mean_sdp, mean_solution)
         assert r["primal_infeas"] <= 1e-7
@@ -219,3 +225,62 @@ class TestSignReduction:
         # then a different problem, but the bound is taken on the full one
         wrong = solve(dataclasses.replace(mean_sdp, sign_symmetries=((0,),)))
         assert wrong.upper_bound >= mean_solution.primal_value - 1e-7
+
+
+def _dense_equality_rows(sdp, n_y):
+    """Reference: one dense row per upper-triangle entry (r, c) of each
+    equality form in row-major order, zero rows dropped, repeats kept once."""
+    rows, seen = [], set()
+    for _label, form in sdp.equalities:
+        entries = {}
+        for alpha, rr, cc, vals in form.terms:
+            for r, c, v in zip(rr, cc, vals):
+                if r <= c:
+                    row = entries.setdefault((int(r), int(c)), np.zeros(n_y))
+                    row[sdp.basis.index(alpha)] += v
+        for key in sorted(entries):
+            row = entries[key]
+            if row.any() and row.tobytes() not in seen:
+                seen.add(row.tobytes())
+                rows.append(row)
+    return np.array(rows).reshape(-1, n_y)
+
+
+class TestEqualityRows:
+    """Each support equality A_e(y) = 0 enters the solver as sparse
+    entrywise rows."""
+
+    @pytest.mark.parametrize("tau", [2, 3])
+    def test_rows_match_dense_reference(self, tau):
+        sdp = assemble_relaxation(build_lifted(hurwitz_problem()), tau)
+        n_y = sdp.num_moments
+        rows, layout = _equality_rows(sdp, n_y)
+        reference = _dense_equality_rows(sdp, n_y)
+        assert rows.shape == reference.shape
+        assert np.array_equal(rows.toarray(), reference)
+        if tau == 3:
+            assert rows.shape[0] == 144
+        # every kept row is owned by exactly one entry
+        positions = np.sort(np.concatenate([pos for _d, _r, _c, pos in layout]))
+        assert np.array_equal(positions, np.arange(rows.shape[0]))
+
+    def test_repeated_equality_adds_no_row(self, mean_sdp, mean_solution):
+        twice = dataclasses.replace(mean_sdp, equalities=mean_sdp.equalities * 2)
+        assert _equality_rows(twice, 70)[0].shape == _equality_rows(mean_sdp, 70)[0].shape
+        solution = solve(twice)
+        assert solution.iterations == mean_solution.iterations
+        assert solution.primal_value == mean_solution.primal_value
+        # the repeat's multipliers stay with the first copy
+        assert all(not w.any() for w in solution.equality_duals[2:])
+        for w, first in zip(solution.equality_duals, mean_solution.equality_duals):
+            assert np.array_equal(w, first)
+        assert residuals(twice, solution)["dual_infeas"] <= 1e-7
+
+    def test_multiplier_matrices_close_dual_stationarity(self, mean_sdp, mean_solution):
+        # without the equality multipliers the dual residual is far from 0
+        dropped = dataclasses.replace(
+            mean_solution,
+            equality_duals=tuple(np.zeros_like(w) for w in mean_solution.equality_duals),
+        )
+        assert residuals(mean_sdp, mean_solution)["dual_infeas"] <= 1e-7
+        assert residuals(mean_sdp, dropped)["dual_infeas"] >= 1e-3

@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from dstab.poly import parse_polynomial
+from dstab.poly import Polynomial, parse_polynomial
 from dstab.sets import (
     Relation,
     SemialgebraicSet,
@@ -111,6 +111,29 @@ class TestContains:
         with pytest.raises(Exception):
             box_set(("x",), [0.0], [1.0]).contains([1.0, 2.0])
 
+    def test_equality_matches_inequality_pair(self):
+        rng = random.Random(17)
+        p = parse_polynomial("x^2 + y - 1", ["x", "y"])
+        q = parse_polynomial("x*y", ["x", "y"])
+        s = SemialgebraicSet(("x", "y"), ((p, Relation.EQ), (q, Relation.GE)))
+        pair = SemialgebraicSet(
+            ("x", "y"), ((p, Relation.GE), (-p, Relation.GE), (q, Relation.GE))
+        )
+        for _ in range(300):
+            point = [rng.uniform(-2, 2), rng.uniform(-2, 2)]
+            tol = rng.choice([0.0, 1e-8, 1e-3, 0.1])
+            assert s.contains(point, tol) == pair.contains(point, tol)
+
+    def test_nan_constraint_value_excludes(self):
+        # inf * 0 is NaN at x = 0: no verdict, so the point is not a member
+        p = Polynomial(1, {(1,): math.inf})
+        for rel in (Relation.GE, Relation.EQ):
+            s = SemialgebraicSet(("x",), ((p, rel),))
+            assert not s.contains([0.0])
+            assert not s.contains(np.zeros((3, 1))).any()
+        ge = SemialgebraicSet(("x",), ((p, Relation.GE),))
+        assert ge.contains(np.array([[0.0], [1.0]])).tolist() == [False, True]
+
     def test_stack_matches_points(self):
         names = ["x", "y"]
         disc = box_set(names, [-1.0, -1.0], [1.0, 1.0]).with_constraints([
@@ -155,21 +178,6 @@ class TestCompactify:
             point = [rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5)]
             if math.hypot(*point) <= 2.0:
                 assert base.contains(point) == compact.contains(point)
-
-
-class TestEqualityExpansion:
-    def test_equivalent_membership(self):
-        rng = random.Random(17)
-        p = parse_polynomial("x^2 + y - 1", ["x", "y"])
-        q = parse_polynomial("x*y", ["x", "y"])
-        s = SemialgebraicSet(("x", "y"), ((p, Relation.EQ), (q, Relation.GE)))
-        expanded = s.expand_equalities()
-        assert len(expanded.constraints) == 3
-        assert all(rel is Relation.GE for _p, rel in expanded.constraints)
-        for _ in range(300):
-            point = [rng.uniform(-2, 2), rng.uniform(-2, 2)]
-            tol = rng.choice([0.0, 1e-8, 1e-3, 0.1])
-            assert s.contains(point, tol) == expanded.contains(point, tol)
 
 
 class TestRegionValidation:
