@@ -2,6 +2,17 @@
 matrices via truncated moment relaxations, with independent brute-force
 verification oracles."""
 
+import os
+
+# One BLAS thread unless the user sets a count; this acts only when dstab is
+# imported before numpy, as the `dstab` command is.  The thread count changes
+# the rounding of the dense products, and with it iteration counts and even
+# statuses: `analyze lti_stability` went from SlowProgress with one thread to
+# Optimal with two.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+del _var
+
 from .poly import Polynomial, parse_polynomial
 from .sets import (
     Relation,

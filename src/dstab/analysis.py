@@ -243,17 +243,17 @@ def hierarchy(
     tau_max: int,
     settings: SolverSettings | None = None,
     margin: float = DEFAULT_CERTIFICATION_MARGIN,
-    monotonicity_slack: float = 1e-6,
+    monotonicity_tol: float = 1e-6,
 ) -> HierarchyReport:
     """Solve the relaxation at each order in [tau_min, tau_max]; the raw
     values must be nonincreasing up to solver accuracy, and any increase
-    beyond the slack is flagged as an anomaly."""
+    beyond the tolerance is flagged as an anomaly."""
     reports = []
     for tau in range(tau_min, tau_max + 1):
         reports.append(upper_probability(problem, tau=tau, settings=settings, margin=margin))
     violations = []
     for prev, nxt in zip(reports, reports[1:]):
-        if nxt.raw_value > prev.raw_value + monotonicity_slack:
+        if nxt.raw_value > prev.raw_value + monotonicity_tol:
             violations.append((nxt.tau, prev.raw_value, nxt.raw_value))
     return HierarchyReport(reports=tuple(reports), monotonicity_violations=tuple(violations))
 

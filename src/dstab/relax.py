@@ -1,18 +1,25 @@
 """Assembly of the order-tau moment relaxation as a concrete SDP.
 
 The relaxation maximizes sum_alpha h_alpha m_alpha over truncated moment
-vectors m subject to: the normalization m_0...0 = 1, one linear row per
-lifted expectation constraint, positive semidefiniteness of the moment
-matrix at order tau, and one localizing matrix per support constraint at
-order tau - ceil(deg q / 2): positive semidefinite for an inequality
-q >= 0, and zero entry by entry, M(q m) = 0, for an equality q = 0.  The
-PSD blocks and the equality forms are kept apart (`SDPProblem.psd_blocks`
-and `SDPProblem.equalities`); each equality is assembled once.
+vectors m subject to: the normalization m_0...0 = 1, positive
+semidefiniteness of the moment matrix at order tau, and one localizing
+matrix per support constraint at order tau - ceil(deg q / 2): positive
+semidefinite for an inequality q >= 0, and zero entry by entry,
+M(q m) = 0, for an equality q = 0.  An expectation constraint is the same
+thing at order 0 (Lasserre, "A semidefinite programming approach to the
+generalized problem of moments", Math. Program. 112, 2008): E[f] <= t is
+the 1x1 localizer of t - f, which must be >= 0, E[f] >= t that of f - t,
+and E[f] = t the 1x1 equality form of f - t; given m_0 = 1 each is the
+expectation constraint itself.  So the normalization is the only linear
+row.  The PSD blocks and the equality forms are kept apart
+(`SDPProblem.psd_blocks` and `SDPProblem.equalities`); each equality is
+assembled once.
 
 For conditioning, the moment variables are rescaled: each coordinate z_i is
 divided by its magnitude s_i (box half-width for rho, ball radius for the
 eigenvalue coordinates), which multiplies m_alpha by prod s_i^-alpha_i.
-Constraint polynomials are additionally normalized to unit max coefficient.
+Constraint polynomials, expectation ones included, are additionally
+normalized to unit max coefficient.
 The transformation is undone when solutions are reported, and it is exact:
 the optimum value of the scaled SDP equals the unscaled one.  Where the
 lift knows a bound on every coordinate, every scaled coordinate of a point
@@ -25,11 +32,11 @@ z_i -> -z_i over a subset s of the coordinates that map it onto itself.
 Under such a flip m_alpha changes sign when sum_{i in s} alpha_i is odd, a
 moment or localizing matrix of an even polynomial becomes D M D with D a
 diagonal of signs, and the localizer of an odd polynomial becomes D M D of
-its negation.  So the relaxation is invariant when the objective, every
-support inequality and every moment row are even under s, except that a
-support equality or a `= 0` moment row need only have uniform parity (all
-terms odd or all even).  Read on the exponents mod 2, these conditions are
-linear over GF(2); the valid s form a subspace whose basis is stored as
+its negation.  So the relaxation is invariant when the objective and the
+polynomial of every inequality are even under s, except that the
+polynomial of an equality need only have uniform parity (all terms odd or
+all even).  Read on the exponents mod 2, these conditions are linear over
+GF(2); the valid s form a subspace whose basis is stored as
 `SDPProblem.sign_symmetries`.  Averaging over the group they generate turns
 any optimal measure into an invariant one whose odd moments vanish, which
 is what the solver exploits (Gatermann and Parrilo, JPAA 192, 2004; Riener,
@@ -56,25 +63,18 @@ class RelaxationError(ValueError):
 
 
 @dataclass(frozen=True)
-class LinearConstraintRow:
-    """One linear relation  coeffs . m  (relation)  rhs  over the moments."""
-
-    coeffs: np.ndarray
-    relation: str
-    rhs: float
-    label: str = ""
-
-
-@dataclass(frozen=True)
 class SDPProblem:
-    """Concrete moment SDP: maximize objective . m subject to the linear
-    rows, the PSD pencil blocks and the equality forms (all expressed in
-    scaled moments).
+    """Concrete moment SDP: maximize objective . m subject to
+    m[normalization_index] = 1, the PSD pencil blocks and the equality
+    forms (all expressed in scaled moments).
 
-    `psd_blocks` holds the moment matrix and one localizer per support
-    inequality; `equalities` holds the localizing form of each support
-    equality, which must vanish entry by entry.  Both label a localizer of
-    support constraint j as `q[j]`.
+    `psd_blocks` holds the moment matrix, the 1x1 localizer of each
+    one-sided expectation constraint and one localizer per support
+    inequality; `equalities` holds the 1x1 form of each expectation
+    equality and the localizing form of each support equality, which must
+    vanish entry by entry.  Both label the form of lifted expectation
+    constraint k as `moment[k]` and a localizer of support constraint j as
+    `q[j]`.
 
     `moment_bounds[k]` bounds |m_k| for the scaled moments of every
     probability measure on the lifted support (inf where no bound is
@@ -90,7 +90,6 @@ class SDPProblem:
     tau: int
     basis: MonomialBasis
     objective: np.ndarray
-    constraints: tuple[LinearConstraintRow, ...]
     psd_blocks: tuple[tuple[str, LinearMatrixForm], ...]
     normalization_index: int
     scale_pow: np.ndarray
@@ -110,7 +109,6 @@ class SDPProblem:
 @dataclass(frozen=True)
 class SDPStats:
     num_moments: int
-    num_constraints: int
     block_dimensions: tuple[int, ...]
     largest_block: int
     tau: int
@@ -139,27 +137,26 @@ class SDPSolution:
     the moment vector of a probability measure on the support (Jansson,
     Chaykin and Keil, SIAM J. Numer. Anal. 46(1), 2007).  It holds whatever
     the status and accuracy of the solve, and it is +inf when the SDP
-    carries no finite a-priori moment bounds.  `dual_multipliers` follow the
-    order of `SDPProblem.constraints`; `dual_psd_blocks` follow
-    `psd_blocks`; `equality_duals` follow `equalities`, one symmetric
-    multiplier matrix W_e each, which enters dual stationarity as A_e*(W_e)
-    just as a PSD dual block does, but carries no sign constraint.  All of
-    these have the full size of the SDP, whatever reduction the solver
-    applied; `solved_moments` and `solved_blocks` record the size of the
-    problem it actually iterated on (moment variables and PSD block
-    dimensions after the reduction).
+    carries no finite a-priori moment bounds.  The multiplier of the
+    normalization, the only linear row, is `dual_value` itself.
+    `dual_psd_blocks` follow `psd_blocks`; `equality_duals` follow
+    `equalities`, one symmetric multiplier matrix W_e each, which enters
+    dual stationarity as A_e*(W_e) just as a PSD dual block does, but
+    carries no sign constraint.  Expectation constraints are among these
+    forms, so their multipliers are 1x1 blocks.  All of these have the
+    full size of the SDP, whatever reduction the solver applied;
+    `solved_moments` and `solved_blocks` record the size of the problem it
+    actually iterated on (moment variables and PSD block dimensions after
+    the reduction).
     """
 
     moments: MomentVector
     primal_value: float
     dual_value: float
-    dual_multipliers: np.ndarray
     dual_psd_blocks: tuple[np.ndarray, ...]
     status: SolverStatus
     iterations: int
     residuals: dict = field(default_factory=dict)
-    slacks: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    slack_duals: np.ndarray = field(default_factory=lambda: np.zeros(0))
     infeasibility_ray: dict | None = None
     upper_bound: float = math.inf
     solved_moments: int = 0
@@ -231,7 +228,8 @@ def _sign_symmetries(even, uniform, n_z: int) -> tuple[tuple[int, ...], ...]:
 
 def assemble_relaxation(lifted: LiftedProblem, tau: int) -> SDPProblem:
     """Build the order-tau SDP for a lifted problem: a PSD localizer for
-    each support inequality, an equality form for each support equality."""
+    each inequality and an equality form for each equality, support and
+    expectation constraints alike."""
     tau_min = minimal_order(lifted)
     if tau < tau_min:
         raise RelaxationError(
@@ -239,6 +237,8 @@ def assemble_relaxation(lifted: LiftedProblem, tau: int) -> SDPProblem:
         )
 
     n_z = lifted.num_vars
+    if lifted.moment_constraints[:1] != ((Polynomial.constant(n_z, 1.0), "=", 1.0),):
+        raise RelaxationError("the first lifted moment constraint must be E[1] = 1")
     scales = lifted.var_scales
     basis = monomial_basis(n_z, 2 * tau)
     num_moments = len(basis)
@@ -258,67 +258,44 @@ def assemble_relaxation(lifted: LiftedProblem, tau: int) -> SDPProblem:
         scale_pow[idx] = factor
         moment_bounds[idx] = bound
 
-    def row_vector(p: Polynomial) -> np.ndarray:
-        row = np.zeros(num_moments)
-        for alpha, coeff in p.terms.items():
-            row[basis.index(alpha)] += coeff
-        return row
-
     objective_scaled = _scale_polynomial(lifted.objective, scales)
-    objective = row_vector(objective_scaled)
+    objective = np.zeros(num_moments)
+    for alpha, coeff in objective_scaled.terms.items():
+        objective[basis.index(alpha)] += coeff
     # parity classes for the sign-symmetry detection
     even: list[Polynomial] = [objective_scaled]
     uniform: list[Polynomial] = []
-
-    constraints: list[LinearConstraintRow] = []
-    for k, (f, rel, target) in enumerate(lifted.moment_constraints):
-        f_scaled = _scale_polynomial(f, scales)
-        norm = max(f_scaled.max_abs_coeff(), abs(target))
-        if norm == 0:
-            continue
-        (uniform if rel == "=" and target == 0 else even).append(f_scaled)
-        constraints.append(
-            LinearConstraintRow(
-                coeffs=row_vector(f_scaled.scale(1.0 / norm)),
-                relation=rel,
-                rhs=target / norm,
-                label=f"moment[{k}]",
-            )
-        )
-    # the total-mass normalization must always be present
-    def _is_normalization(row: LinearConstraintRow) -> bool:
-        return (
-            row.relation == "=" and row.rhs == 1.0
-            and row.coeffs[0] == 1.0 and np.count_nonzero(row.coeffs) == 1
-        )
-    if not any(_is_normalization(row) for row in constraints):
-        mass = np.zeros(num_moments)
-        mass[0] = 1.0
-        constraints.insert(0, LinearConstraintRow(mass, "=", 1.0, "normalization"))
-
     blocks: list[tuple[str, LinearMatrixForm]] = [
         ("moment", moment_matrix_form(n_z, tau))
     ]
-
     equalities: list[tuple[str, LinearMatrixForm]] = []
-    for j, (q, rel) in enumerate(lifted.support.constraints):
-        q_scaled = _normalize(_scale_polynomial(q, scales))
-        if q_scaled.is_zero():
-            continue
-        form = localizing_matrix_form(q_scaled, n_z, tau - math.ceil(q_scaled.degree / 2))
-        if rel is Relation.GE:
-            even.append(q_scaled)
-            blocks.append((f"q[{j}]", form))
+
+    def localize(label: str, q: Polynomial, order: int, equality: bool) -> None:
+        form = localizing_matrix_form(q, n_z, order)
+        if equality:
+            uniform.append(q)
+            equalities.append((label, form))
         else:
-            uniform.append(q_scaled)
-            equalities.append((f"q[{j}]", form))
+            even.append(q)
+            blocks.append((label, form))
+
+    # lifted expectation constraint k (k = 0 is the normalization) as the
+    # order-0 localizer of t - f or f - t, or the 1x1 equality form of f - t
+    for k, (f, rel, target) in enumerate(lifted.moment_constraints[1:], start=1):
+        q = _scale_polynomial(f, scales) - target
+        q = _normalize(-q if rel == "<=" else q)
+        if not q.is_zero():
+            localize(f"moment[{k}]", q, 0, rel == "=")
+    for j, (q, rel) in enumerate(lifted.support.constraints):
+        q = _normalize(_scale_polynomial(q, scales))
+        if not q.is_zero():
+            localize(f"q[{j}]", q, tau - math.ceil(q.degree / 2), rel is Relation.EQ)
 
     return SDPProblem(
         n_z=n_z,
         tau=tau,
         basis=basis,
         objective=objective,
-        constraints=tuple(constraints),
         psd_blocks=tuple(blocks),
         normalization_index=0,
         scale_pow=scale_pow,
@@ -333,7 +310,6 @@ def problem_stats(sdp: SDPProblem) -> SDPStats:
     dims = sdp.block_dimensions()
     return SDPStats(
         num_moments=sdp.num_moments,
-        num_constraints=len(sdp.constraints),
         block_dimensions=dims,
         largest_block=max(dims),
         tau=sdp.tau,
@@ -342,19 +318,19 @@ def problem_stats(sdp: SDPProblem) -> SDPStats:
 
 
 def _file_blocks(sdp: SDPProblem) -> list[tuple[str, LinearMatrixForm, float]]:
-    """(label, form, sign) of each block of the DSTAB-SDP 1 file, the moment
-    matrix first and the localizers in support order.  The file encodes a
-    support equality q[j] = 0 as the PSD pair q[j]+ (its form) and q[j]-
-    (the negated form)."""
+    """(label, form, sign) of each block of the DSTAB-SDP 1 file: the moment
+    matrix, the expectation constraints in constraint order, then the
+    support localizers in support order.  The file encodes an equality
+    form as the PSD pair label+ (the form) and label- (the negated form)."""
     blocks = [(label, form, 1.0) for label, form in sdp.psd_blocks]
     for label, form in sdp.equalities:
         blocks += [(label + "+", form, 1.0), (label + "-", form, -1.0)]
 
-    def support_index(block) -> int:
-        label = block[0].rstrip("+-")
-        return int(label[2:-1]) if label.startswith("q[") else -1
+    def file_order(block) -> tuple[bool, int]:
+        name, _, index = block[0].rstrip("+-").partition("[")
+        return name == "q", int(index[:-1] or -1)
 
-    return sorted(blocks, key=support_index)
+    return sorted(blocks, key=file_order)
 
 
 def export_sdp(sdp: SDPProblem, path) -> tuple[int, ...]:
@@ -363,9 +339,10 @@ def export_sdp(sdp: SDPProblem, path) -> tuple[int, ...]:
 
     Layout: a header with the dimensions, the graded-lex basis (one
     exponent vector per line), the objective as (moment-index, coefficient)
-    pairs, each linear row, then each PSD block as (row, col, moment-index,
-    coefficient) quadruples, with every support equality written as a +/-
-    block pair.  Indices are zero-based.
+    pairs, the normalization as the one linear row `constraint 0`, then
+    each PSD block as (row, col, moment-index, coefficient) quadruples,
+    with every equality form written as a +/- block pair.  Indices are
+    zero-based.
     """
     lines = ["DSTAB-SDP 1"]
     lines.append(f"nz {sdp.n_z} tau {sdp.tau} moments {sdp.num_moments}")
@@ -377,11 +354,8 @@ def export_sdp(sdp: SDPProblem, path) -> tuple[int, ...]:
     lines.append(f"objective {len(nnz)}")
     for idx in nnz:
         lines.append(f"{idx} {float(sdp.objective[idx])!r}")
-    for k, row in enumerate(sdp.constraints):
-        nnz = np.nonzero(row.coeffs)[0]
-        lines.append(f"constraint {k} {row.relation} {float(row.rhs)!r} {len(nnz)} {row.label}")
-        for idx in nnz:
-            lines.append(f"{idx} {float(row.coeffs[idx])!r}")
+    lines.append("constraint 0 = 1.0 1 moment[0]")
+    lines.append(f"{sdp.normalization_index} 1.0")
     dims = []
     for k, (label, form, sign) in enumerate(_file_blocks(sdp)):
         count = sum(len(vals) for _a, _r, _c, vals in form.terms)

@@ -4,11 +4,13 @@ The solver works on the internal minimization form
 
     min  c . y     s.t.   G y = g,    S_b = A_b(y)  PSD  for each block b,
 
-where y stacks the (scaled) moment variables and one nonnegative slack per
-one-sided linear constraint (each slack carries its own 1x1 PSD block).
-G holds the linear rows of the SDP and, for each support equality
-A_e(y) = 0, one row per upper-triangle entry of A_e in row-major order;
+where y is the vector of scaled moments.  G holds the normalization
+m[normalization_index] = 1, the only linear row of the SDP, and, for each
+equality form A_e(y) = 0 (support equalities and expectation equalities
+alike), one row per upper-triangle entry of A_e in row-major order;
 all-zero rows are dropped and a row equal to an earlier one is kept once.
+The PSD blocks are the moment matrix and the localizers of the
+inequalities, expectation constraints among them as 1x1 blocks (`relax`).
 G is assembled sparse; only its part on the live rows and kept moments
 (see below) becomes dense for the iteration.
 The engine's maximization objective is negated on entry and the reported
@@ -16,7 +18,8 @@ values are mapped back, so `primal_value` is the relaxation value at the
 final primal iterate and `dual_value` the dual objective at the final dual
 iterate.  Neither is a safe bound on its own; `upper_bound` is, by the
 a-posteriori error bound of Jansson, Chaykin and Keil (SIAM J. Numer. Anal.
-46(1), 2007) over the a-priori moment bounds of the relaxation.
+46(1), 2007) over the a-priori moment bounds of the relaxation, with an
+allowance for the rounding of its own evaluation.
 
 Reduction, before the iteration:
 
@@ -31,8 +34,8 @@ Reduction, before the iteration:
   moments and a 120x120 moment block to 459 moments and pieces of at most
   35x35.
 
-The reduced SDP is solved, and moments, multipliers, slacks and dual
-blocks are scattered back to the full size in the original order (zero
+The reduced SDP is solved, and moments, multipliers and dual blocks are
+scattered back to the full size in the original order (zero
 odd moments, block-diagonal duals); the multipliers of each equality's
 rows are gathered into its multiplier matrix.  `upper_bound` is evaluated
 on the full problem from the scattered dual; since it holds for any dual,
@@ -58,7 +61,6 @@ with the best iterate seen; it never raises.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,29 +74,28 @@ from .relax import SDPProblem, SDPSolution, SolverStatus
 @dataclass(frozen=True)
 class SolverSettings:
     """Interior-point knobs; the defaults suit desk-scale moment SDPs.
-
-    `infeasibility_threshold` is the certificate-quality ratio (normalized
-    dual-ray objective over dual-ray residual) above which the problem is
-    reported infeasible; the test is a heuristic, not a proof.
-    """
+    `log_stream` receives one line per iteration; None writes no log."""
 
     max_iterations: int = 200
     feasibility_tol: float = 1e-8
     gap_tol: float = 1e-8
-    step_fraction: float = 0.98
-    initial_scale: float = 1.0
-    infeasibility_threshold: float = 1e5
-    log_iterations: bool = False
     log_stream: object = None
 
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
-        if not (0.0 < self.step_fraction < 1.0):
-            raise ValueError("step_fraction must lie in (0, 1)")
-        for name in ("feasibility_tol", "gap_tol", "initial_scale"):
+        for name in ("feasibility_tol", "gap_tol"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+
+
+# Fraction-to-boundary factor of every step, and the start S = X = I.
+_STEP_FRACTION = 0.98
+_INITIAL_SCALE = 1.0
+# Certificate-quality ratio (normalized dual-ray objective over dual-ray
+# residual) above which the problem is reported infeasible; the test is a
+# heuristic, not a proof.
+_INFEASIBILITY_THRESHOLD = 1e5
 
 
 class _Block:
@@ -194,39 +195,24 @@ def _form_entries(sdp: SDPProblem, form):
             np.concatenate(cols), np.concatenate(vals))
 
 
-def _compile_blocks(sdp: SDPProblem):
-    """Lower the SDP into solver arrays: objective, linear rows with
-    slacks for one-sided constraints, and compiled PSD blocks."""
-    n_m = sdp.num_moments
-    slack_rows = [i for i, row in enumerate(sdp.constraints) if row.relation != "="]
-    n_slack = len(slack_rows)
-    n_y = n_m + n_slack
-
-    c = np.zeros(n_y)
-    c[:n_m] = -sdp.objective  # engine maximizes; solver minimizes
-
-    g_rows = []
-    g_rhs = []
-    for i, row in enumerate(sdp.constraints):
-        coeffs = np.zeros(n_y)
-        coeffs[:n_m] = row.coeffs
-        if row.relation == "<=":
-            coeffs[n_m + slack_rows.index(i)] = 1.0
-        elif row.relation == ">=":
-            coeffs[n_m + slack_rows.index(i)] = -1.0
-        g_rows.append(coeffs)
-        g_rhs.append(row.rhs)
-    g_mat = np.array(g_rows) if g_rows else np.zeros((0, n_y))
-    g_vec = np.array(g_rhs)
-
-    psd_blocks = [_Block(form.dimension, *_form_entries(sdp, form))
-                  for _label, form in sdp.psd_blocks]
-    slack_blocks = [_Block(1, [n_m + k], [0], [0], [1.0]) for k in range(n_slack)]
-    return c, g_mat, g_vec, psd_blocks, slack_blocks
+def _compile(sdp: SDPProblem):
+    """Lower the SDP into solver arrays: the objective c, the linear rows
+    G y = g (the normalization, then the rows of the equality forms), the
+    layout of the equality rows (`_equality_rows`), and the compiled PSD
+    blocks."""
+    norm_row = sp.csr_matrix(([1.0], ([0], [sdp.normalization_index])),
+                             shape=(1, sdp.num_moments))
+    eq_rows, eq_layout = _equality_rows(sdp)
+    g_mat = sp.vstack([norm_row, eq_rows], format="csr")
+    g_vec = np.zeros(g_mat.shape[0])
+    g_vec[0] = 1.0
+    blocks = [_Block(form.dimension, *_form_entries(sdp, form))
+              for _label, form in sdp.psd_blocks]
+    return -sdp.objective, g_mat, g_vec, eq_layout, blocks  # the solver minimizes
 
 
-def _equality_rows(sdp: SDPProblem, n_y: int):
-    """The support equalities A_e(y) = 0 as sparse rows over y: one row per
+def _equality_rows(sdp: SDPProblem):
+    """The equality forms A_e(y) = 0 as sparse rows over y: one row per
     upper-triangle entry (r, c) of each form, in row-major order, all-zero
     rows dropped, and a row equal to an earlier one (of any equality) kept
     once, the first occurrence winning.
@@ -234,6 +220,7 @@ def _equality_rows(sdp: SDPProblem, n_y: int):
     Returns the rows (csr) and, per equality, its dimension and the entries
     (r, c) whose row was kept, with that row's position, from which the
     multiplier matrix is rebuilt (`_multiplier_matrices`)."""
+    n_y = sdp.num_moments
     if not sdp.equalities:
         return sp.csr_matrix((0, n_y)), []
     dims = [form.dimension for _label, form in sdp.equalities]
@@ -285,32 +272,36 @@ def _multiplier_matrices(layout, multipliers: np.ndarray) -> list[np.ndarray]:
     return out
 
 
-def _a_priori_bounds(sdp: SDPProblem) -> np.ndarray | None:
-    """Bounds on |y_i| at the moment vector of every probability measure on
-    the support, with its slacks: the relaxation's moment bounds, and
-    |rhs| + sum_k |a_k| bound_k for the slack of each one-sided row.  None
-    when some moment has no finite bound."""
-    moments = sdp.moment_bounds
-    if moments is None or not np.all(np.isfinite(moments)):
-        return None
-    slacks = [abs(row.rhs) + float(np.abs(row.coeffs) @ moments)
-              for row in sdp.constraints if row.relation != "="]
-    return np.concatenate([moments, slacks])
+def _rounding_allowance(c, g_mat, nu, blocks, x_blocks) -> np.ndarray:
+    """Componentwise bound on the rounding error of the computed dual
+    residual r_c = c - G'nu - sum_b A_b*(X_b): gamma_k times the same sum
+    taken in absolute values, where gamma_k = k u / (1 - k u), u = 2^-53
+    and k is the largest number of terms summed into one component (Higham,
+    "Accuracy and Stability of Numerical Algorithms", 2nd ed., sec. 3.1)."""
+    magnitude = np.abs(c) + abs(g_mat).T @ np.abs(nu)
+    terms = 1 + np.bincount(g_mat.indices, minlength=len(c))
+    for b, x in zip(blocks, x_blocks):
+        magnitude[b.vars] += abs(b.pencil_t) @ np.abs(x).ravel()
+        terms[b.vars] += np.diff(b.pencil_t.indptr)
+    ku = float(terms.max()) * 2.0 ** -53
+    return ku / (1.0 - ku) * magnitude
 
 
-def _rigorous_upper_bound(dual_value, r_c, blocks, x_blocks, y_bound) -> float:
+def _rigorous_upper_bound(dual_value, r_c, allowance, blocks, x_blocks, y_bound) -> float:
     """Upper bound on the maximized objective -c.y over every feasible y
     with |y| <= y_bound, from any dual iterate (nu, X).  With the dual
-    residual r_c = c - G'nu - sum_b A_b*(X_b) and A_b(y) PSD,
+    residual r_c = c - G'nu - sum_b A_b*(X_b), computed to within
+    `allowance`, and A_b(y) PSD,
 
         -c.y = -g.nu - r_c.y - sum_b <X_b, A_b(y)>
-            <= dual_value + |r_c|.y_bound
+            <= dual_value + (|r_c| + allowance).y_bound
                + sum_b max(0, -lambda_min(X_b)) sum_i |tr A_b,i| y_bound_i,
 
-    whatever the accuracy of the iterate (Jansson, Chaykin and Keil)."""
-    if y_bound is None:
+    whatever the accuracy of the iterate (Jansson, Chaykin and Keil).
+    Without finite a-priori bounds (y_bound None) the bound is +inf."""
+    if y_bound is None or not np.all(np.isfinite(y_bound)):
         return np.inf
-    bound = dual_value + float(np.abs(r_c) @ y_bound)
+    bound = dual_value + float((np.abs(r_c) + allowance) @ y_bound)
     for b, x in zip(blocks, x_blocks):
         lam_min = float(np.linalg.eigvalsh(x)[0])
         if lam_min < 0.0:
@@ -335,7 +326,7 @@ def _components(dim: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         label = new
 
 
-def _reduce(sdp: SDPProblem, blocks: list, n_y: int):
+def _reduce(sdp: SDPProblem, blocks: list):
     """Fix every moment that is odd under a sign symmetry of the SDP at 0
     and split every block into the connected components of the entries
     that remain.
@@ -346,12 +337,11 @@ def _reduce(sdp: SDPProblem, blocks: list, n_y: int):
     Returns the mask of kept variables and, per piece that carries entries,
     (source block index, its rows in the source block, the piece as a block
     over the kept variables)."""
-    n_m = sdp.num_moments
-    keep = np.ones(n_y, dtype=bool)
+    keep = np.ones(sdp.num_moments, dtype=bool)
     if sdp.sign_symmetries:
         parity = np.array(sdp.basis.elements) % 2
         for flip in sdp.sign_symmetries:
-            keep[:n_m] &= parity[:, list(flip)].sum(axis=1) % 2 == 0
+            keep &= parity[:, list(flip)].sum(axis=1) % 2 == 0
     position = np.cumsum(keep) - 1
     pieces = []
     for b, block in enumerate(blocks):
@@ -468,11 +458,11 @@ def _interior_point(c, g_mat, g_vec, groups, y, settings, log) -> _Outcome:
     k_total = sum(g.dim * len(g.blocks) for g in groups)
 
     nu = np.zeros(m_eq)
-    eta = settings.initial_scale
+    eta = _INITIAL_SCALE
     s_st = [np.tile(eta * np.eye(g.dim), (len(g.blocks), 1, 1)) for g in groups]
     x_st = [s.copy() for s in s_st]
 
-    gamma = settings.step_fraction
+    gamma = _STEP_FRACTION
     c_norm = 1.0 + (np.abs(c).max() if len(c) else 0.0)
     g_norm = 1.0 + (np.abs(g_vec).max() if len(g_vec) else 0.0)
 
@@ -535,7 +525,7 @@ def _interior_point(c, g_mat, g_vec, groups, y, settings, log) -> _Outcome:
         if ray_norm > 0 and p_inf > 100.0 * settings.feasibility_tol and dobj > 0:
             ray_res = np.linalg.norm(g_mat.T @ nu + adjoint(x_st)) / ray_norm
             ray_obj = dobj / ray_norm
-            if ray_obj >= settings.infeasibility_threshold * max(ray_res, 1e-300):
+            if ray_obj >= _INFEASIBILITY_THRESHOLD * max(ray_res, 1e-300):
                 status = SolverStatus.INFEASIBLE
                 ray = (float(ray_res), float(ray_obj), float(ray_norm))
                 break
@@ -557,7 +547,7 @@ def _interior_point(c, g_mat, g_vec, groups, y, settings, log) -> _Outcome:
 
             w_gt = h_fac.solve(g_mat.T)
             schur_eq = g_mat @ w_gt
-            # The entrywise rows of the support equalities can be linearly
+            # The entrywise rows of the equality forms can be linearly
             # dependent (zero-rhs rows), so the small equality system is
             # solved by a spectral pseudo-inverse rather than Cholesky.
             eq_w, eq_q = np.linalg.eigh(0.5 * (schur_eq + schur_eq.T))
@@ -649,41 +639,28 @@ def solve(sdp: SDPProblem, settings: SolverSettings | None = None) -> SDPSolutio
     full size, and the rigorous bound is taken on the full problem.
     """
     settings = settings or SolverSettings()
-    c, g_user, g_user_rhs, psd_blocks, slack_blocks = _compile_blocks(sdp)
-    n_y = len(c)
-    n_m = sdp.num_moments
-    n_slack = len(slack_blocks)
-    n_user_rows = g_user.shape[0]
-    n_psd = len(psd_blocks)
+    c, g_mat, g_vec, eq_layout, blocks = _compile(sdp)
 
-    eq_rows, eq_layout = _equality_rows(sdp, n_y)
-    g_mat = sp.vstack([sp.csr_matrix(g_user), eq_rows], format="csr")
-    g_vec = np.concatenate([g_user_rhs, np.zeros(eq_rows.shape[0])])
-    blocks = psd_blocks + slack_blocks
-
-    keep, pieces = _reduce(sdp, blocks, n_y)
+    keep, pieces = _reduce(sdp, blocks)
     g_keep = g_mat[:, np.flatnonzero(keep)]
     live_rows = (np.diff(g_keep.indptr) > 0) | (g_vec != 0.0)
-    n_kept_vars = int(keep.sum())
+    n_kept = int(keep.sum())
     members = [[p for p, (_b, _idx, piece) in enumerate(pieces) if piece.dim == k]
                for k in sorted({piece.dim for _b, _idx, piece in pieces})]
-    groups = [_Group([pieces[p][2] for p in ps], n_kept_vars) for ps in members]
+    groups = [_Group([pieces[p][2] for p in ps], n_kept) for ps in members]
 
     log = settings.log_stream
-    if settings.log_iterations and log is None:
-        log = sys.stderr
     if log is not None:
         print(_LOG_HEADER, file=log)
 
-    y0 = np.zeros(n_y)
+    y0 = np.zeros(sdp.num_moments)
     y0[sdp.normalization_index] = 1.0
-    y0[n_m:] = 1.0
     out = _interior_point(c[keep], g_keep[live_rows].toarray(), g_vec[live_rows], groups,
                           y0[keep], settings, log)
 
     # Scatter back to the full size: odd moments and dropped rows at 0, the
     # dual blocks block-diagonal in their source positions.
-    y = np.zeros(n_y)
+    y = np.zeros(sdp.num_moments)
     y[keep] = out.y
     nu = np.zeros(len(g_vec))
     nu[live_rows] = out.nu
@@ -692,68 +669,51 @@ def solve(sdp: SDPProblem, settings: SolverSettings | None = None) -> SDPSolutio
         for x, p in zip(stack, ps):
             b, idx, _piece = pieces[p]
             x_blocks[b][np.ix_(idx, idx)] = x
-    equality_duals = _multiplier_matrices(eq_layout, nu[n_user_rows:])
 
-    adjoint_x = np.zeros(n_y)
+    adjoint_x = np.zeros(sdp.num_moments)
     for b, x in zip(blocks, x_blocks):
         b.adjoint_into(x, adjoint_x)
     upper_bound = _rigorous_upper_bound(
         -float(g_vec @ nu), c - g_mat.T @ nu - adjoint_x,
-        blocks, x_blocks, _a_priori_bounds(sdp),
-    )
-    moments = MomentVector(
-        num_vars=sdp.n_z,
-        order=sdp.tau,
-        values=y[:n_m] * sdp.scale_pow,
+        _rounding_allowance(c, g_mat, nu, blocks, x_blocks),
+        blocks, x_blocks, sdp.moment_bounds,
     )
     ray = None
     if out.ray is not None:
         ray_res, ray_obj, ray_norm = out.ray
         ray = {
-            "multipliers": nu[:n_user_rows] / ray_norm,
-            "psd_blocks": [x / ray_norm for x in x_blocks[:n_psd]],
+            "psd_blocks": [x / ray_norm for x in x_blocks],
             "residual": ray_res,
             "objective": ray_obj,
         }
 
     return SDPSolution(
-        moments=moments,
+        moments=MomentVector(sdp.n_z, sdp.tau, y * sdp.scale_pow),
         primal_value=-out.pobj,
         dual_value=-out.dobj,
-        dual_multipliers=-nu[:n_user_rows],  # dual rows of the maximize form
-        dual_psd_blocks=tuple(x_blocks[:n_psd]),
+        dual_psd_blocks=tuple(x_blocks),
         status=out.status,
         iterations=out.iterations,
         residuals={"primal_infeas": float(out.p_inf), "dual_infeas": float(out.d_inf),
                    "gap": float(out.pobj - out.dobj)},
-        slacks=y[n_m:].copy(),
-        slack_duals=np.array([float(x_blocks[n_psd + k][0, 0]) for k in range(n_slack)]),
         infeasibility_ray=ray,
         upper_bound=upper_bound,
-        solved_moments=int(keep[:n_m].sum()),
-        solved_blocks=tuple(piece.dim for b, _idx, piece in pieces if b < n_psd),
-        equality_duals=tuple(equality_duals),
+        solved_moments=n_kept,
+        solved_blocks=tuple(piece.dim for _b, _idx, piece in pieces),
+        equality_duals=tuple(_multiplier_matrices(eq_layout, nu[1:])),
     )
 
 
 def residuals(sdp: SDPProblem, solution: SDPSolution) -> dict:
     """Recompute feasibility and gap measures from scratch (the solver loop
-    is not trusted): worst linear-row violation, worst block negative
+    is not trusted): normalization violation, worst block negative
     eigenvalue and worst equality-form eigenvalue magnitude on the primal
     side, dual stationarity residual on the dual side, and gap =
     dual_value - primal_value."""
     from .moments import assemble
 
     m_scaled = solution.moments.values / sdp.scale_pow
-    primal = 0.0
-    for i, row in enumerate(sdp.constraints):
-        value = float(row.coeffs @ m_scaled)
-        if row.relation == "=":
-            primal = max(primal, abs(value - row.rhs))
-        elif row.relation == "<=":
-            primal = max(primal, value - row.rhs)
-        else:
-            primal = max(primal, row.rhs - value)
+    primal = abs(m_scaled[sdp.normalization_index] - 1.0)
     scaled_vector = MomentVector(sdp.n_z, sdp.tau, m_scaled)
     for _label, form in sdp.psd_blocks:
         mat = assemble(form, scaled_vector)
@@ -762,17 +722,16 @@ def residuals(sdp: SDPProblem, solution: SDPSolution) -> dict:
         mat = assemble(form, scaled_vector)
         primal = max(primal, float(np.abs(np.linalg.eigvalsh(mat)).max()))
 
-    # Dual stationarity in the minimize form, against the full SDP.
-    c, g_mat, _g_vec, psd_blocks, slack_blocks = _compile_blocks(sdp)
-    nu = -np.asarray(solution.dual_multipliers)
-    out = np.zeros(len(c))
-    for b, x in zip(psd_blocks, solution.dual_psd_blocks):
-        b.adjoint_into(np.asarray(x), out)
-    for b, xs in zip(slack_blocks, solution.slack_duals):
-        b.adjoint_into(np.array([[xs]]), out)
-    for (_label, form), w in zip(sdp.equalities, solution.equality_duals):
-        _Block(form.dimension, *_form_entries(sdp, form)).adjoint_into(np.asarray(w), out)
-    dual = float(np.linalg.norm(c - g_mat.T @ nu - out, np.inf))
+    # Dual stationarity in the minimize form, against the full SDP; the
+    # normalization's multiplier is -dual_value.
+    stationarity = -sdp.objective
+    stationarity[sdp.normalization_index] += solution.dual_value
+    forms = (*sdp.psd_blocks, *sdp.equalities)
+    duals = (*solution.dual_psd_blocks, *solution.equality_duals)
+    adjoint = np.zeros(sdp.num_moments)
+    for (_label, form), x in zip(forms, duals):
+        _Block(form.dimension, *_form_entries(sdp, form)).adjoint_into(np.asarray(x), adjoint)
+    dual = float(np.linalg.norm(stationarity - adjoint, np.inf))
 
     return {
         "primal_infeas": float(primal),

@@ -226,8 +226,10 @@ def test_criterion_07_necessary_conditions(support_solution):
         m = moments_of_atomic(atoms, weights, 4, 2)
         for _label, form in sdp.psd_blocks:
             min_eig = min(min_eig, float(np.linalg.eigvalsh(assemble(form, m))[0]))
-        for row in sdp.constraints:
-            worst_row = max(worst_row, abs(float(row.coeffs @ m.values) - row.rhs))
+        # the one linear row m_0 = 1, then every equality form
+        worst_row = max(worst_row, abs(m.values[sdp.normalization_index] - 1.0))
+        for _label, form in sdp.equalities:
+            worst_row = max(worst_row, float(np.abs(assemble(form, m)).max()))
         if float(sdp.objective @ m.values) > optimum + 1e-6:
             ok = False
     ok = ok and min_eig >= -1e-8 and worst_row <= 1e-10

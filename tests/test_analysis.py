@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 
 import numpy as np
 import pytest
@@ -18,8 +19,8 @@ from dstab.analysis import (
 )
 from dstab.cli import load_problem
 from dstab.oracle import atomic_lp_bound, grid_points, grid_violation_search
-from dstab.poly import Polynomial
-from dstab.problem import DStabilityProblem, UncertainMatrix, build_lifted
+from dstab.poly import Polynomial, parse_polynomial
+from dstab.problem import DStabilityProblem, MomentConstraint, UncertainMatrix, build_lifted
 from dstab.relax import SolverStatus, assemble_relaxation
 from dstab.sdp import solve
 from dstab.sets import box_set, region_preset
@@ -204,6 +205,31 @@ class TestSandwich:
         problem, options = load_problem(problems_dir / f"{name}.prob", bindings)
         report = upper_probability(problem, tau=int(options["tau"]))
         lp = atomic_lp_bound(problem, grid_points(problem, 101))
+        assert lp.lower_bound <= report.upper_bound
+
+    # The running example violates only at rho = 1.  A one-sided cap on
+    # E[rho] (written either way round) bounds the violation probability by
+    # m (Markov, attained by atoms at 0 and 1); a floor on E[rho] leaves
+    # it at 1.
+    @pytest.mark.parametrize("m", [0.3, 0.7])
+    @pytest.mark.parametrize("f, relation, sign, caps", [
+        ("rho", "<=", 1.0, True),
+        ("-rho", ">=", -1.0, True),
+        ("rho", ">=", 1.0, False),
+    ])
+    def test_one_sided_expectation(self, m, f, relation, sign, caps):
+        problem = dataclasses.replace(
+            running_problem(mean=None),
+            moment_constraints=(MomentConstraint(parse_polynomial(f, ["rho"]), relation,
+                                                 sign * m),),
+        )
+        report = upper_probability(problem, tau=2)
+        assert report.solver_status is SolverStatus.OPTIMAL
+        exact = m if caps else 1.0
+        assert report.p_upper == pytest.approx(exact, abs=1e-6)
+        lp = atomic_lp_bound(problem, grid_points(problem, 101))
+        assert lp.lower_bound == pytest.approx(exact, abs=1e-6)
+        # against the unclipped bound: the LP's own rounding can pass 1
         assert lp.lower_bound <= report.upper_bound
 
     def test_moment_constraint_nesting(self):

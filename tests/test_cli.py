@@ -286,18 +286,19 @@ class TestCommands:
         assert len(rows) == 2
 
 
-# `dstab export-sdp` output pinned byte for byte: the file writes each
-# support equality as a +/- block pair in support order, whatever form the
-# solver uses for it.
+# `dstab export-sdp` output pinned byte for byte: the file writes the
+# normalization as its one linear row, then the moment block, the
+# expectation constraints and the support localizers, each equality form as
+# a +/- block pair, whatever form the solver uses for it.
 EXPORT_GOLDEN = [
     (["hurwitz.prob", "--tau", "3"],
      "b921c76d4f7d6ffd622d3dcd065e4319696d1af8d1a64f77082fc02c75acd963",
      "tau 3: 1716 moment variables, blocks [120, 36, 36, 36, 8, 8, 8, 8, 8, 8, 8, 8, "
      "36, 36], 1 linear rows -> "),
     ([VARIANCE, "--bind", "sigma2=0.1"],
-     "b08a53db0658b75055d8e1151d7b7dfa3c5f4287d9efd96fccf496b4c2ae24e7",
-     "tau 2: 70 moment variables, blocks [15, 5, 5, 5, 5, 5, 5, 5, 5, 5], "
-     "3 linear rows -> "),
+     "ce48f2ddd21e7732b3ba609f8a82e646b3e9e89bd9fd31f3b4d96249b246f1d9",
+     "tau 2: 70 moment variables, blocks [15, 1, 1, 1, 5, 5, 5, 5, 5, 5, 5, 5, 5], "
+     "1 linear rows -> "),
 ]
 
 
@@ -390,3 +391,17 @@ def test_cli_import_leaves_out_scipy_optimize():
     result = subprocess.run([sys.executable, "-c", probe], env=env,
                             capture_output=True, text=True, timeout=120, check=True)
     assert result.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("user_value, expected", [(None, "1"), ("2", "2")])
+def test_import_pins_blas_threads_unless_set(user_value, expected):
+    src_dir = str(pathlib.Path(dstab.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    env["PYTHONPATH"] = src_dir
+    if user_value is not None:
+        env["OPENBLAS_NUM_THREADS"] = user_value
+    probe = "import os, dstab; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    result = subprocess.run([sys.executable, "-c", probe], env=env,
+                            capture_output=True, text=True, timeout=120, check=True)
+    assert result.stdout.strip() == expected

@@ -29,14 +29,14 @@ class TestRunningAssembly:
         assert nonzero == {(0, 0, 2, 0): 1.0, (0, 0, 0, 2): 1.0}
 
     def test_equality_rows(self, mean_sdp):
-        basis = mean_sdp.basis
-        norm_row, mean_row = mean_sdp.constraints
-        assert norm_row.relation == "=" and norm_row.rhs == 1.0
-        assert norm_row.coeffs[basis.index((0, 0, 0, 0))] == 1.0
-        assert np.count_nonzero(norm_row.coeffs) == 1
-        assert mean_row.relation == "=" and mean_row.rhs == 0.5
-        assert mean_row.coeffs[basis.index((1, 0, 0, 0))] == 1.0
-        assert np.count_nonzero(mean_row.coeffs) == 1
+        # the normalization m_0 = 1 is the one linear row; E[rho] = 0.5 is
+        # the 1x1 equality form of rho - 0.5, listed before the support ones
+        assert mean_sdp.normalization_index == mean_sdp.basis.index((0, 0, 0, 0))
+        label, form = mean_sdp.equalities[0]
+        assert label == "moment[1]" and form.dimension == 1
+        assert {alpha: v.tolist() for alpha, _r, _c, v in form.terms} == {
+            (0, 0, 0, 0): [-0.5], (1, 0, 0, 0): [1.0],
+        }
 
     def test_block_layout(self, mean_sdp):
         # moment block at full order tau, localizers at tau - ceil(deg/2);
@@ -45,19 +45,33 @@ class TestRunningAssembly:
         dims = mean_sdp.block_dimensions()
         assert labels == ["moment", "q[0]", "q[1]", "q[2]", "q[5]", "q[6]"]
         assert dims == (15,) + (5,) * 5
-        assert [label for label, _f in mean_sdp.equalities] == ["q[3]", "q[4]"]
-        assert [form.dimension for _l, form in mean_sdp.equalities] == [5, 5]
+        assert [label for label, _f in mean_sdp.equalities] == ["moment[1]", "q[3]", "q[4]"]
+        assert [form.dimension for _l, form in mean_sdp.equalities] == [1, 5, 5]
+
+    def test_one_sided_expectation_is_a_1x1_block(self):
+        # E[(rho - 0.5)^2] <= 0.1 is the order-0 localizer of
+        # 0.1 - (rho - 0.5)^2, normalized to unit max coefficient
+        sdp = assemble_relaxation(build_lifted(running_problem(mean=0.5, variance=0.1)), 2)
+        labels = [label for label, _f in sdp.psd_blocks]
+        assert labels == ["moment", "moment[2]", "q[0]", "q[1]", "q[2]", "q[5]", "q[6]"]
+        form = sdp.psd_blocks[1][1]
+        assert form.dimension == 1
+        coeffs = {alpha: float(v[0]) for alpha, _r, _c, v in form.terms}
+        assert coeffs == pytest.approx({(0, 0, 0, 0): -0.15, (1, 0, 0, 0): 1.0,
+                                        (2, 0, 0, 0): -1.0})
 
     def test_stats(self, mean_sdp):
         stats = problem_stats(mean_sdp)
         assert stats.num_moments == 70
         assert stats.largest_block == 15
-        assert stats.num_constraints == 2
+        assert stats.block_dimensions == (15,) + (5,) * 5
 
     def test_support_only_drops_mean_row(self):
+        # the normalization stays the only linear row; no expectation form
         sdp = assemble_relaxation(build_lifted(running_problem(mean=None)), 2)
-        assert len(sdp.constraints) == 1
-        assert sdp.constraints[0].relation == "="
+        labels = [label for label, _f in sdp.psd_blocks + sdp.equalities]
+        assert not [label for label in labels if label.startswith("moment[")]
+        assert [label for label, _f in sdp.equalities] == ["q[3]", "q[4]"]
 
     def test_order_below_minimum_rejected(self):
         lifted = build_lifted(hurwitz_problem())
@@ -92,6 +106,9 @@ class TestStats:
         stats = problem_stats(assemble_relaxation(lifted, 1))
         assert stats.num_moments == 3
         assert stats.largest_block == 2
+        # the normalization is the SDP's one linear row, so it must lead
+        with pytest.raises(RelaxationError, match="E\\[1\\] = 1"):
+            assemble_relaxation(dataclasses.replace(lifted, moment_constraints=()), 1)
 
 
 def flip_group(generators) -> set[frozenset]:
@@ -164,22 +181,20 @@ class TestScaling:
         )
 
     def test_constraints_normalized(self):
-        sdp = assemble_relaxation(build_lifted(hurwitz_problem()), 2)
-        for row in sdp.constraints:
-            assert max(np.abs(row.coeffs).max(), abs(row.rhs)) <= 1.0 + 1e-12
-        for _label, form in sdp.psd_blocks[1:] + sdp.equalities:
-            biggest = max(np.abs(v).max() for _a, _r, _c, v in form.terms)
-            assert biggest <= 1.0 + 1e-12
+        # every localizer, the expectation constraints' 1x1 forms included
+        for problem in (hurwitz_problem(), running_problem(mean=0.5, variance=0.1)):
+            sdp = assemble_relaxation(build_lifted(problem), 2)
+            for _label, form in sdp.psd_blocks[1:] + sdp.equalities:
+                biggest = max(np.abs(v).max() for _a, _r, _c, v in form.terms)
+                assert biggest == pytest.approx(1.0, abs=1e-12)
 
 
 class TestFeasibilityTransfer:
     def test_atomic_measures_are_feasible(self, mean_sdp):
         # the optimizing measure of the mean-constrained running example
         atoms = [[0.0, 0.0, 0.0, 0.0], [1.0, 0.0, 1.0, 0.0]]
-        m = moments_of_atomic(atoms, [0.5, 0.5], 4, 2)
-        for row in mean_sdp.constraints:
-            value = row.coeffs @ m.values  # scales are all 1 here
-            assert value == pytest.approx(row.rhs, abs=1e-10)
+        m = moments_of_atomic(atoms, [0.5, 0.5], 4, 2)  # scales are all 1 here
+        assert m.values[mean_sdp.normalization_index] == pytest.approx(1.0, abs=1e-10)
         for _label, form in mean_sdp.psd_blocks:
             assert np.linalg.eigvalsh(assemble(form, m))[0] >= -1e-8
         for _label, form in mean_sdp.equalities:
@@ -200,10 +215,9 @@ class TestFeasibilityTransfer:
         m2 = MomentVector(4, 2, trunc)
         for _label, form in sdp2.psd_blocks:
             assert np.linalg.eigvalsh(assemble(form, m2))[0] >= -1e-8
+        assert m2.values[sdp2.normalization_index] == pytest.approx(1.0, abs=1e-10)
         for _label, form in sdp2.equalities:
             assert np.abs(assemble(form, m2)).max() <= 1e-12
-        for row in sdp2.constraints:
-            assert row.coeffs @ m2.values == pytest.approx(row.rhs, abs=1e-10)
 
 
 class TestEqualityForms:
@@ -213,7 +227,7 @@ class TestEqualityForms:
         assert solution.status.value == "Optimal"
         assert solution.primal_value == pytest.approx(0.5, abs=1e-6)
         assert solution.upper_bound >= 0.5
-        assert len(solution.equality_duals) == len(mean_sdp.equalities) == 2
+        assert len(solution.equality_duals) == len(mean_sdp.equalities) == 3
         # the optimal moments annihilate every equality form
         scaled = MomentVector(4, 2, solution.moments.values / mean_sdp.scale_pow)
         for _label, form in mean_sdp.equalities:
@@ -224,7 +238,7 @@ class TestExport:
     def test_round_trip_structure(self, mean_sdp, tmp_path):
         path = tmp_path / "out.sdp"
         dims = export_sdp(mean_sdp, path)
-        assert dims == (15,) + (5,) * 9
+        assert dims == (15, 1, 1) + (5,) * 9
         lines = path.read_text().splitlines()
         assert lines[0] == "DSTAB-SDP 1"
         assert lines[1] == "nz 4 tau 2 moments 70"
@@ -240,8 +254,13 @@ class TestExport:
         for idx, coeff in entries.items():
             assert mean_sdp.objective[idx] == coeff
         assert lines[-1] == "end"
-        # the file writes each support equality as a +/- pair, in support order
+        # the normalization is the one linear row
+        assert [ln for ln in lines if ln.startswith("constraint ")] == \
+            ["constraint 0 = 1.0 1 moment[0]"]
+        # the file writes each equality form as a +/- pair: the expectation
+        # constraints first, then the support localizers in support order
         blocks = [ln.split() for ln in lines if ln.startswith("block ")]
-        assert [b[4] for b in blocks] == ["moment", "q[0]", "q[1]", "q[2]", "q[3]+",
-                                          "q[3]-", "q[4]+", "q[4]-", "q[5]", "q[6]"]
+        assert [b[4] for b in blocks] == ["moment", "moment[1]+", "moment[1]-", "q[0]", "q[1]",
+                                          "q[2]", "q[3]+", "q[3]-", "q[4]+", "q[4]-", "q[5]",
+                                          "q[6]"]
 

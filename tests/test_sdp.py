@@ -8,27 +8,33 @@ from conftest import PROBLEMS_DIR, hurwitz_problem, running_problem
 
 from dstab.analysis import DEFAULT_CERTIFICATION_MARGIN
 from dstab.cli import load_problem
-from dstab.moments import moment_matrix_form, moments_of_atomic
-from dstab.poly import monomial_basis
+from dstab.moments import localizing_matrix_form, moment_matrix_form, moments_of_atomic
+from dstab.poly import monomial_basis, parse_polynomial
 from dstab.problem import build_lifted
 from dstab.relax import (
-    LinearConstraintRow,
     SDPProblem,
     SolverStatus,
     assemble_relaxation,
 )
-from dstab.sdp import SolverSettings, _equality_rows, residuals, solve
+from dstab.sdp import (
+    SolverSettings,
+    _compile,
+    _equality_rows,
+    _rounding_allowance,
+    residuals,
+    solve,
+)
 
 
 def hankel_sdp() -> SDPProblem:
-    """maximize m1 s.t. m0 = 1, [[m0, m1], [m1, m2]] PSD, m2 <= 1."""
+    """maximize m1 s.t. m0 = 1, [[m0, m1], [m1, m2]] PSD, m2 <= 1 (the
+    1x1 localizer of 1 - t^2)."""
     basis = monomial_basis(1, 2)
     objective = np.array([0.0, 1.0, 0.0])
-    norm = LinearConstraintRow(np.array([1.0, 0.0, 0.0]), "=", 1.0, "norm")
-    cap = LinearConstraintRow(np.array([0.0, 0.0, 1.0]), "<=", 1.0, "cap")
+    cap = localizing_matrix_form(parse_polynomial("1 - t^2", ["t"]), 1, 0)
     return SDPProblem(
         n_z=1, tau=1, basis=basis, objective=objective,
-        constraints=(norm, cap), psd_blocks=(("moment", moment_matrix_form(1, 1)),),
+        psd_blocks=(("moment", moment_matrix_form(1, 1)), ("moment[1]", cap)),
         normalization_index=0, scale_pow=np.ones(3), z_vars=("t",),
     )
 
@@ -109,8 +115,6 @@ class TestSolve:
 
     def test_settings_validation(self):
         with pytest.raises(ValueError):
-            SolverSettings(step_fraction=1.5)
-        with pytest.raises(ValueError):
             SolverSettings(feasibility_tol=-1.0)
         with pytest.raises(ValueError):
             SolverSettings(max_iterations=0)
@@ -142,10 +146,24 @@ class TestResiduals:
         assert r["primal_infeas"] >= 1e-4
 
 
+    def test_variance_cap_violation_detected(self):
+        # E[(rho - 0.5)^2] <= 0.1 is a 1x1 PSD block; the cap is active at
+        # the optimum, so raising E[rho^2] breaks it
+        sdp = assemble_relaxation(build_lifted(running_problem(mean=0.5, variance=0.1)), 2)
+        solution = solve(sdp)
+        assert residuals(sdp, solution)["primal_infeas"] <= 1e-7
+        values = solution.moments.values.copy()
+        values[sdp.basis.index((2, 0, 0, 0))] += 1e-3
+        probe = dataclasses.replace(
+            solution, moments=dataclasses.replace(solution.moments, values=values),
+        )
+        assert residuals(sdp, probe)["primal_infeas"] >= 1e-4
+
+
 class TestIterationLog:
     def test_stable_columns(self, mean_sdp):
         stream = io.StringIO()
-        solve(mean_sdp, SolverSettings(log_iterations=True, log_stream=stream))
+        solve(mean_sdp, SolverSettings(log_stream=stream))
         lines = stream.getvalue().splitlines()
         header = lines[0].split()
         assert header == ["iter", "mu", "p_infeas", "d_infeas", "gap",
@@ -210,7 +228,8 @@ class TestSignReduction:
         assert dims == tuple((d, d) for d in mean_sdp.block_dimensions())
         assert [w.shape for w in mean_solution.equality_duals] == \
             [(f.dimension, f.dimension) for _l, f in mean_sdp.equalities]
-        assert len(mean_solution.dual_multipliers) == len(mean_sdp.constraints)
+        # the normalization's multiplier is dual_value: with it and the
+        # blocks above, dual stationarity closes on the full SDP
         r = residuals(mean_sdp, mean_solution)
         assert r["primal_infeas"] <= 1e-7
         assert r["dual_infeas"] <= 1e-7
@@ -254,7 +273,7 @@ class TestEqualityRows:
     def test_rows_match_dense_reference(self, tau):
         sdp = assemble_relaxation(build_lifted(hurwitz_problem()), tau)
         n_y = sdp.num_moments
-        rows, layout = _equality_rows(sdp, n_y)
+        rows, layout = _equality_rows(sdp)
         reference = _dense_equality_rows(sdp, n_y)
         assert rows.shape == reference.shape
         assert np.array_equal(rows.toarray(), reference)
@@ -266,12 +285,12 @@ class TestEqualityRows:
 
     def test_repeated_equality_adds_no_row(self, mean_sdp, mean_solution):
         twice = dataclasses.replace(mean_sdp, equalities=mean_sdp.equalities * 2)
-        assert _equality_rows(twice, 70)[0].shape == _equality_rows(mean_sdp, 70)[0].shape
+        assert _equality_rows(twice)[0].shape == _equality_rows(mean_sdp)[0].shape
         solution = solve(twice)
         assert solution.iterations == mean_solution.iterations
         assert solution.primal_value == mean_solution.primal_value
         # the repeat's multipliers stay with the first copy
-        assert all(not w.any() for w in solution.equality_duals[2:])
+        assert all(not w.any() for w in solution.equality_duals[len(mean_sdp.equalities):])
         for w, first in zip(solution.equality_duals, mean_solution.equality_duals):
             assert np.array_equal(w, first)
         assert residuals(twice, solution)["dual_infeas"] <= 1e-7
@@ -284,3 +303,23 @@ class TestEqualityRows:
         )
         assert residuals(mean_sdp, mean_solution)["dual_infeas"] <= 1e-7
         assert residuals(mean_sdp, dropped)["dual_infeas"] >= 1e-3
+
+
+class TestRoundingAllowance:
+    def test_covers_a_reordered_evaluation(self):
+        # the dense and the sparse product G'nu sum the same terms in other
+        # orders; both lie within the allowance of the exact value
+        sdp = assemble_relaxation(build_lifted(hurwitz_problem()), 3)
+        solution = solve(sdp)
+        c, g_mat, _g_vec, layout, blocks = _compile(sdp)
+        # nu: -dual_value on the normalization, then each kept equality
+        # row's multiplier, read back from the multiplier matrices
+        nu = np.zeros(g_mat.shape[0])
+        nu[0] = -solution.dual_value
+        for (_dim, r, cc, pos), w in zip(layout, solution.equality_duals):
+            nu[1 + pos] = w[r, cc] * np.where(r == cc, 1.0, 2.0)
+        assert np.abs(nu).max() > 100.0
+        allowance = _rounding_allowance(c, g_mat, nu, blocks, solution.dual_psd_blocks)
+        gap = np.abs(g_mat.toarray().T @ nu - g_mat.T @ nu)
+        assert gap.max() > 0.0
+        assert np.all(gap <= allowance)
