@@ -247,9 +247,17 @@ def hierarchy(
 ) -> HierarchyReport:
     """Solve the relaxation at each order in [tau_min, tau_max]; the raw
     values must be nonincreasing up to solver accuracy, and any increase
-    beyond the tolerance is flagged as an anomaly."""
+    beyond the tolerance is flagged as an anomaly.  A range that starts
+    below the problem's minimal order starts at it instead (with one
+    warning), so each order is solved once."""
+    start = max(tau_min, minimal_order(build_lifted(problem)))
+    if start != tau_min:
+        warnings.warn(
+            f"relaxation order {tau_min} below the minimal order {start}; starting at {start}",
+            stacklevel=2,
+        )
     reports = []
-    for tau in range(tau_min, tau_max + 1):
+    for tau in range(start, max(tau_max, start) + 1):
         reports.append(upper_probability(problem, tau=tau, settings=settings, margin=margin))
     violations = []
     for prev, nxt in zip(reports, reports[1:]):

@@ -58,6 +58,8 @@ def fmt(x: float) -> str:
 # Problem file parsing.
 
 _SECTIONS = ("variables", "matrix", "delta", "region", "moments", "options")
+_OPTION_KEYS = ("tau", "margin", "max_iterations", "feasibility_tol", "gap_tol",
+                "eigen_space", "allow_asymmetric_real", "lambda_radius")
 
 
 def _substitute(text: str, bindings: dict[str, float], path: str) -> str:
@@ -255,6 +257,10 @@ def load_problem(path, bindings: dict[str, float] | None = None):
             raise ProblemFileError(f"options are 'key = value', got {line!r}",
                                    lineno, "options")
         key, value = (part.strip() for part in line.split("=", 1))
+        if key not in _OPTION_KEYS:
+            raise ProblemFileError(
+                f"unknown option {key!r} (known: {', '.join(_OPTION_KEYS)})", lineno, "options"
+            )
         options[key] = value
 
     eigen_space = str(options.pop("eigen_space", "auto"))

@@ -334,7 +334,8 @@ def atomic_lp_bound(
     measures supported on the given grid that satisfy the moment
     constraints.  Any feasible atomic measure is admissible for the moment
     problem, so the optimum is a true lower bound on the violation
-    probability."""
+    probability.  It is reported clipped to [0, 1]: the simplex's rounding
+    can carry it just past 1."""
     atoms = np.atleast_2d(np.asarray(atoms, dtype=float))
     n_rho = len(problem.uncertainty_variables)
     if atoms.shape[1] != n_rho:
@@ -367,5 +368,6 @@ def atomic_lp_bound(
 
     weights, value = simplex_maximize(objective, a_eq, b_eq, a_le or None, b_le or None)
     return AtomicLPResult(
-        atoms=atoms, weights=weights, lower_bound=float(value), violating=violating
+        atoms=atoms, weights=weights, lower_bound=min(1.0, max(0.0, float(value))),
+        violating=violating,
     )

@@ -11,6 +11,10 @@ alike), one row per upper-triangle entry of A_e in row-major order;
 all-zero rows are dropped and a row equal to an earlier one is kept once.
 The PSD blocks are the moment matrix and the localizers of the
 inequalities, expectation constraints among them as 1x1 blocks (`relax`).
+Each block, each piece of a block (see below) and each equality form is
+held as one pencil, the sparse matrix P with P y = vec A(y) (row r k + c
+for entry (r, c), one column per moment; Vandenberghe and Boyd, SIAM
+Review 38(1), 1996): assembly is P y and the adjoint is P' vec(X).
 G is assembled sparse; only its part on the live rows and kept moments
 (see below) becomes dense for the iteration.
 The engine's maximization objective is negated on entry and the reported
@@ -98,76 +102,29 @@ _INITIAL_SCALE = 1.0
 _INFEASIBILITY_THRESHOLD = 1e5
 
 
-class _Block:
-    """One PSD block A_b(y) = sum_i y_i A_b,i, kept as its nonzero entries
-    sorted by variable, with the transposed pencil (one row vec(A_b,i) per
-    variable) stored once for adjoints and Schur rows."""
-
-    __slots__ = ("dim", "vars", "var_pos", "rows", "cols", "vals", "starts",
-                 "global_vars", "pencil_t")
-
-    def __init__(self, dim: int, var_idx, rows, cols, vals):
-        self.dim = dim
-        var_idx = np.asarray(var_idx, dtype=np.intp)
-        rows = np.asarray(rows, dtype=np.intp)
-        cols = np.asarray(cols, dtype=np.intp)
-        vals = np.asarray(vals, dtype=float)
-        order = np.lexsort((cols, rows, var_idx))
-        var_idx = var_idx[order]
-        self.rows = rows[order]
-        self.cols = cols[order]
-        self.vals = vals[order]
-        self.vars, self.var_pos = np.unique(var_idx, return_inverse=True)
-        self.global_vars = var_idx
-        self.starts = np.searchsorted(self.var_pos, np.arange(len(self.vars) + 1))
-        self.pencil_t = sp.csr_matrix(
-            (self.vals, (self.var_pos, self.rows * dim + self.cols)),
-            shape=(len(self.vars), dim * dim),
-        )
-
-    def adjoint_into(self, w: np.ndarray, out: np.ndarray) -> None:
-        """out[vars] += A_b^*(w) for a dense symmetric w."""
-        out[self.vars] += self.pencil_t @ w.ravel()
-
-    def schur_into(self, h: np.ndarray, v: np.ndarray) -> None:
-        """h += the Schur contribution tr(A_i V A_j V), in chunks of
-        variables so the dense A_i never take much memory."""
-        k = self.dim
-        nv = len(self.vars)
-        chunk = max(1, min(nv, int(2.0e6 // (k * k)) or 1))
-        for a in range(0, nv, chunk):
-            b = min(a + chunk, nv)
-            lo, hi = self.starts[a], self.starts[b]
-            t = np.zeros((b - a, k, k))
-            np.add.at(
-                t,
-                (self.var_pos[lo:hi] - a, self.rows[lo:hi], self.cols[lo:hi]),
-                self.vals[lo:hi],
-            )
-            g = np.matmul(v, np.matmul(t, v))
-            h_rows = (self.pencil_t @ g.reshape(b - a, k * k).T).T
-            h[np.ix_(self.vars[a:b], self.vars)] += h_rows
-
-
 class _Group:
-    """All blocks of one dimension k, stacked: S, X, their scaling points
+    """All pieces of one dimension k, stacked: S, X, their scaling points
     and steps are (n, k, k) arrays, so every dense operation on them is one
-    numpy call, and A(y) and A*(W) are one sparse product each."""
+    numpy call, and A(y) and A*(W) are one sparse product each with the
+    stacked pencil."""
 
-    def __init__(self, blocks: list, n_y: int):
-        k = blocks[0].dim
-        self.blocks = blocks
+    def __init__(self, k: int, pencils: list):
         self.dim = k
-        flat = np.concatenate([j * k * k + b.rows * k + b.cols for j, b in enumerate(blocks)])
-        var_idx = np.concatenate([b.global_vars for b in blocks])
-        vals = np.concatenate([b.vals for b in blocks])
-        self.pencil = sp.csr_matrix((vals, (flat, var_idx)), shape=(len(blocks) * k * k, n_y))
-        self.pencil_t = self.pencil.T.tocsr()
+        self.size = len(pencils)
+        self.pencil = sp.vstack(pencils, format="csr")
+        self.pencil_t = self.pencil.T  # a view of the same arrays, for adjoints
         if k == 1:
             # tr(A_i V A_j V) = v^2 a_i a_j: one dense update over the used
-            # variables replaces a call per block
-            self.used = np.unique(var_idx)
+            # variables replaces a call per piece
+            self.used = np.unique(self.pencil.indices)
             self.coef = self.pencil[:, self.used].toarray()
+        else:
+            # per piece: the variables it uses, and its transposed pencil
+            # on them (one row vec(A_i) per variable)
+            self.pieces = []
+            for p in pencils:
+                used = np.unique(p.indices)
+                self.pieces.append((used, p[:, used].T.tocsr()))
 
     def assemble(self, y: np.ndarray) -> np.ndarray:
         return (self.pencil @ y).reshape(-1, self.dim, self.dim)
@@ -176,46 +133,58 @@ class _Group:
         return self.pencil_t @ w.ravel()
 
     def schur_into(self, h: np.ndarray, v: np.ndarray) -> None:
-        if self.dim == 1:
+        """h += the Schur contribution tr(A_i V A_j V) of every piece, in
+        chunks of variables so the dense A_i never take much memory."""
+        k = self.dim
+        if k == 1:
             h[np.ix_(self.used, self.used)] += self.coef.T @ (v.reshape(-1, 1) ** 2 * self.coef)
             return
-        for block, vb in zip(self.blocks, v):
-            block.schur_into(h, vb)
+        chunk = max(1, int(2.0e6 // (k * k)))
+        for (used, pencil_t), vb in zip(self.pieces, v):
+            for a in range(0, len(used), chunk):
+                # a slice is a copy: a piece that fits one chunk skips it
+                part = pencil_t if len(used) <= chunk else pencil_t[a:a + chunk]
+                t = part.toarray().reshape(-1, k, k)
+                g = np.matmul(vb, np.matmul(t, vb))
+                h_rows = (pencil_t @ g.reshape(len(t), k * k).T).T
+                h[np.ix_(used[a:a + chunk], used)] += h_rows
 
 
-def _form_entries(sdp: SDPProblem, form):
-    """Entries (moment index, row, col, value) of a pencil, term by term."""
-    var_idx, rows, cols, vals = [], [], [], []
-    for alpha, r, cc, v in form.terms:
-        var_idx.append(np.full(len(v), sdp.basis.index(alpha), dtype=np.intp))
-        rows.append(r)
-        cols.append(cc)
-        vals.append(v)
-    return (np.concatenate(var_idx), np.concatenate(rows),
-            np.concatenate(cols), np.concatenate(vals))
+def _pencil(sdp: SDPProblem, form) -> sp.csr_matrix:
+    """The pencil A(y) = sum_i y_i A_i of a form as one sparse matrix P of
+    shape (k^2, num_moments) with P y = vec A(y): row r k + c holds entry
+    (r, c), column i the moment y_i.  The solver reads `form.terms` here
+    and nowhere else."""
+    k = form.dimension
+    flat = [rows * k + cols for _alpha, rows, cols, _vals in form.terms]
+    var_idx = [np.full(len(vals), sdp.basis.index(alpha)) for alpha, _r, _c, vals in form.terms]
+    vals = [vals for _alpha, _r, _c, vals in form.terms]
+    return sp.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(flat), np.concatenate(var_idx))),
+        shape=(k * k, sdp.num_moments),
+    )
 
 
 def _compile(sdp: SDPProblem):
     """Lower the SDP into solver arrays: the objective c, the linear rows
     G y = g (the normalization, then the rows of the equality forms), the
-    layout of the equality rows (`_equality_rows`), and the compiled PSD
-    blocks."""
+    layout of the equality rows (`_equality_rows`), and each PSD block as
+    (dimension, pencil)."""
     norm_row = sp.csr_matrix(([1.0], ([0], [sdp.normalization_index])),
                              shape=(1, sdp.num_moments))
     eq_rows, eq_layout = _equality_rows(sdp)
     g_mat = sp.vstack([norm_row, eq_rows], format="csr")
     g_vec = np.zeros(g_mat.shape[0])
     g_vec[0] = 1.0
-    blocks = [_Block(form.dimension, *_form_entries(sdp, form))
-              for _label, form in sdp.psd_blocks]
+    blocks = [(form.dimension, _pencil(sdp, form)) for _label, form in sdp.psd_blocks]
     return -sdp.objective, g_mat, g_vec, eq_layout, blocks  # the solver minimizes
 
 
 def _equality_rows(sdp: SDPProblem):
-    """The equality forms A_e(y) = 0 as sparse rows over y: one row per
-    upper-triangle entry (r, c) of each form, in row-major order, all-zero
-    rows dropped, and a row equal to an earlier one (of any equality) kept
-    once, the first occurrence winning.
+    """The equality forms A_e(y) = 0 as sparse rows over y: the rows of
+    their stacked pencils that belong to upper-triangle entries (r, c), in
+    row-major order, all-zero rows dropped, and a row equal to an earlier
+    one (of any equality) kept once, the first occurrence winning.
 
     Returns the rows (csr) and, per equality, its dimension and the entries
     (r, c) whose row was kept, with that row's position, from which the
@@ -225,35 +194,28 @@ def _equality_rows(sdp: SDPProblem):
         return sp.csr_matrix((0, n_y)), []
     dims = [form.dimension for _label, form in sdp.equalities]
     offsets = np.concatenate([[0], np.cumsum([d * d for d in dims])]).astype(np.intp)
-    coo_rows, coo_vars, coo_vals = [], [], []
-    for (_label, form), offset in zip(sdp.equalities, offsets):
-        var_idx, rows, cols, vals = _form_entries(sdp, form)
-        upper = rows <= cols
-        coo_rows.append(offset + rows[upper] * form.dimension + cols[upper])
-        coo_vars.append(var_idx[upper])
-        coo_vals.append(vals[upper])
-    entries = sp.csr_matrix(
-        (np.concatenate(coo_vals), (np.concatenate(coo_rows), np.concatenate(coo_vars))),
-        shape=(int(offsets[-1]), n_y),
-    )
-    # canonical form (sorted, summed, no stored zeros): equal rows then
-    # have equal byte stamps
-    entries.sum_duplicates()
+    upper = np.concatenate([offset + np.flatnonzero(np.triu(np.ones((d, d), dtype=bool)))
+                            for d, offset in zip(dims, offsets)])
+    pencils = sp.vstack([_pencil(sdp, form) for _label, form in sdp.equalities], format="csr")
+    entries = pencils[upper]
+    # canonical form (sorted, no stored zeros): equal rows then have equal
+    # byte stamps
     entries.eliminate_zeros()
     indptr, indices, data = entries.indptr, entries.indices, entries.data
     seen: set[tuple[bytes, bytes]] = set()
     kept = []
-    for flat in np.flatnonzero(np.diff(indptr)):
-        lo, hi = indptr[flat], indptr[flat + 1]
+    for row in np.flatnonzero(np.diff(indptr)):
+        lo, hi = indptr[row], indptr[row + 1]
         stamp = (indices[lo:hi].tobytes(), data[lo:hi].tobytes())
         if stamp not in seen:
             seen.add(stamp)
-            kept.append(flat)
+            kept.append(row)
     kept = np.array(kept, dtype=np.intp)
+    flat = upper[kept]
     layout = []
     for e, dim in enumerate(dims):
-        pos = np.flatnonzero((kept >= offsets[e]) & (kept < offsets[e + 1]))
-        r, cc = np.divmod(kept[pos] - offsets[e], dim)
+        pos = np.flatnonzero((flat >= offsets[e]) & (flat < offsets[e + 1]))
+        r, cc = np.divmod(flat[pos] - offsets[e], dim)
         layout.append((dim, r, cc, pos))
     return entries[kept], layout
 
@@ -280,9 +242,9 @@ def _rounding_allowance(c, g_mat, nu, blocks, x_blocks) -> np.ndarray:
     "Accuracy and Stability of Numerical Algorithms", 2nd ed., sec. 3.1)."""
     magnitude = np.abs(c) + abs(g_mat).T @ np.abs(nu)
     terms = 1 + np.bincount(g_mat.indices, minlength=len(c))
-    for b, x in zip(blocks, x_blocks):
-        magnitude[b.vars] += abs(b.pencil_t) @ np.abs(x).ravel()
-        terms[b.vars] += np.diff(b.pencil_t.indptr)
+    for (_k, p), x in zip(blocks, x_blocks):
+        magnitude += abs(p).T @ np.abs(x).ravel()
+        terms += np.bincount(p.indices, minlength=len(c))
     ku = float(terms.max()) * 2.0 ** -53
     return ku / (1.0 - ku) * magnitude
 
@@ -302,13 +264,13 @@ def _rigorous_upper_bound(dual_value, r_c, allowance, blocks, x_blocks, y_bound)
     if y_bound is None or not np.all(np.isfinite(y_bound)):
         return np.inf
     bound = dual_value + float((np.abs(r_c) + allowance) @ y_bound)
-    for b, x in zip(blocks, x_blocks):
+    for (k, p), x in zip(blocks, x_blocks):
         lam_min = float(np.linalg.eigvalsh(x)[0])
         if lam_min < 0.0:
-            diag = b.rows == b.cols
-            trace = np.bincount(b.var_pos[diag], weights=b.vals[diag],
-                                minlength=len(b.vars))
-            bound -= lam_min * float(np.abs(trace) @ y_bound[b.vars])
+            used = np.unique(p.indices)
+            # tr A_i: the sum of the pencil's diagonal rows
+            trace = p[np.arange(k) * (k + 1)][:, used].T @ np.ones(k)
+            bound -= lam_min * float(np.abs(trace) @ y_bound[used])
     return bound
 
 
@@ -335,27 +297,22 @@ def _reduce(sdp: SDPProblem, blocks: list):
     fixed; after that each block is block-diagonal up to a permutation, and
     it is PSD exactly when each diagonal piece is, whatever the symmetries.
     Returns the mask of kept variables and, per piece that carries entries,
-    (source block index, its rows in the source block, the piece as a block
+    (source block index, its rows in the source block, the piece's pencil
     over the kept variables)."""
     keep = np.ones(sdp.num_moments, dtype=bool)
     if sdp.sign_symmetries:
         parity = np.array(sdp.basis.elements) % 2
         for flip in sdp.sign_symmetries:
             keep &= parity[:, list(flip)].sum(axis=1) % 2 == 0
-    position = np.cumsum(keep) - 1
+    kept = np.flatnonzero(keep)
     pieces = []
-    for b, block in enumerate(blocks):
-        live = keep[block.global_vars]
-        label = _components(block.dim, block.rows[live], block.cols[live])
-        for root in np.unique(label[block.rows[live]]):
-            idx = np.nonzero(label == root)[0]
-            local = np.empty(block.dim, dtype=np.intp)
-            local[idx] = np.arange(len(idx))
-            sel = live & (label[block.rows] == root)
-            pieces.append((b, idx, _Block(
-                len(idx), position[block.global_vars[sel]],
-                local[block.rows[sel]], local[block.cols[sel]], block.vals[sel],
-            )))
+    for b, (k, pencil) in enumerate(blocks):
+        live = pencil[:, kept]
+        rows, cols = np.divmod(np.repeat(np.arange(k * k), np.diff(live.indptr)), k)
+        label = _components(k, rows, cols)
+        for root in np.unique(label[rows]):
+            idx = np.flatnonzero(label == root)
+            pieces.append((b, idx, live[(idx[:, None] * k + idx).ravel()]))
     return keep, pieces
 
 
@@ -455,11 +412,11 @@ def _interior_point(c, g_mat, g_vec, groups, y, settings, log) -> _Outcome:
     """Path following from the primal point y with S = X = eta*I."""
     n_y = len(c)
     m_eq = g_mat.shape[0]
-    k_total = sum(g.dim * len(g.blocks) for g in groups)
+    k_total = sum(g.dim * g.size for g in groups)
 
     nu = np.zeros(m_eq)
     eta = _INITIAL_SCALE
-    s_st = [np.tile(eta * np.eye(g.dim), (len(g.blocks), 1, 1)) for g in groups]
+    s_st = [np.tile(eta * np.eye(g.dim), (g.size, 1, 1)) for g in groups]
     x_st = [s.copy() for s in s_st]
 
     gamma = _STEP_FRACTION
@@ -645,9 +602,9 @@ def solve(sdp: SDPProblem, settings: SolverSettings | None = None) -> SDPSolutio
     g_keep = g_mat[:, np.flatnonzero(keep)]
     live_rows = (np.diff(g_keep.indptr) > 0) | (g_vec != 0.0)
     n_kept = int(keep.sum())
-    members = [[p for p, (_b, _idx, piece) in enumerate(pieces) if piece.dim == k]
-               for k in sorted({piece.dim for _b, _idx, piece in pieces})]
-    groups = [_Group([pieces[p][2] for p in ps], n_kept) for ps in members]
+    dims = sorted({len(idx) for _b, idx, _p in pieces})
+    members = [[p for p, piece in enumerate(pieces) if len(piece[1]) == k] for k in dims]
+    groups = [_Group(k, [pieces[p][2] for p in ps]) for k, ps in zip(dims, members)]
 
     log = settings.log_stream
     if log is not None:
@@ -664,15 +621,15 @@ def solve(sdp: SDPProblem, settings: SolverSettings | None = None) -> SDPSolutio
     y[keep] = out.y
     nu = np.zeros(len(g_vec))
     nu[live_rows] = out.nu
-    x_blocks = [np.zeros((b.dim, b.dim)) for b in blocks]
+    x_blocks = [np.zeros((k, k)) for k, _p in blocks]
     for stack, ps in zip(out.x, members):
         for x, p in zip(stack, ps):
             b, idx, _piece = pieces[p]
             x_blocks[b][np.ix_(idx, idx)] = x
 
     adjoint_x = np.zeros(sdp.num_moments)
-    for b, x in zip(blocks, x_blocks):
-        b.adjoint_into(x, adjoint_x)
+    for (_k, p), x in zip(blocks, x_blocks):
+        adjoint_x += p.T @ x.ravel()
     upper_bound = _rigorous_upper_bound(
         -float(g_vec @ nu), c - g_mat.T @ nu - adjoint_x,
         _rounding_allowance(c, g_mat, nu, blocks, x_blocks),
@@ -699,7 +656,7 @@ def solve(sdp: SDPProblem, settings: SolverSettings | None = None) -> SDPSolutio
         infeasibility_ray=ray,
         upper_bound=upper_bound,
         solved_moments=n_kept,
-        solved_blocks=tuple(piece.dim for _b, _idx, piece in pieces),
+        solved_blocks=tuple(len(idx) for _b, idx, _p in pieces),
         equality_duals=tuple(_multiplier_matrices(eq_layout, nu[1:])),
     )
 
@@ -730,7 +687,7 @@ def residuals(sdp: SDPProblem, solution: SDPSolution) -> dict:
     duals = (*solution.dual_psd_blocks, *solution.equality_duals)
     adjoint = np.zeros(sdp.num_moments)
     for (_label, form), x in zip(forms, duals):
-        _Block(form.dimension, *_form_entries(sdp, form)).adjoint_into(np.asarray(x), adjoint)
+        adjoint += _pencil(sdp, form).T @ np.ravel(x)
     dual = float(np.linalg.norm(stationarity - adjoint, np.inf))
 
     return {

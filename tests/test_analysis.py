@@ -1,10 +1,11 @@
 import csv
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
 
-from conftest import running_matrix, running_problem
+from conftest import hurwitz_problem, running_matrix, running_problem
 
 from dstab.analysis import (
     SWEEP_CSV_HEADER,
@@ -155,6 +156,14 @@ class TestHierarchy:
             assert r.raw_value <= 1e-6
             assert r.verdict is Verdict.CERTIFIED_ROBUSTLY_DSTABLE
 
+    def test_start_below_minimal_order(self):
+        # Hurwitz has minimal order 2: the range [1, 2] solves tau 2 once
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            report = hierarchy(hurwitz_problem(), 1, 2)
+        assert [r.tau for r in report.reports] == [2]
+        assert [w.category for w in caught] == [UserWarning]
+
 
 class TestExtractCandidate:
     def test_deterministic_candidate(self, support_problem):
@@ -229,8 +238,8 @@ class TestSandwich:
         assert report.p_upper == pytest.approx(exact, abs=1e-6)
         lp = atomic_lp_bound(problem, grid_points(problem, 101))
         assert lp.lower_bound == pytest.approx(exact, abs=1e-6)
-        # against the unclipped bound: the LP's own rounding can pass 1
-        assert lp.lower_bound <= report.upper_bound
+        assert 0.0 <= lp.lower_bound <= 1.0
+        assert lp.lower_bound <= report.p_upper
 
     def test_moment_constraint_nesting(self):
         mean_only = upper_probability(running_problem(mean=0.5), tau=2)

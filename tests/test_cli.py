@@ -111,6 +111,18 @@ class TestLoadProblem:
         with pytest.raises(ProblemFileError, match=r"\[delta\]"):
             load_problem(path)
 
+    def test_unknown_option_rejected(self, problems_dir, tmp_path, capsys):
+        # a misspelt key must not fall back silently to the minimal order
+        text = (problems_dir / RUNNING).read_text()
+        assert "\ntau = 2\n" in text
+        path = tmp_path / "typo.prob"
+        path.write_text(text.replace("\ntau = 2\n", "\ntua = 3\n"))
+        lineno = text.splitlines().index("tau = 2") + 1
+        with pytest.raises(ProblemFileError, match=rf"'tua'.*line {lineno}\)"):
+            load_problem(path)
+        assert main(["analyze", str(path)]) == 1
+        assert "unknown option 'tua'" in capsys.readouterr().err
+
     def test_inline_region_and_delta_constraints(self, tmp_path):
         path = tmp_path / "inline.prob"
         path.write_text(
@@ -243,6 +255,14 @@ class TestCommands:
         out = capsys.readouterr().out
         assert code == 0
         assert "tau=1" in out and "tau=2" in out
+
+    def test_hierarchy_below_minimal_order_solves_each_order_once(self, problems_dir, capsys):
+        # the Hurwitz problem's minimal order is 2: --tau 1 starts there
+        with pytest.warns(UserWarning, match="minimal order 2"):
+            main(["hierarchy", str(problems_dir / "hurwitz.prob"), "--tau", "1", "--tau-max", "2"])
+        out = capsys.readouterr().out
+        assert out.count("tau=2:") == 1
+        assert "tau=1" not in out
 
     def test_export_sdp(self, problems_dir, tmp_path, capsys):
         target = tmp_path / "out.sdp"

@@ -8,7 +8,13 @@ from conftest import PROBLEMS_DIR, hurwitz_problem, running_problem
 
 from dstab.analysis import DEFAULT_CERTIFICATION_MARGIN
 from dstab.cli import load_problem
-from dstab.moments import localizing_matrix_form, moment_matrix_form, moments_of_atomic
+from dstab.moments import (
+    MomentVector,
+    assemble,
+    localizing_matrix_form,
+    moment_matrix_form,
+    moments_of_atomic,
+)
 from dstab.poly import monomial_basis, parse_polynomial
 from dstab.problem import build_lifted
 from dstab.relax import (
@@ -20,6 +26,7 @@ from dstab.sdp import (
     SolverSettings,
     _compile,
     _equality_rows,
+    _pencil,
     _rounding_allowance,
     residuals,
     solve,
@@ -323,3 +330,37 @@ class TestRoundingAllowance:
         gap = np.abs(g_mat.toarray().T @ nu - g_mat.T @ nu)
         assert gap.max() > 0.0
         assert np.all(gap <= allowance)
+
+
+def _pencil_cases():
+    variance, _ = load_problem(PROBLEMS_DIR / "running_example_variance.prob", {"sigma2": 0.1})
+    return [("hurwitz/tau3", hurwitz_problem(), 3), ("variance0.1/tau2", variance, 2)]
+
+
+class TestPencil:
+    """Every block and equality form is held as one sparse pencil P with
+    P y = vec A(y); its transpose is the adjoint."""
+
+    @pytest.mark.parametrize("name,problem,tau", _pencil_cases(),
+                             ids=[case[0] for case in _pencil_cases()])
+    def test_matches_term_by_term_reference(self, name, problem, tau):
+        sdp = assemble_relaxation(build_lifted(problem), tau)
+        forms = [form for _label, form in (*sdp.psd_blocks, *sdp.equalities)]
+        assert sdp.psd_blocks and sdp.equalities
+        rng = np.random.default_rng(20261018)
+        for form in forms:
+            k = form.dimension
+            p = _pencil(sdp, form)
+            assert p.shape == (k * k, sdp.num_moments)
+            m = rng.standard_normal(sdp.num_moments)
+            np.testing.assert_allclose(
+                (p @ m).reshape(k, k),
+                assemble(form, MomentVector(sdp.n_z, sdp.tau, m)),
+                rtol=1e-12, atol=1e-12,
+            )
+            w = rng.standard_normal((k, k))
+            w = w + w.T
+            reference = np.zeros(sdp.num_moments)
+            for alpha, rows, cols, vals in form.terms:
+                reference[sdp.basis.index(alpha)] += vals @ w[cols, rows]
+            np.testing.assert_allclose(p.T @ w.ravel(), reference, rtol=1e-12, atol=1e-12)
