@@ -20,16 +20,17 @@ import csv
 import enum
 import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .problem import DStabilityProblem, LiftedProblem, build_lifted, minimal_order
-from .relax import SDPSolution, SolverStatus, assemble_relaxation
+from .relax import SDPProblem, SDPSolution, SolverStatus, assemble_relaxation
 from .sdp import SolverSettings, solve
 from .sets import Relation
 
 DEFAULT_CERTIFICATION_MARGIN = 1e-3
+MONOTONICITY_TOL = 1e-6  # a larger rise of the raw value between orders is an anomaly
 
 
 class Verdict(enum.Enum):
@@ -69,10 +70,14 @@ class AnalysisReport:
     residuals: dict
     iterations: int
     seconds: float
-    num_moments: int
     support_only: bool
     solved_moments: int
     solved_largest_block: int
+    sdp: SDPProblem = field(repr=False, compare=False)  # the SDP that was solved
+
+    @property
+    def num_moments(self) -> int:
+        return self.sdp.num_moments
 
 
 @dataclass(frozen=True)
@@ -141,6 +146,14 @@ def extract_candidate(solution: SDPSolution, lifted: LiftedProblem) -> Candidate
     )
 
 
+def check_margin(margin: float) -> float:
+    """The certification margin, which must lie in [0, 1): a negative one
+    would certify a bound of 1 or more."""
+    if not 0.0 <= margin < 1.0:
+        raise ValueError(f"certification margin {margin!r} must lie in [0, 1)")
+    return margin
+
+
 def upper_probability(
     problem: DStabilityProblem,
     tau: int | None = None,
@@ -159,19 +172,19 @@ def upper_probability(
     measure meets the moment constraints, so any figure holds vacuously (the
     bound is typically far below 0); p_upper is then reported as the
     trivial 1 and p_lower as 0, so the figures never read as a stability
-    guarantee, while `upper_bound` keeps the computed value.
+    guarantee, while `upper_bound` keeps the computed value.  The margin
+    must lie in [0, 1).
     """
+    check_margin(margin)
     start = time.perf_counter()
     lifted = build_lifted(problem)
     tau_min = minimal_order(lifted)
-    if tau is None:
-        tau = tau_min
-    elif tau < tau_min:
+    if tau is not None and tau < tau_min:
         warnings.warn(
             f"relaxation order {tau} below the minimal order {tau_min}; using {tau_min}",
             stacklevel=2,
         )
-        tau = tau_min
+        tau = None
     sdp = assemble_relaxation(lifted, tau)
     solution = solve(sdp, settings)
     seconds = time.perf_counter() - start
@@ -195,7 +208,7 @@ def upper_probability(
         verdict = Verdict.INCONCLUSIVE
 
     return AnalysisReport(
-        tau=tau,
+        tau=sdp.tau,
         raw_value=raw,
         upper_bound=solution.upper_bound,
         p_upper=p_upper,
@@ -206,10 +219,10 @@ def upper_probability(
         residuals=dict(solution.residuals),
         iterations=solution.iterations,
         seconds=seconds,
-        num_moments=sdp.num_moments,
         support_only=support_only,
         solved_moments=solution.solved_moments,
         solved_largest_block=max(solution.solved_blocks, default=0),
+        sdp=sdp,
     )
 
 
@@ -239,29 +252,24 @@ def certify_robust(
 
 def hierarchy(
     problem: DStabilityProblem,
-    tau_min: int,
-    tau_max: int,
+    tau_min: int | None = None,
+    tau_max: int | None = None,
     settings: SolverSettings | None = None,
     margin: float = DEFAULT_CERTIFICATION_MARGIN,
-    monotonicity_tol: float = 1e-6,
 ) -> HierarchyReport:
-    """Solve the relaxation at each order in [tau_min, tau_max]; the raw
-    values must be nonincreasing up to solver accuracy, and any increase
-    beyond the tolerance is flagged as an anomaly.  A range that starts
-    below the problem's minimal order starts at it instead (with one
-    warning), so each order is solved once."""
-    start = max(tau_min, minimal_order(build_lifted(problem)))
-    if start != tau_min:
-        warnings.warn(
-            f"relaxation order {tau_min} below the minimal order {start}; starting at {start}",
-            stacklevel=2,
-        )
-    reports = []
-    for tau in range(start, max(tau_max, start) + 1):
+    """Solve the relaxation at each order from the one `upper_probability`
+    solves for tau_min (the minimal order when tau_min is None or below it)
+    to tau_max, by default one order above that start.  The raw values must
+    be nonincreasing up to solver accuracy; a rise beyond MONOTONICITY_TOL
+    is flagged as an anomaly."""
+    first = upper_probability(problem, tau=tau_min, settings=settings, margin=margin)
+    end = first.tau + 1 if tau_max is None else tau_max
+    reports = [first]
+    for tau in range(first.tau + 1, end + 1):
         reports.append(upper_probability(problem, tau=tau, settings=settings, margin=margin))
     violations = []
     for prev, nxt in zip(reports, reports[1:]):
-        if nxt.raw_value > prev.raw_value + monotonicity_tol:
+        if nxt.raw_value > prev.raw_value + MONOTONICITY_TOL:
             violations.append((nxt.tau, prev.raw_value, nxt.raw_value))
     return HierarchyReport(reports=tuple(reports), monotonicity_violations=tuple(violations))
 
@@ -278,11 +286,15 @@ def bisect_margin(
     """Largest parameter k (within tol) whose problem family(k) is still
     certified robustly D-stable.
 
-    Requires certification to hold at k_lo; when it also holds at k_hi the
-    whole bracket is certified and k_hi is returned.  Certification is
-    assumed monotone in k; non-monotone families are the caller's
-    responsibility.
+    Requires k_lo < k_hi, tol > 0 and certification at k_lo; when it also
+    holds at k_hi the whole bracket is certified and k_hi is returned.
+    Certification is assumed monotone in k; non-monotone families are the
+    caller's responsibility.
     """
+    if not k_lo < k_hi:
+        raise ValueError(f"bisection bracket invalid: k_lo={k_lo!r} is not below k_hi={k_hi!r}")
+    if not tol > 0:
+        raise ValueError(f"bisection tolerance {tol!r} must be positive")
     evaluations = []
 
     def certified_at(k: float) -> bool:

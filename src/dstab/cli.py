@@ -7,8 +7,9 @@ bounds (`name in [lo, hi]`) and/or inline polynomial constraints,
 `[region]` is a preset name or inline constraints over `lre`/`lim`,
 `[moments]` holds expectation constraints (`E[expr] = value`, `<=`, `>=`),
 and `[options]` carries defaults such as `tau` or `eigen_space`.  `$name`
-placeholders anywhere in the file are bound on the command line, which is
-how parameter sweeps and bisection attach to a file.
+placeholders anywhere in the file are bound on the command line, each
+binding to a placeholder the file holds, which is how parameter sweeps and
+bisection attach to a file.
 
 Exit codes: 0 = completed, 2 = NotCertified / Inconclusive (for
 scripting), 1 = error.
@@ -17,12 +18,13 @@ scripting), 1 = error.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from pathlib import Path
 
 from . import analysis, oracle
 from .poly import PolynomialError, parse_polynomial
-from .problem import DStabilityProblem, MomentConstraint, UncertainMatrix, build_lifted, minimal_order
+from .problem import DStabilityProblem, MomentConstraint, UncertainMatrix, build_lifted
 from .relax import assemble_relaxation, export_sdp
 from .sdp import SolverSettings
 from .sets import (
@@ -60,21 +62,25 @@ def fmt(x: float) -> str:
 _SECTIONS = ("variables", "matrix", "delta", "region", "moments", "options")
 _OPTION_KEYS = ("tau", "margin", "max_iterations", "feasibility_tol", "gap_tol",
                 "eigen_space", "allow_asymmetric_real", "lambda_radius")
+_PLACEHOLDER = re.compile(r"\$([A-Za-z][A-Za-z0-9_]*)")
 
 
 def _substitute(text: str, bindings: dict[str, float], path: str) -> str:
-    for name, value in bindings.items():
-        text = text.replace(f"${name}", f"({float(value)!r})")
-    if "$" in text:
-        leftovers = sorted(
-            {tok.split()[0] for tok in text.split("$")[1:] if tok}
-        )
+    """Replace each whole `$name` placeholder by its bound value; every
+    placeholder must be bound and every binding must name a placeholder."""
+    names = set(_PLACEHOLDER.findall(text))
+    unbound = sorted(names - set(bindings))
+    if unbound:
         raise ProblemFileError(
-            f"unbound placeholders in {path}: "
-            + ", ".join("$" + t.rstrip("],+-*/^ ") for t in leftovers)
+            f"unbound placeholders in {path}: " + ", ".join("$" + n for n in unbound)
             + " (bind with --bind name=value or --param)"
         )
-    return text
+    unused = sorted(set(bindings) - names)
+    if unused:
+        raise ProblemFileError(
+            f"no placeholder in {path} for binding(s): " + ", ".join(unused)
+        )
+    return _PLACEHOLDER.sub(lambda m: f"({float(bindings[m.group(1)])!r})", text)
 
 
 def _constant(expr: str, line: int, section: str) -> float:
@@ -155,6 +161,8 @@ def load_problem(path, bindings: dict[str, float] | None = None):
             f"matrix section must start with the size, got {size_text!r}",
             size_line, "matrix",
         )
+    if size < 1:
+        raise ProblemFileError(f"matrix size must be at least 1, got {size}", size_line, "matrix")
     entries = matrix_lines[1:]
     if len(entries) != size * size:
         raise ProblemFileError(
@@ -343,9 +351,10 @@ def _tau_from(options: dict, args) -> int | None:
 
 
 def _margin_from(options: dict, args) -> float:
-    if getattr(args, "margin", None) is not None:
-        return args.margin
-    return float(str(options.get("margin", analysis.DEFAULT_CERTIFICATION_MARGIN)))
+    margin = getattr(args, "margin", None)
+    if margin is None:
+        margin = float(str(options.get("margin", analysis.DEFAULT_CERTIFICATION_MARGIN)))
+    return analysis.check_margin(margin)
 
 
 def _bindings(args) -> dict[str, float]:
@@ -404,8 +413,7 @@ def _cmd_analyze(args, out) -> int:
     )
     _print_report(report, out)
     if args.export_sdp:
-        lifted = build_lifted(problem)
-        export_sdp(assemble_relaxation(lifted, report.tau), args.export_sdp)
+        export_sdp(report.sdp, args.export_sdp)
         print(f"sdp written to {args.export_sdp}", file=out)
     if args.csv:
         analysis.write_sweep_csv(_report_csv_rows([report]), args.csv)
@@ -426,11 +434,8 @@ def _cmd_certify(args, out) -> int:
 
 def _cmd_hierarchy(args, out) -> int:
     problem, options = load_problem(args.problem, _bindings(args))
-    lifted = build_lifted(problem)
-    tau_min = _tau_from(options, args) or minimal_order(lifted)
-    tau_max = args.tau_max if args.tau_max is not None else tau_min + 1
     report = analysis.hierarchy(
-        problem, tau_min, tau_max,
+        problem, _tau_from(options, args), args.tau_max,
         settings=_settings_from(options, args), margin=_margin_from(options, args),
     )
     for r in report.reports:
@@ -515,9 +520,7 @@ def _cmd_oracle(args, out) -> int:
 
 def _cmd_export(args, out) -> int:
     problem, options = load_problem(args.problem, _bindings(args))
-    lifted = build_lifted(problem)
-    tau = _tau_from(options, args) or minimal_order(lifted)
-    sdp = assemble_relaxation(lifted, tau)
+    sdp = assemble_relaxation(build_lifted(problem), _tau_from(options, args))
     dims = export_sdp(sdp, args.output)
     print(f"tau {sdp.tau}: {sdp.num_moments} moment variables, "
           f"blocks {list(dims)}, "
@@ -543,7 +546,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="bind a $placeholder in the problem file")
         if solver:
             p.add_argument("--margin", type=float, default=None,
-                           help="certification margin on the bound < 1")
+                           help="certification margin in [0, 1) on the bound < 1")
             p.add_argument("--log-iterations", action="store_true",
                            help="print one solver line per interior-point iteration")
         if csv:

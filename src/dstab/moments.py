@@ -7,12 +7,14 @@ matrices B_alpha; assembling a pencil against a concrete moment vector gives
 the dense symmetric matrix whose positive semidefiniteness is necessary for
 m to be the moment sequence of a probability measure supported where the
 localizing polynomial is nonnegative.
+
+Every call builds its form afresh and the module keeps none, so a form
+lives exactly as long as the SDP that holds it.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,17 +87,9 @@ def _freeze_terms(dim: int, num_vars: int, alphas, rows, cols, vals) -> LinearMa
     return LinearMatrixForm(dimension=dim, num_vars=num_vars, terms=terms)
 
 
-_FORM_CACHE: dict[tuple, LinearMatrixForm] = {}
-_FORM_LOCK = threading.Lock()
-
-
-def _pencil(key: tuple, q: Polynomial, num_vars: int, order: int) -> LinearMatrixForm:
+def _pencil(q: Polynomial, num_vars: int, order: int) -> LinearMatrixForm:
     """Pencil with entry (i, j) = sum_gamma q_gamma m_{beta_i + beta_j + gamma}
-    over the graded-lex basis beta of degree <= order, cached under key."""
-    with _FORM_LOCK:
-        cached = _FORM_CACHE.get(key)
-    if cached is not None:
-        return cached
+    over the graded-lex basis beta of degree <= order."""
     basis = np.array(monomial_basis(num_vars, order).elements, dtype=np.intp)
     basis = basis.reshape(-1, num_vars)
     gammas = np.array(list(q.terms), dtype=np.intp).reshape(-1, num_vars)
@@ -104,20 +98,17 @@ def _pencil(key: tuple, q: Polynomial, num_vars: int, order: int) -> LinearMatri
     # entries in (i, j, gamma) order
     alphas = basis[:, None, None, :] + basis[None, :, None, :] + gammas[None, None, :, :]
     rows, cols, _g = np.indices((n, n, t))
-    form = _freeze_terms(
+    return _freeze_terms(
         n, num_vars, alphas.reshape(-1, num_vars), rows.ravel(), cols.ravel(),
         np.broadcast_to(coeffs, (n, n, t)).ravel(),
     )
-    with _FORM_LOCK:
-        _FORM_CACHE[key] = form
-    return form
 
 
 def moment_matrix_form(num_vars: int, order: int) -> LinearMatrixForm:
     """Pencil of the moment matrix truncated to `order`: entry (i, j) is
     m_{beta_i + beta_j} over the graded-lex basis."""
     one = Polynomial.constant(num_vars, 1.0)
-    return _pencil(("moment", num_vars, order), one, num_vars, order)
+    return _pencil(one, num_vars, order)
 
 
 def localizing_matrix_form(q: Polynomial, num_vars: int, order: int) -> LinearMatrixForm:
@@ -127,7 +118,7 @@ def localizing_matrix_form(q: Polynomial, num_vars: int, order: int) -> LinearMa
         raise PolynomialError(
             f"localizing polynomial has {q.num_vars} vars, expected {num_vars}"
         )
-    return _pencil(("localizing", q.key(), order), q, num_vars, order)
+    return _pencil(q, num_vars, order)
 
 
 def assemble(form: LinearMatrixForm, m: MomentVector) -> np.ndarray:

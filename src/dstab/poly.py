@@ -213,7 +213,8 @@ class Polynomial:
 
     # ------------------------------------------------------------------
     def key(self) -> tuple:
-        """Hashable structural key (used for form caching)."""
+        """Hashable structural key: equal polynomials have equal keys, and
+        `__hash__` hashes it."""
         return (self.num_vars, tuple(sorted(self.terms.items())))
 
     def __eq__(self, other) -> bool:

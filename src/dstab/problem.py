@@ -45,6 +45,8 @@ class UncertainMatrix:
         rows = tuple(tuple(row) for row in self.entries)
         object.__setattr__(self, "entries", rows)
         n = len(rows)
+        if n == 0:
+            raise ProblemError("matrix must have at least one entry")
         for row in rows:
             if len(row) != n:
                 raise ProblemError("matrix must be square")

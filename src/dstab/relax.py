@@ -226,11 +226,12 @@ def _sign_symmetries(even, uniform, n_z: int) -> tuple[tuple[int, ...], ...]:
     return tuple(generators)
 
 
-def assemble_relaxation(lifted: LiftedProblem, tau: int) -> SDPProblem:
+def assemble_relaxation(lifted: LiftedProblem, tau: int | None = None) -> SDPProblem:
     """Build the order-tau SDP for a lifted problem: a PSD localizer for
     each inequality and an equality form for each equality, support and
-    expectation constraints alike."""
+    expectation constraints alike.  tau None means the minimal order."""
     tau_min = minimal_order(lifted)
+    tau = tau_min if tau is None else tau
     if tau < tau_min:
         raise RelaxationError(
             f"relaxation order {tau} is below the minimal order {tau_min}"

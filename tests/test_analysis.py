@@ -7,6 +7,7 @@ import pytest
 
 from conftest import hurwitz_problem, running_matrix, running_problem
 
+import dstab.analysis
 from dstab.analysis import (
     SWEEP_CSV_HEADER,
     Verdict,
@@ -50,6 +51,13 @@ class TestUpperProbability:
         assert report.p_lower_stability == pytest.approx(0.5, abs=1e-3)
         assert report.solver_status is SolverStatus.OPTIMAL
         assert not report.support_only
+
+    def test_report_holds_the_solved_sdp(self, mean_problem):
+        report = upper_probability(mean_problem)
+        assert report.tau == report.sdp.tau == 1
+        assert report.num_moments == report.sdp.num_moments
+        assert "sdp=" not in repr(report)
+        assert dataclasses.replace(report, sdp=None) == report
 
     def test_support_only_inconclusive(self, support_problem):
         report = upper_probability(support_problem, tau=2)
@@ -125,6 +133,17 @@ class TestCertify:
         assert result.certified
         assert result.label == "CertifiedRobustlyDStable"
 
+    @pytest.mark.parametrize("margin", [-0.1, 1.0, float("nan")])
+    def test_margin_outside_unit_interval_rejected(self, support_problem, margin):
+        # with margin -0.1 the support problem, violated with probability 1,
+        # was certified on a bound of 1.00000001
+        with pytest.raises(ValueError, match="margin"):
+            certify_robust(support_problem, tau=2, margin=margin)
+
+    def test_zero_margin_accepted(self):
+        result = certify_robust(running_problem(mean=None, upper=0.9), tau=2, margin=0.0)
+        assert result.certified and result.margin == 0.0
+
     def test_rejects_moment_constraints(self, mean_problem):
         with pytest.raises(ValueError, match="support-only"):
             certify_robust(mean_problem, tau=2)
@@ -163,6 +182,25 @@ class TestHierarchy:
             report = hierarchy(hurwitz_problem(), 1, 2)
         assert [r.tau for r in report.reports] == [2]
         assert [w.category for w in caught] == [UserWarning]
+
+    def test_default_end_follows_the_effective_start(self):
+        # the start moves up to the minimal order 2, and the end with it
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            report = hierarchy(hurwitz_problem(), 1)
+        assert [r.tau for r in report.reports] == [2, 3]
+        assert [w.category for w in caught] == [UserWarning]
+
+    def test_lifts_once_per_order(self, mean_problem, monkeypatch):
+        # the minimal order comes from the first solve, not from a lift of
+        # its own
+        lifts = []
+        build = dstab.analysis.build_lifted
+        monkeypatch.setattr(dstab.analysis, "build_lifted",
+                            lambda problem: lifts.append(problem) or build(problem))
+        report = hierarchy(mean_problem)
+        assert [r.tau for r in report.reports] == [1, 2]
+        assert len(lifts) == 2
 
 
 class TestExtractCandidate:
@@ -277,6 +315,20 @@ class TestBisect:
 
         with pytest.raises(ValueError, match="bracket"):
             bisect_margin(family, 0.1, 0.2, tau=2, tol=1e-2)
+
+    @pytest.mark.parametrize("k_lo, k_hi, tol, match", [
+        (0.5, 1.0, 0.0, "tolerance"),
+        (0.5, 1.0, -1e-3, "tolerance"),
+        (1.0, 1.0, 1e-3, "bracket"),
+        (1.0, 0.5, 1e-3, "bracket"),
+    ])
+    def test_bad_arguments_rejected_before_any_solve(self, k_lo, k_hi, tol, match):
+        # with tol 0 the bisection never ended once lo and hi were adjacent
+        def family(k):
+            pytest.fail("the family was evaluated")
+
+        with pytest.raises(ValueError, match=match):
+            bisect_margin(family, k_lo, k_hi, tau=2, tol=tol)
 
 
 class TestSweep:

@@ -11,6 +11,8 @@ import pytest
 from conftest import running_problem
 
 import dstab
+import dstab.analysis
+import dstab.cli
 from dstab.cli import ProblemFileError, load_problem, main, save_problem
 from dstab.poly import parse_polynomial
 from dstab.sets import Relation
@@ -64,9 +66,15 @@ class TestLoadProblem:
         assert numpy_float == plain
 
     def test_all_problem_files_load(self, problems_dir):
-        bindings = {"k": 0.4, "sigma2": 0.05}
+        # each file gets exactly the placeholders it holds: an unused
+        # binding is an error
+        bindings = {
+            "bifurcation.prob": {"k": 0.4},
+            "bifurcation_probabilistic.prob": {"sigma2": 0.05},
+            VARIANCE: {"sigma2": 0.05},
+        }
         for path in sorted(problems_dir.glob("*.prob")):
-            problem, _options = load_problem(path, bindings)
+            problem, _options = load_problem(path, bindings.get(path.name, {}))
             assert problem.matrix.size >= 1
 
     def test_unknown_region(self, tmp_path):
@@ -104,6 +112,34 @@ class TestLoadProblem:
         )
         with pytest.raises(ProblemFileError, match="4 entries"):
             load_problem(path)
+
+    @pytest.mark.parametrize("size, entries", [("-1", "x - 1\n"), ("0", "")])
+    def test_matrix_size_below_one_rejected(self, tmp_path, size, entries):
+        # size -1 with one entry passed the size * size count and became an
+        # empty matrix, which was then certified
+        path = tmp_path / "bad.prob"
+        path.write_text(
+            f"[variables]\nx\n[matrix]\n{size}\n{entries}[delta]\nx in [0, 1]\n"
+            "[region]\nleft_half_plane_closure\n"
+        )
+        with pytest.raises(ProblemFileError, match=r"at least 1.*line 4"):
+            load_problem(path)
+
+    def test_placeholders_that_prefix_each_other(self, tmp_path):
+        path = tmp_path / "two.prob"
+        path.write_text(
+            "[variables]\nx\n[matrix]\n1\nx - $m\n[delta]\nx in [0, $m2]\n"
+            "[region]\nleft_half_plane_closure\n"
+        )
+        forward, _ = load_problem(path, {"m": 0.5, "m2": 0.1})
+        backward, _ = load_problem(path, {"m2": 0.1, "m": 0.5})
+        assert forward == backward
+        assert forward.matrix.entries[0][0] == parse_polynomial("x - 0.5", ["x"])
+        assert forward.delta.contains([0.1]) and not forward.delta.contains([0.2])
+
+    def test_unused_binding_rejected(self, problems_dir):
+        with pytest.raises(ProblemFileError, match="no placeholder.*foo"):
+            load_problem(problems_dir / VARIANCE, {"sigma2": 0.1, "foo": 1.0})
 
     def test_missing_section(self, tmp_path):
         path = tmp_path / "bad.prob"
@@ -256,6 +292,15 @@ class TestCommands:
         assert code == 0
         assert "tau=1" in out and "tau=2" in out
 
+    def test_hierarchy_default_end_follows_the_effective_start(self, problems_dir, capsys):
+        # --tau 1 starts at the minimal order 2, and the default range still
+        # holds two orders
+        with pytest.warns(UserWarning, match="minimal order 2"):
+            code = main(["hierarchy", str(problems_dir / "hurwitz.prob"), "--tau", "1"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert [line.split(":")[0] for line in out.splitlines()] == ["tau=2", "tau=3"]
+
     def test_hierarchy_below_minimal_order_solves_each_order_once(self, problems_dir, capsys):
         # the Hurwitz problem's minimal order is 2: --tau 1 starts there
         with pytest.warns(UserWarning, match="minimal order 2"):
@@ -269,6 +314,85 @@ class TestCommands:
         code = main(["export-sdp", str(problems_dir / RUNNING), str(target)])
         assert code == 0
         assert target.read_text().startswith("DSTAB-SDP 1")
+
+    @pytest.mark.parametrize("option", [["--tau", "0"], ["--tau", "1"], None])
+    def test_export_sdp_below_minimal_order(self, problems_dir, tmp_path, capsys, option):
+        # a tau of 0, given as a flag or in [options], is an order like any other
+        source = problems_dir / "hurwitz.prob"
+        if option is None:
+            source = tmp_path / "tau0.prob"
+            text = (problems_dir / "hurwitz.prob").read_text()
+            source.write_text(text.replace("\ntau = 3\n", "\ntau = 0\n"))
+        target = tmp_path / "out.sdp"
+        assert main(["export-sdp", str(source), *(option or []), str(target)]) == 1
+        assert "below the minimal order 2" in capsys.readouterr().err
+        assert not target.exists()
+
+    def test_analyze_exports_the_sdp_it_solved(self, problems_dir, tmp_path, capsys,
+                                               monkeypatch):
+        # one lift and one assembly, counted in both modules that call them,
+        # and the same bytes as export-sdp with the same order and bindings
+        calls = []
+        for module in (dstab.cli, dstab.analysis):
+            for name in ("build_lifted", "assemble_relaxation"):
+                def counted(*args, _fn=getattr(module, name), _name=name):
+                    calls.append(_name)
+                    return _fn(*args)
+                monkeypatch.setattr(module, name, counted)
+        analyzed = tmp_path / "analyzed.sdp"
+        exported = tmp_path / "exported.sdp"
+        assert main(["analyze", str(problems_dir / VARIANCE), "--bind", "sigma2=0.1",
+                     "--export-sdp", str(analyzed)]) == 0
+        assert sorted(calls) == ["assemble_relaxation", "build_lifted"]
+        assert main(["export-sdp", str(problems_dir / VARIANCE), "--bind", "sigma2=0.1",
+                     "--tau", "2", str(exported)]) == 0
+        assert analyzed.read_bytes() == exported.read_bytes()
+
+    @pytest.mark.parametrize("argv", [
+        ["certify", SUPPORT, "--margin", "-0.1"],
+        ["analyze", SUPPORT, "--margin", "1"],
+        ["sweep", VARIANCE, "--param", "sigma2", "--values", "0.1,0.2", "--margin", "-0.5"],
+    ], ids=lambda argv: f"{argv[0]} {argv[-1]}")
+    def test_margin_outside_unit_interval_exit_one(self, problems_dir, capsys, argv):
+        argv = [str(problems_dir / a) if a.endswith(".prob") else a for a in argv]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert "margin" in captured.err and argv[-1] in captured.err
+        assert captured.out == ""
+
+    def test_margin_option_checked_before_any_solve(self, problems_dir, tmp_path, capsys):
+        path = tmp_path / "margin.prob"
+        path.write_text((problems_dir / VARIANCE).read_text() + "margin = 1.5\n")
+        code = main(["sweep", str(path), "--param", "sigma2", "--values", "0.1,0.2"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "margin 1.5" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", SUPPORT, "--param", "foo", "--values", "1,2"],
+        ["analyze", VARIANCE, "--bind", "sigma2=0.1", "--bind", "foo=1"],
+    ], ids=["sweep", "analyze"])
+    def test_unused_binding_exit_one(self, problems_dir, capsys, argv):
+        argv = [str(problems_dir / a) if a.endswith(".prob") else a for a in argv]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert "foo" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("bracket", [["--tol", "0"], ["--lo", "1.0"]],
+                             ids=["tol", "bracket"])
+    def test_bisect_bad_arguments_exit_one(self, tmp_path, capsys, monkeypatch, bracket):
+        monkeypatch.setattr(dstab.analysis, "solve",
+                            lambda *args: pytest.fail("an SDP was solved"))
+        path = tmp_path / "family.prob"
+        path.write_text(
+            "[variables]\nrho\n[matrix]\n2\nrho - 1\n0\n0\n-1\n"
+            "[delta]\nrho in [0, $k]\n[region]\nleft_half_plane_closure\n"
+        )
+        argv = ["bisect", str(path), "--param", "k", "--lo", "0.5", "--hi", "1.0", *bracket]
+        assert main(argv) == 1
+        assert "error:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
         ["certify", SUPPORT, "--export-sdp", "out.sdp"],

@@ -249,6 +249,10 @@ class TestLiftGeometry:
 
 
 class TestValidation:
+    def test_empty_matrix_rejected(self):
+        with pytest.raises(ProblemError, match="at least one entry"):
+            UncertainMatrix(("rho",), ())
+
     def test_delta_variable_mismatch(self):
         with pytest.raises(ProblemError):
             DStabilityProblem(

@@ -1,5 +1,7 @@
 import dataclasses
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ import pytest
 from conftest import hurwitz_problem, running_problem
 
 from dstab.moments import MomentVector, assemble, moments_of_atomic
-from dstab.problem import LiftedProblem, build_lifted
+from dstab.problem import LiftedProblem, build_lifted, minimal_order
 from dstab.relax import (
     RelaxationError,
     assemble_relaxation,
@@ -77,6 +79,21 @@ class TestRunningAssembly:
         lifted = build_lifted(hurwitz_problem())
         with pytest.raises(RelaxationError, match="minimal order"):
             assemble_relaxation(lifted, 1)
+
+
+class TestFormLifetime:
+    def test_default_order_is_minimal(self):
+        lifted = build_lifted(hurwitz_problem())
+        assert assemble_relaxation(lifted).tau == minimal_order(lifted) == 2
+
+    def test_forms_die_with_their_sdp(self):
+        # no form outlives the SDP that holds it
+        sdp = assemble_relaxation(build_lifted(hurwitz_problem()), 2)
+        refs = [weakref.ref(form) for _label, form in sdp.psd_blocks + sdp.equalities]
+        assert len(refs) == 10
+        del sdp
+        gc.collect()
+        assert [ref() for ref in refs] == [None] * 10
 
 
 class TestStats:
