@@ -6,13 +6,13 @@ uncertainty vector, `[matrix]` gives the size and then the entries
 bounds (`name in [lo, hi]`) and/or inline polynomial constraints,
 `[region]` is a preset name or inline constraints over `lre`/`lim`,
 `[moments]` holds expectation constraints (`E[expr] = value`, `<=`, `>=`),
-and `[options]` carries defaults such as `tau` or `eigen_space`.  `$name`
-placeholders anywhere in the file are bound on the command line, each
-binding to a placeholder the file holds, which is how parameter sweeps and
-bisection attach to a file.
+and `[options]` holds defaults such as `tau = 2`, each parsed on its line
+by its key's type (a flag wins over it).  `$name` placeholders anywhere in
+the file are bound on the command line, each binding to a placeholder the
+file holds, which is how parameter sweeps and bisection attach to a file.
 
 Exit codes: 0 = completed, 2 = NotCertified / Inconclusive (for
-scripting), 1 = error.
+scripting) or a usage error such as a malformed flag value, 1 = error.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import sys
 from pathlib import Path
 
 from . import analysis, oracle
-from .poly import PolynomialError, parse_polynomial
+from .poly import Polynomial, PolynomialError, parse_polynomial
 from .problem import DStabilityProblem, MomentConstraint, UncertainMatrix, build_lifted
 from .relax import assemble_relaxation, export_sdp
 from .sdp import SolverSettings
@@ -33,7 +33,6 @@ from .sets import (
     RegionPreset,
     SemialgebraicSet,
     StabilityRegionComplement,
-    box_set,
     region_preset,
 )
 
@@ -60,8 +59,17 @@ def fmt(x: float) -> str:
 # Problem file parsing.
 
 _SECTIONS = ("variables", "matrix", "delta", "region", "moments", "options")
-_OPTION_KEYS = ("tau", "margin", "max_iterations", "feasibility_tol", "gap_tol",
-                "eigen_space", "allow_asymmetric_real", "lambda_radius")
+
+
+def _true_or_false(text: str) -> bool:
+    if text.lower() not in ("true", "false"):
+        raise ValueError("expected true or false")
+    return text.lower() == "true"
+
+
+_OPTION_PARSERS = {"tau": int, "margin": float, "max_iterations": int, "feasibility_tol": float,
+                   "gap_tol": float, "eigen_space": str,
+                   "allow_asymmetric_real": _true_or_false, "lambda_radius": float}
 _PLACEHOLDER = re.compile(r"\$([A-Za-z][A-Za-z0-9_]*)")
 
 
@@ -183,8 +191,7 @@ def load_problem(path, bindings: dict[str, float] | None = None):
 
     if not sections["delta"]:
         raise ProblemFileError("delta section may not be empty", section="delta")
-    lower = {}
-    upper = {}
+    bounds_of = {}
     extra = []
     for lineno, line in sections["delta"]:
         if " in " in line:
@@ -192,6 +199,8 @@ def load_problem(path, bindings: dict[str, float] | None = None):
             name = name.strip()
             if name not in variables:
                 raise ProblemFileError(f"unknown variable {name!r}", lineno, "delta")
+            if name in bounds_of:
+                raise ProblemFileError(f"second interval for variable {name!r}", lineno, "delta")
             bounds = bounds.strip()
             if not (bounds.startswith("[") and bounds.endswith("]")):
                 raise ProblemFileError(
@@ -204,19 +213,16 @@ def load_problem(path, bindings: dict[str, float] | None = None):
             hi = _constant(parts[1], lineno, "delta")
             if lo > hi:
                 raise ProblemFileError(f"inverted bounds [{lo}, {hi}]", lineno, "delta")
-            lower[name] = lo
-            upper[name] = hi
+            bounds_of[name] = (lo, hi)
         else:
             extra.append(_parse_constraint_line(line, lineno, "delta", variables))
+    # two rows per bounded variable, in variable order, ahead of the inline ones
     constraints = []
-    if lower:
-        box = box_set(
-            tuple(variables),
-            [lower.get(v, 0.0) for v in variables],
-            [upper.get(v, 0.0) for v in variables],
-        )
-        keep = [v in lower for v in variables for _ in (0, 1)]
-        constraints = [c for c, k in zip(box.constraints, keep) if k]
+    for i, name in enumerate(variables):
+        if name in bounds_of:
+            lo, hi = bounds_of[name]
+            v = Polynomial.variable(len(variables), i)
+            constraints += [(v - lo, Relation.GE), (hi - v, Relation.GE)]
     constraints.extend(extra)
     delta = SemialgebraicSet(tuple(variables), tuple(constraints))
 
@@ -265,23 +271,26 @@ def load_problem(path, bindings: dict[str, float] | None = None):
             raise ProblemFileError(f"options are 'key = value', got {line!r}",
                                    lineno, "options")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _OPTION_KEYS:
+        if key not in _OPTION_PARSERS:
             raise ProblemFileError(
-                f"unknown option {key!r} (known: {', '.join(_OPTION_KEYS)})", lineno, "options"
+                f"unknown option {key!r} (known: {', '.join(_OPTION_PARSERS)})", lineno, "options"
             )
-        options[key] = value
+        try:
+            options[key] = _OPTION_PARSERS[key](value)
+        except ValueError as err:
+            raise ProblemFileError(f"bad value {value!r} for option {key!r}: {err}",
+                                   lineno, "options")
 
-    eigen_space = str(options.pop("eigen_space", "auto"))
-    allow_asym = str(options.pop("allow_asymmetric_real", "false")).lower() == "true"
-    lambda_radius = options.pop("lambda_radius", None)
+    # the problem's own options go into it; tau, margin and the solver
+    # settings are returned for the caller
     problem = DStabilityProblem(
         matrix=matrix,
         delta=delta,
         region=region,
         moment_constraints=tuple(moments),
-        eigen_space=eigen_space,
-        allow_asymmetric_real=allow_asym,
-        lambda_radius=float(str(lambda_radius)) if lambda_radius is not None else None,
+        **{key: options.pop(key)
+           for key in ("eigen_space", "allow_asymmetric_real", "lambda_radius")
+           if key in options},
     )
     return problem, options
 
@@ -333,38 +342,44 @@ def save_problem(problem: DStabilityProblem, path, options: dict | None = None) 
 # ----------------------------------------------------------------------
 # Commands.
 
-def _settings_from(options: dict, args) -> SolverSettings:
-    return SolverSettings(
-        max_iterations=int(str(options.get("max_iterations", 200))),
-        feasibility_tol=float(str(options.get("feasibility_tol", 1e-8))),
-        gap_tol=float(str(options.get("gap_tol", 1e-8))),
-        log_stream=sys.stderr if getattr(args, "log_iterations", False) else None,
-    )
+def _flag_or_file(args, options: dict, key: str):
+    """A flag wins over the problem file; None leaves the value to the
+    default of the function that reads it."""
+    value = getattr(args, key, None)
+    return options.get(key) if value is None else value
 
 
-def _tau_from(options: dict, args) -> int | None:
-    if getattr(args, "tau", None) is not None:
-        return args.tau
-    if "tau" in options:
-        return int(str(options["tau"]))
-    return None
+def _solve_kwargs(args, options: dict) -> dict:
+    """tau, settings and margin for a solving command.  Every option the file
+    gives besides tau and margin is a SolverSettings field."""
+    given = {key: value for key, value in options.items() if key not in ("tau", "margin")}
+    if args.log_iterations:
+        given["log_stream"] = sys.stderr
+    kwargs = {"tau": _flag_or_file(args, options, "tau"), "settings": SolverSettings(**given)}
+    margin = _flag_or_file(args, options, "margin")
+    if margin is not None:
+        kwargs["margin"] = analysis.check_margin(margin)
+    return kwargs
 
 
-def _margin_from(options: dict, args) -> float:
-    margin = getattr(args, "margin", None)
-    if margin is None:
-        margin = float(str(options.get("margin", analysis.DEFAULT_CERTIFICATION_MARGIN)))
-    return analysis.check_margin(margin)
+def _binding(text: str) -> tuple[str, float]:
+    name, sep, value = text.partition("=")
+    if not sep:
+        raise argparse.ArgumentTypeError(f"expected NAME=VALUE, got {text!r}")
+    try:
+        return name.strip(), float(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"bad number {value!r} in {text!r}")
 
 
-def _bindings(args) -> dict[str, float]:
-    out = {}
-    for item in getattr(args, "bind", None) or []:
-        if "=" not in item:
-            raise ProblemFileError(f"--bind expects name=value, got {item!r}")
-        name, value = item.split("=", 1)
-        out[name.strip()] = float(value)
-    return out
+def _numbers(text: str) -> list[float]:
+    try:
+        values = [float(v) for v in text.split(",") if v.strip()]
+    except ValueError as err:
+        raise argparse.ArgumentTypeError(str(err))
+    if not values:
+        raise argparse.ArgumentTypeError("must list at least one number")
+    return values
 
 
 def _print_report(report: analysis.AnalysisReport, out) -> None:
@@ -406,11 +421,8 @@ def _report_csv_rows(reports) -> list[analysis.SweepPoint]:
 
 
 def _cmd_analyze(args, out) -> int:
-    problem, options = load_problem(args.problem, _bindings(args))
-    report = analysis.upper_probability(
-        problem, tau=_tau_from(options, args),
-        settings=_settings_from(options, args), margin=_margin_from(options, args),
-    )
+    problem, options = load_problem(args.problem, dict(args.bind))
+    report = analysis.upper_probability(problem, **_solve_kwargs(args, options))
     _print_report(report, out)
     if args.export_sdp:
         export_sdp(report.sdp, args.export_sdp)
@@ -421,11 +433,8 @@ def _cmd_analyze(args, out) -> int:
 
 
 def _cmd_certify(args, out) -> int:
-    problem, options = load_problem(args.problem, _bindings(args))
-    result = analysis.certify_robust(
-        problem, tau=_tau_from(options, args),
-        margin=_margin_from(options, args), settings=_settings_from(options, args),
-    )
+    problem, options = load_problem(args.problem, dict(args.bind))
+    result = analysis.certify_robust(problem, **_solve_kwargs(args, options))
     _print_report(result.report, out)
     print(f"certificate: {result.label} (bound {fmt(result.upper_bound)}, "
           f"margin {fmt(result.margin)})", file=out)
@@ -433,11 +442,9 @@ def _cmd_certify(args, out) -> int:
 
 
 def _cmd_hierarchy(args, out) -> int:
-    problem, options = load_problem(args.problem, _bindings(args))
-    report = analysis.hierarchy(
-        problem, _tau_from(options, args), args.tau_max,
-        settings=_settings_from(options, args), margin=_margin_from(options, args),
-    )
+    problem, options = load_problem(args.problem, dict(args.bind))
+    kwargs = _solve_kwargs(args, options)
+    report = analysis.hierarchy(problem, kwargs.pop("tau"), args.tau_max, **kwargs)
     for r in report.reports:
         print(f"tau={r.tau}: raw={fmt(r.raw_value)} p_upper={fmt(r.p_upper)} "
               f"status={r.solver_status.value} verdict={r.verdict.value}", file=out)
@@ -451,19 +458,13 @@ def _cmd_hierarchy(args, out) -> int:
 
 
 def _cmd_sweep(args, out) -> int:
-    binds = _bindings(args)
-    values = [float(v) for v in args.values.split(",") if v.strip()]
-    if not values:
-        raise ProblemFileError("--values must list at least one number")
-    _problem, options = load_problem(args.problem, {**binds, args.param: values[0]})
+    binds = dict(args.bind)
+    _problem, options = load_problem(args.problem, {**binds, args.param: args.values[0]})
 
     def family(theta: float) -> DStabilityProblem:
         return load_problem(args.problem, {**binds, args.param: theta})[0]
 
-    points = analysis.sweep(
-        family, values, tau=_tau_from(options, args),
-        settings=_settings_from(options, args), margin=_margin_from(options, args),
-    )
+    points = analysis.sweep(family, args.values, **_solve_kwargs(args, options))
     print(",".join(analysis.SWEEP_CSV_HEADER), file=out)
     for p in points:
         print(f"{fmt(p.theta)},{fmt(p.p_upper)},{fmt(p.p_lower)},{p.status},"
@@ -474,15 +475,14 @@ def _cmd_sweep(args, out) -> int:
 
 
 def _cmd_bisect(args, out) -> int:
-    binds = _bindings(args)
+    binds = dict(args.bind)
     _problem, options = load_problem(args.problem, {**binds, args.param: args.lo})
 
     def family(k: float) -> DStabilityProblem:
         return load_problem(args.problem, {**binds, args.param: k})[0]
 
     result = analysis.bisect_margin(
-        family, args.lo, args.hi, tau=_tau_from(options, args), tol=args.tol,
-        margin=_margin_from(options, args), settings=_settings_from(options, args),
+        family, args.lo, args.hi, tol=args.tol, **_solve_kwargs(args, options),
     )
     for k, certified, bound in result.evaluations:
         print(f"k={fmt(k)}: {'certified' if certified else 'not certified'} "
@@ -492,7 +492,7 @@ def _cmd_bisect(args, out) -> int:
 
 
 def _cmd_oracle(args, out) -> int:
-    problem, options = load_problem(args.problem, _bindings(args))
+    problem, _options = load_problem(args.problem, dict(args.bind))
     witness = oracle.grid_violation_search(
         problem, args.grid, seed=args.seed,
     )
@@ -519,8 +519,8 @@ def _cmd_oracle(args, out) -> int:
 
 
 def _cmd_export(args, out) -> int:
-    problem, options = load_problem(args.problem, _bindings(args))
-    sdp = assemble_relaxation(build_lifted(problem), _tau_from(options, args))
+    problem, options = load_problem(args.problem, dict(args.bind))
+    sdp = assemble_relaxation(build_lifted(problem), _flag_or_file(args, options, "tau"))
     dims = export_sdp(sdp, args.output)
     print(f"tau {sdp.tau}: {sdp.num_moments} moment variables, "
           f"blocks {list(dims)}, "
@@ -542,7 +542,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("problem", help="problem file")
         if tau:
             p.add_argument("--tau", type=int, default=None, help="relaxation order")
-        p.add_argument("--bind", action="append", default=[], metavar="NAME=VALUE",
+        p.add_argument("--bind", action="append", default=[], type=_binding, metavar="NAME=VALUE",
                        help="bind a $placeholder in the problem file")
         if solver:
             p.add_argument("--margin", type=float, default=None,
@@ -569,7 +569,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="sweep a $parameter of the problem file")
     common(p, csv=True)
     p.add_argument("--param", required=True, help="placeholder name to sweep")
-    p.add_argument("--values", required=True, help="comma-separated values")
+    p.add_argument("--values", required=True, type=_numbers, help="comma-separated values")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("bisect", help="largest certified value of a $parameter")

@@ -16,7 +16,7 @@ throughout the relaxation layer (m_0000, m_1000, m_0100, ...).
 
 from __future__ import annotations
 
-import math
+import itertools
 import re
 from dataclasses import dataclass, field
 
@@ -263,19 +263,6 @@ def grlex_key(alpha: Exponent) -> tuple:
     return (sum(alpha), tuple(-e for e in alpha))
 
 
-def _monomials_of_degree(num_vars: int, degree: int):
-    if num_vars == 0:
-        if degree == 0:
-            yield ()
-        return
-    if num_vars == 1:
-        yield (degree,)
-        return
-    for e in range(degree, -1, -1):
-        for rest in _monomials_of_degree(num_vars - 1, degree - e):
-            yield (e,) + rest
-
-
 @dataclass(frozen=True)
 class MonomialBasis:
     """The canonical monomial basis of polynomials of degree <= order,
@@ -313,11 +300,16 @@ def monomial_basis(num_vars: int, order: int) -> MonomialBasis:
     cached = _BASIS_CACHE.get((num_vars, order))
     if cached is not None:
         return cached
-    elements = tuple(
-        alpha for d in range(order + 1) for alpha in _monomials_of_degree(num_vars, d)
-    )
-    assert len(elements) == math.comb(num_vars + order, order)
-    basis = MonomialBasis(num_vars, order, elements)
+    # combinations_with_replacement lists the variable multisets of each
+    # degree lexicographically, which is graded-lex on their exponents
+    elements = []
+    for d in range(order + 1):
+        for combo in itertools.combinations_with_replacement(range(num_vars), d):
+            alpha = [0] * num_vars
+            for i in combo:
+                alpha[i] += 1
+            elements.append(tuple(alpha))
+    basis = MonomialBasis(num_vars, order, tuple(elements))
     _BASIS_CACHE[(num_vars, order)] = basis
     return basis
 

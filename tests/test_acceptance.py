@@ -97,7 +97,7 @@ def test_criterion_03_shrunk_support():
 
 def test_criterion_04_hurwitz():
     problem, options = load_problem(PROBLEMS_DIR / "hurwitz.prob")
-    assert options["tau"] == "3"
+    assert options["tau"] == 3
     report = analysis.upper_probability(problem, tau=3)
     REGISTRY.append(("hurwitz/tau3", _report_solution_from(report)))
     witness = oracle.grid_violation_search(problem, 1001)

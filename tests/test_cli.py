@@ -30,7 +30,7 @@ class TestLoadProblem:
         assert problem.delta == mean_problem.delta
         assert problem.region.name == "left_half_plane_closure"
         assert problem.moment_constraints == mean_problem.moment_constraints
-        assert options["tau"] == "2"
+        assert options["tau"] == 2
 
     def test_support_variant(self, problems_dir, support_problem):
         problem, _ = load_problem(problems_dir / SUPPORT)
@@ -171,6 +171,29 @@ class TestLoadProblem:
         kinds = [rel for _p, rel in problem.region.region_set.constraints]
         assert kinds == [Relation.GE, Relation.EQ]
 
+    def test_second_interval_for_a_variable_rejected(self, tmp_path, capsys):
+        # the second interval used to replace the first without a word
+        path = tmp_path / "twice.prob"
+        path.write_text(
+            "[variables]\nrho\n[matrix]\n1\nrho - 1\n"
+            "[delta]\nrho in [0, 1]\nrho in [2, 3]\n[region]\nleft_half_plane_closure\n"
+        )
+        with pytest.raises(ProblemFileError, match=r"'rho'.*section \[delta\], line 8\)"):
+            load_problem(path)
+        assert main(["analyze", str(path)]) == 1
+        assert "second interval for variable 'rho'" in capsys.readouterr().err
+
+    def test_interval_rows_follow_variable_order(self, tmp_path):
+        path = tmp_path / "box.prob"
+        path.write_text(
+            "[variables]\na b c\n[matrix]\n1\na*b*c\n"
+            "[delta]\nc in [0, 3]\na + c <= 4\na in [-1, 1]\n[region]\norigin\n"
+        )
+        problem, _ = load_problem(path)
+        expected = ["a + 1", "1 - a", "c", "3 - c", "4 - a - c"]
+        assert problem.delta.constraints == tuple(
+            (parse_polynomial(text, ["a", "b", "c"]), Relation.GE) for text in expected)
+
 
 class TestRoundTrip:
     def test_structural_equality(self, tmp_path):
@@ -182,7 +205,7 @@ class TestRoundTrip:
         assert again.delta == problem.delta
         assert again.region.region_set == problem.region.region_set
         assert again.moment_constraints == problem.moment_constraints
-        assert options["tau"] == "2"
+        assert options["tau"] == 2
 
     def test_custom_region_round_trip(self, tmp_path):
         from dstab.sets import custom_region
@@ -197,6 +220,77 @@ class TestRoundTrip:
         again, _ = load_problem(path)
         assert again.region.region_set == problem.region.region_set
         assert again.lambda_radius == 2.5
+
+
+class TestOptions:
+    def test_every_option_round_trips_with_its_type(self, tmp_path):
+        given = {"tau": 3, "margin": 0.01, "max_iterations": 50, "feasibility_tol": 1e-7,
+                 "gap_tol": 1e-9, "eigen_space": "real", "allow_asymmetric_real": True,
+                 "lambda_radius": 2.5}
+        path = tmp_path / "saved.prob"
+        save_problem(running_problem(mean=0.5), path, options=given)
+        again, options = load_problem(path)
+        problem_owned = {key: getattr(again, key)
+                         for key in ("eigen_space", "allow_asymmetric_real", "lambda_radius")}
+        loaded = {**options, **problem_owned}
+        assert loaded == given
+        assert {key: type(value) for key, value in loaded.items()} == {
+            key: type(value) for key, value in given.items()}
+
+    @pytest.mark.parametrize("key, value", [
+        ("tau", "three"), ("tau", "2.0"), ("margin", "small"), ("max_iterations", "1e3"),
+        ("feasibility_tol", "1e-8x"), ("gap_tol", ""), ("lambda_radius", "big"),
+        ("allow_asymmetric_real", "yes"),
+    ])
+    def test_malformed_value_names_its_option_and_line(self, problems_dir, tmp_path,
+                                                       capsys, key, value):
+        text = (problems_dir / SUPPORT).read_text()
+        assert text.endswith("[options]\ntau = 2\n")
+        path = tmp_path / "bad.prob"
+        path.write_text(text.replace("tau = 2\n", f"{key} = {value}\n"))
+        lineno = len(text.splitlines())
+        message = rf"bad value '{value}' for option '{key}': .*\(section \[options\], line {lineno}\)"
+        with pytest.raises(ProblemFileError, match=message):
+            load_problem(path)
+        assert main(["analyze", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert re.search(message, captured.err) and captured.out == ""
+
+    def test_unknown_eigen_space_is_rejected_by_the_problem(self, problems_dir, tmp_path,
+                                                            capsys):
+        # eigen_space is any string to the parser; the problem checks its value
+        path = tmp_path / "bad.prob"
+        path.write_text((problems_dir / SUPPORT).read_text() + "eigen_space = sideways\n")
+        assert main(["analyze", str(path)]) == 1
+        assert "bad eigen_space 'sideways'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value, expected", [("True", True), ("false", False),
+                                                 ("TRUE", True), ("False", False)])
+    def test_allow_asymmetric_real_takes_true_or_false_in_any_case(self, problems_dir,
+                                                                  tmp_path, value, expected):
+        path = tmp_path / "flag.prob"
+        path.write_text((problems_dir / SUPPORT).read_text()
+                        + f"allow_asymmetric_real = {value}\n")
+        problem, _ = load_problem(path)
+        assert problem.allow_asymmetric_real is expected
+
+    def test_shipped_files_give_tau_as_an_int(self, problems_dir):
+        for path in sorted(problems_dir.glob("*.prob")):
+            names = set(re.findall(r"\$([A-Za-z]\w*)", path.read_text()))
+            _problem, options = load_problem(path, {name: 0.1 for name in names})
+            assert type(options["tau"]) is int, path.name
+
+    def test_solver_options_reach_the_solver(self, problems_dir, tmp_path, capsys):
+        path = tmp_path / "short.prob"
+        path.write_text((problems_dir / RUNNING).read_text() + "max_iterations = 1\n")
+        assert main(["analyze", str(path)]) == 2
+        assert "IterLimit, 1 iterations" in capsys.readouterr().out
+
+    def test_flag_wins_over_the_file(self, problems_dir, tmp_path, capsys):
+        path = tmp_path / "margin.prob"
+        path.write_text((problems_dir / SUPPORT).read_text() + "margin = 1.5\n")
+        assert main(["certify", str(path), "--margin", "0.1"]) == 2
+        assert "margin 0.1)" in capsys.readouterr().out
 
 
 class TestCommands:
@@ -515,6 +609,19 @@ class TestBindAndInfeasible:
         out = capsys.readouterr().out
         assert code == 0
         assert "p_upper:    0.5" in out
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["analyze", VARIANCE, "--bind", "sigma2=abc"], "--bind"),
+        (["oracle", VARIANCE, "--bind", "sigma2"], "--bind"),
+        (["sweep", VARIANCE, "--param", "sigma2", "--values", "0.1,x"], "--values"),
+        (["sweep", VARIANCE, "--param", "sigma2", "--values", " , "], "--values"),
+    ], ids=["bind-number", "bind-form", "values-number", "values-empty"])
+    def test_malformed_number_flag_is_a_usage_error(self, problems_dir, capsys, argv, flag):
+        argv = [str(problems_dir / a) if a.endswith(".prob") else a for a in argv]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert f"argument {flag}: " in capsys.readouterr().err
 
     def test_infeasible_moments_exit_two(self, tmp_path, capsys):
         problem = running_problem(mean=2.0)

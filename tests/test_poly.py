@@ -175,6 +175,14 @@ class TestBasis:
         assert keys == sorted(keys)
         assert len(set(keys)) == len(keys)
 
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_every_basis_is_sorted_grlex_and_complete(self, n):
+        for d in range(7):
+            elements = monomial_basis(n, d).elements
+            assert list(elements) == sorted(elements, key=grlex_key)
+            assert len(set(elements)) == len(elements) == math.comb(n + d, d)
+            assert all(len(a) == n and min(a) >= 0 and sum(a) <= d for a in elements)
+
     def test_index(self):
         basis = monomial_basis(4, 2)
         assert basis_index(basis, (0, 0, 0, 0)) == 0
