@@ -7,9 +7,10 @@ bounds (`name in [lo, hi]`) and/or inline polynomial constraints,
 `[region]` is a preset name or inline constraints over `lre`/`lim`,
 `[moments]` holds expectation constraints (`E[expr] = value`, `<=`, `>=`),
 and `[options]` holds defaults such as `tau = 2`, each parsed on its line
-by its key's type (a flag wins over it).  `$name` placeholders anywhere in
-the file are bound on the command line, each binding to a placeholder the
-file holds, which is how parameter sweeps and bisection attach to a file.
+by its key's type (a flag wins over it); a key may appear once.  `#`
+starts a comment.  `$name` placeholders anywhere outside comments are
+bound on the command line, each binding to a placeholder the file holds,
+which is how parameter sweeps and bisection attach to a file.
 
 Exit codes: 0 = completed, 2 = NotCertified / Inconclusive (for
 scripting) or a usage error such as a malformed flag value, 1 = error.
@@ -67,8 +68,14 @@ def _true_or_false(text: str) -> bool:
     return text.lower() == "true"
 
 
+def _eigen_space(text: str) -> str:
+    if text not in ("auto", "real", "complex"):
+        raise ValueError("expected auto, real or complex")
+    return text
+
+
 _OPTION_PARSERS = {"tau": int, "margin": float, "max_iterations": int, "feasibility_tol": float,
-                   "gap_tol": float, "eigen_space": str,
+                   "gap_tol": float, "eigen_space": _eigen_space,
                    "allow_asymmetric_real": _true_or_false, "lambda_radius": float}
 _PLACEHOLDER = re.compile(r"\$([A-Za-z][A-Za-z0-9_]*)")
 
@@ -103,7 +110,7 @@ def _split_sections(text: str, path: str):
     sections: dict[str, list[tuple[int, str]]] = {}
     current = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = raw.strip()
         if not line:
             continue
         if line.startswith("[") and line.endswith("]"):
@@ -144,8 +151,9 @@ def _parse_constraint_line(line: str, lineno: int, section: str, variables):
 def load_problem(path, bindings: dict[str, float] | None = None):
     """Parse a problem file into a DStabilityProblem plus its [options]."""
     path = Path(path)
-    text = _substitute(path.read_text(), bindings or {}, str(path))
-    sections = _split_sections(text, str(path))
+    # comments go first, line by line, so a `$name` in one needs no binding
+    text = "\n".join(line.split("#", 1)[0] for line in path.read_text().splitlines())
+    sections = _split_sections(_substitute(text, bindings or {}, str(path)), str(path))
 
     variables: list[str] = []
     for lineno, line in sections["variables"]:
@@ -275,6 +283,8 @@ def load_problem(path, bindings: dict[str, float] | None = None):
             raise ProblemFileError(
                 f"unknown option {key!r} (known: {', '.join(_OPTION_PARSERS)})", lineno, "options"
             )
+        if key in options:
+            raise ProblemFileError(f"option {key!r} given twice", lineno, "options")
         try:
             options[key] = _OPTION_PARSERS[key](value)
         except ValueError as err:

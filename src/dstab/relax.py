@@ -84,7 +84,12 @@ class SDPProblem:
     the relaxation invariant, each given as the sorted indices of the
     coordinates it flips (see the module docstring).  The solver fixes
     the moments that are odd under any of them at 0; an SDP with no
-    generators is solved without that reduction."""
+    generators is solved without that reduction.
+
+    `x_coordinates` is derived data too: the indices of the eigenvector
+    coordinates x, in which the lift is linear.  The solver keeps only the
+    part of the relaxation of x-degree <= 2 (see `sdp`); an SDP without
+    them is solved untruncated."""
 
     n_z: int
     tau: int
@@ -97,6 +102,7 @@ class SDPProblem:
     moment_bounds: np.ndarray | None = None
     sign_symmetries: tuple[tuple[int, ...], ...] = ()
     equalities: tuple[tuple[str, LinearMatrixForm], ...] = ()
+    x_coordinates: tuple[int, ...] = ()
 
     @property
     def num_moments(self) -> int:
@@ -304,6 +310,7 @@ def assemble_relaxation(lifted: LiftedProblem, tau: int | None = None) -> SDPPro
         moment_bounds=moment_bounds,
         sign_symmetries=_sign_symmetries(even, uniform, n_z),
         equalities=tuple(equalities),
+        x_coordinates=lifted.x_indices,
     )
 
 

@@ -27,6 +27,19 @@ allowance for the rounding of its own evaluation.
 
 Reduction, before the iteration:
 
+- the SDP is truncated to eigenvector degree 2.  The lift is linear in
+  the eigenvector x (`SDPProblem.x_coordinates`): the eigen equations have
+  x-degree 1, the norm bound and the objective x-degree 2, so the
+  (rho, lambda) marginal and the matrix measure E[x x' | rho, lambda]
+  carry the whole problem (Henrion and Lasserre, IEEE TAC 51(2), 2006).
+  Each PSD block keeps the rows r with 2 xdeg(beta_r) + xdeg(q) <= 2 (for
+  the norm bound the rows of x-degree 0, for the other blocks those of
+  x-degree <= 1), each equality form the entries (r, c) with
+  xdeg(beta_r) + xdeg(beta_c) + xdeg(q) <= 2, and a moment is kept only
+  if a kept PSD entry uses it: exactly the moments of x-degree <= 2.
+  Every kept block is a principal submatrix of a full one and the kept
+  equality entries are a subset, so the truncated value can only be
+  higher: it is still an upper bound;
 - every moment that is odd under one of the SDP's sign symmetries
   (`SDPProblem.sign_symmetries`, found by `relax`) is fixed at 0: an
   invariant optimum exists, whose odd moments vanish.  Equality rows left
@@ -34,16 +47,18 @@ Reduction, before the iteration:
 - every block is split into the connected components of the sparsity
   pattern that remains.  A matrix that is block-diagonal up to a
   permutation is PSD exactly when its diagonal pieces are, so this step is
-  exact for any block.  For the order-3 Hurwitz relaxation it takes 1716
-  moments and a 120x120 moment block to 459 moments and pieces of at most
-  35x35.
+  exact for any block.  For the order-3 Hurwitz relaxation the three
+  steps take 1716 moments and a 120x120 moment block to 234 moments and
+  pieces of at most 20x20.
 
 The reduced SDP is solved, and moments, multipliers and dual blocks are
 scattered back to the full size in the original order (zero
-odd moments, block-diagonal duals); the multipliers of each equality's
-rows are gathered into its multiplier matrix.  `upper_bound` is evaluated
-on the full problem from the scattered dual; since it holds for any dual,
-a wrong symmetry could only loosen it, never make it unsound.
+dropped moments, block-diagonal duals that are zero off the kept rows);
+the multipliers of each equality's rows are gathered into its multiplier
+matrix.  `upper_bound` is evaluated on the full problem from the
+scattered dual; since it holds for any dual, a wrong symmetry could only
+loosen it, never make it unsound.  The dual residual on a moment of
+x-degree > 2 is exactly its objective coefficient, 0.
 
 Algorithm: infeasible-start path following in the Nesterov-Todd scaling.
 Each iteration linearizes the centering condition X = sigma*mu*S^-1 with
@@ -53,6 +68,12 @@ complement tr(A_i V A_j V) is symmetric positive definite), takes an
 affine predictor step to pick the centering weight sigma by Mehrotra's
 rule, then recomputes the corrected direction; each Newton system gets one
 step of iterative refinement, and steps use a fraction-to-boundary rule.
+An iterate is Optimal when the residuals and the gap meet the tolerances
+and, given finite a-priori moment bounds, its value does not exceed the
+rigorous bound of its own dual iterate: a higher value proves the primal
+iterate infeasible.  On degenerate relaxations the stopped-short equality
+rows and PSD residual, weighted by large multipliers, can otherwise
+outweigh the complementarity gap.
 Blocks of equal dimension are stacked, so the NT scaling, the step-length
 eigenvalues and the definiteness checks take one batched numpy call per
 dimension, however many small blocks the splitting produces.  Everything
@@ -288,32 +309,57 @@ def _components(dim: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         label = new
 
 
-def _reduce(sdp: SDPProblem, blocks: list):
-    """Fix every moment that is odd under a sign symmetry of the SDP at 0
-    and split every block into the connected components of the entries
-    that remain.
+def _truncation(sdp: SDPProblem, blocks: list, equalities: list):
+    """The part of the relaxation of x-degree <= 2, x the eigenvector
+    coordinates `SDPProblem.x_coordinates`.  Entry (r, c) of the localizer
+    of q uses moments up to x-degree xdeg(beta_r) + xdeg(beta_c) + xdeg(q).
+    Returns, for each PSD block (dimension k, pencil), the rows r whose
+    diagonal entry stays within x-degree 2, and for each sparse matrix in
+    `equalities`, whose rows are equality entries (the rows of
+    `_equality_rows` or of a pencil), the mask of the rows that do."""
+    high = np.zeros(sdp.num_moments)
+    if sdp.x_coordinates:
+        exponents = np.array(sdp.basis.elements)[:, list(sdp.x_coordinates)]
+        high[exponents.sum(axis=1) > 2] = 1.0
+    rows = [np.flatnonzero(abs(p[::k + 1]) @ high == 0) for k, p in blocks]
+    return rows, [abs(m) @ high == 0 for m in equalities]
 
+
+def _reduce(sdp: SDPProblem, blocks: list, g_mat):
+    """Truncate the SDP to x-degree <= 2 (`_truncation`), fix every moment
+    that is odd under a sign symmetry of the SDP at 0, and split every
+    block into the connected components of the entries that remain.
+
+    The truncated blocks are principal submatrices of the full ones and
+    the kept rows of G a subset of its rows, so the truncated value bounds
+    the full one from above.  A moment that no kept PSD entry uses is
+    dropped, since it would be free; those are the moments of x-degree > 2.
     An invariant optimum exists (see `relax`), so the odd moments may be
     fixed; after that each block is block-diagonal up to a permutation, and
     it is PSD exactly when each diagonal piece is, whatever the symmetries.
-    Returns the mask of kept variables and, per piece that carries entries,
-    (source block index, its rows in the source block, the piece's pencil
-    over the kept variables)."""
-    keep = np.ones(sdp.num_moments, dtype=bool)
+    Returns the mask of kept variables, the mask of kept rows of G and, per
+    piece that carries entries, (source block index, its rows in the source
+    block, the piece's pencil over the kept variables)."""
+    block_rows, (g_rows,) = _truncation(sdp, blocks, [g_mat])
+    subs = [p[(rows[:, None] * k + rows).ravel()] for (k, p), rows in zip(blocks, block_rows)]
+    keep = np.zeros(sdp.num_moments, dtype=bool)
+    for sub in subs:
+        keep[sub.indices[sub.data != 0]] = True
     if sdp.sign_symmetries:
         parity = np.array(sdp.basis.elements) % 2
         for flip in sdp.sign_symmetries:
             keep &= parity[:, list(flip)].sum(axis=1) % 2 == 0
     kept = np.flatnonzero(keep)
     pieces = []
-    for b, (k, pencil) in enumerate(blocks):
-        live = pencil[:, kept]
-        rows, cols = np.divmod(np.repeat(np.arange(k * k), np.diff(live.indptr)), k)
-        label = _components(k, rows, cols)
-        for root in np.unique(label[rows]):
+    for b, (rows, sub) in enumerate(zip(block_rows, subs)):
+        k = len(rows)
+        live = sub[:, kept]
+        r, c = np.divmod(np.repeat(np.arange(k * k), np.diff(live.indptr)), k)
+        label = _components(k, r, c)
+        for root in np.unique(label[r]):
             idx = np.flatnonzero(label == root)
-            pieces.append((b, idx, live[(idx[:, None] * k + idx).ravel()]))
-    return keep, pieces
+            pieces.append((b, rows[idx], live[(idx[:, None] * k + idx).ravel()]))
+    return keep, g_rows, pieces
 
 
 def _sym(a: np.ndarray) -> np.ndarray:
@@ -408,8 +454,11 @@ class _Outcome:
     ray: tuple | None
 
 
-def _interior_point(c, g_mat, g_vec, groups, y, settings, log) -> _Outcome:
-    """Path following from the primal point y with S = X = eta*I."""
+def _interior_point(c, g_mat, g_vec, groups, y, y_bound, settings, log) -> _Outcome:
+    """Path following from the primal point y with S = X = eta*I.  With
+    finite a-priori moment bounds y_bound, an iterate whose value exceeds
+    the bound its own dual gives (`_rigorous_upper_bound`) is provably
+    infeasible, so it is not accepted as Optimal."""
     n_y = len(c)
     m_eq = g_mat.shape[0]
     k_total = sum(g.dim * g.size for g in groups)
@@ -467,8 +516,9 @@ def _interior_point(c, g_mat, g_vec, groups, y, settings, log) -> _Outcome:
             best_iter = it
             best = (y.copy(), nu.copy(), [x.copy() for x in x_st], pobj, dobj, p_inf, d_inf)
 
+        consistent = y_bound is None or pobj - dobj + float(np.abs(r_c) @ y_bound) >= 0.0
         if p_inf <= settings.feasibility_tol and d_inf <= settings.feasibility_tol \
-                and gap <= settings.gap_tol:
+                and gap <= settings.gap_tol and consistent:
             status = SolverStatus.OPTIMAL
             break
 
@@ -588,7 +638,8 @@ def solve(sdp: SDPProblem, settings: SolverSettings | None = None) -> SDPSolutio
     """Solve the assembled moment SDP.
 
     Returns an Optimal solution when primal/dual residuals and the relative
-    duality gap fall below the tolerances; Infeasible (heuristic, via a
+    duality gap fall below the tolerances and the value is below the
+    iterate's own rigorous bound; Infeasible (heuristic, via a
     Farkas-style dual ray) when the dual objective diverges along a
     near-feasible ray; SlowProgress with the best iterate on numerical
     breakdown; IterLimit at the iteration cap.  The iteration runs on the
@@ -598,9 +649,9 @@ def solve(sdp: SDPProblem, settings: SolverSettings | None = None) -> SDPSolutio
     settings = settings or SolverSettings()
     c, g_mat, g_vec, eq_layout, blocks = _compile(sdp)
 
-    keep, pieces = _reduce(sdp, blocks)
+    keep, g_rows, pieces = _reduce(sdp, blocks, g_mat)
     g_keep = g_mat[:, np.flatnonzero(keep)]
-    live_rows = (np.diff(g_keep.indptr) > 0) | (g_vec != 0.0)
+    live_rows = g_rows & ((np.diff(g_keep.indptr) > 0) | (g_vec != 0.0))
     n_kept = int(keep.sum())
     dims = sorted({len(idx) for _b, idx, _p in pieces})
     members = [[p for p, piece in enumerate(pieces) if len(piece[1]) == k] for k in dims]
@@ -612,10 +663,13 @@ def solve(sdp: SDPProblem, settings: SolverSettings | None = None) -> SDPSolutio
 
     y0 = np.zeros(sdp.num_moments)
     y0[sdp.normalization_index] = 1.0
+    y_bound = sdp.moment_bounds
+    if y_bound is not None:
+        y_bound = y_bound[keep] if np.all(np.isfinite(y_bound[keep])) else None
     out = _interior_point(c[keep], g_keep[live_rows].toarray(), g_vec[live_rows], groups,
-                          y0[keep], settings, log)
+                          y0[keep], y_bound, settings, log)
 
-    # Scatter back to the full size: odd moments and dropped rows at 0, the
+    # Scatter back to the full size: dropped moments and rows at 0, the
     # dual blocks block-diagonal in their source positions.
     y = np.zeros(sdp.num_moments)
     y[keep] = out.y
@@ -663,31 +717,31 @@ def solve(sdp: SDPProblem, settings: SolverSettings | None = None) -> SDPSolutio
 
 def residuals(sdp: SDPProblem, solution: SDPSolution) -> dict:
     """Recompute feasibility and gap measures from scratch (the solver loop
-    is not trusted): normalization violation, worst block negative
-    eigenvalue and worst equality-form eigenvalue magnitude on the primal
+    is not trusted), on the part of the SDP the solver keeps
+    (`_truncation`): normalization violation, worst negative eigenvalue of
+    a kept principal submatrix and worst kept equality entry on the primal
     side, dual stationarity residual on the dual side, and gap =
     dual_value - primal_value."""
-    from .moments import assemble
-
     m_scaled = solution.moments.values / sdp.scale_pow
     primal = abs(m_scaled[sdp.normalization_index] - 1.0)
-    scaled_vector = MomentVector(sdp.n_z, sdp.tau, m_scaled)
-    for _label, form in sdp.psd_blocks:
-        mat = assemble(form, scaled_vector)
-        primal = max(primal, -float(np.linalg.eigvalsh(mat)[0]))
-    for _label, form in sdp.equalities:
-        mat = assemble(form, scaled_vector)
-        primal = max(primal, float(np.abs(np.linalg.eigvalsh(mat)).max()))
+    blocks = [(form.dimension, _pencil(sdp, form)) for _label, form in sdp.psd_blocks]
+    equalities = [_pencil(sdp, form) for _label, form in sdp.equalities]
+    block_rows, entries = _truncation(sdp, blocks, equalities)
+    for (k, p), rows in zip(blocks, block_rows):
+        mat = (p @ m_scaled).reshape(k, k)[np.ix_(rows, rows)]
+        primal = max(primal, -float(np.linalg.eigvalsh(mat).min(initial=0.0)))
+    for p, mask in zip(equalities, entries):
+        primal = max(primal, float(np.abs(p @ m_scaled)[mask].max(initial=0.0)))
 
     # Dual stationarity in the minimize form, against the full SDP; the
     # normalization's multiplier is -dual_value.
     stationarity = -sdp.objective
     stationarity[sdp.normalization_index] += solution.dual_value
-    forms = (*sdp.psd_blocks, *sdp.equalities)
+    pencils = [p for _k, p in blocks] + equalities
     duals = (*solution.dual_psd_blocks, *solution.equality_duals)
     adjoint = np.zeros(sdp.num_moments)
-    for (_label, form), x in zip(forms, duals):
-        adjoint += _pencil(sdp, form).T @ np.ravel(x)
+    for p, x in zip(pencils, duals):
+        adjoint += p.T @ np.ravel(x)
     dual = float(np.linalg.norm(stationarity - adjoint, np.inf))
 
     return {

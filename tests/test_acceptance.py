@@ -5,6 +5,7 @@ Solved relaxations are collected in a registry so the weak-duality
 criterion can audit every Optimal solve produced while the suite runs.
 """
 
+import dataclasses
 import math
 import random
 
@@ -294,6 +295,43 @@ def test_criterion_10_stretch_bifurcation_bisection():
 
     result = analysis.bisect_margin(family, 0.40, 0.50, tau=3, tol=2e-3)
     assert 0.45 <= result.k_star <= 0.47
+
+
+def _verdict(problem, solution) -> analysis.Verdict:
+    """The verdict `upper_probability` draws from a solution."""
+    if solution.status is not SolverStatus.OPTIMAL:
+        return analysis.Verdict.INCONCLUSIVE
+    if not problem.is_support_only():
+        return analysis.Verdict.VIOLATION_PROBABILITY_BOUND
+    if solution.upper_bound < 1.0 - analysis.DEFAULT_CERTIFICATION_MARGIN:
+        return analysis.Verdict.CERTIFIED_ROBUSTLY_DSTABLE
+    return analysis.Verdict.INCONCLUSIVE
+
+
+def test_truncation_keeps_values_verdicts_and_monotonicity():
+    # the solver keeps the part of each relaxation of eigenvector degree
+    # <= 2; clearing `x_coordinates` gives the untruncated solve of the
+    # same SDP, which must agree order by order
+    variance = PROBLEMS_DIR / "running_example_variance.prob"
+    cases = [
+        ("running", load_problem(PROBLEMS_DIR / "running_example.prob")[0], 2, 3),
+        ("support", load_problem(PROBLEMS_DIR / "running_example_support.prob")[0], 2, 3),
+        ("variance0.2", load_problem(variance, {"sigma2": 0.2})[0], 2, 3),
+    ]
+    worst = 0.0
+    ok = True
+    for _name, problem, tau_min, tau_max in cases:
+        report = analysis.hierarchy(problem, tau_min, tau_max)
+        ok = ok and not report.monotonicity_violations
+        for order in report.reports:
+            full = solve(dataclasses.replace(order.sdp, x_coordinates=()))
+            worst = max(worst, abs(order.raw_value - full.primal_value))
+            ok = ok and order.solver_status is full.status is SolverStatus.OPTIMAL \
+                and order.verdict is _verdict(problem, full) \
+                and order.solved_moments < full.solved_moments
+    ok = ok and worst <= 1e-7
+    check(11, ok, f"3 problems, 6 orders: truncated vs untruncated value differ by at most "
+                  f"{worst:.2e} (allowed 1e-7), same status and verdict, monotone hierarchy")
 
 
 def test_criterion_08_weak_duality_registry():

@@ -141,6 +141,23 @@ class TestLoadProblem:
         with pytest.raises(ProblemFileError, match="no placeholder.*foo"):
             load_problem(problems_dir / VARIANCE, {"sigma2": 0.1, "foo": 1.0})
 
+    def test_placeholder_in_a_comment_needs_no_binding(self, tmp_path):
+        # comments are stripped before substitution, line by line, so the
+        # line numbers of later errors still count the comment lines
+        path = tmp_path / "commented.prob"
+        path.write_text(
+            "# half-width $k, see $notes\n[variables]\nrho\n[matrix]\n1\nrho\n"
+            "[delta]\nrho in [0, $k]  # not $w\n[region]\nimaginary_axis\n"
+            "[options]\ntau = three\n"
+        )
+        with pytest.raises(ProblemFileError, match=r"'tau'.*line 12\)"):
+            load_problem(path, {"k": 0.5})
+        path.write_text(path.read_text().replace("three", "2"))
+        problem, options = load_problem(path, {"k": 0.5})
+        assert options == {"tau": 2}
+        with pytest.raises(ProblemFileError, match="no placeholder.*notes"):
+            load_problem(path, {"k": 0.5, "notes": 1.0})
+
     def test_missing_section(self, tmp_path):
         path = tmp_path / "bad.prob"
         path.write_text("[variables]\nx\n[matrix]\n1\nx\n[region]\norigin\n")
@@ -240,7 +257,7 @@ class TestOptions:
     @pytest.mark.parametrize("key, value", [
         ("tau", "three"), ("tau", "2.0"), ("margin", "small"), ("max_iterations", "1e3"),
         ("feasibility_tol", "1e-8x"), ("gap_tol", ""), ("lambda_radius", "big"),
-        ("allow_asymmetric_real", "yes"),
+        ("allow_asymmetric_real", "yes"), ("eigen_space", "sideways"),
     ])
     def test_malformed_value_names_its_option_and_line(self, problems_dir, tmp_path,
                                                        capsys, key, value):
@@ -256,13 +273,17 @@ class TestOptions:
         captured = capsys.readouterr()
         assert re.search(message, captured.err) and captured.out == ""
 
-    def test_unknown_eigen_space_is_rejected_by_the_problem(self, problems_dir, tmp_path,
-                                                            capsys):
-        # eigen_space is any string to the parser; the problem checks its value
-        path = tmp_path / "bad.prob"
-        path.write_text((problems_dir / SUPPORT).read_text() + "eigen_space = sideways\n")
+    def test_option_given_twice_rejected(self, problems_dir, tmp_path, capsys):
+        # the second value used to replace the first without a word
+        text = (problems_dir / SUPPORT).read_text()
+        path = tmp_path / "twice.prob"
+        path.write_text(text + "tau = 3\n")
+        lineno = len(text.splitlines()) + 1
+        with pytest.raises(ProblemFileError,
+                           match=rf"'tau' given twice \(section \[options\], line {lineno}\)"):
+            load_problem(path)
         assert main(["analyze", str(path)]) == 1
-        assert "bad eigen_space 'sideways'" in capsys.readouterr().err
+        assert "option 'tau' given twice" in capsys.readouterr().err
 
     @pytest.mark.parametrize("value, expected", [("True", True), ("false", False),
                                                  ("TRUE", True), ("False", False)])
@@ -300,8 +321,9 @@ class TestCommands:
         assert code == 0
         assert "p_upper:    0.5" in out
         assert "ViolationProbabilityBound" in out
-        # the sign-symmetry reduction: 70 moments, of which 30 are even
-        assert "(moment variables: 70; solved 30, largest block 8)" in out
+        # the sign reduction and the x-degree truncation: of 70 moments, 27
+        # are even and of eigenvector degree <= 2
+        assert "(moment variables: 70; solved 27, largest block 6)" in out
 
     def test_certify_not_certified_exit_two(self, problems_dir, capsys):
         code = main(["certify", str(problems_dir / SUPPORT)])

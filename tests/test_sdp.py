@@ -27,7 +27,9 @@ from dstab.sdp import (
     _compile,
     _equality_rows,
     _pencil,
+    _reduce,
     _rounding_allowance,
+    _truncation,
     residuals,
     solve,
 )
@@ -221,15 +223,15 @@ class TestSignReduction:
         assert sdp.sign_symmetries
         reduced = solve(sdp)
         full = solve(dataclasses.replace(sdp, sign_symmetries=()))
-        assert reduced.solved_moments < full.solved_moments == sdp.num_moments
+        assert reduced.solved_moments < full.solved_moments == (_x_degree(sdp) <= 2).sum()
         assert reduced.status is full.status
         assert reduced.primal_value == pytest.approx(full.primal_value, abs=1e-7)
         certified = 1.0 - DEFAULT_CERTIFICATION_MARGIN
         assert (reduced.upper_bound < certified) == (full.upper_bound < certified)
 
     def test_full_size_outputs(self, mean_sdp, mean_solution):
-        assert mean_solution.solved_moments == 30
-        assert max(mean_solution.solved_blocks) == 8
+        assert mean_solution.solved_moments == 27
+        assert max(mean_solution.solved_blocks) == 6
         assert mean_solution.moments.values.shape == (mean_sdp.num_moments,)
         dims = tuple(np.asarray(x).shape for x in mean_solution.dual_psd_blocks)
         assert dims == tuple((d, d) for d in mean_sdp.block_dimensions())
@@ -251,6 +253,86 @@ class TestSignReduction:
         # then a different problem, but the bound is taken on the full one
         wrong = solve(dataclasses.replace(mean_sdp, sign_symmetries=((0,),)))
         assert wrong.upper_bound >= mean_solution.primal_value - 1e-7
+
+
+def _x_degree(sdp) -> np.ndarray:
+    """Eigenvector degree of each moment of the SDP."""
+    return np.array(sdp.basis.elements)[:, list(sdp.x_coordinates)].sum(axis=1)
+
+
+def _truncation_cases():
+    # the shipped problems that the solver takes to Optimal
+    support, _ = load_problem(PROBLEMS_DIR / "running_example_support.prob")
+    mean, _ = load_problem(PROBLEMS_DIR / "running_example.prob")
+    variance = PROBLEMS_DIR / "running_example_variance.prob"
+    return [
+        ("running/tau2", mean, 2),
+        ("support/tau2", support, 2),
+        ("var0.1/tau2", load_problem(variance, {"sigma2": 0.1})[0], 2),
+        ("var0.2/tau3", load_problem(variance, {"sigma2": 0.2})[0], 3),
+        ("hurwitz/tau3", hurwitz_problem(), 3),
+    ]
+
+
+class TestTruncation:
+    """The solver keeps the part of the relaxation of eigenvector degree
+    <= 2; an SDP without x coordinates is solved untruncated."""
+
+    @pytest.mark.parametrize("name,problem,tau", _truncation_cases(),
+                             ids=[case[0] for case in _truncation_cases()])
+    def test_matches_untruncated(self, name, problem, tau):
+        sdp = assemble_relaxation(build_lifted(problem), tau)
+        truncated = solve(sdp)
+        full = solve(dataclasses.replace(sdp, x_coordinates=()))
+        assert truncated.solved_moments < full.solved_moments
+        assert max(truncated.solved_blocks) < max(full.solved_blocks)
+        assert truncated.status is full.status is SolverStatus.OPTIMAL
+        assert truncated.primal_value == pytest.approx(full.primal_value, abs=1e-7)
+        certified = 1.0 - DEFAULT_CERTIFICATION_MARGIN
+        assert (truncated.upper_bound < certified) == (full.upper_bound < certified)
+        assert truncated.upper_bound >= truncated.primal_value
+
+    @pytest.mark.parametrize("name,problem,tau", _truncation_cases()[::4],
+                             ids=[case[0] for case in _truncation_cases()[::4]])
+    def test_no_moment_is_left_free(self, name, problem, tau):
+        # the solver keeps exactly the even moments of x-degree <= 2, and a
+        # kept PSD entry uses each of them (a free moment would leave the
+        # Schur matrix singular)
+        sdp = assemble_relaxation(build_lifted(problem), tau)
+        _c, g_mat, _g, _layout, blocks = _compile(sdp)
+        keep, g_rows, pieces = _reduce(sdp, blocks, g_mat)
+        parity = np.array(sdp.basis.elements) % 2
+        even = np.all([parity[:, list(flip)].sum(axis=1) % 2 == 0
+                       for flip in sdp.sign_symmetries], axis=0)
+        assert np.array_equal(keep, (_x_degree(sdp) <= 2) & even)
+        used = np.zeros(int(keep.sum()), dtype=bool)
+        for _b, _rows, piece in pieces:
+            used[piece.indices] = True
+        assert used.all()
+        # the kept equality rows use moments of x-degree <= 2 only
+        assert (_x_degree(sdp)[g_mat[np.flatnonzero(g_rows)].indices] <= 2).all()
+        assert not g_rows.all()
+
+    def test_residuals_score_the_rows_the_solver_keeps(self, mean_sdp, mean_solution):
+        # without the sign reduction every kept row carries entries, so the
+        # pieces cover exactly the rows `_truncation` keeps, which are also
+        # the rows `residuals` scores
+        sdp = dataclasses.replace(mean_sdp, sign_symmetries=())
+        _c, g_mat, _g, _layout, blocks = _compile(sdp)
+        block_rows, _ = _truncation(sdp, blocks, [])
+        _keep, _g_rows, pieces = _reduce(sdp, blocks, g_mat)
+        for b, rows in enumerate(block_rows):
+            covered = np.concatenate([idx for src, idx, _p in pieces if src == b])
+            assert np.array_equal(np.sort(covered), rows)
+        assert len(block_rows[0]) < blocks[0][0]
+        # a moment of x-degree 4 is outside the scored part, one of x-degree
+        # 2 inside it
+        for alpha, scored in (((0, 0, 4, 0), False), ((0, 0, 2, 0), True)):
+            values = mean_solution.moments.values.copy()
+            values[mean_sdp.basis.index(alpha)] -= 1e-2
+            probe = dataclasses.replace(
+                mean_solution, moments=dataclasses.replace(mean_solution.moments, values=values))
+            assert (residuals(mean_sdp, probe)["primal_infeas"] >= 1e-3) is scored
 
 
 def _dense_equality_rows(sdp, n_y):
