@@ -31,7 +31,7 @@ from .problem import (
     minimal_order,
     spectral_bound,
 )
-from .relax import SDPProblem, SDPSolution, SolverStatus, assemble_relaxation, problem_stats
+from .relax import SDPProblem, SDPSolution, SolverStatus, assemble_relaxation
 from .sdp import SolverSettings, solve
 
 __all__ = [
@@ -54,7 +54,6 @@ __all__ = [
     "SDPSolution",
     "SolverStatus",
     "assemble_relaxation",
-    "problem_stats",
     "SolverSettings",
     "solve",
 ]

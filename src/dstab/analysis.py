@@ -120,11 +120,9 @@ class SweepPoint:
 
 def extract_candidate(solution: SDPSolution, lifted: LiftedProblem) -> CandidatePoint:
     """Read the first-order moments as coordinate estimates of the
-    worst-case point and score them against the support constraints."""
-    first = np.zeros(lifted.num_vars)
-    for i in range(lifted.num_vars):
-        alpha = tuple(1 if j == i else 0 for j in range(lifted.num_vars))
-        first[i] = solution.moments.entry(alpha)
+    worst-case point and score them against the support constraints.  They
+    follow the constant one in the graded-lex basis, z_1..z_n in order."""
+    first = solution.moments.values[1:1 + lifted.num_vars]
     rho = first[list(lifted.rho_indices)]
     lam_re = first[lifted.lambda_indices[0]]
     lam_im = first[lifted.lambda_indices[1]] if len(lifted.lambda_indices) > 1 else 0.0
@@ -177,14 +175,25 @@ def upper_probability(
     """
     check_margin(margin)
     start = time.perf_counter()
+    lifted, tau = _lift(problem, tau)
+    return _analyze(problem, lifted, tau, settings, margin, start)
+
+
+def _lift(problem: DStabilityProblem, tau: int | None) -> tuple[LiftedProblem, int]:
+    """The lift of a problem and the order to solve it at: tau, or the
+    minimal order when tau is None or below it (with a warning)."""
     lifted = build_lifted(problem)
     tau_min = minimal_order(lifted)
     if tau is not None and tau < tau_min:
         warnings.warn(
             f"relaxation order {tau} below the minimal order {tau_min}; using {tau_min}",
-            stacklevel=2,
+            stacklevel=3,
         )
-        tau = None
+    return lifted, tau_min if tau is None else max(tau, tau_min)
+
+
+def _analyze(problem, lifted, tau, settings, margin, start) -> AnalysisReport:
+    """`upper_probability` from the lift on, timed from `start`."""
     sdp = assemble_relaxation(lifted, tau)
     solution = solve(sdp, settings)
     seconds = time.perf_counter() - start
@@ -259,13 +268,18 @@ def hierarchy(
 ) -> HierarchyReport:
     """Solve the relaxation at each order from the one `upper_probability`
     solves for tau_min (the minimal order when tau_min is None or below it)
-    to tau_max, by default one order above that start.  The raw values must
-    be nonincreasing up to solver accuracy; a rise beyond MONOTONICITY_TOL
-    is flagged as an anomaly."""
-    first = upper_probability(problem, tau=tau_min, settings=settings, margin=margin)
-    end = first.tau + 1 if tau_max is None else tau_max
-    reports = [first]
-    for tau in range(first.tau + 1, end + 1):
+    to tau_max, by default one order above that start; a tau_max below the
+    start is a ValueError, raised before any solve.  The raw values must be
+    nonincreasing up to solver accuracy; a rise beyond MONOTONICITY_TOL is
+    flagged as an anomaly."""
+    check_margin(margin)
+    start = time.perf_counter()
+    lifted, first = _lift(problem, tau_min)
+    end = first + 1 if tau_max is None else tau_max
+    if end < first:
+        raise ValueError(f"tau_max {tau_max} is below the start order {first}")
+    reports = [_analyze(problem, lifted, first, settings, margin, start)]
+    for tau in range(first + 1, end + 1):
         reports.append(upper_probability(problem, tau=tau, settings=settings, margin=margin))
     violations = []
     for prev, nxt in zip(reports, reports[1:]):

@@ -549,6 +549,7 @@ def build_parser() -> argparse.ArgumentParser:
     # each flag is registered only on the subcommands that read it, so
     # argparse rejects it everywhere else
     def common(p, tau=True, solver=True, csv=False):
+        p.set_defaults(parser=p)  # for usage errors found after parsing
         p.add_argument("problem", help="problem file")
         if tau:
             p.add_argument("--tau", type=int, default=None, help="relaxation order")
@@ -608,6 +609,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # each placeholder takes one value: from one --bind or from --param
+    names = [name for name, _value in args.bind] + [getattr(args, "param", None)]
+    twice = sorted({name for name in names if name is not None and names.count(name) > 1})
+    if twice:
+        args.parser.error("bound more than once (by --bind or --param): " + ", ".join(twice))
     out = sys.stdout
     try:
         return args.func(args, out)

@@ -122,14 +122,21 @@ def _spectra(problem: DStabilityProblem, points, tol: float) -> tuple[np.ndarray
     return spectra, _region_depth(problem, spectra, tol)
 
 
+def _check_points_per_axis(points_per_axis: int) -> None:
+    if points_per_axis < 1:
+        raise OracleError(f"points per axis must be at least 1, got {points_per_axis}")
+
+
 def grid_points(problem: DStabilityProblem, points_per_axis: int,
                 max_points: int = 200_000, seed: int = 0) -> np.ndarray:
     """Candidate uncertainty values: a uniform grid over the box part of
     Delta (membership-filtered when Delta carries extra constraints), or
     seeded rejection sampling when the full grid would be too large.
 
-    Raises OracleError when nothing can be sampled, e.g. when equality
-    constraints give Delta measure zero inside its box."""
+    Raises OracleError for fewer than one point per axis, or when nothing
+    can be sampled, e.g. when equality constraints give Delta measure zero
+    inside its box."""
+    _check_points_per_axis(points_per_axis)
     bounds = delta_box_bounds(problem.delta)
     if bounds is None:
         raise OracleError(
@@ -185,6 +192,7 @@ def grid_violation_search(
     residual of at most EIG_RESIDUAL_TOL; finding one proves that the
     worst-case violation probability is 1 in the support-only setting.
     """
+    _check_points_per_axis(points_per_axis)
     try:
         points = grid_points(problem, points_per_axis, max_points, seed)
     except OracleError:

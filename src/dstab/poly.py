@@ -9,9 +9,10 @@ construction and safe to share across threads.
 
 Monomial bases are ordered graded-lexicographically with the variable order
 fixed by the caller: monomials are sorted first by total degree, then with
-earlier variables taking precedence, so for 4 variables the degree-one block
-reads z1, z2, z3, z4.  This matches the moment-index notation used
-throughout the relaxation layer (m_0000, m_1000, m_0100, ...).
+earlier variables taking precedence, so the constant monomial comes first
+and for 4 variables the degree-one block that follows reads z1, z2, z3, z4.
+This matches the moment-index notation used throughout the relaxation
+layer (m_0000, m_1000, m_0100, ...).
 """
 
 from __future__ import annotations
@@ -287,9 +288,6 @@ class MonomialBasis:
         return idx
 
 
-_BASIS_CACHE: dict[tuple[int, int], MonomialBasis] = {}
-
-
 def monomial_basis(num_vars: int, order: int) -> MonomialBasis:
     """Graded-lex basis of all monomials of total degree <= order.
 
@@ -297,9 +295,6 @@ def monomial_basis(num_vars: int, order: int) -> MonomialBasis:
     """
     if num_vars < 1 or order < 0:
         raise PolynomialError(f"invalid basis parameters n={num_vars}, order={order}")
-    cached = _BASIS_CACHE.get((num_vars, order))
-    if cached is not None:
-        return cached
     # combinations_with_replacement lists the variable multisets of each
     # degree lexicographically, which is graded-lex on their exponents
     elements = []
@@ -309,14 +304,7 @@ def monomial_basis(num_vars: int, order: int) -> MonomialBasis:
             for i in combo:
                 alpha[i] += 1
             elements.append(tuple(alpha))
-    basis = MonomialBasis(num_vars, order, tuple(elements))
-    _BASIS_CACHE[(num_vars, order)] = basis
-    return basis
-
-
-def basis_index(basis: MonomialBasis, alpha: Exponent) -> int:
-    """Position of exponent alpha in the graded-lex basis."""
-    return basis.index(alpha)
+    return MonomialBasis(num_vars, order, tuple(elements))
 
 
 def embed(

@@ -151,13 +151,14 @@ class LiftedProblem:
     """The augmented-variable formulation produced by `build_lifted`.
 
     `support` is the set Z over z_vars, `objective` is ||x||^2, and
-    `moment_constraints` holds (f_tilde, relation, target) rows with the
-    normalization row (1, "=", 1) always first.  `var_scales` are
-    per-coordinate magnitudes used by the relaxation layer to rescale the
-    moment variables for numerical conditioning.  `var_bounds` are a-priori
-    bounds on |z_i| over the support (inf where none is known; None when
-    none is known for any coordinate); the relaxation layer turns them into
-    the moment bounds behind the rigorous upper bound.
+    `moment_constraints` holds the user's (f_tilde, relation, target) rows;
+    the normalization E[1] = 1 is the relaxation's own (see `relax`).
+    `var_scales` are per-coordinate magnitudes used by the relaxation layer
+    to rescale the moment variables for numerical conditioning.
+    `var_bounds` are a-priori bounds on |z_i| over the support (inf where
+    none is known; None when none is known for any coordinate); the
+    relaxation layer turns them into the moment bounds behind the rigorous
+    upper bound.
     """
 
     z_vars: tuple[str, ...]
@@ -362,13 +363,6 @@ def build_lifted(problem: DStabilityProblem) -> LiftedProblem:
 
     support = SemialgebraicSet(z_vars, tuple(constraints))
 
-    # Lifted expectation constraints; normalization first.
-    lifted_moments: list[tuple[Polynomial, str, float]] = [
-        (Polynomial.constant(n_z, 1.0), "=", 1.0)
-    ]
-    for mc in problem.moment_constraints:
-        lifted_moments.append((embed(mc.f, rho_names, z_vars), mc.relation, mc.target))
-
     # Per-coordinate magnitudes for moment rescaling, and a-priori bounds
     # on |z_i| over Z: the box of Delta for rho, the eigenvalue ball (or the
     # box of a bounded region) for lambda, ||x|| <= 1 for x.
@@ -393,7 +387,8 @@ def build_lifted(problem: DStabilityProblem) -> LiftedProblem:
         z_vars=z_vars,
         support=support,
         objective=norm_sq,
-        moment_constraints=tuple(lifted_moments),
+        moment_constraints=tuple((embed(mc.f, rho_names, z_vars), mc.relation, mc.target)
+                                 for mc in problem.moment_constraints),
         var_scales=tuple(scales),
         rho_indices=rho_idx,
         lambda_indices=lam_idx,

@@ -64,9 +64,9 @@ class RelaxationError(ValueError):
 
 @dataclass(frozen=True)
 class SDPProblem:
-    """Concrete moment SDP: maximize objective . m subject to
-    m[normalization_index] = 1, the PSD pencil blocks and the equality
-    forms (all expressed in scaled moments).
+    """Concrete moment SDP: maximize objective . m subject to the
+    normalization m_0 = 1, the PSD pencil blocks and the equality forms
+    (all expressed in scaled moments).
 
     `psd_blocks` holds the moment matrix, the 1x1 localizer of each
     one-sided expectation constraint and one localizer per support
@@ -91,12 +91,10 @@ class SDPProblem:
     part of the relaxation of x-degree <= 2 (see `sdp`); an SDP without
     them is solved untruncated."""
 
-    n_z: int
     tau: int
     basis: MonomialBasis
     objective: np.ndarray
     psd_blocks: tuple[tuple[str, LinearMatrixForm], ...]
-    normalization_index: int
     scale_pow: np.ndarray
     z_vars: tuple[str, ...]
     moment_bounds: np.ndarray | None = None
@@ -105,20 +103,15 @@ class SDPProblem:
     x_coordinates: tuple[int, ...] = ()
 
     @property
+    def n_z(self) -> int:
+        return len(self.z_vars)
+
+    @property
     def num_moments(self) -> int:
         return len(self.basis)
 
     def block_dimensions(self) -> tuple[int, ...]:
         return tuple(form.dimension for _label, form in self.psd_blocks)
-
-
-@dataclass(frozen=True)
-class SDPStats:
-    num_moments: int
-    block_dimensions: tuple[int, ...]
-    largest_block: int
-    tau: int
-    n_z: int
 
 
 class SolverStatus(enum.Enum):
@@ -244,8 +237,6 @@ def assemble_relaxation(lifted: LiftedProblem, tau: int | None = None) -> SDPPro
         )
 
     n_z = lifted.num_vars
-    if lifted.moment_constraints[:1] != ((Polynomial.constant(n_z, 1.0), "=", 1.0),):
-        raise RelaxationError("the first lifted moment constraint must be E[1] = 1")
     scales = lifted.var_scales
     basis = monomial_basis(n_z, 2 * tau)
     num_moments = len(basis)
@@ -286,9 +277,9 @@ def assemble_relaxation(lifted: LiftedProblem, tau: int | None = None) -> SDPPro
             even.append(q)
             blocks.append((label, form))
 
-    # lifted expectation constraint k (k = 0 is the normalization) as the
-    # order-0 localizer of t - f or f - t, or the 1x1 equality form of f - t
-    for k, (f, rel, target) in enumerate(lifted.moment_constraints[1:], start=1):
+    # expectation constraint k (from 1; moment[0] is the normalization) as
+    # the order-0 localizer of t - f or f - t, or the 1x1 equality form of f - t
+    for k, (f, rel, target) in enumerate(lifted.moment_constraints, start=1):
         q = _scale_polynomial(f, scales) - target
         q = _normalize(-q if rel == "<=" else q)
         if not q.is_zero():
@@ -299,29 +290,16 @@ def assemble_relaxation(lifted: LiftedProblem, tau: int | None = None) -> SDPPro
             localize(f"q[{j}]", q, tau - math.ceil(q.degree / 2), rel is Relation.EQ)
 
     return SDPProblem(
-        n_z=n_z,
         tau=tau,
         basis=basis,
         objective=objective,
         psd_blocks=tuple(blocks),
-        normalization_index=0,
         scale_pow=scale_pow,
         z_vars=lifted.z_vars,
         moment_bounds=moment_bounds,
         sign_symmetries=_sign_symmetries(even, uniform, n_z),
         equalities=tuple(equalities),
         x_coordinates=lifted.x_indices,
-    )
-
-
-def problem_stats(sdp: SDPProblem) -> SDPStats:
-    dims = sdp.block_dimensions()
-    return SDPStats(
-        num_moments=sdp.num_moments,
-        block_dimensions=dims,
-        largest_block=max(dims),
-        tau=sdp.tau,
-        n_z=sdp.n_z,
     )
 
 
@@ -363,7 +341,7 @@ def export_sdp(sdp: SDPProblem, path) -> tuple[int, ...]:
     for idx in nnz:
         lines.append(f"{idx} {float(sdp.objective[idx])!r}")
     lines.append("constraint 0 = 1.0 1 moment[0]")
-    lines.append(f"{sdp.normalization_index} 1.0")
+    lines.append("0 1.0")
     dims = []
     for k, (label, form, sign) in enumerate(_file_blocks(sdp)):
         count = sum(len(vals) for _a, _r, _c, vals in form.terms)

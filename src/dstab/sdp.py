@@ -5,10 +5,11 @@ The solver works on the internal minimization form
     min  c . y     s.t.   G y = g,    S_b = A_b(y)  PSD  for each block b,
 
 where y is the vector of scaled moments.  G holds the normalization
-m[normalization_index] = 1, the only linear row of the SDP, and, for each
-equality form A_e(y) = 0 (support equalities and expectation equalities
-alike), one row per upper-triangle entry of A_e in row-major order;
-all-zero rows are dropped and a row equal to an earlier one is kept once.
+y_0 = 1, the only linear row of the SDP (the constant monomial heads every
+graded-lex basis, so y_0 is its moment), and, for each equality form
+A_e(y) = 0 (support equalities and expectation equalities alike), one row
+per upper-triangle entry of A_e in row-major order; all-zero rows are
+dropped and a row equal to an earlier one is kept once.
 The PSD blocks are the moment matrix and the localizers of the
 inequalities, expectation constraints among them as 1x1 blocks (`relax`).
 Each block, each piece of a block (see below) and each equality form is
@@ -191,8 +192,7 @@ def _compile(sdp: SDPProblem):
     G y = g (the normalization, then the rows of the equality forms), the
     layout of the equality rows (`_equality_rows`), and each PSD block as
     (dimension, pencil)."""
-    norm_row = sp.csr_matrix(([1.0], ([0], [sdp.normalization_index])),
-                             shape=(1, sdp.num_moments))
+    norm_row = sp.csr_matrix(([1.0], ([0], [0])), shape=(1, sdp.num_moments))
     eq_rows, eq_layout = _equality_rows(sdp)
     g_mat = sp.vstack([norm_row, eq_rows], format="csr")
     g_vec = np.zeros(g_mat.shape[0])
@@ -662,7 +662,7 @@ def solve(sdp: SDPProblem, settings: SolverSettings | None = None) -> SDPSolutio
         print(_LOG_HEADER, file=log)
 
     y0 = np.zeros(sdp.num_moments)
-    y0[sdp.normalization_index] = 1.0
+    y0[0] = 1.0
     y_bound = sdp.moment_bounds
     if y_bound is not None:
         y_bound = y_bound[keep] if np.all(np.isfinite(y_bound[keep])) else None
@@ -723,7 +723,7 @@ def residuals(sdp: SDPProblem, solution: SDPSolution) -> dict:
     side, dual stationarity residual on the dual side, and gap =
     dual_value - primal_value."""
     m_scaled = solution.moments.values / sdp.scale_pow
-    primal = abs(m_scaled[sdp.normalization_index] - 1.0)
+    primal = abs(m_scaled[0] - 1.0)
     blocks = [(form.dimension, _pencil(sdp, form)) for _label, form in sdp.psd_blocks]
     equalities = [_pencil(sdp, form) for _label, form in sdp.equalities]
     block_rows, entries = _truncation(sdp, blocks, equalities)
@@ -736,7 +736,7 @@ def residuals(sdp: SDPProblem, solution: SDPSolution) -> dict:
     # Dual stationarity in the minimize form, against the full SDP; the
     # normalization's multiplier is -dual_value.
     stationarity = -sdp.objective
-    stationarity[sdp.normalization_index] += solution.dual_value
+    stationarity[0] += solution.dual_value
     pencils = [p for _k, p in blocks] + equalities
     duals = (*solution.dual_psd_blocks, *solution.equality_duals)
     adjoint = np.zeros(sdp.num_moments)

@@ -1,5 +1,5 @@
-"""Semialgebraic set descriptions: uncertainty supports, instability regions,
-membership tests and ball compactification.
+"""Semialgebraic set descriptions: uncertainty supports, instability regions
+and membership tests.
 
 A set is a conjunction of polynomial relations (>= 0 or = 0) over an ordered
 variable list.  Equality constraints are first-class here and in the
@@ -72,20 +72,6 @@ class SemialgebraicSet:
 
     def with_constraints(self, extra) -> "SemialgebraicSet":
         return SemialgebraicSet(self.variables, self.constraints + tuple(extra))
-
-    def compactify(self, radius: float) -> "SemialgebraicSet":
-        """Append the ball constraint radius^2 - sum(v_i^2) >= 0.
-
-        Sound whenever the set of interest is already inside the ball: no
-        point with norm <= radius is removed.
-        """
-        if radius <= 0:
-            raise ValueError(f"compactification radius must be positive, got {radius}")
-        ball = Polynomial.constant(self.num_vars, radius * radius)
-        for i in range(self.num_vars):
-            v = Polynomial.variable(self.num_vars, i)
-            ball = ball - v * v
-        return self.with_constraints([(ball, Relation.GE)])
 
 
 def box_set(variables, lower, upper) -> SemialgebraicSet:

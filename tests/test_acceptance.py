@@ -19,7 +19,7 @@ from dstab.cli import load_problem
 from dstab.moments import assemble, moments_of_atomic
 from dstab.poly import Polynomial, parse_polynomial
 from dstab.problem import DStabilityProblem, UncertainMatrix, build_lifted, minimal_order
-from dstab.relax import SolverStatus, assemble_relaxation, problem_stats
+from dstab.relax import SolverStatus, assemble_relaxation
 from dstab.sdp import SolverSettings, solve
 from dstab.sets import box_set, region_preset
 
@@ -228,7 +228,7 @@ def test_criterion_07_necessary_conditions(support_solution):
         for _label, form in sdp.psd_blocks:
             min_eig = min(min_eig, float(np.linalg.eigvalsh(assemble(form, m))[0]))
         # the one linear row m_0 = 1, then every equality form
-        worst_row = max(worst_row, abs(m.values[sdp.normalization_index] - 1.0))
+        worst_row = max(worst_row, abs(m.values[0] - 1.0))
         for _label, form in sdp.equalities:
             worst_row = max(worst_row, float(np.abs(assemble(form, m)).max()))
         if float(sdp.objective @ m.values) > optimum + 1e-6:
@@ -265,23 +265,23 @@ def test_criterion_10_bifurcation_oracle_and_desk_scale_files():
     jac = problem.matrix.evaluate(point)
     det = float(jac[0, 0] * jac[1, 1] - jac[0, 1] * jac[1, 0])
 
-    # desk-scale smoke for the large shipped problems: assembly and stats
-    stats_bif = problem_stats(assemble_relaxation(build_lifted(problem), 3))
+    # desk-scale smoke for the large shipped problems: assembly and sizes
+    sdp_bif = assemble_relaxation(build_lifted(problem), 3)
     lti, _ = load_problem(PROBLEMS_DIR / "lti_stability.prob")
-    stats_lti = problem_stats(assemble_relaxation(build_lifted(lti), 2))
+    sdp_lti = assemble_relaxation(build_lifted(lti), 2)
     hinf, _ = load_problem(PROBLEMS_DIR / "lti_hinf.prob")
-    stats_hinf = problem_stats(assemble_relaxation(build_lifted(hinf), 2))
+    sdp_hinf = assemble_relaxation(build_lifted(hinf), 2)
 
     ok = (
         abs(det) <= 1e-3
-        and stats_bif.num_moments == math.comb(11 + 6, 6)
-        and stats_lti.num_moments == math.comb(14 + 4, 4)
-        and stats_hinf.num_moments == math.comb(22 + 4, 4)
+        and sdp_bif.num_moments == math.comb(11 + 6, 6)
+        and sdp_lti.num_moments == math.comb(14 + 4, 4)
+        and sdp_hinf.num_moments == math.comb(22 + 4, 4)
     )
     check(10, ok, f"|det J| = {abs(det):.2e} at the analytic singularity "
                   f"(allowed 1e-3); assembled bifurcation tau=3 "
-                  f"({stats_bif.num_moments} moments), LTI stability "
-                  f"({stats_lti.num_moments}), Hamiltonian ({stats_hinf.num_moments})")
+                  f"({sdp_bif.num_moments} moments), LTI stability "
+                  f"({sdp_lti.num_moments}), Hamiltonian ({sdp_hinf.num_moments})")
 
 
 @pytest.mark.skip(

@@ -191,6 +191,14 @@ class TestHierarchy:
         assert [r.tau for r in report.reports] == [2, 3]
         assert [w.category for w in caught] == [UserWarning]
 
+    @pytest.mark.parametrize("tau_min, tau_max, start", [(3, 2, 3), (None, 0, 1)])
+    def test_tau_max_below_start_rejected_before_any_solve(self, mean_problem, monkeypatch,
+                                                           tau_min, tau_max, start):
+        monkeypatch.setattr(dstab.analysis, "solve",
+                            lambda *args: pytest.fail("an SDP was solved"))
+        with pytest.raises(ValueError, match=f"tau_max {tau_max} is below the start order {start}"):
+            hierarchy(mean_problem, tau_min, tau_max)
+
     def test_lifts_once_per_order(self, mean_problem, monkeypatch):
         # the minimal order comes from the first solve, not from a lift of
         # its own
@@ -204,6 +212,18 @@ class TestHierarchy:
 
 
 class TestExtractCandidate:
+    def test_first_moments_follow_the_constant(self):
+        # the candidate reads z_1..z_n at positions 1..n of the basis
+        lifted = build_lifted(hurwitz_problem())
+        solution = solve(assemble_relaxation(lifted, 3))
+        moments = solution.moments
+        first = [moments.entry(tuple(int(i == j) for j in range(7))) for i in range(7)]
+        assert moments.values[1:8].tolist() == first
+        candidate = extract_candidate(solution, lifted)
+        assert candidate.rho.tolist() == first[:1]
+        assert candidate.lam == complex(first[1], first[2])
+        assert candidate.x.tolist() == [complex(first[3], first[5]), complex(first[4], first[6])]
+
     def test_deterministic_candidate(self, support_problem):
         lifted = build_lifted(support_problem)
         solution = solve(assemble_relaxation(lifted, 2))

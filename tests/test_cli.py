@@ -425,6 +425,26 @@ class TestCommands:
         assert out.count("tau=2:") == 1
         assert "tau=1" not in out
 
+    @pytest.mark.parametrize("orders, start", [(["--tau", "3", "--tau-max", "2"], 3),
+                                               (["--tau-max", "0"], 2)],
+                             ids=["below-tau", "below-file-tau"])
+    def test_hierarchy_tau_max_below_start_exit_one(self, problems_dir, capsys, monkeypatch,
+                                                    orders, start):
+        monkeypatch.setattr(dstab.analysis, "solve",
+                            lambda *args: pytest.fail("an SDP was solved"))
+        assert main(["hierarchy", str(problems_dir / RUNNING), *orders]) == 1
+        captured = capsys.readouterr()
+        assert f"below the start order {start}" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("grid", ["0", "-3"])
+    def test_oracle_empty_grid_exit_one(self, problems_dir, capsys, grid):
+        # nothing is searched, so nothing is reported as found or not found
+        assert main(["oracle", str(problems_dir / SUPPORT), "--grid", grid]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("oracle error: points per axis must be at least 1")
+        assert captured.out == ""
+
     def test_export_sdp(self, problems_dir, tmp_path, capsys):
         target = tmp_path / "out.sdp"
         code = main(["export-sdp", str(problems_dir / RUNNING), str(target)])
@@ -645,6 +665,21 @@ class TestBindAndInfeasible:
         assert exit_info.value.code == 2
         assert f"argument {flag}: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["sweep", VARIANCE, "--param", "sigma2", "--values", "0.1", "--bind", "sigma2=0.3"],
+        ["bisect", VARIANCE, "--param", "sigma2", "--lo", "0", "--hi", "1",
+         "--bind", "sigma2=0.3"],
+        ["analyze", VARIANCE, "--bind", "sigma2=0.1", "--bind", "sigma2=0.2"],
+    ], ids=["sweep", "bisect", "bind"])
+    def test_name_bound_twice_is_a_usage_error(self, problems_dir, capsys, argv):
+        argv = [str(problems_dir / a) if a.endswith(".prob") else a for a in argv]
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        captured = capsys.readouterr()
+        assert "bound more than once (by --bind or --param): sigma2" in captured.err
+        assert captured.out == ""
+
     def test_infeasible_moments_exit_two(self, tmp_path, capsys):
         problem = running_problem(mean=2.0)
         path = tmp_path / "bad_mean.prob"
@@ -654,6 +689,12 @@ class TestBindAndInfeasible:
         assert code == 2
         assert "Inconclusive" in out and "Infeasible" in out
         assert "p_upper:    1   " in out and "p_lower:    0   " in out
+
+
+def test_every_public_name_resolves():
+    namespace = {}
+    exec("from dstab import *", namespace)
+    assert set(dstab.__all__) <= set(namespace)
 
 
 def test_cli_import_leaves_out_scipy_optimize():

@@ -289,6 +289,14 @@ class TestAtomicLP:
 
 
 class TestGridPoints:
+    @pytest.mark.parametrize("points_per_axis", [0, -3])
+    def test_fewer_than_one_point_per_axis_rejected(self, mean_problem, points_per_axis):
+        with pytest.raises(OracleError, match="at least 1"):
+            grid_points(mean_problem, points_per_axis)
+        # extra points do not stand in for an empty grid
+        with pytest.raises(OracleError, match="at least 1"):
+            grid_violation_search(mean_problem, points_per_axis, extra_points=[[1.0]])
+
     def test_box_grid(self, mean_problem):
         pts = grid_points(mean_problem, 11)
         assert pts.shape == (11, 1)

@@ -9,7 +9,6 @@ from dstab.poly import (
     Polynomial,
     PolynomialError,
     PolynomialSyntaxError,
-    basis_index,
     embed,
     grlex_key,
     monomial_basis,
@@ -185,19 +184,19 @@ class TestBasis:
 
     def test_index(self):
         basis = monomial_basis(4, 2)
-        assert basis_index(basis, (0, 0, 0, 0)) == 0
-        assert basis_index(basis, (1, 0, 0, 0)) == 1
-        assert basis_index(basis, basis.elements[-1]) == 14
+        assert basis.index((0, 0, 0, 0)) == 0
+        assert basis.index((1, 0, 0, 0)) == 1
+        assert basis.index(basis.elements[-1]) == 14
 
     def test_index_bijection(self):
         basis = monomial_basis(3, 3)
         for i, alpha in enumerate(basis.elements):
-            assert basis_index(basis, alpha) == i
+            assert basis.index(alpha) == i
 
     def test_out_of_range(self):
         basis = monomial_basis(2, 2)
         with pytest.raises(PolynomialError):
-            basis_index(basis, (3, 0))
+            basis.index((3, 0))
 
     def test_validation(self):
         with pytest.raises(PolynomialError):

@@ -10,12 +10,7 @@ from conftest import hurwitz_problem, running_problem
 
 from dstab.moments import MomentVector, assemble, moments_of_atomic
 from dstab.problem import LiftedProblem, build_lifted, minimal_order
-from dstab.relax import (
-    RelaxationError,
-    assemble_relaxation,
-    export_sdp,
-    problem_stats,
-)
+from dstab.relax import RelaxationError, assemble_relaxation, export_sdp
 from dstab.sdp import SolverSettings, solve
 
 
@@ -31,9 +26,10 @@ class TestRunningAssembly:
         assert nonzero == {(0, 0, 2, 0): 1.0, (0, 0, 0, 2): 1.0}
 
     def test_equality_rows(self, mean_sdp):
-        # the normalization m_0 = 1 is the one linear row; E[rho] = 0.5 is
-        # the 1x1 equality form of rho - 0.5, listed before the support ones
-        assert mean_sdp.normalization_index == mean_sdp.basis.index((0, 0, 0, 0))
+        # the normalization m_0 = 1 is the one linear row, on the constant
+        # monomial at the head of the basis; E[rho] = 0.5 is the 1x1
+        # equality form of rho - 0.5, listed before the support ones
+        assert mean_sdp.basis.elements[0] == (0, 0, 0, 0)
         label, form = mean_sdp.equalities[0]
         assert label == "moment[1]" and form.dimension == 1
         assert {alpha: v.tolist() for alpha, _r, _c, v in form.terms} == {
@@ -63,10 +59,9 @@ class TestRunningAssembly:
                                         (2, 0, 0, 0): -1.0})
 
     def test_stats(self, mean_sdp):
-        stats = problem_stats(mean_sdp)
-        assert stats.num_moments == 70
-        assert stats.largest_block == 15
-        assert stats.block_dimensions == (15,) + (5,) * 5
+        assert mean_sdp.num_moments == 70
+        assert mean_sdp.n_z == 4
+        assert mean_sdp.block_dimensions() == (15,) + (5,) * 5
 
     def test_support_only_drops_mean_row(self):
         # the normalization stays the only linear row; no expectation form
@@ -99,9 +94,8 @@ class TestFormLifetime:
 class TestStats:
     def test_hurwitz_tau3(self):
         sdp = assemble_relaxation(build_lifted(hurwitz_problem()), 3)
-        stats = problem_stats(sdp)
-        assert stats.num_moments == math.comb(7 + 6, 6) == 1716
-        assert stats.largest_block == math.comb(7 + 3, 3) == 120
+        assert sdp.num_moments == math.comb(7 + 6, 6) == 1716
+        assert max(sdp.block_dimensions()) == math.comb(7 + 3, 3) == 120
 
     def test_tiny_problem(self):
         # one lifted variable at order 1: 3 moments, 2x2 moment block
@@ -120,12 +114,15 @@ class TestStats:
             real_mode=True,
             matrix_size=0,
         )
-        stats = problem_stats(assemble_relaxation(lifted, 1))
-        assert stats.num_moments == 3
-        assert stats.largest_block == 2
-        # the normalization is the SDP's one linear row, so it must lead
-        with pytest.raises(RelaxationError, match="E\\[1\\] = 1"):
-            assemble_relaxation(dataclasses.replace(lifted, moment_constraints=()), 1)
+        sdp = assemble_relaxation(lifted, 1)
+        assert sdp.num_moments == 3
+        assert max(sdp.block_dimensions()) == 2
+        # a lift that still carries the row E[1] = 1 gets the same SDP: its
+        # form 1 - 1 is zero and is skipped
+        bare = assemble_relaxation(dataclasses.replace(lifted, moment_constraints=()), 1)
+        for one in (sdp, bare):
+            assert [label for label, _f in one.psd_blocks] == ["moment", "q[0]"]
+            assert one.block_dimensions() == (2, 1) and not one.equalities
 
 
 def flip_group(generators) -> set[frozenset]:
@@ -211,7 +208,7 @@ class TestFeasibilityTransfer:
         # the optimizing measure of the mean-constrained running example
         atoms = [[0.0, 0.0, 0.0, 0.0], [1.0, 0.0, 1.0, 0.0]]
         m = moments_of_atomic(atoms, [0.5, 0.5], 4, 2)  # scales are all 1 here
-        assert m.values[mean_sdp.normalization_index] == pytest.approx(1.0, abs=1e-10)
+        assert m.values[0] == pytest.approx(1.0, abs=1e-10)
         for _label, form in mean_sdp.psd_blocks:
             assert np.linalg.eigvalsh(assemble(form, m))[0] >= -1e-8
         for _label, form in mean_sdp.equalities:
@@ -232,7 +229,7 @@ class TestFeasibilityTransfer:
         m2 = MomentVector(4, 2, trunc)
         for _label, form in sdp2.psd_blocks:
             assert np.linalg.eigvalsh(assemble(form, m2))[0] >= -1e-8
-        assert m2.values[sdp2.normalization_index] == pytest.approx(1.0, abs=1e-10)
+        assert m2.values[0] == pytest.approx(1.0, abs=1e-10)
         for _label, form in sdp2.equalities:
             assert np.abs(assemble(form, m2)).max() <= 1e-12
 

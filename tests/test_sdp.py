@@ -42,9 +42,9 @@ def hankel_sdp() -> SDPProblem:
     objective = np.array([0.0, 1.0, 0.0])
     cap = localizing_matrix_form(parse_polynomial("1 - t^2", ["t"]), 1, 0)
     return SDPProblem(
-        n_z=1, tau=1, basis=basis, objective=objective,
+        tau=1, basis=basis, objective=objective,
         psd_blocks=(("moment", moment_matrix_form(1, 1)), ("moment[1]", cap)),
-        normalization_index=0, scale_pow=np.ones(3), z_vars=("t",),
+        scale_pow=np.ones(3), z_vars=("t",),
     )
 
 

@@ -151,35 +151,6 @@ class TestContains:
             assert inside[0].any() and not inside.all()
 
 
-class TestCompactify:
-    def test_unit_ball(self):
-        whole = SemialgebraicSet(("x", "y"))
-        ball = whole.compactify(1.0)
-        (p, rel), = ball.constraints
-        assert rel is Relation.GE
-        assert p == parse_polynomial("1 - x^2 - y^2", ["x", "y"])
-
-    def test_axis_segment(self):
-        region = region_preset("imaginary_axis")
-        seg = region.region_set.compactify(2.0)
-        assert seg.contains([0.0, 1.5])
-        assert not seg.contains([0.0, 2.5])
-        assert not seg.contains([0.5, 0.0])
-
-    def test_invalid_radius(self):
-        with pytest.raises(ValueError):
-            SemialgebraicSet(("x",)).compactify(0.0)
-
-    def test_no_interior_point_removed(self):
-        rng = random.Random(5)
-        base = box_set(("x", "y"), [-0.5, -0.5], [0.5, 0.5])
-        compact = base.compactify(2.0)
-        for _ in range(200):
-            point = [rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5)]
-            if math.hypot(*point) <= 2.0:
-                assert base.contains(point) == compact.contains(point)
-
-
 class TestRegionValidation:
     def test_custom_region(self):
         p = parse_polynomial("lre - lim", ["lre", "lim"])
