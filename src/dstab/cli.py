@@ -606,6 +606,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_output_paths(args) -> None:
+    """Fail before any lift or solve when an output path of the command
+    cannot be written: a directory, or a file in a missing directory."""
+    for key in ("output", "export_sdp", "csv"):
+        path = getattr(args, key, None)
+        if not path:
+            continue
+        if Path(path).is_dir():
+            raise IsADirectoryError(f"cannot write {path}: it is a directory")
+        parent = Path(path).parent
+        if not parent.is_dir():
+            raise FileNotFoundError(f"cannot write {path}: directory {parent} does not exist")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -616,6 +630,7 @@ def main(argv=None) -> int:
         args.parser.error("bound more than once (by --bind or --param): " + ", ".join(twice))
     out = sys.stdout
     try:
+        _check_output_paths(args)
         return args.func(args, out)
     except (ProblemFileError, PolynomialError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)

@@ -319,6 +319,37 @@ def _file_blocks(sdp: SDPProblem) -> list[tuple[str, LinearMatrixForm, float]]:
     return sorted(blocks, key=file_order)
 
 
+def _float_texts(values) -> np.ndarray:
+    """`repr(v)` and a newline for each value, as an object array.  Each
+    distinct value is formatted once, keyed by its bit pattern so that -0.0
+    keeps its own text."""
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    keys, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    texts = np.array([repr(v) + "\n" for v in keys.view(np.float64).tolist()], dtype=object)
+    return texts[inverse]
+
+
+def _basis_text(basis: MonomialBasis, numbers: np.ndarray) -> str:
+    """The basis section: each index with its exponent vector."""
+    exponents = np.array(basis.elements, dtype=np.intp).reshape(len(basis), basis.num_vars)
+    lines = numbers[:len(basis)]
+    for column in exponents[:, :-1].T:
+        lines = lines + numbers[column]
+    last = np.array([f"{e}\n" for e in range(exponents.max() + 1)], dtype=object)
+    return "".join(lines + last[exponents[:, -1]])
+
+
+def _block_text(form: LinearMatrixForm, sign: float, basis: MonomialBasis,
+                numbers: np.ndarray) -> str:
+    """The entry lines of one block: row, column, moment index, coefficient."""
+    if not form.terms:
+        return ""
+    alphas, rows, cols, vals = zip(*form.terms)
+    idx = np.repeat([basis.index(alpha) for alpha in alphas], [len(v) for v in vals])
+    return "".join(numbers[np.concatenate(rows)] + numbers[np.concatenate(cols)]
+                   + numbers[idx] + _float_texts(sign * np.concatenate(vals)))
+
+
 def export_sdp(sdp: SDPProblem, path) -> tuple[int, ...]:
     """Write the assembled SDP in a plain sparse text format and return the
     dimensions of the blocks written, in file order.
@@ -329,29 +360,25 @@ def export_sdp(sdp: SDPProblem, path) -> tuple[int, ...]:
     each PSD block as (row, col, moment-index, coefficient) quadruples,
     with every equality form written as a +/- block pair.  Indices are
     zero-based.
-    """
-    lines = ["DSTAB-SDP 1"]
-    lines.append(f"nz {sdp.n_z} tau {sdp.tau} moments {sdp.num_moments}")
-    lines.append("zvars " + " ".join(sdp.z_vars))
-    lines.append("basis")
-    for idx, alpha in enumerate(sdp.basis.elements):
-        lines.append(f"{idx} " + " ".join(str(e) for e in alpha))
+
+    Each section is built from arrays, with every integer and every
+    distinct value formatted once, and written as soon as it is built, so
+    the writer never holds more than one block's lines."""
+    blocks = _file_blocks(sdp)
+    dims = tuple(form.dimension for _label, form, _sign in blocks)
+    # "i " for every moment index, row and column in the file
+    numbers = np.array([f"{i} " for i in range(max((sdp.num_moments, *dims)))], dtype=object)
     nnz = np.nonzero(sdp.objective)[0]
-    lines.append(f"objective {len(nnz)}")
-    for idx in nnz:
-        lines.append(f"{idx} {float(sdp.objective[idx])!r}")
-    lines.append("constraint 0 = 1.0 1 moment[0]")
-    lines.append("0 1.0")
-    dims = []
-    for k, (label, form, sign) in enumerate(_file_blocks(sdp)):
-        count = sum(len(vals) for _a, _r, _c, vals in form.terms)
-        lines.append(f"block {k} {form.dimension} {count} {label}")
-        for alpha, rows, cols, vals in form.terms:
-            idx = sdp.basis.index(alpha)
-            for r, c, v in zip(rows, cols, sign * vals):
-                lines.append(f"{r} {c} {idx} {float(v)!r}")
-        dims.append(form.dimension)
-    lines.append("end")
     with open(path, "w") as handle:
-        handle.write("\n".join(lines) + "\n")
-    return tuple(dims)
+        handle.write(f"DSTAB-SDP 1\nnz {sdp.n_z} tau {sdp.tau} moments {sdp.num_moments}\n"
+                     f"zvars {' '.join(sdp.z_vars)}\nbasis\n")
+        handle.write(_basis_text(sdp.basis, numbers))
+        handle.write(f"objective {len(nnz)}\n")
+        handle.write("".join(numbers[nnz] + _float_texts(sdp.objective[nnz])))
+        handle.write("constraint 0 = 1.0 1 moment[0]\n0 1.0\n")
+        for k, (label, form, sign) in enumerate(blocks):
+            count = sum(len(vals) for _a, _r, _c, vals in form.terms)
+            handle.write(f"block {k} {form.dimension} {count} {label}\n")
+            handle.write(_block_text(form, sign, sdp.basis, numbers))
+        handle.write("end\n")
+    return dims

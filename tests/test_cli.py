@@ -464,6 +464,27 @@ class TestCommands:
         assert "below the minimal order 2" in capsys.readouterr().err
         assert not target.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["analyze", RUNNING, "--export-sdp", "<missing>/x.sdp"],
+        ["sweep", VARIANCE, "--param", "sigma2", "--values", "0.1", "--csv", "<missing>/x.csv"],
+        ["export-sdp", RUNNING, "<missing>/x.sdp"],
+        ["export-sdp", RUNNING, "<dir>"],
+    ], ids=["analyze --export-sdp", "sweep --csv", "export-sdp", "export-sdp into a directory"])
+    def test_unwritable_output_fails_before_loading(self, problems_dir, tmp_path, capsys,
+                                                    monkeypatch, argv):
+        # nothing is parsed, lifted or solved, and nothing reaches stdout
+        def never(*args):
+            raise AssertionError("the problem was loaded")
+        monkeypatch.setattr(dstab.cli, "load_problem", never)
+        argv = [str(problems_dir / a) if a.endswith(".prob") else
+                a.replace("<missing>", str(tmp_path / "missing")).replace("<dir>", str(tmp_path))
+                for a in argv]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write {argv[-1]}: ")
+        assert not (tmp_path / "missing").exists()
+
     def test_analyze_exports_the_sdp_it_solved(self, problems_dir, tmp_path, capsys,
                                                monkeypatch):
         # one lift and one assembly, counted in both modules that call them,
@@ -578,6 +599,15 @@ EXPORT_GOLDEN = [
     ([VARIANCE, "--bind", "sigma2=0.1"],
      "ce48f2ddd21e7732b3ba609f8a82e646b3e9e89bd9fd31f3b4d96249b246f1d9",
      "tau 2: 70 moment variables, blocks [15, 1, 1, 1, 5, 5, 5, 5, 5, 5, 5, 5, 5], "
+     "1 linear rows -> "),
+    (["bifurcation.prob", "--bind", "k=0.45", "--tau", "3"],
+     "9c1ea9d5533ef2c25804867a559038b9e85e8c9dafb5fcef0176b3ef990ae080",
+     "tau 3: 12376 moment variables, blocks [364, " + "78, " * 16 + "1, 1, 12, 12, 1, 1, "
+     "12, 12, 78, 78], 1 linear rows -> "),
+    (["lti_hinf.prob", "--tau", "2"],
+     "0e5623529c2add3a6208d0338125af2ad383b51a8332cc91e53623ae03aca629",
+     "tau 2: 14950 moment variables, blocks [276, " + "23, " * 16 + "1, 1, 1, 1, "
+     "23, 23, 23, 23, 1, 1, " + "23, " * 6 + "1, 1, 1, 1, 23, 23, 23, 23, 1, 1, 23, 23], "
      "1 linear rows -> "),
 ]
 

@@ -1,16 +1,19 @@
 import dataclasses
 import gc
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 
-from conftest import hurwitz_problem, running_problem
+from conftest import PROBLEMS_DIR, hurwitz_problem, running_problem
 
-from dstab.moments import MomentVector, assemble, moments_of_atomic
+from dstab.cli import load_problem
+from dstab.moments import LinearMatrixForm, MomentVector, assemble, moments_of_atomic
+from dstab.poly import monomial_basis
 from dstab.problem import LiftedProblem, build_lifted, minimal_order
-from dstab.relax import RelaxationError, assemble_relaxation, export_sdp
+from dstab.relax import RelaxationError, SDPProblem, _file_blocks, assemble_relaxation, export_sdp
 from dstab.sdp import SolverSettings, solve
 
 
@@ -278,3 +281,97 @@ class TestExport:
                                           "q[2]", "q[3]+", "q[3]-", "q[4]+", "q[4]-", "q[5]",
                                           "q[6]"]
 
+
+def _loop_export(sdp, path) -> None:
+    """Reference writer: every line formatted on its own, the whole file
+    joined before it is written."""
+    lines = ["DSTAB-SDP 1"]
+    lines.append(f"nz {sdp.n_z} tau {sdp.tau} moments {sdp.num_moments}")
+    lines.append("zvars " + " ".join(sdp.z_vars))
+    lines.append("basis")
+    for idx, alpha in enumerate(sdp.basis.elements):
+        lines.append(f"{idx} " + " ".join(str(e) for e in alpha))
+    nnz = np.nonzero(sdp.objective)[0]
+    lines.append(f"objective {len(nnz)}")
+    for idx in nnz:
+        lines.append(f"{idx} {float(sdp.objective[idx])!r}")
+    lines.append("constraint 0 = 1.0 1 moment[0]")
+    lines.append("0 1.0")
+    for k, (label, form, sign) in enumerate(_file_blocks(sdp)):
+        count = sum(len(vals) for _a, _r, _c, vals in form.terms)
+        lines.append(f"block {k} {form.dimension} {count} {label}")
+        for alpha, rows, cols, vals in form.terms:
+            idx = sdp.basis.index(alpha)
+            for r, c, v in zip(rows, cols, sign * vals):
+                lines.append(f"{r} {c} {idx} {float(v)!r}")
+    lines.append("end")
+    with open(path, "w") as handle:
+        handle.write("\n".join(lines) + "\n")
+
+
+# a value for each placeholder of the shipped files
+BINDINGS = {
+    "bifurcation.prob": {"k": 0.4},
+    "bifurcation_probabilistic.prob": {"sigma2": 0.05},
+    "running_example_variance.prob": {"sigma2": 0.05},
+}
+
+
+def _shipped_sdp(name: str, tau: int | None = None) -> SDPProblem:
+    problem, _options = load_problem(PROBLEMS_DIR / name, BINDINGS.get(name, {}))
+    return assemble_relaxation(build_lifted(problem), tau)
+
+
+class TestExportMatchesLoopReference:
+    @pytest.mark.parametrize("name", sorted(p.name for p in PROBLEMS_DIR.glob("*.prob")))
+    def test_shipped_problem_at_minimal_order(self, name, tmp_path):
+        sdp = _shipped_sdp(name)
+        export_sdp(sdp, tmp_path / "fast.sdp")
+        _loop_export(sdp, tmp_path / "loop.sdp")
+        assert (tmp_path / "fast.sdp").read_bytes() == (tmp_path / "loop.sdp").read_bytes()
+
+    def test_signed_zeros_tiny_and_negative_values(self, tmp_path):
+        # each zero keeps its sign, also where the "-" twin of an equality
+        # flips it, and 1e-300 keeps all its digits
+        def form(dim, *terms):
+            return LinearMatrixForm(dim, 1, tuple(
+                (alpha, np.array(rows), np.array(cols), np.array(vals, dtype=float))
+                for alpha, rows, cols, vals in terms))
+
+        sdp = SDPProblem(
+            tau=1, basis=monomial_basis(1, 2),
+            objective=np.array([0.0, -2.5, 1e-300]),
+            psd_blocks=(
+                ("moment", form(2, ((0,), [0], [0], [1.0]), ((1,), [0, 1], [1, 0], [1.0, 1.0]),
+                                ((2,), [1], [1], [1.0]))),
+                ("q[0]", form(1, ((0,), [0], [0], [-0.0]), ((1,), [0], [0], [1e-300]))),
+            ),
+            scale_pow=np.ones(3), z_vars=("t",),
+            equalities=(
+                ("q[1]", form(2, ((0,), [0, 1], [0, 1], [0.0, -0.0]),
+                              ((1,), [0, 1, 1], [1, 0, 1], [-3.0, -3.0, 1e-300]))),
+                ("moment[1]", form(1, ((2,), [0], [0], [-0.5]))),
+            ),
+        )
+        assert export_sdp(sdp, tmp_path / "fast.sdp") == (2, 1, 1, 1, 2, 2)
+        _loop_export(sdp, tmp_path / "loop.sdp")
+        text = (tmp_path / "fast.sdp").read_text()
+        assert text == (tmp_path / "loop.sdp").read_text()
+        for line in ["0 0 0 -0.0", "1 1 0 0.0", "0 0 1 1e-300", "1 1 1 -1e-300", "0 1 1 3.0",
+                     "0 0 2 0.5", "2 1e-300"]:
+            assert line in text.splitlines()
+
+
+def test_export_memory_stays_below_whole_file_accumulation(tmp_path):
+    # lti_hinf at tau 2 writes a 6 MB file of 232k entry lines: a writer
+    # that holds every line and then their join peaks near 30 MB, one that
+    # writes a block at a time near 14 MB
+    sdp = _shipped_sdp("lti_hinf.prob", 2)
+    tracemalloc.start()
+    try:
+        export_sdp(sdp, tmp_path / "hinf.sdp")
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "hinf.sdp").stat().st_size > 6_000_000
+    assert peak < 20e6
