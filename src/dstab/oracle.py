@@ -11,10 +11,10 @@ works on whole point stacks: A(rho), Delta membership, region depths and
 the LP's moment rows are evaluated once per grid (or chunk of grid
 points), never point by point; polynomial powers are repeated products, so
 the same point gives the same bits alone and in a stack.  The simplex is
-kept in place of scipy's HiGHS because importing scipy.optimize alone
-raises the peak memory of an oracle run by about 21 MB (about 47 MB to
-68 MB).  Grid search provides lower-bound semantics only: a grid can miss
-thin violation sets.
+kept in place of scipy's HiGHS: dstab needs numpy alone, and importing
+scipy.optimize alone raised the peak memory of an oracle run by about
+21 MB (about 47 MB to 68 MB).  Grid search provides lower-bound semantics
+only: a grid can miss thin violation sets.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random import default_rng
 
 from .problem import DStabilityProblem, delta_box_bounds, is_box
 from .sets import Relation
@@ -156,7 +157,7 @@ def grid_points(problem: DStabilityProblem, points_per_axis: int,
         # Seeded rejection sampling against the membership test: at most 20
         # batches of max_points draws, keeping the first max_points accepted
         # in draw order.
-        rng = np.random.default_rng(seed)
+        rng = default_rng(seed)
         accepted = []
         for _ in range(20):
             candidates = rng.uniform(lower, upper, size=(max_points, n))

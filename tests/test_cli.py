@@ -737,6 +737,26 @@ def test_cli_import_leaves_out_scipy_optimize():
     assert result.stdout.strip() == "False"
 
 
+def test_cli_needs_no_scipy(problems_dir):
+    # importing any scipy module costs a command about 0.3 s of start-up;
+    # neither the import nor a whole certify run may load one
+    src_dir = str(pathlib.Path(dstab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src_dir}
+    probe = (
+        "import sys, dstab.cli\n"
+        "def loaded():\n"
+        "    return sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+        "print(loaded())\n"
+        f"code = dstab.cli.main(['certify', {str(problems_dir / 'hurwitz.prob')!r}, '--tau', '3'])\n"
+        "print(code, loaded())\n"
+    )
+    result = subprocess.run([sys.executable, "-c", probe], env=env,
+                            capture_output=True, text=True, timeout=300, check=True)
+    lines = result.stdout.strip().splitlines()
+    assert lines[0] == "[]"
+    assert lines[-1] == "0 []"
+
+
 @pytest.mark.parametrize("user_value, expected", [(None, "1"), ("2", "2")])
 def test_import_pins_blas_threads_unless_set(user_value, expected):
     src_dir = str(pathlib.Path(dstab.__file__).resolve().parents[1])

@@ -27,8 +27,10 @@ from dstab.sdp import (
     _compile,
     _equality_rows,
     _pencil,
+    _Pencil,
     _reduce,
     _rounding_allowance,
+    _SchurFactor,
     _truncation,
     residuals,
     solve,
@@ -307,10 +309,10 @@ class TestTruncation:
         assert np.array_equal(keep, (_x_degree(sdp) <= 2) & even)
         used = np.zeros(int(keep.sum()), dtype=bool)
         for _b, _rows, piece in pieces:
-            used[piece.indices] = True
+            used[piece.cols] = True
         assert used.all()
         # the kept equality rows use moments of x-degree <= 2 only
-        assert (_x_degree(sdp)[g_mat[np.flatnonzero(g_rows)].indices] <= 2).all()
+        assert (_x_degree(sdp)[g_mat.take_rows(np.flatnonzero(g_rows)).cols] <= 2).all()
         assert not g_rows.all()
 
     def test_residuals_score_the_rows_the_solver_keeps(self, mean_sdp, mean_solution):
@@ -409,7 +411,7 @@ class TestRoundingAllowance:
             nu[1 + pos] = w[r, cc] * np.where(r == cc, 1.0, 2.0)
         assert np.abs(nu).max() > 100.0
         allowance = _rounding_allowance(c, g_mat, nu, blocks, solution.dual_psd_blocks)
-        gap = np.abs(g_mat.toarray().T @ nu - g_mat.T @ nu)
+        gap = np.abs(g_mat.toarray().T @ nu - g_mat.adjoint(nu))
         assert gap.max() > 0.0
         assert np.all(gap <= allowance)
 
@@ -445,4 +447,57 @@ class TestPencil:
             reference = np.zeros(sdp.num_moments)
             for alpha, rows, cols, vals in form.terms:
                 reference[sdp.basis.index(alpha)] += vals @ w[cols, rows]
-            np.testing.assert_allclose(p.T @ w.ravel(), reference, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(p.adjoint(w.ravel()), reference, rtol=1e-12, atol=1e-12)
+
+
+    def test_row_and_column_selection_match_dense_slicing(self):
+        sdp = assemble_relaxation(build_lifted(hurwitz_problem()), 2)
+        p = _pencil(sdp, sdp.psd_blocks[0][1])
+        dense = p.toarray()
+        rng = np.random.default_rng(7)
+        rows = np.flatnonzero(rng.random(p.shape[0]) < 0.3)
+        cols = np.flatnonzero(rng.random(p.shape[1]) < 0.3)
+        for sub, reference in ((p.take_rows(rows), dense[rows]),
+                               (p.take_cols(cols), dense[:, cols]),
+                               (p.take_rows(rows).take_cols(cols), dense[np.ix_(rows, cols)])):
+            assert sub.shape == reference.shape
+            assert np.array_equal(sub.toarray(), reference)
+            # still in row-major order, each entry once
+            order = sub.rows * sub.shape[1] + sub.cols
+            assert np.all(np.diff(order) > 0)
+        y = rng.standard_normal(p.shape[1])
+        assert np.array_equal(p.take_rows(rows) @ y, (p @ y)[rows])
+
+
+class TestSchurFactor:
+    @pytest.mark.parametrize("n", [1, _SchurFactor.BLOCK - 1, _SchurFactor.BLOCK,
+                                   _SchurFactor.BLOCK + 1, 234])
+    def test_solve_matches_dense_solve(self, n):
+        rng = np.random.default_rng(n)
+        q = rng.standard_normal((n, n))
+        # a spread of scales, which the Jacobi scaling takes out
+        scale = np.exp(rng.uniform(-6.0, 6.0, n))
+        h = scale[:, None] * (q @ q.T + n * np.eye(n)) * scale
+        factor = _SchurFactor(h.copy())
+        for rhs in (rng.standard_normal(n), rng.standard_normal((n, 3))):
+            x = factor.solve(rhs)
+            assert x.shape == rhs.shape
+            np.testing.assert_allclose(x, np.linalg.solve(h, rhs), rtol=1e-9, atol=0.0)
+        # matvec is h y up to the rounding of the scaled product
+        y = rng.standard_normal(n)
+        assert np.all(np.abs(factor.matvec(y) - h @ y) <= 1e-13 * (np.abs(h) @ np.abs(y)))
+
+    def test_indefinite_matrix_raises_after_the_jitter_ladder(self):
+        h = np.diag([1.0, -1.0, 2.0])
+        with pytest.raises(np.linalg.LinAlgError):
+            _SchurFactor(h)
+
+    def test_jitter_rescues_a_singular_matrix(self):
+        # rank one: plain Cholesky fails, a small jitter succeeds, and the
+        # scaled matrix keeps its own diagonal for `matvec`
+        v = np.array([1.0, 2.0, 3.0])
+        h = np.outer(v, v)
+        factor = _SchurFactor(h.copy())
+        np.testing.assert_allclose(factor.matvec(v), np.outer(v, v) @ v, rtol=1e-12)
+        x = factor.solve(np.outer(v, v) @ v)
+        assert np.all(np.isfinite(x))
