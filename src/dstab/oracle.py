@@ -4,9 +4,10 @@ Everything here deliberately avoids the moment machinery so it can serve as
 a cross-check: spectra from LAPACK's general eigensolver (numpy's eigvals,
 stacked over chunks of grid points), a deterministic grid search for
 uncertainty values whose spectrum enters the instability region, and a
-finite LP over atomic measures solved by a dense two-phase simplex with
-Bland's rule, vectorised over the tableau but pivoting one step at a time,
-so its path and answer are deterministic.  Everything before the simplex
+finite LP over atomic measures solved by a dense two-phase simplex that
+prices by Dantzig's rule and falls back to Bland's after a degenerate
+pivot, vectorised over the tableau but pivoting one step at a time, so its
+path and answer are deterministic.  Everything before the simplex
 works on whole point stacks: A(rho), Delta membership, region depths and
 the LP's moment rows are evaluated once per grid (or chunk of grid
 points), never point by point; polynomial powers are repeated products, so
@@ -222,7 +223,7 @@ def grid_violation_search(
 
 
 # ----------------------------------------------------------------------
-# Dense two-phase simplex (Bland's rule, deterministic).
+# Dense two-phase simplex (Dantzig's rule, Bland fallback, deterministic).
 
 _SIMPLEX_TOL = 1e-9
 
@@ -234,30 +235,37 @@ def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
     basis[row] = col
 
 
-def _bland_iterate(tableau, basis, cost, allowed, max_iter=20000):
-    """Minimize cost over the tableau with Bland's anti-cycling rule."""
+def _minimize(tableau, basis, cost, allowed, max_iter=20000):
+    """Minimize cost over the tableau.  The entering column is Dantzig's
+    (most negative reduced cost, lowest index on ties); after a degenerate
+    pivot it is Bland's (first improving column) until the next
+    non-degenerate one, so the path cannot cycle."""
+    degenerate = False
     for _ in range(max_iter):
         reduced = cost - cost[basis] @ tableau[:, :-1]
         improving = np.flatnonzero(allowed & (reduced < -_SIMPLEX_TOL))
         if improving.size == 0:
             return
-        entering = improving[0]
+        entering = improving[0] if degenerate else improving[np.argmin(reduced[improving])]
         column = tableau[:, entering]
         rows = np.flatnonzero(column > _SIMPLEX_TOL)
         if rows.size == 0:
             raise OracleError("LP is unbounded")
         # smallest ratio, ties by smallest basis index (Bland)
         ratios = tableau[rows, -1] / column[rows]
-        _pivot(tableau, basis, rows[np.lexsort((basis[rows], ratios))[0]], entering)
+        row = rows[np.lexsort((basis[rows], ratios))[0]]
+        degenerate = tableau[row, -1] <= _SIMPLEX_TOL
+        _pivot(tableau, basis, row, entering)
     raise OracleError("simplex iteration limit exceeded")
 
 
 def simplex_maximize(c, a_eq, b_eq, a_le=None, b_le=None):
     """Maximize c.x subject to a_eq x = b_eq, a_le x <= b_le, x >= 0.
 
-    Dense two-phase tableau simplex with Bland's rule throughout, so the
-    path and the answer are deterministic.  Raises AtomicLPInfeasible when
-    the constraints admit no feasible point.
+    Dense two-phase tableau simplex: Dantzig's rule, with Bland's rule
+    after a degenerate pivot against cycling, so the path and the answer
+    are deterministic.  Raises AtomicLPInfeasible when the constraints
+    admit no feasible point.
     """
     c = np.asarray(c, dtype=float)
     a_eq = np.asarray(a_eq, dtype=float).reshape(-1, len(c))
@@ -298,7 +306,7 @@ def simplex_maximize(c, a_eq, b_eq, a_le=None, b_le=None):
         phase1 = np.zeros(width)
         phase1[n + n_le:] = 1.0
         allowed = np.ones(width, dtype=bool)
-        _bland_iterate(tableau, basis, phase1, allowed)
+        _minimize(tableau, basis, phase1, allowed)
         if phase1[basis] @ tableau[:, -1] > 1e-7:
             raise AtomicLPInfeasible("moment constraints unsatisfiable on this grid")
         # drive any degenerate artificial out of the basis when possible
@@ -311,7 +319,7 @@ def simplex_maximize(c, a_eq, b_eq, a_le=None, b_le=None):
     cost[:n] = -c  # minimize -c.x
     allowed = np.ones(width, dtype=bool)
     allowed[n + n_le:] = False
-    _bland_iterate(tableau, basis, cost, allowed)
+    _minimize(tableau, basis, cost, allowed)
 
     x = np.zeros(width)
     x[basis] = tableau[:, -1]

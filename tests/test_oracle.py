@@ -6,6 +6,7 @@ import pytest
 from conftest import hurwitz_problem, running_problem
 
 from dstab import oracle
+from dstab.cli import load_problem
 from dstab.oracle import (
     AtomicLPInfeasible,
     OracleError,
@@ -241,6 +242,23 @@ class TestSimplex:
         second = simplex_maximize(*args)
         assert np.array_equal(first[0], second[0]) and first[1] == second[1]
 
+    def test_beale_cycling_lp(self):
+        # Beale's LP cycles under pure Dantzig pricing with this ratio
+        # tie-break; the Bland fallback after degenerate pivots ends it.
+        x, value = simplex_maximize(
+            [0.75, -20.0, 0.5, -6.0], a_eq=np.zeros((0, 4)), b_eq=[],
+            a_le=[[0.25, -8.0, -1.0, 9.0], [0.5, -12.0, -0.5, 3.0], [0.0, 0.0, 1.0, 0.0]],
+            b_le=[0.0, 0.0, 1.0],
+        )
+        assert value == pytest.approx(1.25, abs=1e-12)
+        assert np.allclose(x, [1.0, 0.0, 1.0, 0.0], atol=1e-12)
+
+
+def _variance_problem(problems_dir, sigma2):
+    problem, _ = load_problem(problems_dir / "running_example_variance.prob",
+                              {"sigma2": sigma2})
+    return problem
+
 
 class TestAtomicLP:
     def test_three_atom_mean(self, mean_problem):
@@ -286,6 +304,28 @@ class TestAtomicLP:
         result = atomic_lp_bound(problem, atoms)
         # extremal measure w*delta_1 + (1-w)*delta_a with w = sigma^2/(0.25+sigma^2)
         assert result.lower_bound == pytest.approx(1.0 / 6.0, abs=1e-6)
+
+    def test_pivots_do_not_grow_with_atoms(self, problems_dir, monkeypatch):
+        sigma2 = 0.1
+        problem = _variance_problem(problems_dir, sigma2)
+        pivots = []
+        pivot = oracle._pivot
+
+        def counted_pivot(*args):
+            pivots.append(args[2:])
+            pivot(*args)
+
+        monkeypatch.setattr(oracle, "_pivot", counted_pivot)
+        result = atomic_lp_bound(problem, grid_points(problem, 5000))
+        assert len(pivots) <= 50
+        exact = sigma2 / (sigma2 + 0.25)
+        assert exact - 1e-6 <= result.lower_bound <= exact
+
+    def test_more_atoms_than_iteration_cap(self, problems_dir):
+        # 30001 atoms, beyond the simplex's 20000-iteration cap
+        problem = _variance_problem(problems_dir, 0.1)
+        result = atomic_lp_bound(problem, np.linspace(0.0, 1.0, 30001)[:, None])
+        assert result.lower_bound == pytest.approx(2.0 / 7.0, abs=1e-9)
 
 
 class TestGridPoints:
