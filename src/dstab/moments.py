@@ -3,10 +3,11 @@
 A truncated moment vector collects m_alpha = E[z^alpha] for |alpha| <= 2*tau
 in graded-lex order.  Moment and localizing matrices are represented as
 linear pencils sum_alpha B_alpha m_alpha with sparse symmetric coefficient
-matrices B_alpha; assembling a pencil against a concrete moment vector gives
-the dense symmetric matrix whose positive semidefiniteness is necessary for
-m to be the moment sequence of a probability measure supported where the
-localizing polynomial is nonnegative.
+matrices B_alpha, held as flat entry arrays; assembling a pencil against a
+concrete moment vector gives the dense symmetric matrix whose positive
+semidefiniteness is necessary for m to be the moment sequence of a
+probability measure supported where the localizing polynomial is
+nonnegative.
 
 Every call builds its form afresh and the module keeps none, so a form
 lives exactly as long as the SDP that holds it.
@@ -14,12 +15,14 @@ lives exactly as long as the SDP that holds it.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .poly import Exponent, MonomialBasis, Polynomial, PolynomialError, monomial_basis
+from .poly import (Exponent, Polynomial, PolynomialError, graded_lex_index,
+                   graded_lex_position, monomial_basis)
 
 
 @dataclass(frozen=True)
@@ -39,12 +42,8 @@ class MomentVector:
                 f"moment vector has length {values.shape}, expected ({expected},)"
             )
 
-    @property
-    def basis(self) -> MonomialBasis:
-        return monomial_basis(self.num_vars, 2 * self.order)
-
     def entry(self, alpha: Exponent) -> float:
-        return float(self.values[self.basis.index(alpha)])
+        return float(self.values[graded_lex_position(alpha, self.num_vars, 2 * self.order)])
 
     @property
     def mass(self) -> float:
@@ -54,54 +53,48 @@ class MomentVector:
 
 @dataclass(frozen=True)
 class LinearMatrixForm:
-    """Symmetric matrix pencil sum_alpha B_alpha m_alpha.
-
-    `terms` maps each exponent alpha to the nonzero entries (rows, cols,
-    vals) of B_alpha, with both triangles stored explicitly so every
-    coefficient matrix is symmetric as stated.
-    """
+    """Symmetric matrix pencil sum_alpha B_alpha m_alpha: entry e adds
+    vals[e] m_alpha to (rows[e], cols[e]), alpha the monomial at graded-lex
+    position moments[e].  Each entry of each B_alpha appears once, both
+    triangles included, ordered by alpha ascending lexicographically and
+    by (i, j, gamma) within one alpha; the export writes them in this order."""
 
     dimension: int
     num_vars: int
-    terms: tuple[tuple[Exponent, np.ndarray, np.ndarray, np.ndarray], ...]
+    rows: np.ndarray
+    cols: np.ndarray
+    moments: np.ndarray
+    vals: np.ndarray
 
     def max_degree(self) -> int:
-        return max((sum(alpha) for alpha, _r, _c, _v in self.terms), default=0)
+        top = int(self.moments.max(initial=0))
+        return next(d for d in range(top + 1) if math.comb(self.num_vars + d, d) > top)
 
-
-def _freeze_terms(dim: int, num_vars: int, alphas, rows, cols, vals) -> LinearMatrixForm:
-    """Group the entries (alphas[e], rows[e], cols[e], vals[e]) by exponent:
-    terms in ascending exponent order, and within one exponent the entries
-    in their given order (the sort is stable)."""
-    order = np.lexsort(alphas.T[::-1])
-    alphas = alphas[order]
-    rows = rows[order].astype(np.intp)
-    cols = cols[order].astype(np.intp)
-    vals = vals[order].astype(float)
-    starts = np.flatnonzero(np.any(alphas[1:] != alphas[:-1], axis=1)) + 1
-    bounds = [0, *starts.tolist(), len(order)] if len(order) else []
-    terms = tuple(
-        (tuple(alphas[lo].tolist()), rows[lo:hi], cols[lo:hi], vals[lo:hi])
-        for lo, hi in zip(bounds, bounds[1:])
-    )
-    return LinearMatrixForm(dimension=dim, num_vars=num_vars, terms=terms)
+    @functools.cached_property
+    def terms(self) -> tuple[tuple[Exponent, np.ndarray, np.ndarray, np.ndarray], ...]:
+        """(alpha, rows, cols, vals) of each B_alpha in entry order, built on
+        first read: a view for readers outside `dstab`."""
+        elements = monomial_basis(self.num_vars, self.max_degree()).elements
+        bounds = np.flatnonzero(np.diff(self.moments, prepend=-1, append=-1)).tolist()
+        return tuple((elements[self.moments[lo]], self.rows[lo:hi], self.cols[lo:hi],
+                      self.vals[lo:hi]) for lo, hi in zip(bounds, bounds[1:]))
 
 
 def _pencil(q: Polynomial, num_vars: int, order: int) -> LinearMatrixForm:
     """Pencil with entry (i, j) = sum_gamma q_gamma m_{beta_i + beta_j + gamma}
     over the graded-lex basis beta of degree <= order."""
     basis = np.array(monomial_basis(num_vars, order).elements, dtype=np.intp)
-    basis = basis.reshape(-1, num_vars)
     gammas = np.array(list(q.terms), dtype=np.intp).reshape(-1, num_vars)
     coeffs = np.array(list(q.terms.values()), dtype=float)
     n, t = len(basis), len(gammas)
-    # entries in (i, j, gamma) order
+    # entries in (i, j, gamma) order, then stably by exponent
     alphas = basis[:, None, None, :] + basis[None, :, None, :] + gammas[None, None, :, :]
-    rows, cols, _g = np.indices((n, n, t))
-    return _freeze_terms(
-        n, num_vars, alphas.reshape(-1, num_vars), rows.ravel(), cols.ravel(),
-        np.broadcast_to(coeffs, (n, n, t)).ravel(),
-    )
+    alphas = alphas.reshape(-1, num_vars)
+    by_alpha = np.lexsort(alphas.T[::-1])
+    ij, g = np.divmod(by_alpha, t)
+    rows, cols = np.divmod(ij, n)
+    moments = graded_lex_index(alphas)[by_alpha]
+    return LinearMatrixForm(n, num_vars, rows, cols, moments, coeffs[g])
 
 
 def moment_matrix_form(num_vars: int, order: int) -> LinearMatrixForm:
@@ -130,10 +123,8 @@ def assemble(form: LinearMatrixForm, m: MomentVector) -> np.ndarray:
             f"form needs moments of degree {form.max_degree()}, "
             f"vector only holds degree {2 * m.order}"
         )
-    basis = m.basis
     out = np.zeros((form.dimension, form.dimension))
-    for alpha, rows, cols, vals in form.terms:
-        np.add.at(out, (rows, cols), vals * m.values[basis.index(alpha)])
+    np.add.at(out, (form.rows, form.cols), form.vals * m.values[form.moments])
     return out
 
 

@@ -18,8 +18,9 @@ layer (m_0000, m_1000, m_0100, ...).
 from __future__ import annotations
 
 import itertools
+import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -272,20 +273,12 @@ class MonomialBasis:
     num_vars: int
     order: int
     elements: tuple[Exponent, ...]
-    _index: dict[Exponent, int] = field(repr=False, compare=False, default_factory=dict)
-
-    def __post_init__(self):
-        self._index.update({alpha: i for i, alpha in enumerate(self.elements)})
 
     def __len__(self) -> int:
         return len(self.elements)
 
     def index(self, alpha: Exponent) -> int:
-        alpha = tuple(alpha)
-        idx = self._index.get(alpha)
-        if idx is None:
-            raise PolynomialError(f"exponent {alpha} is not in the basis (order {self.order})")
-        return idx
+        return graded_lex_position(alpha, self.num_vars, self.order)
 
 
 def monomial_basis(num_vars: int, order: int) -> MonomialBasis:
@@ -305,6 +298,30 @@ def monomial_basis(num_vars: int, order: int) -> MonomialBasis:
                 alpha[i] += 1
             elements.append(tuple(alpha))
     return MonomialBasis(num_vars, order, tuple(elements))
+
+
+def graded_lex_index(alphas) -> np.ndarray:
+    """Position of each exponent (the last axis of an integer array) in any
+    graded-lex basis that holds it.  With below[s, m] = C(s - 1 + m, m) the
+    count of monomials in m variables of degree < s, alpha of degree d in n
+    variables follows the below[d, n] monomials of lower degree and, for
+    each variable i, the below[s_i, n - 1 - i] of degree d that agree with
+    alpha before i and have more of i, s_i being the degree after i."""
+    alphas = np.asarray(alphas, dtype=np.intp)
+    n = alphas.shape[-1]
+    after = np.cumsum(alphas[..., ::-1], axis=-1)[..., ::-1]  # degree from each variable on
+    top = int(after[..., 0].max(initial=0))
+    below = np.array([[math.comb(s - 1 + m, m) if s else 0 for m in range(n + 1)]
+                      for s in range(top + 1)])
+    return below[after[..., 0], n] + below[after[..., 1:], np.arange(n - 1, 0, -1)].sum(axis=-1)
+
+
+def graded_lex_position(alpha: Exponent, num_vars: int, order: int) -> int:
+    """`graded_lex_index` of one exponent, checked to lie in the basis."""
+    alpha = tuple(alpha)
+    if len(alpha) != num_vars or any(e < 0 for e in alpha) or sum(alpha) > order:
+        raise PolynomialError(f"exponent {alpha} is not in the basis (order {order})")
+    return int(graded_lex_index(alpha))
 
 
 def embed(

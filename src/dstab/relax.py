@@ -339,15 +339,10 @@ def _basis_text(basis: MonomialBasis, numbers: np.ndarray) -> str:
     return "".join(lines + last[exponents[:, -1]])
 
 
-def _block_text(form: LinearMatrixForm, sign: float, basis: MonomialBasis,
-                numbers: np.ndarray) -> str:
+def _block_text(form: LinearMatrixForm, sign: float, numbers: np.ndarray) -> str:
     """The entry lines of one block: row, column, moment index, coefficient."""
-    if not form.terms:
-        return ""
-    alphas, rows, cols, vals = zip(*form.terms)
-    idx = np.repeat([basis.index(alpha) for alpha in alphas], [len(v) for v in vals])
-    return "".join(numbers[np.concatenate(rows)] + numbers[np.concatenate(cols)]
-                   + numbers[idx] + _float_texts(sign * np.concatenate(vals)))
+    return "".join(numbers[form.rows] + numbers[form.cols] + numbers[form.moments]
+                   + _float_texts(sign * form.vals))
 
 
 def export_sdp(sdp: SDPProblem, path) -> tuple[int, ...]:
@@ -377,8 +372,7 @@ def export_sdp(sdp: SDPProblem, path) -> tuple[int, ...]:
         handle.write("".join(numbers[nnz] + _float_texts(sdp.objective[nnz])))
         handle.write("constraint 0 = 1.0 1 moment[0]\n0 1.0\n")
         for k, (label, form, sign) in enumerate(blocks):
-            count = sum(len(vals) for _a, _r, _c, vals in form.terms)
-            handle.write(f"block {k} {form.dimension} {count} {label}\n")
-            handle.write(_block_text(form, sign, sdp.basis, numbers))
+            handle.write(f"block {k} {form.dimension} {len(form.vals)} {label}\n")
+            handle.write(_block_text(form, sign, numbers))
         handle.write("end\n")
     return dims

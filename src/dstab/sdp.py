@@ -266,14 +266,11 @@ def _pencil(sdp: SDPProblem, form) -> _Pencil:
     """The pencil A(y) = sum_i y_i A_i of a form as one sparse matrix P of
     shape (k^2, num_moments) with P y = vec A(y): row r k + c holds entry
     (r, c), column i the moment y_i.  A form holds each entry of each B_alpha
-    once (`moments`).  The solver reads `form.terms` here and nowhere else."""
+    once (`moments`), so P is the form's entry arrays in row-major order."""
     k, n_y = form.dimension, sdp.num_moments
-    flat = np.concatenate([rows * k + cols for _alpha, rows, cols, _vals in form.terms])
-    var = np.repeat([sdp.basis.index(alpha) for alpha, _r, _c, _v in form.terms],
-                    [len(vals) for _alpha, _r, _c, vals in form.terms])
-    order = np.argsort(flat * n_y + var)
-    vals = np.concatenate([vals for _alpha, _r, _c, vals in form.terms])
-    return _Pencil((k * k, n_y), flat[order], var[order], vals[order])
+    flat = form.rows * k + form.cols
+    order = np.argsort(flat * n_y + form.moments)
+    return _Pencil((k * k, n_y), flat[order], form.moments[order], form.vals[order])
 
 
 def _compile(sdp: SDPProblem):
@@ -538,17 +535,17 @@ class _SchurFactor:
         h /= d
         diagonal = h.diagonal().copy()
         jitter = 0.0
+        # unbound errors: a kept one's traceback would hold self and h in a cycle
         for _ in range(8):
             try:
                 low = np.linalg.cholesky(h)
                 break
-            except np.linalg.LinAlgError as err:
-                last_error = err
+            except np.linalg.LinAlgError:
                 jitter = max(jitter * 100.0, 1e-14)
                 h.flat[::n + 1] = diagonal + jitter
         else:
             h.flat[::n + 1] = diagonal
-            raise last_error
+            raise np.linalg.LinAlgError("Schur complement not positive definite")
         h.flat[::n + 1] = diagonal
         self.d, self.scaled, self.low = d, h, low
         # the diagonal blocks, the last one padded with the identity

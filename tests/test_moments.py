@@ -162,6 +162,13 @@ class TestMomentsOfAtomic:
         m = moments_of_atomic([[1.0]], [1.0], 1, 1)
         assert m.entry((1,)) == 1.0 == m.entry((2,))
 
+    def test_entry_outside_the_vector(self):
+        m = moments_of_atomic([[1.0, 2.0]], [1.0], 2, 1)
+        assert m.entry((1, 1)) == 2.0
+        for alpha in [(3, 0), (1,), (-1, 1)]:
+            with pytest.raises(PolynomialError):
+                m.entry(alpha)
+
     def test_weight_validation(self):
         with pytest.raises(PolynomialError):
             moments_of_atomic([[0.0]], [-0.1], 1, 1)

@@ -10,6 +10,7 @@ from dstab.poly import (
     PolynomialError,
     PolynomialSyntaxError,
     embed,
+    graded_lex_index,
     grlex_key,
     monomial_basis,
     parse_polynomial,
@@ -192,6 +193,12 @@ class TestBasis:
         basis = monomial_basis(3, 3)
         for i, alpha in enumerate(basis.elements):
             assert basis.index(alpha) == i
+
+    @pytest.mark.parametrize("n, d", [(1, 5), (3, 4), (11, 6), (22, 4)])
+    def test_graded_lex_index_is_the_basis_position(self, n, d):
+        basis = monomial_basis(n, d)
+        assert np.array_equal(graded_lex_index(basis.elements), np.arange(len(basis)))
+        assert graded_lex_index(basis.elements[-1]) == len(basis) - 1
 
     def test_out_of_range(self):
         basis = monomial_basis(2, 2)

@@ -333,24 +333,26 @@ class TestExportMatchesLoopReference:
     def test_signed_zeros_tiny_and_negative_values(self, tmp_path):
         # each zero keeps its sign, also where the "-" twin of an equality
         # flips it, and 1e-300 keeps all its digits
-        def form(dim, *terms):
-            return LinearMatrixForm(dim, 1, tuple(
-                (alpha, np.array(rows), np.array(cols), np.array(vals, dtype=float))
-                for alpha, rows, cols, vals in terms))
+        # entries (row, col, moment, value); in one variable the moment
+        # index of t^d is d
+        def form(dim, *entries):
+            rows, cols, moments, vals = zip(*entries)
+            return LinearMatrixForm(dim, 1, np.array(rows), np.array(cols), np.array(moments),
+                                    np.array(vals, dtype=float))
 
         sdp = SDPProblem(
             tau=1, basis=monomial_basis(1, 2),
             objective=np.array([0.0, -2.5, 1e-300]),
             psd_blocks=(
-                ("moment", form(2, ((0,), [0], [0], [1.0]), ((1,), [0, 1], [1, 0], [1.0, 1.0]),
-                                ((2,), [1], [1], [1.0]))),
-                ("q[0]", form(1, ((0,), [0], [0], [-0.0]), ((1,), [0], [0], [1e-300]))),
+                ("moment", form(2, (0, 0, 0, 1.0), (0, 1, 1, 1.0), (1, 0, 1, 1.0),
+                                (1, 1, 2, 1.0))),
+                ("q[0]", form(1, (0, 0, 0, -0.0), (0, 0, 1, 1e-300))),
             ),
             scale_pow=np.ones(3), z_vars=("t",),
             equalities=(
-                ("q[1]", form(2, ((0,), [0, 1], [0, 1], [0.0, -0.0]),
-                              ((1,), [0, 1, 1], [1, 0, 1], [-3.0, -3.0, 1e-300]))),
-                ("moment[1]", form(1, ((2,), [0], [0], [-0.5]))),
+                ("q[1]", form(2, (0, 0, 0, 0.0), (1, 1, 0, -0.0), (0, 1, 1, -3.0),
+                              (1, 0, 1, -3.0), (1, 1, 1, 1e-300))),
+                ("moment[1]", form(1, (0, 0, 2, -0.5))),
             ),
         )
         assert export_sdp(sdp, tmp_path / "fast.sdp") == (2, 1, 1, 1, 2, 2)

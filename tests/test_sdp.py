@@ -1,5 +1,7 @@
 import dataclasses
+import gc
 import io
+import weakref
 
 import numpy as np
 import pytest
@@ -491,6 +493,20 @@ class TestSchurFactor:
         h = np.diag([1.0, -1.0, 2.0])
         with pytest.raises(np.linalg.LinAlgError):
             _SchurFactor(h)
+
+    def test_a_jittered_factor_frees_its_matrix_without_the_collector(self):
+        # no reference cycle keeps the n x n matrices of a factor alive
+        # after it is deleted, also when the jitter ladder caught errors
+        v = np.array([1.0, 2.0, 3.0])
+        h = np.outer(v, v)
+        alive = weakref.ref(h)
+        gc.disable()
+        try:
+            factor = _SchurFactor(h)
+            del h, factor
+            assert alive() is None
+        finally:
+            gc.enable()
 
     def test_jitter_rescues_a_singular_matrix(self):
         # rank one: plain Cholesky fails, a small jitter succeeds, and the
