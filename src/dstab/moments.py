@@ -7,7 +7,9 @@ matrices B_alpha, held as flat entry arrays; assembling a pencil against a
 concrete moment vector gives the dense symmetric matrix whose positive
 semidefiniteness is necessary for m to be the moment sequence of a
 probability measure supported where the localizing polynomial is
-nonnegative.
+nonnegative.  A pencil's entries are ordered on exponent vectors packed
+into int64 keys, one key for every shipped form, so building one costs a
+sort of integers and one graded-lex rank per distinct alpha.
 
 Every call builds its form afresh and the module keeps none, so a form
 lives exactly as long as the SDP that holds it.
@@ -80,20 +82,58 @@ class LinearMatrixForm:
                       self.vals[lo:hi]) for lo, hi in zip(bounds, bounds[1:]))
 
 
+_KEY_LIMIT = 1 << 62
+
+
+def _lex_keys(exponents: np.ndarray, radix: np.ndarray) -> np.ndarray:
+    """Pack the exponent columns (digit c below radix[c]) by mixed radix into
+    as few int64 keys as stay below 2^62, one row per key, most significant
+    first: the keys order the exponents lexicographically, and adding keys
+    adds exponents as long as no digit of the sum reaches its radix."""
+    radix = radix.tolist()
+    groups, span = [[]], 1
+    for c, r in enumerate(radix):
+        if span * r > _KEY_LIMIT:
+            groups.append([])
+            span = 1
+        groups[-1].append(c)
+        span *= r
+    places = np.zeros((len(radix), len(groups)), dtype=np.int64)
+    for k, group in enumerate(groups):
+        place = 1
+        for c in reversed(group):
+            places[c, k] = place
+            place *= radix[c]
+    return (exponents @ places).T
+
+
 def _pencil(q: Polynomial, num_vars: int, order: int) -> LinearMatrixForm:
     """Pencil with entry (i, j) = sum_gamma q_gamma m_{beta_i + beta_j + gamma}
-    over the graded-lex basis beta of degree <= order."""
+    over the graded-lex basis beta of degree <= order.
+
+    Entry alpha = beta_i + beta_j + gamma is sorted by its packed lex key
+    kb[i] + kb[j] + kg[g] (`_lex_keys`, with a radix per variable of
+    2 order + max gamma + 1, which no digit of alpha reaches), so no
+    exponent array of the entries is formed, and only the first entry of
+    each run of equal keys gets its graded-lex index."""
     basis = np.array(monomial_basis(num_vars, order).elements, dtype=np.intp)
     gammas = np.array(list(q.terms), dtype=np.intp).reshape(-1, num_vars)
     coeffs = np.array(list(q.terms.values()), dtype=float)
     n, t = len(basis), len(gammas)
+    radix = 2 * order + gammas.max(axis=0, initial=0) + 1
+    kb, kg = _lex_keys(basis, radix), _lex_keys(gammas, radix)
     # entries in (i, j, gamma) order, then stably by exponent
-    alphas = basis[:, None, None, :] + basis[None, :, None, :] + gammas[None, None, :, :]
-    alphas = alphas.reshape(-1, num_vars)
-    by_alpha = np.lexsort(alphas.T[::-1])
+    keys = kb[:, :, None, None] + kb[:, None, :, None] + kg[:, None, None, :]
+    keys = keys.reshape(len(kb), -1)
+    by_alpha = np.lexsort(keys[::-1])
     ij, g = np.divmod(by_alpha, t)
     rows, cols = np.divmod(ij, n)
-    moments = graded_lex_index(alphas)[by_alpha]
+    keys = keys[:, by_alpha]
+    opens = np.ones(len(by_alpha), dtype=bool)  # entry opens a run of equal keys
+    opens[1:] = (keys[:, 1:] != keys[:, :-1]).any(axis=0)
+    starts = np.flatnonzero(opens)
+    first = graded_lex_index(basis[rows[starts]] + basis[cols[starts]] + gammas[g[starts]])
+    moments = first[np.cumsum(opens) - 1]
     return LinearMatrixForm(n, num_vars, rows, cols, moments, coeffs[g])
 
 

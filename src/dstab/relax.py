@@ -245,16 +245,17 @@ def assemble_relaxation(lifted: LiftedProblem, tau: int | None = None) -> SDPPro
     ratios = [math.inf] * n_z if lifted.var_bounds is None else [
         b / s for b, s in zip(lifted.var_bounds, scales)
     ]
-    scale_pow = np.empty(num_moments)
-    moment_bounds = np.empty(num_moments)
-    for idx, alpha in enumerate(basis.elements):
-        factor = bound = 1.0
-        for s, r, e in zip(scales, ratios, alpha):
-            if e:
-                factor *= s ** e
-                bound *= r ** e
-        scale_pow[idx] = factor
-        moment_bounds[idx] = bound
+    # one variable at a time, in variable order, from tables of the Python
+    # powers s ** e (1.0 at e = 0), so each product has the bits of the
+    # element-by-element one; inf * 0 and overflow stay silent as on floats
+    exponents = np.array(basis.elements, dtype=np.intp)
+    scale_pow = np.ones(num_moments)
+    moment_bounds = np.ones(num_moments)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for column, s, r in zip(exponents.T, scales, ratios):
+            powers = range(1, int(column.max(initial=0)) + 1)
+            scale_pow *= np.array([1.0] + [s ** e for e in powers])[column]
+            moment_bounds *= np.array([1.0] + [r ** e for e in powers])[column]
 
     objective_scaled = _scale_polynomial(lifted.objective, scales)
     objective = np.zeros(num_moments)
@@ -332,17 +333,22 @@ def _float_texts(values) -> np.ndarray:
 def _basis_text(basis: MonomialBasis, numbers: np.ndarray) -> str:
     """The basis section: each index with its exponent vector."""
     exponents = np.array(basis.elements, dtype=np.intp).reshape(len(basis), basis.num_vars)
-    lines = numbers[:len(basis)]
-    for column in exponents[:, :-1].T:
-        lines = lines + numbers[column]
     last = np.array([f"{e}\n" for e in range(exponents.max() + 1)], dtype=object)
-    return "".join(lines + last[exponents[:, -1]])
+    cells = np.empty((len(basis), basis.num_vars + 1), dtype=object)
+    cells[:, 0] = numbers[:len(basis)]
+    cells[:, 1:-1] = numbers[exponents[:, :-1]]
+    cells[:, -1] = last[exponents[:, -1]]
+    return "".join(cells.ravel().tolist())
 
 
 def _block_text(form: LinearMatrixForm, sign: float, numbers: np.ndarray) -> str:
     """The entry lines of one block: row, column, moment index, coefficient."""
-    return "".join(numbers[form.rows] + numbers[form.cols] + numbers[form.moments]
-                   + _float_texts(sign * form.vals))
+    cells = np.empty((len(form.vals), 4), dtype=object)
+    cells[:, 0] = numbers[form.rows]
+    cells[:, 1] = numbers[form.cols]
+    cells[:, 2] = numbers[form.moments]
+    cells[:, 3] = _float_texts(sign * form.vals)
+    return "".join(cells.ravel().tolist())
 
 
 def export_sdp(sdp: SDPProblem, path) -> tuple[int, ...]:

@@ -13,7 +13,8 @@ from dstab.moments import (
     moment_matrix_form,
     moments_of_atomic,
 )
-from dstab.poly import Polynomial, PolynomialError, monomial_basis, parse_polynomial
+from dstab.poly import (Polynomial, PolynomialError, graded_lex_position, monomial_basis,
+                        parse_polynomial)
 from dstab.problem import build_lifted
 from dstab.sets import Relation
 
@@ -83,6 +84,30 @@ class TestFormsMatchLoopReference:
             assert isinstance(alpha[0], int)
             assert rows.tolist() == r_rows and cols.tolist() == r_cols
             assert vals.tolist() == r_vals
+
+    # in 40 and 45 variables the packed exponents need two int64 keys,
+    # since every radix is at least 3 and 3^40 > 2^62
+    @pytest.mark.parametrize("num_vars,order,degree", [(1, 3, 3), (40, 1, 2), (45, 1, 2)])
+    def test_random_polynomials_as_arrays(self, num_vars, order, degree):
+        rng = random.Random(num_vars)
+        terms = {}
+        for _ in range(8):
+            alpha = [0] * num_vars
+            for _ in range(rng.randint(0, degree)):
+                alpha[rng.randrange(num_vars)] += 1
+            terms[tuple(alpha)] = rng.uniform(-2.0, 2.0)
+        q = Polynomial(num_vars, terms)
+        form = localizing_matrix_form(q, num_vars, order)
+        reference = _loop_form(q, num_vars, order)
+        top = max(sum(alpha) for alpha, *_rest in reference)
+        assert form.rows.tolist() == [i for _a, rows, _c, _v in reference for i in rows]
+        assert form.cols.tolist() == [j for _a, _r, cols, _v in reference for j in cols]
+        assert form.moments.tolist() == [
+            k for alpha, rows, _c, _v in reference
+            for k in [graded_lex_position(alpha, num_vars, top)] * len(rows)]
+        assert form.vals.tolist() == [v for _a, _r, _c, vals in reference for v in vals]
+        assert [(alpha, rows.tolist(), cols.tolist(), vals.tolist())
+                for alpha, rows, cols, vals in form.terms] == reference
 
 
 class TestLocalizingForm:

@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import math
 import tracemalloc
+import warnings
 import weakref
 
 import numpy as np
@@ -362,6 +363,51 @@ class TestExportMatchesLoopReference:
         for line in ["0 0 0 -0.0", "1 1 0 0.0", "0 0 1 1e-300", "1 1 1 -1e-300", "0 1 1 3.0",
                      "0 0 2 0.5", "2 1e-300"]:
             assert line in text.splitlines()
+
+
+def _loop_scale_tables(lifted: LiftedProblem, basis) -> tuple[np.ndarray, np.ndarray]:
+    """scale_pow and moment_bounds element by element on Python floats:
+    the products of s_i ** alpha_i and of (b_i / s_i) ** alpha_i."""
+    scales = lifted.var_scales
+    ratios = [math.inf] * len(scales) if lifted.var_bounds is None else [
+        b / s for b, s in zip(lifted.var_bounds, scales)
+    ]
+    scale_pow, moment_bounds = [], []
+    for alpha in basis.elements:
+        factor = bound = 1.0
+        for s, r, e in zip(scales, ratios, alpha):
+            if e:
+                factor *= s ** e
+                bound *= r ** e
+        scale_pow.append(factor)
+        moment_bounds.append(bound)
+    return np.array(scale_pow), np.array(moment_bounds)
+
+
+def _assert_scale_tables_match_loop(lifted: LiftedProblem) -> SDPProblem:
+    sdp = assemble_relaxation(lifted)
+    scale_pow, moment_bounds = _loop_scale_tables(lifted, sdp.basis)
+    assert np.array_equal(sdp.scale_pow.view(np.int64), scale_pow.view(np.int64))
+    assert np.array_equal(sdp.moment_bounds.view(np.int64), moment_bounds.view(np.int64))
+    return sdp
+
+
+class TestScaleTablesMatchLoopReference:
+    @pytest.mark.parametrize("name", sorted(p.name for p in PROBLEMS_DIR.glob("*.prob")))
+    def test_shipped_problem_at_minimal_order(self, name):
+        problem, _options = load_problem(PROBLEMS_DIR / name, BINDINGS.get(name, {}))
+        _assert_scale_tables_match_loop(build_lifted(problem))
+
+    def test_infinite_and_zero_bounds_stay_silent(self):
+        # inf * 0 gives nan and inf * inf gives inf without a RuntimeWarning,
+        # as on Python floats
+        lifted = build_lifted(hurwitz_problem())
+        bounds = (math.inf, 0.0, math.inf) + lifted.var_bounds[3:]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            sdp = _assert_scale_tables_match_loop(dataclasses.replace(lifted, var_bounds=bounds))
+        assert np.isnan(sdp.moment_bounds).any() and np.isinf(sdp.moment_bounds).any()
+        assert (sdp.moment_bounds == 0.0).any()
 
 
 def test_export_memory_stays_below_whole_file_accumulation(tmp_path):
