@@ -266,10 +266,11 @@ def hierarchy(
     settings: SolverSettings | None = None,
     margin: float = DEFAULT_CERTIFICATION_MARGIN,
 ) -> HierarchyReport:
-    """Solve the relaxation at each order from the one `upper_probability`
-    solves for tau_min (the minimal order when tau_min is None or below it)
-    to tau_max, by default one order above that start; a tau_max below the
-    start is a ValueError, raised before any solve.  The raw values must be
+    """Solve the relaxation of one lift at each order from the one
+    `upper_probability` solves for tau_min (the minimal order when tau_min
+    is None or below it) to tau_max, by default one order above that start,
+    timing each order on its own (the first with the lift); a tau_max below
+    the start is a ValueError, raised before any solve.  The raw values must be
     nonincreasing up to solver accuracy; a rise beyond MONOTONICITY_TOL is
     flagged as an anomaly."""
     check_margin(margin)
@@ -280,7 +281,7 @@ def hierarchy(
         raise ValueError(f"tau_max {tau_max} is below the start order {first}")
     reports = [_analyze(problem, lifted, first, settings, margin, start)]
     for tau in range(first + 1, end + 1):
-        reports.append(upper_probability(problem, tau=tau, settings=settings, margin=margin))
+        reports.append(_analyze(problem, lifted, tau, settings, margin, time.perf_counter()))
     violations = []
     for prev, nxt in zip(reports, reports[1:]):
         if nxt.raw_value > prev.raw_value + MONOTONICITY_TOL:

@@ -76,10 +76,10 @@ class LinearMatrixForm:
     def terms(self) -> tuple[tuple[Exponent, np.ndarray, np.ndarray, np.ndarray], ...]:
         """(alpha, rows, cols, vals) of each B_alpha in entry order, built on
         first read: a view for readers outside `dstab`."""
-        elements = monomial_basis(self.num_vars, self.max_degree()).elements
         bounds = np.flatnonzero(np.diff(self.moments, prepend=-1, append=-1)).tolist()
-        return tuple((elements[self.moments[lo]], self.rows[lo:hi], self.cols[lo:hi],
-                      self.vals[lo:hi]) for lo, hi in zip(bounds, bounds[1:]))
+        alphas = monomial_basis(self.num_vars, self.max_degree())[self.moments[bounds[:-1]]]
+        return tuple((tuple(alpha), self.rows[lo:hi], self.cols[lo:hi], self.vals[lo:hi])
+                     for alpha, lo, hi in zip(alphas.tolist(), bounds, bounds[1:]))
 
 
 _KEY_LIMIT = 1 << 62
@@ -116,7 +116,7 @@ def _pencil(q: Polynomial, num_vars: int, order: int) -> LinearMatrixForm:
     2 order + max gamma + 1, which no digit of alpha reaches), so no
     exponent array of the entries is formed, and only the first entry of
     each run of equal keys gets its graded-lex index."""
-    basis = np.array(monomial_basis(num_vars, order).elements, dtype=np.intp)
+    basis = monomial_basis(num_vars, order)
     gammas = np.array(list(q.terms), dtype=np.intp).reshape(-1, num_vars)
     coeffs = np.array(list(q.terms.values()), dtype=float)
     n, t = len(basis), len(gammas)
@@ -182,9 +182,6 @@ def moments_of_atomic(atoms, weights, num_vars: int, order: int) -> MomentVector
         raise PolynomialError("atomic weights must be non-negative")
     if abs(weights.sum() - 1.0) > 1e-12:
         raise PolynomialError(f"atomic weights sum to {weights.sum()!r}, not 1")
-    basis = monomial_basis(num_vars, 2 * order)
-    values = np.empty(len(basis))
-    for idx, alpha in enumerate(basis.elements):
-        powers = np.prod(atoms ** np.asarray(alpha), axis=1)
-        values[idx] = float(weights @ powers)
+    values = [weights @ np.prod(atoms ** alpha, axis=1)
+              for alpha in monomial_basis(num_vars, 2 * order)]
     return MomentVector(num_vars=num_vars, order=order, values=values)

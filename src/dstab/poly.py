@@ -7,20 +7,19 @@ is the zero polynomial (degree 0 by convention, which keeps the minimal
 relaxation order formula total).  All values are immutable after
 construction and safe to share across threads.
 
-Monomial bases are ordered graded-lexicographically with the variable order
-fixed by the caller: monomials are sorted first by total degree, then with
-earlier variables taking precedence, so the constant monomial comes first
-and for 4 variables the degree-one block that follows reads z1, z2, z3, z4.
-This matches the moment-index notation used throughout the relaxation
-layer (m_0000, m_1000, m_0100, ...).
+A monomial basis is one integer array of exponents, a row per monomial,
+ordered graded-lexicographically with the variable order fixed by the
+caller: monomials are sorted first by total degree, then with earlier
+variables taking precedence, so the constant monomial comes first and for
+4 variables the degree-one block that follows reads z1, z2, z3, z4.  The
+row of a monomial is its moment index in the relaxation layer (m_0000,
+m_1000, m_0100, ...), which `graded_lex_index` computes from the exponents.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import re
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -265,39 +264,25 @@ def grlex_key(alpha: Exponent) -> tuple:
     return (sum(alpha), tuple(-e for e in alpha))
 
 
-@dataclass(frozen=True)
-class MonomialBasis:
-    """The canonical monomial basis of polynomials of degree <= order,
-    listed in graded-lex order (constant monomial first)."""
+def monomial_basis(num_vars: int, order: int) -> np.ndarray:
+    """Graded-lex exponents of all monomials of total degree <= order, one
+    row each: an integer array of shape (C(num_vars + order, order), num_vars).
 
-    num_vars: int
-    order: int
-    elements: tuple[Exponent, ...]
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-    def index(self, alpha: Exponent) -> int:
-        return graded_lex_position(alpha, self.num_vars, self.order)
-
-
-def monomial_basis(num_vars: int, order: int) -> MonomialBasis:
-    """Graded-lex basis of all monomials of total degree <= order.
-
-    Size is binomial(num_vars + order, order).
-    """
+    The degree-d block is, for each variable i, the degree-(d - 1) rows
+    whose first nonzero variable is i or later, plus e_i.  Within a block
+    that first variable never decreases, so those rows are a suffix."""
     if num_vars < 1 or order < 0:
         raise PolynomialError(f"invalid basis parameters n={num_vars}, order={order}")
-    # combinations_with_replacement lists the variable multisets of each
-    # degree lexicographically, which is graded-lex on their exponents
-    elements = []
-    for d in range(order + 1):
-        for combo in itertools.combinations_with_replacement(range(num_vars), d):
-            alpha = [0] * num_vars
-            for i in combo:
-                alpha[i] += 1
-            elements.append(tuple(alpha))
-    return MonomialBasis(num_vars, order, tuple(elements))
+    blocks = [np.zeros((1, num_vars), dtype=np.intp)]
+    first = np.array([num_vars])  # first nonzero variable of each row (none: num_vars)
+    for _ in range(order):
+        starts = np.searchsorted(first, np.arange(num_vars))  # the suffix for each variable
+        first = np.repeat(np.arange(num_vars), len(first) - starts)
+        # row k of the run of variable i is row starts[i] + k of the last block
+        block = blocks[-1][np.arange(len(first)) - np.searchsorted(first, first) + starts[first]]
+        block[np.arange(len(first)), first] += 1
+        blocks.append(block)
+    return np.concatenate(blocks)
 
 
 def graded_lex_index(alphas) -> np.ndarray:

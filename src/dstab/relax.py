@@ -53,7 +53,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .moments import LinearMatrixForm, MomentVector, localizing_matrix_form, moment_matrix_form
-from .poly import MonomialBasis, Polynomial, monomial_basis
+from .poly import Polynomial, graded_lex_index, monomial_basis
 from .problem import LiftedProblem, minimal_order
 from .sets import Relation
 
@@ -92,7 +92,7 @@ class SDPProblem:
     them is solved untruncated."""
 
     tau: int
-    basis: MonomialBasis
+    basis: np.ndarray
     objective: np.ndarray
     psd_blocks: tuple[tuple[str, LinearMatrixForm], ...]
     scale_pow: np.ndarray
@@ -248,19 +248,18 @@ def assemble_relaxation(lifted: LiftedProblem, tau: int | None = None) -> SDPPro
     # one variable at a time, in variable order, from tables of the Python
     # powers s ** e (1.0 at e = 0), so each product has the bits of the
     # element-by-element one; inf * 0 and overflow stay silent as on floats
-    exponents = np.array(basis.elements, dtype=np.intp)
     scale_pow = np.ones(num_moments)
     moment_bounds = np.ones(num_moments)
     with np.errstate(over="ignore", invalid="ignore"):
-        for column, s, r in zip(exponents.T, scales, ratios):
+        for column, s, r in zip(basis.T, scales, ratios):
             powers = range(1, int(column.max(initial=0)) + 1)
             scale_pow *= np.array([1.0] + [s ** e for e in powers])[column]
             moment_bounds *= np.array([1.0] + [r ** e for e in powers])[column]
 
     objective_scaled = _scale_polynomial(lifted.objective, scales)
     objective = np.zeros(num_moments)
-    for alpha, coeff in objective_scaled.terms.items():
-        objective[basis.index(alpha)] += coeff
+    alphas = np.array(list(objective_scaled.terms), dtype=np.intp).reshape(-1, n_z)
+    objective[graded_lex_index(alphas)] = list(objective_scaled.terms.values())
     # parity classes for the sign-symmetry detection
     even: list[Polynomial] = [objective_scaled]
     uniform: list[Polynomial] = []
@@ -330,14 +329,13 @@ def _float_texts(values) -> np.ndarray:
     return texts[inverse]
 
 
-def _basis_text(basis: MonomialBasis, numbers: np.ndarray) -> str:
+def _basis_text(basis: np.ndarray, numbers: np.ndarray) -> str:
     """The basis section: each index with its exponent vector."""
-    exponents = np.array(basis.elements, dtype=np.intp).reshape(len(basis), basis.num_vars)
-    last = np.array([f"{e}\n" for e in range(exponents.max() + 1)], dtype=object)
-    cells = np.empty((len(basis), basis.num_vars + 1), dtype=object)
+    last = np.array([f"{e}\n" for e in range(basis.max() + 1)], dtype=object)
+    cells = np.empty((len(basis), basis.shape[1] + 1), dtype=object)
     cells[:, 0] = numbers[:len(basis)]
-    cells[:, 1:-1] = numbers[exponents[:, :-1]]
-    cells[:, -1] = last[exponents[:, -1]]
+    cells[:, 1:-1] = numbers[basis[:, :-1]]
+    cells[:, -1] = last[basis[:, -1]]
     return "".join(cells.ravel().tolist())
 
 

@@ -407,8 +407,7 @@ def _truncation(sdp: SDPProblem, blocks: list, equalities: list):
     `_equality_rows` or of a pencil), the mask of the rows that do."""
     high = np.zeros(sdp.num_moments, dtype=bool)
     if sdp.x_coordinates:
-        exponents = np.array(sdp.basis.elements)[:, list(sdp.x_coordinates)]
-        high = exponents.sum(axis=1) > 2
+        high = sdp.basis[:, list(sdp.x_coordinates)].sum(axis=1) > 2
     rows = [np.flatnonzero(~p.rows_using(high)[::k + 1]) for k, p in blocks]
     return rows, [~m.rows_using(high) for m in equalities]
 
@@ -435,7 +434,7 @@ def _reduce(sdp: SDPProblem, blocks: list, g_mat):
     for sub in subs:
         keep[sub.cols[sub.vals != 0]] = True
     if sdp.sign_symmetries:
-        parity = np.array(sdp.basis.elements) % 2
+        parity = sdp.basis % 2
         for flip in sdp.sign_symmetries:
             keep &= parity[:, list(flip)].sum(axis=1) % 2 == 0
     kept = np.flatnonzero(keep)

@@ -199,16 +199,19 @@ class TestHierarchy:
         with pytest.raises(ValueError, match=f"tau_max {tau_max} is below the start order {start}"):
             hierarchy(mean_problem, tau_min, tau_max)
 
-    def test_lifts_once_per_order(self, mean_problem, monkeypatch):
-        # the minimal order comes from the first solve, not from a lift of
-        # its own
+    @pytest.mark.parametrize("tau_min, tau_max, orders",
+                             [(None, None, [1, 2]), (1, 3, [1, 2, 3])],
+                             ids=["default-range", "tau-1-to-3"])
+    def test_lifts_once(self, mean_problem, monkeypatch, tau_min, tau_max, orders):
+        # every order is solved on the one lift that also gives the minimal
+        # order
         lifts = []
         build = dstab.analysis.build_lifted
         monkeypatch.setattr(dstab.analysis, "build_lifted",
                             lambda problem: lifts.append(problem) or build(problem))
-        report = hierarchy(mean_problem)
-        assert [r.tau for r in report.reports] == [1, 2]
-        assert len(lifts) == 2
+        report = hierarchy(mean_problem, tau_min, tau_max)
+        assert [r.tau for r in report.reports] == orders
+        assert len(lifts) == 1
 
 
 class TestExtractCandidate:

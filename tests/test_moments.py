@@ -38,13 +38,13 @@ class TestMomentMatrixForm:
     def test_running_first_row(self):
         form = moment_matrix_form(4, 1)
         assert form.dimension == 5
-        basis = monomial_basis(4, 2)
         m = _labelled_moments(4, 1)
         mat = assemble(form, m)
         first_row_alphas = [
             (0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1),
         ]
-        assert [mat[0, j] for j in range(5)] == [basis.index(a) for a in first_row_alphas]
+        assert [mat[0, j] for j in range(5)] == [graded_lex_position(a, 4, 2)
+                                                 for a in first_row_alphas]
 
     def test_atom_rank_one(self):
         m = moments_of_atomic([[0.3]], [1.0], 1, 1)
@@ -56,7 +56,7 @@ class TestMomentMatrixForm:
 def _loop_form(q: Polynomial, num_vars: int, order: int):
     """Reference pencil built entry by entry in (i, j, gamma) order, the
     terms sorted by exponent."""
-    basis = monomial_basis(num_vars, order).elements
+    basis = monomial_basis(num_vars, order).tolist()
     by_alpha = {}
     for i, bi in enumerate(basis):
         for j, bj in enumerate(basis):
@@ -126,9 +126,9 @@ class TestLocalizingForm:
         basis = monomial_basis(4, 4)
         m = MomentVector(4, 2, np.zeros(len(basis)))
         values = m.values.copy()
-        values[basis.index((0, 0, 0, 0))] = 1.0
-        values[basis.index((0, 0, 2, 0))] = 0.25
-        values[basis.index((0, 0, 0, 2))] = 0.15
+        values[graded_lex_position((0, 0, 0, 0), 4, 4)] = 1.0
+        values[graded_lex_position((0, 0, 2, 0), 4, 4)] = 0.25
+        values[graded_lex_position((0, 0, 0, 2), 4, 4)] = 0.15
         mat = assemble(form, MomentVector(4, 2, values))
         assert mat[0, 0] == pytest.approx(1.0 - 0.25 - 0.15)
 
@@ -138,8 +138,8 @@ class TestLocalizingForm:
         form = localizing_matrix_form(q4, 4, 0)
         basis = monomial_basis(4, 2)
         values = np.zeros(len(basis))
-        values[basis.index((1, 0, 1, 0))] = 0.8
-        values[basis.index((0, 0, 1, 0))] = 0.3
+        values[graded_lex_position((1, 0, 1, 0), 4, 2)] = 0.8
+        values[graded_lex_position((0, 0, 1, 0), 4, 2)] = 0.3
         mat = assemble(form, MomentVector(4, 1, values))
         assert mat[0, 0] == pytest.approx(0.8 - 0.3)
 
@@ -273,6 +273,6 @@ class TestNecessaryConditions:
         for _ in range(20):
             z = [rng.uniform(-1, 1) for _ in range(4)]
             m = moments_of_atomic([z], [1.0], 4, order + 1)
-            b_vec = np.array([Polynomial.monomial(4, a).evaluate(z) for a in basis.elements])
+            b_vec = np.array([Polynomial.monomial(4, a).evaluate(z) for a in basis.tolist()])
             expected = q.evaluate(z) * np.outer(b_vec, b_vec)
             assert np.allclose(assemble(form, m), expected, atol=1e-10)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -5,12 +6,12 @@ import numpy as np
 import pytest
 
 from dstab.poly import (
-    MonomialBasis,
     Polynomial,
     PolynomialError,
     PolynomialSyntaxError,
     embed,
     graded_lex_index,
+    graded_lex_position,
     grlex_key,
     monomial_basis,
     parse_polynomial,
@@ -152,58 +153,79 @@ class TestEmbed:
             assert lifted.evaluate(point) == p.evaluate([point[1], point[3]])
 
 
+def _reference_basis(n: int, order: int) -> np.ndarray:
+    """The graded-lex basis from the variable multisets of each degree:
+    combinations_with_replacement lists them lexicographically, which is
+    graded-lex on their exponents."""
+    rows = []
+    for d in range(order + 1):
+        for combo in itertools.combinations_with_replacement(range(n), d):
+            alpha = [0] * n
+            for i in combo:
+                alpha[i] += 1
+            rows.append(alpha)
+    return np.array(rows, dtype=np.intp).reshape(-1, n)
+
+
 class TestBasis:
     def test_one_var(self):
         basis = monomial_basis(1, 2)
-        assert basis.elements == ((0,), (1,), (2,))
+        assert basis.tolist() == [[0], [1], [2]]
 
     def test_running_example_order_one(self):
         basis = monomial_basis(4, 1)
         assert len(basis) == 5
-        assert basis.elements == (
-            (0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1),
-        )
+        assert basis.tolist() == [
+            [0, 0, 0, 0], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1],
+        ]
 
     def test_counts(self):
         assert len(monomial_basis(4, 2)) == 15
         for n, tau in [(2, 3), (5, 2), (7, 3)]:
             assert len(monomial_basis(n, tau)) == math.comb(n + tau, tau)
 
+    @pytest.mark.parametrize("n, order", [(n, order) for n in range(1, 9) for order in range(7)]
+                             + [(11, 6), (22, 4), (40, 2)])
+    def test_matches_multiset_reference(self, n, order):
+        basis = monomial_basis(n, order)
+        assert basis.dtype == np.intp
+        assert basis.shape == (math.comb(n + order, order), n)
+        assert np.array_equal(basis, _reference_basis(n, order))
+
     def test_strictly_increasing_grlex(self):
         basis = monomial_basis(3, 4)
-        keys = [grlex_key(a) for a in basis.elements]
+        keys = [grlex_key(a) for a in basis.tolist()]
         assert keys == sorted(keys)
         assert len(set(keys)) == len(keys)
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_every_basis_is_sorted_grlex_and_complete(self, n):
         for d in range(7):
-            elements = monomial_basis(n, d).elements
-            assert list(elements) == sorted(elements, key=grlex_key)
+            elements = [tuple(alpha) for alpha in monomial_basis(n, d).tolist()]
+            assert elements == sorted(elements, key=grlex_key)
             assert len(set(elements)) == len(elements) == math.comb(n + d, d)
             assert all(len(a) == n and min(a) >= 0 and sum(a) <= d for a in elements)
 
     def test_index(self):
         basis = monomial_basis(4, 2)
-        assert basis.index((0, 0, 0, 0)) == 0
-        assert basis.index((1, 0, 0, 0)) == 1
-        assert basis.index(basis.elements[-1]) == 14
+        assert graded_lex_position((0, 0, 0, 0), 4, 2) == 0
+        assert graded_lex_position((1, 0, 0, 0), 4, 2) == 1
+        assert graded_lex_position(basis[-1], 4, 2) == 14
 
     def test_index_bijection(self):
         basis = monomial_basis(3, 3)
-        for i, alpha in enumerate(basis.elements):
-            assert basis.index(alpha) == i
+        for i, alpha in enumerate(basis.tolist()):
+            assert graded_lex_position(alpha, 3, 3) == i
 
     @pytest.mark.parametrize("n, d", [(1, 5), (3, 4), (11, 6), (22, 4)])
     def test_graded_lex_index_is_the_basis_position(self, n, d):
         basis = monomial_basis(n, d)
-        assert np.array_equal(graded_lex_index(basis.elements), np.arange(len(basis)))
-        assert graded_lex_index(basis.elements[-1]) == len(basis) - 1
+        assert np.array_equal(graded_lex_index(basis), np.arange(len(basis)))
+        assert graded_lex_index(basis[-1]) == len(basis) - 1
 
     def test_out_of_range(self):
-        basis = monomial_basis(2, 2)
         with pytest.raises(PolynomialError):
-            basis.index((3, 0))
+            graded_lex_position((3, 0), 2, 2)
 
     def test_validation(self):
         with pytest.raises(PolynomialError):

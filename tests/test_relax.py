@@ -12,7 +12,7 @@ from conftest import PROBLEMS_DIR, hurwitz_problem, running_problem
 
 from dstab.cli import load_problem
 from dstab.moments import LinearMatrixForm, MomentVector, assemble, moments_of_atomic
-from dstab.poly import monomial_basis
+from dstab.poly import graded_lex_position, monomial_basis
 from dstab.problem import LiftedProblem, build_lifted, minimal_order
 from dstab.relax import RelaxationError, SDPProblem, _file_blocks, assemble_relaxation, export_sdp
 from dstab.sdp import SolverSettings, solve
@@ -26,14 +26,14 @@ def mean_sdp():
 class TestRunningAssembly:
     def test_objective_selects_x_norm(self, mean_sdp):
         basis = mean_sdp.basis
-        nonzero = {basis.elements[i]: c for i, c in enumerate(mean_sdp.objective) if c}
+        nonzero = {tuple(basis[i].tolist()): c for i, c in enumerate(mean_sdp.objective) if c}
         assert nonzero == {(0, 0, 2, 0): 1.0, (0, 0, 0, 2): 1.0}
 
     def test_equality_rows(self, mean_sdp):
         # the normalization m_0 = 1 is the one linear row, on the constant
         # monomial at the head of the basis; E[rho] = 0.5 is the 1x1
         # equality form of rho - 0.5, listed before the support ones
-        assert mean_sdp.basis.elements[0] == (0, 0, 0, 0)
+        assert mean_sdp.basis[0].tolist() == [0, 0, 0, 0]
         label, form = mean_sdp.equalities[0]
         assert label == "moment[1]" and form.dimension == 1
         assert {alpha: v.tolist() for alpha, _r, _c, v in form.terms} == {
@@ -190,11 +190,11 @@ class TestScaling:
     def test_scale_pow_matches_variable_scales(self):
         lifted = build_lifted(hurwitz_problem())
         sdp = assemble_relaxation(lifted, 2)
-        basis = sdp.basis
         s_rho, s_lam = lifted.var_scales[0], lifted.var_scales[1]
-        assert sdp.scale_pow[basis.index((0,) * 7)] == 1.0
-        assert sdp.scale_pow[basis.index((1, 0, 0, 0, 0, 0, 0))] == pytest.approx(s_rho)
-        assert sdp.scale_pow[basis.index((2, 1, 0, 0, 0, 0, 0))] == pytest.approx(
+        assert sdp.scale_pow[graded_lex_position((0,) * 7, 7, 4)] == 1.0
+        assert sdp.scale_pow[graded_lex_position((1, 0, 0, 0, 0, 0, 0), 7, 4)] == \
+            pytest.approx(s_rho)
+        assert sdp.scale_pow[graded_lex_position((2, 1, 0, 0, 0, 0, 0), 7, 4)] == pytest.approx(
             s_rho ** 2 * s_lam
         )
 
@@ -224,12 +224,10 @@ class TestFeasibilityTransfer:
     def test_truncation_stays_feasible(self):
         lifted = build_lifted(running_problem(mean=0.5))
         sdp2 = assemble_relaxation(lifted, 2)
-        sdp3 = assemble_relaxation(lifted, 3)
         atoms = [[0.0, 0.0, 0.0, 0.0], [1.0, 0.0, 1.0, 0.0]]
         m3 = moments_of_atomic(atoms, [0.5, 0.5], 4, 3)
         # truncate the tau=3 moment vector onto the tau=2 basis
-        basis3 = sdp3.basis
-        trunc = np.array([m3.values[basis3.index(a)] for a in sdp2.basis.elements])
+        trunc = np.array([m3.values[graded_lex_position(a, 4, 6)] for a in sdp2.basis.tolist()])
         m2 = MomentVector(4, 2, trunc)
         for _label, form in sdp2.psd_blocks:
             assert np.linalg.eigvalsh(assemble(form, m2))[0] >= -1e-8
@@ -265,7 +263,7 @@ class TestExport:
         basis_lines = lines[4:4 + 70]
         assert basis_lines[0] == "0 0 0 0 0"
         parsed = [tuple(int(v) for v in ln.split()[1:]) for ln in basis_lines]
-        assert parsed == list(mean_sdp.basis.elements)
+        assert parsed == [tuple(alpha) for alpha in mean_sdp.basis.tolist()]
         obj_at = lines.index(f"objective 2")
         entries = {int(ln.split()[0]): float(ln.split()[1])
                    for ln in lines[obj_at + 1: obj_at + 3]}
@@ -290,7 +288,7 @@ def _loop_export(sdp, path) -> None:
     lines.append(f"nz {sdp.n_z} tau {sdp.tau} moments {sdp.num_moments}")
     lines.append("zvars " + " ".join(sdp.z_vars))
     lines.append("basis")
-    for idx, alpha in enumerate(sdp.basis.elements):
+    for idx, alpha in enumerate(sdp.basis.tolist()):
         lines.append(f"{idx} " + " ".join(str(e) for e in alpha))
     nnz = np.nonzero(sdp.objective)[0]
     lines.append(f"objective {len(nnz)}")
@@ -302,7 +300,7 @@ def _loop_export(sdp, path) -> None:
         count = sum(len(vals) for _a, _r, _c, vals in form.terms)
         lines.append(f"block {k} {form.dimension} {count} {label}")
         for alpha, rows, cols, vals in form.terms:
-            idx = sdp.basis.index(alpha)
+            idx = graded_lex_position(alpha, sdp.n_z, 2 * sdp.tau)
             for r, c, v in zip(rows, cols, sign * vals):
                 lines.append(f"{r} {c} {idx} {float(v)!r}")
     lines.append("end")
@@ -373,7 +371,7 @@ def _loop_scale_tables(lifted: LiftedProblem, basis) -> tuple[np.ndarray, np.nda
         b / s for b, s in zip(lifted.var_bounds, scales)
     ]
     scale_pow, moment_bounds = [], []
-    for alpha in basis.elements:
+    for alpha in basis.tolist():
         factor = bound = 1.0
         for s, r, e in zip(scales, ratios, alpha):
             if e:

@@ -17,7 +17,7 @@ from dstab.moments import (
     moment_matrix_form,
     moments_of_atomic,
 )
-from dstab.poly import monomial_basis, parse_polynomial
+from dstab.poly import graded_lex_position, monomial_basis, parse_polynomial
 from dstab.problem import build_lifted
 from dstab.relax import (
     SDPProblem,
@@ -166,7 +166,7 @@ class TestResiduals:
         solution = solve(sdp)
         assert residuals(sdp, solution)["primal_infeas"] <= 1e-7
         values = solution.moments.values.copy()
-        values[sdp.basis.index((2, 0, 0, 0))] += 1e-3
+        values[graded_lex_position((2, 0, 0, 0), 4, 4)] += 1e-3
         probe = dataclasses.replace(
             solution, moments=dataclasses.replace(solution.moments, values=values),
         )
@@ -248,7 +248,7 @@ class TestSignReduction:
         assert r["dual_infeas"] <= 1e-7
 
     def test_odd_moments_are_zero(self, mean_sdp, mean_solution):
-        for alpha, value in zip(mean_sdp.basis.elements, mean_solution.moments.values):
+        for alpha, value in zip(mean_sdp.basis.tolist(), mean_solution.moments.values):
             if alpha[2] % 2 or alpha[3] % 2:  # odd under an x flip
                 assert value == 0.0
 
@@ -261,7 +261,7 @@ class TestSignReduction:
 
 def _x_degree(sdp) -> np.ndarray:
     """Eigenvector degree of each moment of the SDP."""
-    return np.array(sdp.basis.elements)[:, list(sdp.x_coordinates)].sum(axis=1)
+    return sdp.basis[:, list(sdp.x_coordinates)].sum(axis=1)
 
 
 def _truncation_cases():
@@ -305,7 +305,7 @@ class TestTruncation:
         sdp = assemble_relaxation(build_lifted(problem), tau)
         _c, g_mat, _g, _layout, blocks = _compile(sdp)
         keep, g_rows, pieces = _reduce(sdp, blocks, g_mat)
-        parity = np.array(sdp.basis.elements) % 2
+        parity = sdp.basis % 2
         even = np.all([parity[:, list(flip)].sum(axis=1) % 2 == 0
                        for flip in sdp.sign_symmetries], axis=0)
         assert np.array_equal(keep, (_x_degree(sdp) <= 2) & even)
@@ -333,7 +333,7 @@ class TestTruncation:
         # 2 inside it
         for alpha, scored in (((0, 0, 4, 0), False), ((0, 0, 2, 0), True)):
             values = mean_solution.moments.values.copy()
-            values[mean_sdp.basis.index(alpha)] -= 1e-2
+            values[graded_lex_position(alpha, 4, 4)] -= 1e-2
             probe = dataclasses.replace(
                 mean_solution, moments=dataclasses.replace(mean_solution.moments, values=values))
             assert (residuals(mean_sdp, probe)["primal_infeas"] >= 1e-3) is scored
@@ -349,7 +349,7 @@ def _dense_equality_rows(sdp, n_y):
             for r, c, v in zip(rr, cc, vals):
                 if r <= c:
                     row = entries.setdefault((int(r), int(c)), np.zeros(n_y))
-                    row[sdp.basis.index(alpha)] += v
+                    row[graded_lex_position(alpha, sdp.n_z, 2 * sdp.tau)] += v
         for key in sorted(entries):
             row = entries[key]
             if row.any() and row.tobytes() not in seen:
@@ -448,7 +448,7 @@ class TestPencil:
             w = w + w.T
             reference = np.zeros(sdp.num_moments)
             for alpha, rows, cols, vals in form.terms:
-                reference[sdp.basis.index(alpha)] += vals @ w[cols, rows]
+                reference[graded_lex_position(alpha, sdp.n_z, 2 * sdp.tau)] += vals @ w[cols, rows]
             np.testing.assert_allclose(p.adjoint(w.ravel()), reference, rtol=1e-12, atol=1e-12)
 
 
