@@ -23,6 +23,8 @@ import re
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import analysis, oracle
 from .poly import Polynomial, PolynomialError, parse_polynomial
 from .problem import DStabilityProblem, MomentConstraint, UncertainMatrix, build_lifted
@@ -503,9 +505,9 @@ def _cmd_bisect(args, out) -> int:
 
 def _cmd_oracle(args, out) -> int:
     problem, _options = load_problem(args.problem, dict(args.bind))
-    witness = oracle.grid_violation_search(
-        problem, args.grid, seed=args.seed,
-    )
+    points = oracle.grid_points(problem, args.grid, seed=args.seed)
+    spectra = oracle.spectra(problem, points)
+    witness = oracle.deepest_witness(problem, points, spectra)
     if witness is None:
         print(f"grid search ({args.grid} points/axis): no violation found", file=out)
     else:
@@ -518,7 +520,9 @@ def _cmd_oracle(args, out) -> int:
         )
     try:
         atoms = oracle.grid_points(problem, args.grid, max_points=10_000, seed=args.seed)
-        result = oracle.atomic_lp_bound(problem, atoms)
+        # the LP's grid is the search grid unless that exceeds the LP's cap
+        shared = np.array_equal(atoms, points)
+        result = oracle.atomic_lp_bound(problem, atoms, atom_spectra=spectra if shared else None)
         print(
             f"atomic LP over {len(result.atoms)} atoms: lower bound "
             f"{fmt(result.lower_bound)} on the violation probability", file=out,

@@ -112,16 +112,16 @@ def _region_depth(problem: DStabilityProblem, lam: np.ndarray, tol: float) -> np
 _SPECTRUM_CHUNK = 4096
 
 
-def _spectra(problem: DStabilityProblem, points, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted spectra of A(rho) at each point, shape (N, n), and the region
-    depth of every eigenvalue (NaN outside the instability region), with one
-    matrix evaluation and one eigenvalues call per chunk of at most
-    _SPECTRUM_CHUNK points."""
-    spectra = np.empty((len(points), problem.matrix.size), dtype=complex)
+def spectra(problem: DStabilityProblem, points) -> np.ndarray:
+    """Sorted spectra of A(rho) at each point, shape (N, n), with one matrix
+    evaluation and one eigenvalues call per chunk of at most _SPECTRUM_CHUNK
+    points.  `deepest_witness` and `atomic_lp_bound` read them, so a caller
+    that runs both on one grid computes them once."""
+    out = np.empty((len(points), problem.matrix.size), dtype=complex)
     for start in range(0, len(points), _SPECTRUM_CHUNK):
         chunk = slice(start, start + _SPECTRUM_CHUNK)
-        spectra[chunk] = eigenvalues(problem.matrix.evaluate(points[chunk]))
-    return spectra, _region_depth(problem, spectra, tol)
+        out[chunk] = eigenvalues(problem.matrix.evaluate(points[chunk]))
+    return out
 
 
 def _check_points_per_axis(points_per_axis: int) -> None:
@@ -204,18 +204,24 @@ def grid_violation_search(
     if extra_points is not None:
         extra = np.asarray(extra_points, dtype=float).reshape(len(extra_points), points.shape[1])
         points = np.vstack([points, extra[problem.delta.contains(extra, 1e-9)]])
-    spectra, depths = _spectra(problem, points, membership_tol)
-    flat = depths.ravel()
+    return deepest_witness(problem, points, spectra(problem, points), membership_tol)
+
+
+def deepest_witness(problem: DStabilityProblem, points, point_spectra,
+                    membership_tol: float = 1e-6) -> ViolationWitness | None:
+    """The deepest validated witness among the points, given their sorted
+    spectra (`spectra`), or None; see `grid_violation_search`."""
+    flat = _region_depth(problem, point_spectra, membership_tol).ravel()
     remaining = np.flatnonzero(~np.isnan(flat))
     while remaining.size:
         tied = flat[remaining] >= flat[remaining].max() - DEPTH_TIE_TOL
         for k in remaining[tied]:
-            i, j = divmod(int(k), spectra.shape[1])
+            i, j = divmod(int(k), point_spectra.shape[1])
             a = problem.matrix.evaluate(points[i])
-            _v, residual = unit_eigenvector(a, spectra[i, j])
+            _v, residual = unit_eigenvector(a, point_spectra[i, j])
             if residual <= EIG_RESIDUAL_TOL * max(1.0, np.abs(a).max()):
                 return ViolationWitness(
-                    rho=points[i].copy(), lam=complex(spectra[i, j]),
+                    rho=points[i].copy(), lam=complex(point_spectra[i, j]),
                     min_region_residual=float(flat[k]), eig_residual=residual,
                 )
         remaining = remaining[~tied]
@@ -346,13 +352,15 @@ def atomic_lp_bound(
     problem: DStabilityProblem,
     atoms,
     membership_tol: float = VIOLATION_MEMBERSHIP_TOL,
+    atom_spectra=None,
 ) -> AtomicLPResult:
     """Maximize the probability mass on violating atoms over all atomic
     measures supported on the given grid that satisfy the moment
     constraints.  Any feasible atomic measure is admissible for the moment
     problem, so the optimum is a true lower bound on the violation
     probability.  It is reported clipped to [0, 1]: the simplex's rounding
-    can carry it just past 1."""
+    can carry it just past 1.  The atoms' sorted spectra (`spectra`) are
+    computed here unless given."""
     atoms = np.atleast_2d(np.asarray(atoms, dtype=float))
     n_rho = len(problem.uncertainty_variables)
     if atoms.shape[1] != n_rho:
@@ -363,7 +371,9 @@ def atomic_lp_bound(
     if outside.size:
         raise OracleError(f"atom {atoms[outside[0]]} lies outside the uncertainty support")
 
-    _, depths = _spectra(problem, atoms, membership_tol)
+    if atom_spectra is None:
+        atom_spectra = spectra(problem, atoms)
+    depths = _region_depth(problem, atom_spectra, membership_tol)
     violating = ~np.isnan(depths).all(axis=1)
 
     objective = violating.astype(float)

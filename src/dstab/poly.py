@@ -285,19 +285,29 @@ def monomial_basis(num_vars: int, order: int) -> np.ndarray:
     return np.concatenate(blocks)
 
 
+_INTP_MAX = int(np.iinfo(np.intp).max)
+
+
 def graded_lex_index(alphas) -> np.ndarray:
     """Position of each exponent (the last axis of an integer array) in any
     graded-lex basis that holds it.  With below[s, m] = C(s - 1 + m, m) the
     count of monomials in m variables of degree < s, alpha of degree d in n
     variables follows the below[d, n] monomials of lower degree and, for
     each variable i, the below[s_i, n - 1 - i] of degree d that agree with
-    alpha before i and have more of i, s_i being the degree after i."""
+    alpha before i and have more of i, s_i being the degree after i.  By
+    Pascal's rule below[s] is the running sum of below[s - 1] for s >= 2.
+    Raises PolynomialError when an index could leave the integer range."""
     alphas = np.asarray(alphas, dtype=np.intp)
     n = alphas.shape[-1]
     after = np.cumsum(alphas[..., ::-1], axis=-1)[..., ::-1]  # degree from each variable on
     top = int(after[..., 0].max(initial=0))
-    below = np.array([[math.comb(s - 1 + m, m) if s else 0 for m in range(n + 1)]
-                      for s in range(top + 1)])
+    if math.comb(n + top, n) > _INTP_MAX:
+        raise PolynomialError(f"graded-lex index of degree {top} in {n} variables "
+                              "exceeds the integer range")
+    below = np.ones((top + 1, n + 1), dtype=np.intp)
+    below[0] = 0
+    for s in range(2, top + 1):
+        below[s] = below[s - 1].cumsum()
     return below[after[..., 0], n] + below[after[..., 1:], np.arange(n - 1, 0, -1)].sum(axis=-1)
 
 

@@ -67,9 +67,23 @@ Each iteration linearizes the centering condition X = sigma*mu*S^-1 with
 the symmetric operator V(.)V (V the inverse NT scaling point, so the Newton
 direction satisfies the linearized equations exactly and the Schur
 complement tr(A_i V A_j V) is symmetric positive definite), takes an
-affine predictor step to pick the centering weight sigma by Mehrotra's
-rule, then recomputes the corrected direction; each Newton system gets one
-step of iterative refinement, and steps use a fraction-to-boundary rule.
+affine predictor step (dX_a, dS_a) to pick the centering weight sigma by
+Mehrotra's rule, then recomputes the direction with the right-hand side
+dX + V dS V = C, C = sigma*mu*S^-1 - X - G Z G'.  G Z G' is Mehrotra's
+second-order term (Mehrotra, SIAM J. Optim. 2(4), 1992) in the NT scaling
+(Todd, Toh and Tutuncu, SIAM J. Optim. 8(3), 1998): with S = L L',
+eig(L' X L) = U diag(d) U', G = L^-T U diag(d^1/4) (so V = G G') and
+lambda = sqrt(d), Z_ij = M_ij / (lambda_i + lambda_j) for
+M = X~ S~ + S~ X~, X~ = G^-1 dX_a G^-T, S~ = G' dS_a G.  The term is left
+out once the worst of the relative residuals and the gap is within 100
+times the larger of `feasibility_tol` and `gap_tol`: kept to the end, it
+drove a running-example solve that met every tolerance to a value just
+above its own rigorous bound, and from there to SlowProgress.  Each
+Newton system gets one step of iterative refinement, and steps use a
+fraction-to-boundary rule.  The Cholesky factors of S and X that the
+definiteness check of a committed step computes are the next iteration's
+factors, and each inverse factor is taken once per iterate, for the NT
+scaling and all four step-length tests.
 An iterate is Optimal when the residuals and the gap meet the tolerances
 and, given finite a-priori moment bounds, its value does not exceed the
 rigorous bound of its own dual iterate: a higher value proves the primal
@@ -77,8 +91,9 @@ iterate infeasible.  On degenerate relaxations the stopped-short equality
 rows and PSD residual, weighted by large multipliers, can otherwise
 outweigh the complementarity gap.
 Blocks of equal dimension are stacked, so the NT scaling, the step-length
-eigenvalues and the definiteness checks take one batched numpy call per
-dimension, however many small blocks the splitting produces.  Everything
+eigenvalues (primal and dual in one call) and the definiteness checks
+take one batched numpy call per dimension, however many small blocks the
+splitting produces.  Everything
 is plain deterministic numpy: fixed summation order, no randomization, so
 identical inputs produce identical iterates for a fixed BLAS library and
 thread count.  Numerical breakdown (a Schur complement that loses positive
@@ -117,6 +132,9 @@ class SolverSettings:
 # Fraction-to-boundary factor of every step, and the start S = X = I.
 _STEP_FRACTION = 0.98
 _INITIAL_SCALE = 1.0
+# The corrector's second-order term is used only while the worst of the
+# residuals and the gap exceeds this multiple of the larger tolerance.
+_SECOND_ORDER_SWITCH = 100.0
 # Certificate-quality ratio (normalized dual-ray objective over dual-ray
 # residual) above which the problem is reported infeasible; the test is a
 # heuristic, not a proof.
@@ -454,43 +472,46 @@ def _sym(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.swapaxes(-1, -2))
 
 
-def _nt_scaling(s: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """S^-1 and the NT scaling point V = W^-1 (W X W = S) of a stack of
-    blocks: from S = L L', eig(L' X L) = U diag(d) U', V = Y sqrt(d) Y'
-    with Y = L^-T U.  Then V S V = X, and the Schur complement
-    tr(A_i V A_j V) is symmetric positive definite."""
-    chol = np.linalg.cholesky(s)
-    l_inv_t = np.linalg.inv(chol).swapaxes(-1, -2)
-    mid = chol.swapaxes(-1, -2) @ x @ chol
+def _nt_scaling(low: np.ndarray, low_inv: np.ndarray, x: np.ndarray):
+    """S^-1, the NT scaling point V = W^-1 (W X W = S) and its factor
+    (G, G^-1, lambda) of a stack of blocks, from S = L L' and L^-1:
+    eig(L' X L) = U diag(d) U', V = Y sqrt(d) Y' with Y = L^-T U, and
+    G = Y diag(d^1/4), G^-1 = diag(d^-1/4) U' L', lambda = sqrt(d).  Then
+    V = G G', V S V = X, G' S G = G^-1 X G^-T = diag(lambda), and the Schur
+    complement tr(A_i V A_j V) is symmetric positive definite."""
+    l_inv_t = low_inv.swapaxes(-1, -2)
+    mid = low.swapaxes(-1, -2) @ x @ low
     d, u = np.linalg.eigh(_sym(mid))
     if d[:, 0].min() <= 0:
         raise np.linalg.LinAlgError("NT scaling lost definiteness")
     y_mat = l_inv_t @ u
-    v = (y_mat * np.sqrt(d)[:, None, :]) @ y_mat.swapaxes(-1, -2)
-    return _sym(l_inv_t @ l_inv_t.swapaxes(-1, -2)), _sym(v)
+    lam = np.sqrt(d)
+    v = (y_mat * lam[:, None, :]) @ y_mat.swapaxes(-1, -2)
+    root = np.sqrt(lam)
+    factor = (y_mat * root[:, None, :],
+              (u.swapaxes(-1, -2) @ low.swapaxes(-1, -2)) / root[:, :, None], lam)
+    return _sym(l_inv_t @ l_inv_t.swapaxes(-1, -2)), _sym(v), factor
 
 
-def _max_step(s: np.ndarray, ds: np.ndarray) -> float:
-    """Largest t with S + t*dS PSD for every block of the stack, via the
-    Cholesky-whitened eigenvalues; 0 when some S is not positive definite."""
-    try:
-        chol = np.linalg.cholesky(s)
-    except np.linalg.LinAlgError:
-        return 0.0
-    l_inv = np.linalg.inv(chol)
-    w = l_inv @ ds @ l_inv.swapaxes(-1, -2)
-    lam_min = float(np.linalg.eigvalsh(_sym(w))[:, 0].min())
-    if lam_min >= -1e-14:
-        return np.inf
-    return -1.0 / lam_min
+def _second_order(factor, dx: np.ndarray, ds: np.ndarray) -> np.ndarray:
+    """Mehrotra's second-order term G Z G' of a stack of blocks for the
+    affine steps dX, dS, with V = G G' (`_nt_scaling`): in the scaled space
+    X~ = G^-1 dX G^-T, S~ = G' dS G, and Z solves the Lyapunov equation
+    diag(lambda) Z + Z diag(lambda) = X~ S~ + S~ X~."""
+    g, g_inv, lam = factor
+    m = (g_inv @ dx @ g_inv.swapaxes(-1, -2)) @ (g.swapaxes(-1, -2) @ ds @ g)
+    m += m.swapaxes(-1, -2)
+    return g @ (m / (lam[:, :, None] + lam[:, None, :])) @ g.swapaxes(-1, -2)
 
 
-def _is_pd(stack: np.ndarray) -> bool:
-    try:
-        np.linalg.cholesky(stack)
-        return True
-    except np.linalg.LinAlgError:
-        return False
+def _max_steps(s_low_inv, x_low_inv, ds, dx) -> tuple[float, float]:
+    """Largest t_p and t_d with S + t_p dS and X + t_d dX PSD for every
+    block of a stack, from the eigenvalues of L^-1 dS L^-T and L^-1 dX L^-T
+    (L the Cholesky factor of S or X), both taken in one call."""
+    w = np.concatenate([a @ d @ a.swapaxes(-1, -2) for a, d in ((s_low_inv, ds), (x_low_inv, dx))])
+    lam = np.linalg.eigvalsh(_sym(w))[:, 0]
+    lam_min = float(lam[:len(ds)].min()), float(lam[len(ds):].min())
+    return tuple(np.inf if m >= -1e-14 else -1.0 / m for m in lam_min)
 
 
 def _tril_inverse(t: np.ndarray) -> np.ndarray:
@@ -619,6 +640,9 @@ def _interior_point(c, g_mat, g_vec, groups, y, y_bound, settings, log) -> _Outc
     eta = _INITIAL_SCALE
     s_st = [np.tile(eta * np.eye(g.dim), (g.size, 1, 1)) for g in groups]
     x_st = [s.copy() for s in s_st]
+    # the Cholesky factors of the iterate, from the check that committed it
+    s_low = [np.linalg.cholesky(s) for s in s_st]
+    x_low = [np.linalg.cholesky(x) for x in x_st]
 
     gamma = _STEP_FRACTION
     c_norm = 1.0 + (np.abs(c).max() if len(c) else 0.0)
@@ -633,8 +657,10 @@ def _interior_point(c, g_mat, g_vec, groups, y, y_bound, settings, log) -> _Outc
     def inner(xs, ss) -> float:
         return sum(float(np.vdot(x, s)) for x, s in zip(xs, ss))
 
-    def step(stacks, steps) -> float:
-        return min(_max_step(s, d) for s, d in zip(stacks, steps))
+    def steps(ds, dx) -> tuple[float, float]:
+        lengths = [_max_steps(*args) for args in zip(s_low_inv, x_low_inv, ds, dx)]
+        return (min(1.0, gamma * min(p for p, _d in lengths)),
+                min(1.0, gamma * min(d for _p, d in lengths)))
 
     best = None
     best_score = np.inf
@@ -696,7 +722,10 @@ def _interior_point(c, g_mat, g_vec, groups, y, y_bound, settings, log) -> _Outc
             break
 
         try:
-            s_inv, v_scale = zip(*(_nt_scaling(s, x) for s, x in zip(s_st, x_st)))
+            s_low_inv = [np.linalg.inv(low) for low in s_low]
+            x_low_inv = [np.linalg.inv(low) for low in x_low]
+            s_inv, v_scale, factors = zip(*(_nt_scaling(*args)
+                                            for args in zip(s_low, s_low_inv, x_st)))
 
             h = np.zeros((n_y, n_y))
             for g, v in zip(groups, v_scale):
@@ -715,7 +744,8 @@ def _interior_point(c, g_mat, g_vec, groups, y, y_bound, settings, log) -> _Outc
             eq_inv = np.where(eq_w > cut, 1.0 / np.where(eq_w > cut, eq_w, 1.0), 0.0)
 
             # The complementarity linearization is dX = C - V dS V with
-            # C = sigma*mu*S^-1 - X; substituting dS = A(dy) + R_link into
+            # C = sigma*mu*S^-1 - X, less the second-order term in the
+            # corrector; substituting dS = A(dy) + R_link into
             # the dual equation gives  H dy - G' dnu = A*(C - V R V) - r_c.
             vrv = [v @ r @ v for v, r in zip(v_scale, r_link)]
 
@@ -741,34 +771,41 @@ def _interior_point(c, g_mat, g_vec, groups, y, y_bound, settings, log) -> _Outc
 
             # Predictor (affine scaling, sigma = 0).
             _dy_a, _dnu_a, ds_a, dx_a = newton([-x for x in x_st])
-            ap_a = min(1.0, gamma * step(s_st, ds_a))
-            ad_a = min(1.0, gamma * step(x_st, dx_a))
+            ap_a, ad_a = steps(ds_a, dx_a)
             mu_aff = inner([x + ad_a * d for x, d in zip(x_st, dx_a)],
                            [s + ap_a * d for s, d in zip(s_st, ds_a)]) / k_total
             sigma = min(1.0, max(0.0, mu_aff / mu) ** 3)
 
-            # Centering step toward sigma*mu.
-            dy, dnu, ds, dx = newton([sigma * mu * si - x for si, x in zip(s_inv, x_st)])
+            # Corrector: centering toward sigma*mu plus Mehrotra's
+            # second-order term, which is left out near the tolerances.
+            comp = [sigma * mu * si - x for si, x in zip(s_inv, x_st)]
+            if score > _SECOND_ORDER_SWITCH * max(settings.feasibility_tol, settings.gap_tol):
+                comp = [cm - _second_order(f, dxa, dsa)
+                        for cm, f, dxa, dsa in zip(comp, factors, dx_a, ds_a)]
+            dy, dnu, ds, dx = newton(comp)
         except np.linalg.LinAlgError:
             status = SolverStatus.SLOW_PROGRESS
             break
 
-        alpha_p = min(1.0, gamma * step(s_st, ds))
-        alpha_d = min(1.0, gamma * step(x_st, dx))
+        alpha_p, alpha_d = steps(ds, dx)
 
         # Commit, backing off deterministically if rounding broke definiteness.
         committed = False
         for _ in range(12):
             s_new = [_sym(s + alpha_p * d) for s, d in zip(s_st, ds)]
             x_new = [_sym(x + alpha_d * d) for x, d in zip(x_st, dx)]
-            if all(_is_pd(m) for m in s_new) and all(_is_pd(m) for m in x_new):
-                y = y + alpha_p * dy
-                nu = nu + alpha_d * dnu
-                s_st, x_st = s_new, x_new
-                committed = True
-                break
-            alpha_p *= 0.5
-            alpha_d *= 0.5
+            try:
+                low = [np.linalg.cholesky(m) for m in s_new + x_new]
+            except np.linalg.LinAlgError:
+                alpha_p *= 0.5
+                alpha_d *= 0.5
+                continue
+            y = y + alpha_p * dy
+            nu = nu + alpha_d * dnu
+            s_st, x_st = s_new, x_new
+            s_low, x_low = low[:len(groups)], low[len(groups):]
+            committed = True
+            break
         if log is not None:
             print(
                 f"{it:6d} {mu:11.4e} {p_inf:11.4e} {d_inf:11.4e} "

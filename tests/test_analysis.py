@@ -319,6 +319,13 @@ def running_family(k: float) -> DStabilityProblem:
 
 
 class TestBisect:
+    def test_near_the_margin(self):
+        # with the second-order term kept up to the tolerances, this solve
+        # stalls just above its own rigorous bound and ends SlowProgress
+        report = upper_probability(running_family(0.96875), tau=2)
+        assert report.solver_status is SolverStatus.OPTIMAL
+        assert report.verdict is Verdict.CERTIFIED_ROBUSTLY_DSTABLE
+
     def test_running_family(self):
         result = bisect_margin(running_family, 0.5, 1.0, tau=2, tol=1e-3)
         assert 1.0 - 2e-3 <= result.k_star < 1.0

@@ -13,6 +13,7 @@ from conftest import running_problem
 import dstab
 import dstab.analysis
 import dstab.cli
+import dstab.oracle
 from dstab.cli import ProblemFileError, load_problem, main, save_problem
 from dstab.poly import parse_polynomial
 from dstab.sets import Relation
@@ -659,6 +660,26 @@ ORACLE_GOLDEN = [
     (["bifurcation.prob", "--bind", "k=0.4"], 1, "", _NO_MEASURE),
     (["bifurcation_probabilistic.prob", "--bind", "sigma2=0.05"], 1, "", _NO_MEASURE),
 ]
+
+
+@pytest.mark.parametrize("args, calls", [
+    ([VARIANCE, "--grid", "5000", "--bind", "sigma2=0.1"], 1),
+    (["lti_stability.prob", "--grid", "6"], 1),
+    # 11^4 points exceed the LP's cap of 10 000 atoms, so its grid differs
+    (["lti_stability.prob", "--grid", "11"], 2),
+])
+def test_oracle_spectra_once_per_grid(problems_dir, monkeypatch, capsys, args, calls):
+    grids = []
+    spectra = dstab.oracle.spectra
+
+    def counted(problem, points):
+        grids.append(len(points))
+        return spectra(problem, points)
+
+    monkeypatch.setattr(dstab.oracle, "spectra", counted)
+    assert main(["oracle", str(problems_dir / args[0]), *args[1:]]) == 0
+    capsys.readouterr()
+    assert len(grids) == calls
 
 
 @pytest.mark.parametrize("args, code, stdout, stderr", ORACLE_GOLDEN,

@@ -223,6 +223,28 @@ class TestBasis:
         assert np.array_equal(graded_lex_index(basis), np.arange(len(basis)))
         assert graded_lex_index(basis[-1]) == len(basis) - 1
 
+    @pytest.mark.parametrize("n", [1, 2, 4, 11, 40, 45])
+    def test_graded_lex_index_matches_comb_formula(self, n):
+        rng = np.random.default_rng(n)
+        for degree in range(10):
+            alphas = rng.multinomial(degree, np.full(n, 1.0 / n), size=20)
+            # the position from C(d - 1 + n, n) lower-degree monomials plus,
+            # per variable, those of degree d that have more of it
+            expected = []
+            for alpha in alphas.tolist():
+                after = np.cumsum(alpha[::-1])[::-1].tolist()
+                expected.append(math.comb(degree - 1 + n, n) if degree else 0)
+                for i in range(n - 1):
+                    s = after[i + 1]
+                    expected[-1] += math.comb(s - 1 + n - 1 - i, n - 1 - i) if s else 0
+            index = graded_lex_index(alphas)
+            assert index.dtype == np.intp
+            assert index.tolist() == expected
+
+    def test_graded_lex_index_out_of_integer_range(self):
+        with pytest.raises(PolynomialError, match="integer range"):
+            graded_lex_index([0] * 100 + [50])
+
     def test_out_of_range(self):
         with pytest.raises(PolynomialError):
             graded_lex_position((3, 0), 2, 2)

@@ -28,11 +28,14 @@ from dstab.sdp import (
     SolverSettings,
     _compile,
     _equality_rows,
+    _max_steps,
+    _nt_scaling,
     _pencil,
     _Pencil,
     _reduce,
     _rounding_allowance,
     _SchurFactor,
+    _second_order,
     _truncation,
     residuals,
     solve,
@@ -517,3 +520,73 @@ class TestSchurFactor:
         np.testing.assert_allclose(factor.matvec(v), np.outer(v, v) @ v, rtol=1e-12)
         x = factor.solve(np.outer(v, v) @ v)
         assert np.all(np.isfinite(x))
+
+
+def _random_pd_stack(rng, n, k):
+    q = rng.standard_normal((n, k, k))
+    return q @ q.swapaxes(-1, -2) + 0.1 * np.eye(k)
+
+
+def _sym_stack(rng, n, k):
+    a = rng.standard_normal((n, k, k))
+    return a + a.swapaxes(-1, -2)
+
+
+class TestNewtonPieces:
+    """The NT scaling, Mehrotra's second-order term and the step lengths,
+    each against its defining equations on random stacks."""
+
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_scaling_factor(self, k):
+        rng = np.random.default_rng(k)
+        s, x = _random_pd_stack(rng, 4, k), _random_pd_stack(rng, 4, k)
+        low = np.linalg.cholesky(s)
+        s_inv, v, (g, g_inv, lam) = _nt_scaling(low, np.linalg.inv(low), x)
+        np.testing.assert_allclose(s_inv, np.linalg.inv(s), rtol=1e-9, atol=1e-9)
+        np.testing.assert_allclose(v @ s @ v, x, rtol=1e-9, atol=1e-9)
+        np.testing.assert_allclose(g @ g.swapaxes(-1, -2), v, rtol=1e-9, atol=1e-9)
+        np.testing.assert_allclose(g_inv @ g, np.broadcast_to(np.eye(k), g.shape), atol=1e-9)
+        diag = np.eye(k) * lam[:, None, :]
+        np.testing.assert_allclose(g.swapaxes(-1, -2) @ s @ g, diag, rtol=1e-9, atol=1e-9)
+        np.testing.assert_allclose(g_inv @ x @ g_inv.swapaxes(-1, -2), diag,
+                                   rtol=1e-9, atol=1e-9)
+
+    @pytest.mark.parametrize("k", [1, 3, 6])
+    def test_second_order_term_solves_the_scaled_lyapunov_equation(self, k):
+        rng = np.random.default_rng(10 + k)
+        s, x = _random_pd_stack(rng, 3, k), _random_pd_stack(rng, 3, k)
+        dx, ds = _sym_stack(rng, 3, k), _sym_stack(rng, 3, k)
+        low = np.linalg.cholesky(s)
+        _s_inv, _v, factor = _nt_scaling(low, np.linalg.inv(low), x)
+        g, g_inv, lam = factor
+        term = _second_order(factor, dx, ds)
+        np.testing.assert_allclose(term, term.swapaxes(-1, -2), atol=1e-9)
+        z = g_inv @ term @ g_inv.swapaxes(-1, -2)
+        x_t = g_inv @ dx @ g_inv.swapaxes(-1, -2)
+        s_t = g.swapaxes(-1, -2) @ ds @ g
+        lhs = lam[:, :, None] * z + z * lam[:, None, :]
+        np.testing.assert_allclose(lhs, x_t @ s_t + s_t @ x_t, rtol=1e-8, atol=1e-8)
+
+    @pytest.mark.parametrize("k", [1, 4])
+    def test_max_steps_reach_the_boundary(self, k):
+        rng = np.random.default_rng(20 + k)
+        s, x = _random_pd_stack(rng, 5, k), _random_pd_stack(rng, 5, k)
+        ds, dx = _sym_stack(rng, 5, k), _sym_stack(rng, 5, k)
+        s_inv_low = np.linalg.inv(np.linalg.cholesky(s))
+        x_inv_low = np.linalg.inv(np.linalg.cholesky(x))
+        steps = _max_steps(s_inv_low, x_inv_low, ds, dx)
+        for m, d, t in zip((s, x), (ds, dx), steps):
+            assert np.isfinite(t) and t > 0
+            # the smallest eigenvalue of the stack along the step reaches 0 at t
+            assert np.linalg.eigvalsh(m + 0.999 * t * d)[:, 0].min() > 0
+            assert np.linalg.eigvalsh(m + 1.001 * t * d)[:, 0].min() < 0
+        # a step that only grows the blocks is unbounded
+        assert _max_steps(s_inv_low, x_inv_low, s, x) == (np.inf, np.inf)
+
+
+class TestIterationCounts:
+    def test_hurwitz_order_three(self):
+        # Mehrotra's corrector solves it in 22 iterations (32 without)
+        solution = solve(assemble_relaxation(build_lifted(hurwitz_problem()), 3))
+        assert solution.status is SolverStatus.OPTIMAL
+        assert solution.iterations <= 25
