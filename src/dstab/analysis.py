@@ -26,7 +26,7 @@ import numpy as np
 
 from .problem import DStabilityProblem, LiftedProblem, build_lifted, minimal_order
 from .relax import SDPProblem, SDPSolution, SolverStatus, assemble_relaxation
-from .sdp import SolverSettings, solve
+from .sdp import SolverSettings, solve, solve_many
 from .sets import Relation
 
 DEFAULT_CERTIFICATION_MARGIN = 1e-3
@@ -110,6 +110,13 @@ class BisectionResult:
 
 @dataclass(frozen=True)
 class SweepPoint:
+    """One grid value of a sweep.  `seconds` is the point's own lift and
+    assembly time plus its share of the solve (`SDPSolution.seconds`: its
+    own lowering time plus the wall time of the interior-point run it
+    shared, divided by the number of points in that run).  A point that
+    fails takes the time until its failure or, when its solve fails, its
+    lift and assembly time."""
+
     theta: float
     p_upper: float
     p_lower: float
@@ -196,8 +203,12 @@ def _analyze(problem, lifted, tau, settings, margin, start) -> AnalysisReport:
     """`upper_probability` from the lift on, timed from `start`."""
     sdp = assemble_relaxation(lifted, tau)
     solution = solve(sdp, settings)
-    seconds = time.perf_counter() - start
+    return _report(problem, lifted, sdp, solution, margin, time.perf_counter() - start)
 
+
+def _report(problem, lifted, sdp, solution, margin, seconds) -> AnalysisReport:
+    """The report on a solved relaxation, by the rules `upper_probability`
+    states."""
     raw = solution.primal_value
     p_upper = min(1.0, max(0.0, solution.upper_bound))
     if solution.status is SolverStatus.INFEASIBLE:
@@ -340,35 +351,57 @@ def sweep(
     settings: SolverSettings | None = None,
     margin: float = DEFAULT_CERTIFICATION_MARGIN,
 ) -> list[SweepPoint]:
-    """One analysis per grid value of the sweep parameter; per-point
-    failures are recorded in the status column and the sweep continues."""
-    points = []
+    """One analysis per grid value of the sweep parameter, each with the
+    figures `upper_probability` gives that point; per-point failures are
+    recorded in the status column and the sweep continues.  Every point is
+    lifted and assembled first, and all are then solved by one
+    `sdp.solve_many` call, which runs the points of one structure in one
+    interior-point run and hands back a failed point's exception in its
+    place; each point's solution is the one it gets alone."""
+    points: list = []
+    pending, sdps = [], []  # (position, theta, problem, lift, seconds) and the SDPs
     for theta in grid:
         start = time.perf_counter()
         try:
-            report = upper_probability(family(theta), tau=tau, settings=settings, margin=margin)
-            points.append(
-                SweepPoint(
-                    theta=float(theta),
-                    p_upper=report.p_upper,
-                    p_lower=report.p_lower_stability,
-                    status=report.solver_status.value,
-                    tau=report.tau,
-                    seconds=report.seconds,
-                )
-            )
+            check_margin(margin)
+            problem = family(theta)
+            lifted, order = _lift(problem, tau)
+            sdps.append(assemble_relaxation(lifted, order))
         except Exception as err:  # per-point failure: record and continue
-            points.append(
-                SweepPoint(
-                    theta=float(theta),
-                    p_upper=float("nan"),
-                    p_lower=float("nan"),
-                    status=f"error: {err}",
-                    tau=-1 if tau is None else tau,
-                    seconds=time.perf_counter() - start,
-                )
-            )
+            points.append(_failed_point(theta, tau, err, time.perf_counter() - start))
+            continue
+        pending.append((len(points), theta, problem, lifted, time.perf_counter() - start))
+        points.append(None)
+    solutions = solve_many(sdps, settings)
+    for (k, theta, problem, lifted, seconds), sdp, solution in zip(pending, sdps, solutions):
+        try:
+            if isinstance(solution, Exception):
+                raise solution
+            seconds += solution.seconds
+            report = _report(problem, lifted, sdp, solution, margin, seconds)
+        except Exception as err:  # per-point failure: record and continue
+            points[k] = _failed_point(theta, tau, err, seconds)
+            continue
+        points[k] = SweepPoint(
+            theta=float(theta),
+            p_upper=report.p_upper,
+            p_lower=report.p_lower_stability,
+            status=report.solver_status.value,
+            tau=report.tau,
+            seconds=report.seconds,
+        )
     return points
+
+
+def _failed_point(theta, tau, err, seconds) -> SweepPoint:
+    return SweepPoint(
+        theta=float(theta),
+        p_upper=float("nan"),
+        p_lower=float("nan"),
+        status=f"error: {err}",
+        tau=-1 if tau is None else tau,
+        seconds=seconds,
+    )
 
 
 SWEEP_CSV_HEADER = ("theta", "p_upper", "p_lower", "status", "tau", "seconds")

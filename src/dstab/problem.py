@@ -273,6 +273,27 @@ def spectral_bound(matrix: UncertainMatrix, delta: SemialgebraicSet) -> float:
     return best
 
 
+def _eigen_row(a_row, x_idx, extra) -> Polynomial:
+    """sum_j a_row[j] z_{x_idx[j]} plus coeff z_a z_b for each (coeff, a, b)
+    in `extra`, built in one pass.  The products have disjoint monomials
+    (a_row is in rho alone, and the extra terms carry a lambda coordinate),
+    so this is the sum that adding them one by one would give, term for
+    term and in the same order."""
+    terms = {}
+    for a, j in zip(a_row, x_idx):
+        for alpha, coeff in a.terms.items():
+            beta = list(alpha)
+            beta[j] += 1
+            terms[tuple(beta)] = coeff
+    n_z = a_row[0].num_vars
+    for coeff, a, b in extra:
+        beta = [0] * n_z
+        beta[a] += 1
+        beta[b] += 1
+        terms[tuple(beta)] = coeff
+    return Polynomial(n_z, terms)
+
+
 def build_lifted(problem: DStabilityProblem) -> LiftedProblem:
     """Construct the augmented variable vector z, its support set Z, the
     objective ||x||^2 and the lifted expectation constraints."""
@@ -308,36 +329,26 @@ def build_lifted(problem: DStabilityProblem) -> LiftedProblem:
     for p, rel in region.region_set.constraints:
         constraints.append((embed(p, region.variables, z_vars), rel))
 
-    # Eigenvalue equations.
-    lre = zvar(lam_idx[0])
+    # Eigenvalue equations: A x = lre x in real mode, else
+    # A xre = lre xre - lim xim and A xim = lre xim + lim xre.
     a_embedded = [
         [embed(problem.matrix.entries[i][j], rho_names, z_vars) for j in range(n_a)]
         for i in range(n_a)
     ]
+    lre = lam_idx[0]
     if real:
-        x = [zvar(i) for i in x_idx]
         for i in range(n_a):
-            row = Polynomial.zero(n_z)
-            for j in range(n_a):
-                row = row + a_embedded[i][j] * x[j]
-            row = row - lre * x[i]
-            constraints.append((row, Relation.EQ))
+            constraints.append((_eigen_row(a_embedded[i], x_idx, [(-1.0, lre, x_idx[i])]),
+                                Relation.EQ))
     else:
-        lim = zvar(lam_idx[1])
-        xre = [zvar(i) for i in x_idx[:n_a]]
-        xim = [zvar(i) for i in x_idx[n_a:]]
+        lim = lam_idx[1]
+        xre, xim = x_idx[:n_a], x_idx[n_a:]
         for i in range(n_a):
-            row = Polynomial.zero(n_z)
-            for j in range(n_a):
-                row = row + a_embedded[i][j] * xre[j]
-            row = row - lre * xre[i] + lim * xim[i]
-            constraints.append((row, Relation.EQ))
+            extra = [(-1.0, lre, xre[i]), (1.0, lim, xim[i])]
+            constraints.append((_eigen_row(a_embedded[i], xre, extra), Relation.EQ))
         for i in range(n_a):
-            row = Polynomial.zero(n_z)
-            for j in range(n_a):
-                row = row + a_embedded[i][j] * xim[j]
-            row = row - lre * xim[i] - lim * xre[i]
-            constraints.append((row, Relation.EQ))
+            extra = [(-1.0, lre, xim[i]), (-1.0, lim, xre[i])]
+            constraints.append((_eigen_row(a_embedded[i], xim, extra), Relation.EQ))
 
     # Eigenvector norm bound 1 - ||x||^2 >= 0 and the objective ||x||^2.
     norm_sq = Polynomial.zero(n_z)

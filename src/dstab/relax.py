@@ -146,7 +146,9 @@ class SDPSolution:
     full size of the SDP, whatever reduction the solver applied;
     `solved_moments` and `solved_blocks` record the size of the problem it
     actually iterated on (moment variables and PSD block dimensions after
-    the reduction).
+    the reduction).  `seconds` is the wall time of the solve; for an SDP
+    solved in a batch (`sdp.solve_many`), its own compile-and-reduce time
+    plus the batch's run time divided by the number of SDPs in it.
     """
 
     moments: MomentVector
@@ -161,6 +163,7 @@ class SDPSolution:
     solved_moments: int = 0
     solved_blocks: tuple[int, ...] = ()
     equality_duals: tuple[np.ndarray, ...] = ()
+    seconds: float = field(default=0.0, compare=False)
 
     @property
     def optimal(self) -> bool:

@@ -99,10 +99,36 @@ identical inputs produce identical iterates for a fixed BLAS library and
 thread count.  Numerical breakdown (a Schur complement that loses positive
 definiteness, or a vanishing step) is reported as SlowProgress together
 with the best iterate seen; it never raises.
+
+The iteration runs over a leading instance axis (`solve_many`).  SDPs that
+reduce to the same structure (the same kept moments, live rows of G and
+piece rows and columns of every pencil) differ only in values: pencil
+values, c, G, g and the a-priori bounds.  They are solved in one run: every
+stack is (B, pieces, k, k), the Schur complements are one (B, n, n) array
+with one stacked Cholesky (the jitter ladder runs per instance, and only
+when that Cholesky fails), and mu, sigma, the step lengths, the stopping
+and infeasibility tests, the best iterate, the stall count and the
+back-off are per instance.  An instance leaves the arrays when it stops.
+Each operation acts on the matrices of one instance at a time, in the
+same memory layout whatever B is, so every instance's iterates are
+bit-identical to those of its solve alone; `solve` is `solve_many` of one
+SDP.  The per-call numpy overhead, which dominates small SDPs, is paid
+once per run instead of once per SDP.  A run takes instances only while
+their footprints stay within `_BATCH_DOUBLES` (2^22 doubles, 32 MB).  An
+instance's footprint is counted as 4 (n^2 + sum of u k^2 over its pieces,
+u the moments a k x k piece uses): its Schur complement, factor and their
+temporaries, and the dense matrices, Gram weights and work space of its
+pieces.  It is 6.6 MB for the order-3 Hurwitz relaxation, whose batched
+instances peaked at 6.4 MB each (tracemalloc, four in one run), so four
+share a run; a larger SDP is solved alone.  An SDP whose lowering, run or
+scatter-back raises gets its exception in place of a solution; a run
+that raises is repeated one SDP at a time.
 """
 
 from __future__ import annotations
 
+import io
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -208,76 +234,101 @@ _SPARSE_COST = 100
 
 
 class _Group:
-    """All pieces of one dimension k, stacked: S, X, their scaling points
-    and steps are (n, k, k) arrays, so every dense operation on them is one
-    numpy call, and A(y) and A*(W) are one product each with the stacked
-    pencil."""
+    """All pieces of one dimension k, for each of B instances of one
+    structure (`solve_many`), stacked: S, X, their scaling points and steps
+    are (B, pieces, k, k) arrays, so every dense operation on them is one
+    numpy call, and A(y) and A*(W) are one `np.bincount` each over all
+    instances.
+    The pieces share their rows and columns across instances; only the
+    values differ."""
 
-    def __init__(self, k: int, pencils: list):
-        self.dim = k
-        self.size = len(pencils)
-        self.pencil = _vstack(pencils)
+    def __init__(self, k: int, instances: list):
+        """`instances` holds, per instance, the pencils of its pieces of
+        dimension k."""
+        self.dim, self.size, self.instances = k, len(instances[0]), instances
+        n_inst = len(instances)
+        stacked = [_vstack(pencils) for pencils in instances]
+        self.pencil = pencil = stacked[0]
+        self.vals = np.concatenate([p.vals for p in stacked])
+        # each instance's output rows and columns, past those of the ones before
+        offsets = np.arange(n_inst)[:, None]
+        self.rows = (offsets * pencil.shape[0] + pencil.rows).ravel()
+        self.cols = (offsets * pencil.shape[1] + pencil.cols).ravel()
         if k == 1:
             # tr(A_i V A_j V) = v^2 a_i a_j: one dense update over the used
             # variables replaces a call per piece
-            self.used = np.flatnonzero(np.bincount(self.pencil.cols))
-            self.coef = self.pencil.take_cols(self.used).toarray()
+            used = np.flatnonzero(np.bincount(pencil.cols))
+            self.place = (slice(None), used[:, None], used)
+            self.coef = np.stack([p.take_cols(used).toarray() for p in stacked])
             return
         # Per piece, built once: the variables it uses, their matrices A_i
-        # as one dense (n, k, k) stack, and the upper-triangle entries of
+        # as one dense (B, n, k, k) stack, and the upper-triangle entries of
         # the A_j with the off-diagonal ones doubled, for
-        # tr(A_i V A_j V) = <V A_i V, A_j>.  Dense, they are an (n, k(k+1)/2)
-        # matrix; sparse, the flat position, weight and output slot of each
-        # entry, the slots of a chunk's rows one after the other.
-        self.chunk = max(1, int(2.0e6 // (k * k)))
+        # tr(A_i V A_j V) = <V A_i V, A_j>.  Dense, they are a (B, n,
+        # k(k+1)/2) array; sparse, the flat position, weight and variable
+        # of each entry.  The variables go in chunks, each with its part of
+        # the stack, its place in h and the work space for the products
+        # A_i V and V A_i V, reused across iterations.
+        chunk = max(1, int(2.0e6 // (k * k)))
         tri = np.flatnonzero(np.triu(np.ones((k, k), dtype=bool)))
+        uses = [np.flatnonzero(np.bincount(p.cols)) for p in instances[0]]
+        work = np.empty((2, n_inst, min(chunk, max(map(len, uses))), k, k))
         self.pieces = []
-        for p in pencils:
-            used = np.flatnonzero(np.bincount(p.cols))
+        for j, (p, used) in enumerate(zip(instances[0], uses)):
+            vals = np.stack([pencils[j].vals for pencils in instances])
             n = len(used)
-            stack = np.zeros((n, k * k))
-            stack[np.searchsorted(used, p.cols), p.rows] = p.vals
+            stack = np.zeros((n_inst, n, k * k))
+            stack[:, np.searchsorted(used, p.cols), p.rows] = vals
             r, c = np.divmod(p.rows, k)
             upper = r <= c
             if n * len(tri) <= _SPARSE_COST * upper.sum():
-                gram = (tri, stack[:, tri] * np.where(tri % (k + 1) == 0, 1.0, 2.0), None)
+                gram = (tri, stack[:, :, tri] * np.where(tri % (k + 1) == 0, 1.0, 2.0), None)
             else:
-                var = np.searchsorted(used, p.cols[upper])
-                slots = (np.arange(min(n, self.chunk))[:, None] * n + var).ravel()
-                gram = (p.rows[upper], np.where(r == c, 1.0, 2.0)[upper] * p.vals[upper], slots)
-            self.pieces.append((used, stack.reshape(-1, k, k), gram))
-        # the products A_i V and V A_i V of a chunk, reused across iterations
-        rows = min(self.chunk, max(len(used) for used, _s, _g in self.pieces))
-        self.work = np.empty((2, rows, k, k))
+                gram = (p.rows[upper], np.where(r == c, 1.0, 2.0)[upper] * vals[:, upper],
+                        np.searchsorted(used, p.cols[upper]))
+            stack = stack.reshape(n_inst, n, k, k)
+            parts = [(stack[:, a:a + chunk], (slice(None), used[a:a + chunk, None], used),
+                      work[:, :, :min(chunk, n - a)]) for a in range(0, n, chunk)]
+            self.pieces.append((n, gram, parts))
+
+    def take(self, rows: np.ndarray) -> _Group:
+        """The group of the instances `rows` (an index array)."""
+        return _Group(self.dim, [self.instances[i] for i in rows])
 
     def assemble(self, y: np.ndarray) -> np.ndarray:
-        return (self.pencil @ y).reshape(-1, self.dim, self.dim)
+        """A(y) of every instance: y is (B, n), the result (B, pieces, k, k)."""
+        out = np.bincount(self.rows, self.vals * y.ravel()[self.cols],
+                          minlength=len(y) * self.pencil.shape[0])
+        return out.reshape(len(y), -1, self.dim, self.dim)
 
     def adjoint(self, w: np.ndarray) -> np.ndarray:
-        return self.pencil.adjoint(w.ravel())
+        """A*(W) of every instance: W is (B, pieces, k, k), the result (B, n)."""
+        n_y = self.pencil.shape[1]
+        out = np.bincount(self.cols, self.vals * w.ravel()[self.rows], minlength=len(w) * n_y)
+        return out.reshape(len(w), n_y)
 
     def schur_into(self, h: np.ndarray, v: np.ndarray) -> None:
-        """h += the Schur contribution tr(A_i V A_j V) of every piece, in
-        chunks of variables so the products V A_i V never take much
-        memory."""
-        k = self.dim
+        """h += the Schur contribution tr(A_i V A_j V) of every piece of
+        every instance (h is (B, n, n), V (B, pieces, k, k)), in chunks of
+        variables so the products V A_i V never take much memory."""
+        k, n_inst = self.dim, len(h)
         if k == 1:
-            h[np.ix_(self.used, self.used)] += self.coef.T @ (v.reshape(-1, 1) ** 2 * self.coef)
+            h[self.place] += self.coef.swapaxes(1, 2) @ (v.reshape(n_inst, -1, 1) ** 2 * self.coef)
             return
-        for (used, stack, (where, weights, slots)), vb in zip(self.pieces, v):
-            n = len(used)
-            for a in range(0, n, self.chunk):
-                part = stack[a:a + self.chunk]
-                av, g = self.work[0, :len(part)], self.work[1, :len(part)]
+        for (n, (where, weights, var), parts), vb in zip(self.pieces, v.swapaxes(0, 1)):
+            vb = vb[:, None]
+            for part, place, (av, g) in parts:
                 np.matmul(vb, np.matmul(part, vb, out=av), out=g)
-                g = g.reshape(len(part), k * k)[:, where]
-                if slots is None:
-                    rows = g @ weights.T
+                g = g.reshape(n_inst, -1, k * k)[:, :, where]
+                if var is None:
+                    rows = g @ weights.swapaxes(1, 2)
                 else:
-                    g *= weights
-                    rows = np.bincount(slots[:g.size], g.ravel(),
-                                       minlength=len(part) * n).reshape(len(part), n)
-                h[np.ix_(used[a:a + self.chunk], used)] += rows
+                    # the chunk rows of all instances, one after the other
+                    g *= weights[:, None]
+                    count = g.shape[0] * g.shape[1]
+                    slots = (np.arange(count)[:, None] * n + var).ravel()
+                    rows = np.bincount(slots, g.ravel(), minlength=count * n).reshape(n_inst, -1, n)
+                h[place] += rows
 
 
 def _pencil(sdp: SDPProblem, form) -> _Pencil:
@@ -474,22 +525,22 @@ def _sym(a: np.ndarray) -> np.ndarray:
 
 def _nt_scaling(low: np.ndarray, low_inv: np.ndarray, x: np.ndarray):
     """S^-1, the NT scaling point V = W^-1 (W X W = S) and its factor
-    (G, G^-1, lambda) of a stack of blocks, from S = L L' and L^-1:
-    eig(L' X L) = U diag(d) U', V = Y sqrt(d) Y' with Y = L^-T U, and
-    G = Y diag(d^1/4), G^-1 = diag(d^-1/4) U' L', lambda = sqrt(d).  Then
+    (G, G^-1, lambda) of a stack of blocks (any leading axes), from S = L L'
+    and L^-1: eig(L' X L) = U diag(d) U', V = Y sqrt(d) Y' with Y = L^-T U,
+    and G = Y diag(d^1/4), G^-1 = diag(d^-1/4) U' L', lambda = sqrt(d).  Then
     V = G G', V S V = X, G' S G = G^-1 X G^-T = diag(lambda), and the Schur
     complement tr(A_i V A_j V) is symmetric positive definite."""
     l_inv_t = low_inv.swapaxes(-1, -2)
     mid = low.swapaxes(-1, -2) @ x @ low
     d, u = np.linalg.eigh(_sym(mid))
-    if d[:, 0].min() <= 0:
+    if d[..., 0].min() <= 0:
         raise np.linalg.LinAlgError("NT scaling lost definiteness")
     y_mat = l_inv_t @ u
     lam = np.sqrt(d)
-    v = (y_mat * lam[:, None, :]) @ y_mat.swapaxes(-1, -2)
+    v = (y_mat * lam[..., None, :]) @ y_mat.swapaxes(-1, -2)
     root = np.sqrt(lam)
-    factor = (y_mat * root[:, None, :],
-              (u.swapaxes(-1, -2) @ low.swapaxes(-1, -2)) / root[:, :, None], lam)
+    factor = (y_mat * root[..., None, :],
+              (u.swapaxes(-1, -2) @ low.swapaxes(-1, -2)) / root[..., :, None], lam)
     return _sym(l_inv_t @ l_inv_t.swapaxes(-1, -2)), _sym(v), factor
 
 
@@ -501,17 +552,22 @@ def _second_order(factor, dx: np.ndarray, ds: np.ndarray) -> np.ndarray:
     g, g_inv, lam = factor
     m = (g_inv @ dx @ g_inv.swapaxes(-1, -2)) @ (g.swapaxes(-1, -2) @ ds @ g)
     m += m.swapaxes(-1, -2)
-    return g @ (m / (lam[:, :, None] + lam[:, None, :])) @ g.swapaxes(-1, -2)
+    return g @ (m / (lam[..., :, None] + lam[..., None, :])) @ g.swapaxes(-1, -2)
 
 
-def _max_steps(s_low_inv, x_low_inv, ds, dx) -> tuple[float, float]:
+def _max_steps(s_low_inv, x_low_inv, ds, dx) -> tuple:
     """Largest t_p and t_d with S + t_p dS and X + t_d dX PSD for every
-    block of a stack, from the eigenvalues of L^-1 dS L^-T and L^-1 dX L^-T
-    (L the Cholesky factor of S or X), both taken in one call."""
-    w = np.concatenate([a @ d @ a.swapaxes(-1, -2) for a, d in ((s_low_inv, ds), (x_low_inv, dx))])
-    lam = np.linalg.eigvalsh(_sym(w))[:, 0]
-    lam_min = float(lam[:len(ds)].min()), float(lam[len(ds):].min())
-    return tuple(np.inf if m >= -1e-14 else -1.0 / m for m in lam_min)
+    block of a stack (n, k, k), from the eigenvalues of L^-1 dS L^-T and
+    L^-1 dX L^-T (L the Cholesky factor of S or X), both taken in one call.
+    Stacks with leading instance axes, (B, n, k, k), give one t_p and one
+    t_d per instance."""
+    w = np.concatenate([a @ d @ a.swapaxes(-1, -2) for a, d in ((s_low_inv, ds), (x_low_inv, dx))],
+                       axis=-3)
+    lam = np.linalg.eigvalsh(_sym(w))[..., 0]
+    lam = lam.reshape(lam.shape[:-1] + (2, -1)).min(axis=-1)
+    steps = -1.0 / np.minimum(lam, -1e-14)
+    steps[lam >= -1e-14] = np.inf
+    return steps[..., 0], steps[..., 1]
 
 
 def _tril_inverse(t: np.ndarray) -> np.ndarray:
@@ -536,84 +592,106 @@ def _tril_inverse(t: np.ndarray) -> np.ndarray:
     return x
 
 
+def _jittered_cholesky(h: np.ndarray) -> np.ndarray:
+    """Cholesky factor of one matrix h with the smallest diagonal jitter of
+    an escalating ladder that succeeds; h keeps its own diagonal."""
+    n = h.shape[0]
+    diagonal = h.diagonal().copy()
+    jitter = 0.0
+    # unbound errors: a kept one's traceback would hold h in a cycle
+    for _ in range(8):
+        try:
+            low = np.linalg.cholesky(h)
+            break
+        except np.linalg.LinAlgError:
+            jitter = max(jitter * 100.0, 1e-14)
+            h.flat[::n + 1] = diagonal + jitter
+    else:
+        h.flat[::n + 1] = diagonal
+        raise np.linalg.LinAlgError("Schur complement not positive definite")
+    h.flat[::n + 1] = diagonal
+    return low
+
+
 class _SchurFactor:
     """Cholesky of the Schur complement with Jacobi scaling and escalating
     diagonal jitter; near the optimum the raw matrix spans many orders of
     magnitude and plain Cholesky gives up too early.
 
-    The scaling is done in place: h becomes D^-1 h D^-1 (D the root of its
-    diagonal), without the jitter, which `matvec` multiplies back.  Solves
-    run blocked forward and back substitution with the inverses of the
-    diagonal blocks of the factor, taken once here (`_tril_inverse`)."""
+    h is a (B, n, n) stack, one matrix per instance.  The scaling is done
+    in place: h becomes D^-1 h D^-1 (D the root of its diagonal), without
+    the jitter, which `matvec` multiplies back.  The stack is factored by one Cholesky call; only when
+    that fails does each matrix go through the jitter ladder on its own.
+    Solves run blocked forward and back substitution with the inverses of
+    the diagonal blocks of the factor, taken once here (`_tril_inverse`)."""
 
     BLOCK = 64  # a power of 2, as `_tril_inverse` needs
 
     def __init__(self, h: np.ndarray):
-        n = h.shape[0]
-        d = np.sqrt(np.maximum(h.diagonal(), 1e-300))
-        h /= d[:, None]
-        h /= d
-        diagonal = h.diagonal().copy()
-        jitter = 0.0
-        # unbound errors: a kept one's traceback would hold self and h in a cycle
-        for _ in range(8):
-            try:
-                low = np.linalg.cholesky(h)
-                break
-            except np.linalg.LinAlgError:
-                jitter = max(jitter * 100.0, 1e-14)
-                h.flat[::n + 1] = diagonal + jitter
-        else:
-            h.flat[::n + 1] = diagonal
-            raise np.linalg.LinAlgError("Schur complement not positive definite")
-        h.flat[::n + 1] = diagonal
+        n = h.shape[-1]
+        d = np.sqrt(np.maximum(np.diagonal(h, axis1=1, axis2=2), 1e-300))
+        h /= d[:, :, None]
+        h /= d[:, None, :]
+        try:
+            low = np.linalg.cholesky(h)
+        except np.linalg.LinAlgError:
+            low = None
+        if low is None:
+            low = np.stack([_jittered_cholesky(one) for one in h])
         self.d, self.scaled, self.low = d, h, low
         # the diagonal blocks, the last one padded with the identity
-        self.block = b = min(self.BLOCK, 1 << (n - 1).bit_length())
+        b = min(self.BLOCK, 1 << (n - 1).bit_length())
         starts = range(0, n, b)
-        blocks = np.zeros((len(starts), b, b))
-        for block, a in zip(blocks, starts):
+        blocks = np.zeros((len(h), len(starts), b, b))
+        for j, a in enumerate(starts):
             size = min(b, n - a)
-            block[:size, :size] = low[a:a + size, a:a + size]
-            block[np.arange(size, b), np.arange(size, b)] = 1.0
-        self.inv = _tril_inverse(blocks)
+            blocks[:, j, :size, :size] = low[:, a:a + size, a:a + size]
+            blocks[:, j, np.arange(size, b), np.arange(size, b)] = 1.0
+        inv = _tril_inverse(blocks.reshape(-1, b, b)).reshape(blocks.shape)
+        # per block: its rows, the factor left of it and below it, the
+        # block itself and its inverse (trimmed to the block)
+        self.steps = []
+        for j, a in enumerate(starts):
+            size = min(b, n - a)
+            self.steps.append((slice(a, a + size), low[:, a:a + size, :a],
+                               low[:, a + size:, a:a + size].swapaxes(1, 2),
+                               low[:, a:a + size, a:a + size], inv[:, j, :size, :size]))
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """h x for the unscaled h, without the jitter."""
-        return self.d * (self.scaled @ (self.d * x))
+        return self.d * _mv(self.scaled, self.d * x)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """(h + jitter)^-1 rhs for a vector or the columns of a matrix.  An
-        explicit inverse of a diagonal block loses accuracy to cancellation
-        where substitution would not, so each block solve gets one step of
-        refinement against the block itself."""
-        low, b = self.low, self.block
-        d = self.d if rhs.ndim == 1 else self.d[:, None]
-        x = rhs / d
-        starts = range(0, len(x), b)
-        for inv, a in zip(self.inv, starts):  # L z = rhs
-            block = low[a:a + b, a:a + b]
-            inv = inv[:len(block), :len(block)]
-            y = x[a:a + b] - low[a:a + b, :a] @ x[:a]
+        """(h + jitter)^-1 rhs per instance, for a (B, n) stack of vectors
+        or a (B, n, m) stack of matrices.  An explicit inverse of a diagonal
+        block loses accuracy to cancellation where substitution would not,
+        so each block solve gets one step of refinement against the block
+        itself."""
+        n_inst, n = self.d.shape
+        x = rhs.reshape(n_inst, n, -1) / self.d[:, :, None]
+        for rows, left, _below, block, inv in self.steps:  # L z = rhs
+            y = x[:, rows] - left @ x[:, :rows.start]
             z = inv @ y
-            x[a:a + b] = z + inv @ (y - block @ z)
-        for inv, a in zip(self.inv[::-1], starts[::-1]):  # L' x = z
-            block = low[a:a + b, a:a + b].T
-            inv = inv[:len(block), :len(block)].T
-            y = x[a:a + b] - low[a + b:, a:a + b].T @ x[a + b:]
+            x[:, rows] = z + inv @ (y - block @ z)
+        for rows, _left, below, block, inv in self.steps[::-1]:  # L' x = z
+            block, inv = block.swapaxes(1, 2), inv.swapaxes(1, 2)
+            y = x[:, rows] - below @ x[:, rows.stop:]
             z = inv @ y
-            x[a:a + b] = z + inv @ (y - block @ z)
-        return x / d
+            x[:, rows] = z + inv @ (y - block @ z)
+        return (x / self.d[:, :, None]).reshape(rhs.shape)
 
 
 _LOG_HEADER = "  iter          mu    p_infeas    d_infeas         gap  alpha_p  alpha_d"
+# A batch takes no more instances once their footprints (`_Lowered.doubles`)
+# would pass this many doubles, 32 MB; a larger SDP is solved alone.
+_BATCH_DOUBLES = 1 << 22
 
 
 @dataclass
 class _Outcome:
-    """Final state of the interior-point loop; `x` holds one (n, k, k)
-    stack per group, and `ray` is (residual, objective, norm) of the dual
-    ray on an Infeasible stop."""
+    """Final state of the interior-point loop for one instance; `x` holds
+    one (n, k, k) stack per group, and `ray` is (residual, objective, norm)
+    of the dual ray on an Infeasible stop."""
 
     status: SolverStatus
     iterations: int
@@ -627,248 +705,422 @@ class _Outcome:
     ray: tuple | None
 
 
-def _interior_point(c, g_mat, g_vec, groups, y, y_bound, settings, log) -> _Outcome:
-    """Path following from the primal point y with S = X = eta*I.  With
-    finite a-priori moment bounds y_bound, an iterate whose value exceeds
-    the bound its own dual gives (`_rigorous_upper_bound`) is provably
-    infeasible, so it is not accepted as Optimal."""
-    n_y = len(c)
-    m_eq = g_mat.shape[0]
-    k_total = sum(g.dim * g.size for g in groups)
+@dataclass
+class _Progress:
+    """Per-instance bookkeeping of the loop: the best iterate and its
+    score, the iteration that set it, and the run of stalled steps."""
 
-    nu = np.zeros(m_eq)
-    eta = _INITIAL_SCALE
-    s_st = [np.tile(eta * np.eye(g.dim), (g.size, 1, 1)) for g in groups]
+    best: tuple | None = None
+    score: float = np.inf
+    iteration: int = 0
+    stall: int = 0
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The dot product of each instance of a with the same instance of b,
+    flattened (one BLAS dot each, as `np.dot` of two vectors takes it)."""
+    return (a.reshape(len(a), 1, -1) @ b.reshape(len(b), -1, 1)).ravel()
+
+
+def _mv(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """a @ x per instance, for a stack of matrices and a stack of vectors
+    (one BLAS matrix-vector product each, as for a single vector)."""
+    return (a @ x[..., None])[..., 0]
+
+
+def _take(batch, rows: np.ndarray):
+    """The instances `rows` (an index array) of batch data: arrays along
+    their leading axis, through lists, tuples and groups."""
+    if batch is None:
+        return None
+    if isinstance(batch, _Group):
+        return batch.take(rows)
+    if isinstance(batch, (list, tuple)):
+        return type(batch)(_take(part, rows) for part in batch)
+    return batch[rows]
+
+
+def _adjoint(groups, stacks, shape: tuple[int, int]) -> np.ndarray:
+    """A*(W) of every instance, summed over the groups: a (B, n) array."""
+    out = np.zeros(shape)
+    for g, w in zip(groups, stacks):
+        out += g.adjoint(w)
+    return out
+
+
+def _inner(xs, ss) -> np.ndarray:
+    """<X, S> of every instance, summed over the groups."""
+    total = 0
+    for x, s in zip(xs, ss):
+        total = total + _dot(x, s)
+    return total
+
+
+def _step_lengths(s_low_inv, x_low_inv, ds, dx) -> np.ndarray:
+    """Fraction-to-boundary primal and dual step of every instance: a
+    (2, B) array."""
+    lengths = np.array([_max_steps(*args) for args in zip(s_low_inv, x_low_inv, ds, dx)])
+    return np.minimum(1.0, _STEP_FRACTION * lengths.min(axis=0))
+
+
+def _newton_step(groups, g_mat, s_st, x_st, s_low, x_low, r_link, r_g, r_c, mu, second):
+    """The search direction (dy, dnu, dS, dX) of every instance, with the
+    inverse Cholesky factors of S and X for the step-length tests: an
+    affine predictor, then the corrector toward sigma*mu with Mehrotra's
+    second-order term for the instances flagged in `second`.  Raises
+    `LinAlgError` when a factorization of some instance fails."""
+    n_inst, n_y = r_c.shape
+    k_total = sum(g.dim * g.size for g in groups)
+    s_low_inv = [np.linalg.inv(low) for low in s_low]
+    x_low_inv = [np.linalg.inv(low) for low in x_low]
+    s_inv, v_scale, factors = zip(*(_nt_scaling(*args) for args in zip(s_low, s_low_inv, x_st)))
+
+    h = np.zeros((n_inst, n_y, n_y))
+    for g, v in zip(groups, v_scale):
+        g.schur_into(h, v)
+    h += h.swapaxes(1, 2)
+    h *= 0.5
+    h_fac = _SchurFactor(h)
+
+    g_t = g_mat.swapaxes(1, 2)
+    w_gt = h_fac.solve(g_t)
+    schur_eq = g_mat @ w_gt
+    # The entrywise rows of the equality forms can be linearly dependent
+    # (zero-rhs rows), so the small equality system is solved by a spectral
+    # pseudo-inverse rather than Cholesky.
+    eq_w, eq_q = np.linalg.eigh(0.5 * (schur_eq + schur_eq.swapaxes(1, 2)))
+    cut = np.maximum(eq_w[:, -1:], 0.0) * 1e-13
+    eq_inv = np.where(eq_w > cut, 1.0 / np.where(eq_w > cut, eq_w, 1.0), 0.0)
+
+    # The complementarity linearization is dX = C - V dS V with
+    # C = sigma*mu*S^-1 - X, less the second-order term in the corrector;
+    # substituting dS = A(dy) + R_link into the dual equation gives
+    # H dy - G' dnu = A*(C - V R V) - r_c.
+    vrv = [v @ r @ v for v, r in zip(v_scale, r_link)]
+
+    def kkt_solve(rhs_h, rhs_g):
+        u = h_fac.solve(rhs_h)
+        dnu = _mv(eq_q, eq_inv * _mv(eq_q.swapaxes(1, 2), rhs_g - _mv(g_mat, u)))
+        return u + _mv(w_gt, dnu), dnu
+
+    def newton(comp):
+        rhs1 = _adjoint(groups, [cm - w for cm, w in zip(comp, vrv)], r_c.shape) - r_c
+        dy, dnu = kkt_solve(rhs1, r_g)
+        # One step of iterative refinement.  Near the optimum H is so
+        # ill-conditioned (and may carry jitter) that the first solve misses
+        # the dual equation; the miss adds to the dual residual, which then
+        # stalls short of tolerance and loosens the rigorous bound.
+        e_y, e_nu = kkt_solve(rhs1 - (h_fac.matvec(dy) - _mv(g_t, dnu)), r_g - _mv(g_mat, dy))
+        dy, dnu = dy + e_y, dnu + e_nu
+        ds = [g.assemble(dy) + r for g, r in zip(groups, r_link)]
+        dx = [_sym(cm - v @ d @ v) for cm, v, d in zip(comp, v_scale, ds)]
+        return dy, dnu, ds, dx
+
+    # Predictor (affine scaling, sigma = 0).
+    _dy_a, _dnu_a, ds_a, dx_a = newton([-x for x in x_st])
+    ap_a, ad_a = _step_lengths(s_low_inv, x_low_inv, ds_a, dx_a)[:, :, None, None, None]
+    mu_aff = _inner([x + ad_a * d for x, d in zip(x_st, dx_a)],
+                    [s + ap_a * d for s, d in zip(s_st, ds_a)]) / k_total
+    sigma = np.array([min(1.0, max(0.0, a / m) ** 3) for a, m in zip(mu_aff.tolist(), mu.tolist())])
+
+    # Corrector: centering toward sigma*mu plus Mehrotra's second-order
+    # term, which is left out near the tolerances.
+    target = (sigma * mu)[:, None, None, None]
+    comp = [target * si - x for si, x in zip(s_inv, x_st)]
+    if second.any():
+        mask = second[:, None, None, None]
+        comp = [np.where(mask, cm - _second_order(f, dxa, dsa), cm)
+                for cm, f, dxa, dsa in zip(comp, factors, dx_a, ds_a)]
+    return (*newton(comp), s_low_inv, x_low_inv)
+
+
+def _interior_point(c, g_mat, g_vec, groups, y, y_bound, settings, logs) -> list[_Outcome]:
+    """Path following for B instances of one structure at once, each from
+    its primal point y with S = X = eta*I: c and y are (B, n), G (B, m, n),
+    g (B, m), y_bound (B, n) or None, and `logs` holds one stream (or None)
+    per instance.  Every instance runs exactly the iteration it would run
+    alone, with its own mu, sigma, steps, stopping tests, best iterate and
+    back-off, and leaves the arrays when it stops.  With finite a-priori
+    moment bounds y_bound, an iterate whose value exceeds the bound its own
+    dual gives (`_rigorous_upper_bound`) is provably infeasible, so it is
+    not accepted as Optimal."""
+    n_y = c.shape[1]
+    k_total = sum(g.dim * g.size for g in groups)
+    nu = np.zeros(g_vec.shape)
+    s_st = [np.tile(_INITIAL_SCALE * np.eye(g.dim), (len(c), g.size, 1, 1)) for g in groups]
     x_st = [s.copy() for s in s_st]
     # the Cholesky factors of the iterate, from the check that committed it
     s_low = [np.linalg.cholesky(s) for s in s_st]
     x_low = [np.linalg.cholesky(x) for x in x_st]
+    c_norm = 1.0 + np.abs(c).max(axis=1, initial=0.0)
+    g_norm = 1.0 + np.abs(g_vec).max(axis=1, initial=0.0)
+    switch = _SECOND_ORDER_SWITCH * max(settings.feasibility_tol, settings.gap_tol)
 
-    gamma = _STEP_FRACTION
-    c_norm = 1.0 + (np.abs(c).max() if len(c) else 0.0)
-    g_norm = 1.0 + (np.abs(g_vec).max() if len(g_vec) else 0.0)
+    index = np.arange(len(c))  # the instance in each row of the arrays
+    progress = [_Progress() for _ in index]
+    outcomes: list = [None] * len(c)
+    figures: list = []  # per row: pobj, dobj, p_inf, d_inf of the current iterate
 
-    def adjoint(stacks) -> np.ndarray:
-        out = np.zeros(n_y)
-        for g, w in zip(groups, stacks):
-            out += g.adjoint(w)
-        return out
+    def stop(rows: dict, it: int) -> np.ndarray:
+        """Record the outcome of the instances in `rows` (row -> (status,
+        ray)) and drop them from the arrays; returns the rows kept."""
+        nonlocal c, g_mat, g_vec, y_bound, c_norm, g_norm, groups, y, nu, s_st, x_st, s_low, \
+            x_low, index, progress, figures
+        for row, (status, ray) in rows.items():
+            best = progress[row].best
+            if status in (SolverStatus.SLOW_PROGRESS, SolverStatus.ITER_LIMIT) and best is not None:
+                state = best
+            else:
+                state = (y[row].copy(), nu[row].copy(), [x[row].copy() for x in x_st],
+                         *figures[row])
+            outcomes[index[row]] = _Outcome(status, it, *state, ray)
+        keep = np.array([row for row in range(len(index)) if row not in rows], dtype=np.intp)
+        if not len(keep):  # the batch is done
+            return keep
+        (c, g_mat, g_vec, y_bound, c_norm, g_norm, groups, y, nu, s_st, x_st, s_low, x_low,
+         index) = _take((c, g_mat, g_vec, y_bound, c_norm, g_norm, groups, y, nu, s_st, x_st,
+                         s_low, x_low, index), keep)
+        progress = [progress[row] for row in keep]
+        figures = [figures[row] for row in keep]
+        return keep
 
-    def inner(xs, ss) -> float:
-        return sum(float(np.vdot(x, s)) for x, s in zip(xs, ss))
-
-    def steps(ds, dx) -> tuple[float, float]:
-        lengths = [_max_steps(*args) for args in zip(s_low_inv, x_low_inv, ds, dx)]
-        return (min(1.0, gamma * min(p for p, _d in lengths)),
-                min(1.0, gamma * min(d for _p, d in lengths)))
-
-    best = None
-    best_score = np.inf
-    best_iter = 0
-    status = SolverStatus.ITER_LIMIT
-    iterations = 0
-    stall = 0
-    ray = None
-
+    it = 0
     for it in range(1, settings.max_iterations + 1):
-        iterations = it
         r_link = [g.assemble(y) - s for g, s in zip(groups, s_st)]
-        r_g = g_vec - g_mat @ y
-        r_c = c - g_mat.T @ nu - adjoint(x_st)
-        mu = inner(x_st, s_st) / k_total
+        r_g = g_vec - _mv(g_mat, y)
+        gt_nu = _mv(g_mat.swapaxes(1, 2), nu)
+        adjoint_x = _adjoint(groups, x_st, y.shape)
+        r_c = c - gt_nu - adjoint_x
+        mu = _inner(x_st, s_st) / k_total
+        score = np.empty(len(index))
 
-        pobj = float(c @ y)
-        dobj = float(g_vec @ nu)
-        p_inf = max(
-            (np.abs(r_g).max() if len(r_g) else 0.0) / g_norm,
-            max(
-                float((np.abs(r).max(axis=(1, 2)) / (1.0 + np.abs(s).max(axis=(1, 2)))).max())
-                for r, s in zip(r_link, s_st)
-            ),
-        )
-        d_inf = np.abs(r_c).max() / c_norm
-        gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
-        score = max(p_inf, d_inf, gap)
-        if score < 0.99 * best_score:
-            best_score = score
-            best_iter = it
-            best = (y.copy(), nu.copy(), [x.copy() for x in x_st], pobj, dobj, p_inf, d_inf)
-
-        consistent = y_bound is None or pobj - dobj + float(np.abs(r_c) @ y_bound) >= 0.0
-        if p_inf <= settings.feasibility_tol and d_inf <= settings.feasibility_tol \
-                and gap <= settings.gap_tol and consistent:
-            status = SolverStatus.OPTIMAL
-            break
-
+        p_inf = np.abs(r_g).max(axis=1, initial=0.0) / g_norm
+        for r, s in zip(r_link, s_st):
+            p_inf = np.maximum(p_inf, (np.abs(r).max(axis=(2, 3))
+                                       / (1.0 + np.abs(s).max(axis=(2, 3)))).max(axis=1))
+        d_inf = np.abs(r_c).max(axis=1) / c_norm
+        # the dual residual's part of the rigorous bound: |r_c| . y_bound
+        residual_terms = [0.0] * len(index) if y_bound is None else \
+            _dot(np.abs(r_c), y_bound).tolist()
         # Heuristic infeasibility detection: the normalized dual iterate
         # (nu, X) approaches a Farkas-style ray (G' nu + A*(X) = 0 with
         # positive objective) exactly when the primal is infeasible and the
         # dual objective diverges.  Reported, not proven.
-        ray_norm = np.linalg.norm(nu) + sum(
-            float(np.linalg.norm(x, axis=(1, 2)).sum()) for x in x_st
-        )
-        if ray_norm > 0 and p_inf > 100.0 * settings.feasibility_tol and dobj > 0:
-            ray_res = np.linalg.norm(g_mat.T @ nu + adjoint(x_st)) / ray_norm
-            ray_obj = dobj / ray_norm
-            if ray_obj >= _INFEASIBILITY_THRESHOLD * max(ray_res, 1e-300):
-                status = SolverStatus.INFEASIBLE
-                ray = (float(ray_res), float(ray_obj), float(ray_norm))
-                break
-        if pobj < -1e12 * max(1.0, abs(dobj)):
-            status = SolverStatus.UNBOUNDED
-            break
-        if it - best_iter > 25:
-            status = SolverStatus.SLOW_PROGRESS
-            break
+        ray_norm = np.sqrt(_dot(nu, nu))
+        x_norm = 0
+        for x in x_st:  # Frobenius norms, as np.linalg.norm takes them
+            x_norm = x_norm + np.sqrt(np.add.reduce(x * x, axis=(2, 3))).sum(axis=1)
+        ray_res = None
 
-        try:
-            s_low_inv = [np.linalg.inv(low) for low in s_low]
-            x_low_inv = [np.linalg.inv(low) for low in x_low]
-            s_inv, v_scale, factors = zip(*(_nt_scaling(*args)
-                                            for args in zip(s_low, s_low_inv, x_st)))
-
-            h = np.zeros((n_y, n_y))
-            for g, v in zip(groups, v_scale):
-                g.schur_into(h, v)
-            h += h.T
-            h *= 0.5
-            h_fac = _SchurFactor(h)
-
-            w_gt = h_fac.solve(g_mat.T)
-            schur_eq = g_mat @ w_gt
-            # The entrywise rows of the equality forms can be linearly
-            # dependent (zero-rhs rows), so the small equality system is
-            # solved by a spectral pseudo-inverse rather than Cholesky.
-            eq_w, eq_q = np.linalg.eigh(0.5 * (schur_eq + schur_eq.T))
-            cut = max(eq_w[-1], 0.0) * 1e-13
-            eq_inv = np.where(eq_w > cut, 1.0 / np.where(eq_w > cut, eq_w, 1.0), 0.0)
-
-            # The complementarity linearization is dX = C - V dS V with
-            # C = sigma*mu*S^-1 - X, less the second-order term in the
-            # corrector; substituting dS = A(dy) + R_link into
-            # the dual equation gives  H dy - G' dnu = A*(C - V R V) - r_c.
-            vrv = [v @ r @ v for v, r in zip(v_scale, r_link)]
-
-            def kkt_solve(rhs_h, rhs_g):
-                u = h_fac.solve(rhs_h)
-                dnu = eq_q @ (eq_inv * (eq_q.T @ (rhs_g - g_mat @ u)))
-                return u + w_gt @ dnu, dnu
-
-            def newton(comp):
-                rhs1 = adjoint([cm - w for cm, w in zip(comp, vrv)]) - r_c
-                dy, dnu = kkt_solve(rhs1, r_g)
-                # One step of iterative refinement.  Near the optimum H is so
-                # ill-conditioned (and may carry jitter) that the first solve
-                # misses the dual equation; the miss adds to the dual
-                # residual, which then stalls short of tolerance and loosens
-                # the rigorous bound.
-                e_y, e_nu = kkt_solve(rhs1 - (h_fac.matvec(dy) - g_mat.T @ dnu),
-                                     r_g - g_mat @ dy)
-                dy, dnu = dy + e_y, dnu + e_nu
-                ds = [g.assemble(dy) + r for g, r in zip(groups, r_link)]
-                dx = [_sym(cm - v @ d @ v) for cm, v, d in zip(comp, v_scale, ds)]
-                return dy, dnu, ds, dx
-
-            # Predictor (affine scaling, sigma = 0).
-            _dy_a, _dnu_a, ds_a, dx_a = newton([-x for x in x_st])
-            ap_a, ad_a = steps(ds_a, dx_a)
-            mu_aff = inner([x + ad_a * d for x, d in zip(x_st, dx_a)],
-                           [s + ap_a * d for s, d in zip(s_st, ds_a)]) / k_total
-            sigma = min(1.0, max(0.0, mu_aff / mu) ** 3)
-
-            # Corrector: centering toward sigma*mu plus Mehrotra's
-            # second-order term, which is left out near the tolerances.
-            comp = [sigma * mu * si - x for si, x in zip(s_inv, x_st)]
-            if score > _SECOND_ORDER_SWITCH * max(settings.feasibility_tol, settings.gap_tol):
-                comp = [cm - _second_order(f, dxa, dsa)
-                        for cm, f, dxa, dsa in zip(comp, factors, dx_a, ds_a)]
-            dy, dnu, ds, dx = newton(comp)
-        except np.linalg.LinAlgError:
-            status = SolverStatus.SLOW_PROGRESS
-            break
-
-        alpha_p, alpha_d = steps(ds, dx)
-
-        # Commit, backing off deterministically if rounding broke definiteness.
-        committed = False
-        for _ in range(12):
-            s_new = [_sym(s + alpha_p * d) for s, d in zip(s_st, ds)]
-            x_new = [_sym(x + alpha_d * d) for x, d in zip(x_st, dx)]
-            try:
-                low = [np.linalg.cholesky(m) for m in s_new + x_new]
-            except np.linalg.LinAlgError:
-                alpha_p *= 0.5
-                alpha_d *= 0.5
+        figures = list(zip(_dot(c, y).tolist(), _dot(g_vec, nu).tolist(), p_inf.tolist(),
+                           d_inf.tolist()))
+        stopped = {}
+        for row, (track, (pobj, dobj, p_row, d_row), residual_term, norm) in enumerate(
+                zip(progress, figures, residual_terms, (ray_norm + x_norm).tolist())):
+            gap = abs(pobj - dobj) / (1.0 + abs(pobj) + abs(dobj))
+            score[row] = worst = max(p_row, d_row, gap)
+            if worst < 0.99 * track.score:
+                track.score = worst
+                track.iteration = it
+                track.best = (y[row].copy(), nu[row].copy(), [x[row].copy() for x in x_st],
+                              *figures[row])
+            if p_row <= settings.feasibility_tol and d_row <= settings.feasibility_tol \
+                    and gap <= settings.gap_tol \
+                    and (y_bound is None or pobj - dobj + residual_term >= 0.0):
+                stopped[row] = (SolverStatus.OPTIMAL, None)
                 continue
-            y = y + alpha_p * dy
-            nu = nu + alpha_d * dnu
-            s_st, x_st = s_new, x_new
-            s_low, x_low = low[:len(groups)], low[len(groups):]
-            committed = True
-            break
-        if log is not None:
-            print(
-                f"{it:6d} {mu:11.4e} {p_inf:11.4e} {d_inf:11.4e} "
-                f"{pobj - dobj:11.4e} {alpha_p:8.2e} {alpha_d:8.2e}",
-                file=log,
-            )
-        if not committed or max(alpha_p, alpha_d) < 1e-10:
-            stall += 1
-            if stall >= 3:
-                status = SolverStatus.SLOW_PROGRESS
-                break
-        else:
-            stall = 0
+            if norm > 0 and p_row > 100.0 * settings.feasibility_tol and dobj > 0:
+                if ray_res is None:
+                    ray_vec = gt_nu + adjoint_x
+                    ray_res = np.sqrt(_dot(ray_vec, ray_vec)).tolist()
+                ray = (ray_res[row] / norm, dobj / norm, norm)
+                if ray[1] >= _INFEASIBILITY_THRESHOLD * max(ray[0], 1e-300):
+                    stopped[row] = (SolverStatus.INFEASIBLE, ray)
+                    continue
+            if pobj < -1e12 * max(1.0, abs(dobj)):
+                stopped[row] = (SolverStatus.UNBOUNDED, None)
+            elif it - track.iteration > 25:
+                stopped[row] = (SolverStatus.SLOW_PROGRESS, None)
+        if stopped:
+            live = stop(stopped, it)
+            if not len(live):
+                return outcomes
+            mu, score, r_link, r_g, r_c = _take((mu, score, r_link, r_g, r_c), live)
 
-    if status in (SolverStatus.SLOW_PROGRESS, SolverStatus.ITER_LIMIT) and best is not None:
-        y, nu, x_st, pobj, dobj, p_inf, d_inf = best
-    return _Outcome(status, iterations, y, nu, x_st, pobj, dobj, p_inf, d_inf, ray)
+        args = [groups, g_mat, s_st, x_st, s_low, x_low, r_link, r_g, r_c, mu, score > switch]
+        try:
+            dy, dnu, ds, dx, s_low_inv, x_low_inv = _newton_step(*args)
+        except np.linalg.LinAlgError:
+            # Some instance broke down: find which by solving each alone,
+            # stop those, and take the step for the rest.
+            failed = {}
+            for row in range(len(index)):
+                try:
+                    _newton_step(*_take(args, np.array([row])))
+                except np.linalg.LinAlgError:
+                    failed[row] = (SolverStatus.SLOW_PROGRESS, None)
+            live = stop(failed, it)
+            if not len(live):
+                return outcomes
+            args, mu = _take(args, live), mu[live]
+            dy, dnu, ds, dx, s_low_inv, x_low_inv = _newton_step(*args)
+
+        alpha_p, alpha_d = _step_lengths(s_low_inv, x_low_inv, ds, dx)
+
+        # Commit, backing off deterministically if rounding broke
+        # definiteness: when the stacked check fails, each instance tries
+        # its step on its own, halving its step lengths, up to 12 times.
+        step_p, step_d = alpha_p[:, None, None, None], alpha_d[:, None, None, None]
+        s_new = [_sym(s + step_p * d) for s, d in zip(s_st, ds)]
+        x_new = [_sym(x + step_d * d) for x, d in zip(x_st, dx)]
+        try:
+            low = [np.linalg.cholesky(m) for m in s_new + x_new]
+        except np.linalg.LinAlgError:
+            low = None
+        ok = np.full(len(index), low is not None)
+        if low is None:
+            low = [np.zeros_like(m) for m in s_new + x_new]
+            for row in range(len(index)):
+                for _ in range(12):
+                    trial = ([_sym(s[row] + alpha_p[row] * d[row]) for s, d in zip(s_st, ds)]
+                             + [_sym(x[row] + alpha_d[row] * d[row]) for x, d in zip(x_st, dx)])
+                    try:
+                        factors = [np.linalg.cholesky(m) for m in trial]
+                    except np.linalg.LinAlgError:
+                        alpha_p[row] *= 0.5
+                        alpha_d[row] *= 0.5
+                        continue
+                    for new, m, f, lo in zip(s_new + x_new, trial, factors, low):
+                        new[row], lo[row] = m, f
+                    ok[row] = True
+                    break
+        y_new = y + alpha_p[:, None] * dy
+        nu_new = nu + alpha_d[:, None] * dnu
+        if not ok.all():  # an instance that never committed keeps its iterate
+            held = ~ok
+            for new, old in zip([y_new, nu_new] + s_new + x_new + low,
+                                [y, nu] + s_st + x_st + s_low + x_low):
+                new[held] = old[held]
+        y, nu, s_st, x_st = y_new, nu_new, s_new, x_new
+        s_low, x_low = low[:len(groups)], low[len(groups):]
+
+        stalled = {}
+        for row, (track, a_p, a_d) in enumerate(zip(progress, alpha_p.tolist(), alpha_d.tolist())):
+            log = logs[index[row]]
+            if log is not None:
+                pobj, dobj, p_row, d_row = figures[row]
+                print(f"{it:6d} {mu[row]:11.4e} {p_row:11.4e} {d_row:11.4e} "
+                      f"{pobj - dobj:11.4e} {a_p:8.2e} {a_d:8.2e}", file=log)
+            if not ok[row] or max(a_p, a_d) < 1e-10:
+                track.stall += 1
+                if track.stall >= 3:
+                    stalled[row] = (SolverStatus.SLOW_PROGRESS, None)
+            else:
+                track.stall = 0
+        if stalled and not len(stop(stalled, it)):
+            return outcomes
+
+    stop({row: (SolverStatus.ITER_LIMIT, None) for row in range(len(index))}, it)
+    return outcomes
 
 
-def solve(sdp: SDPProblem, settings: SolverSettings | None = None) -> SDPSolution:
-    """Solve the assembled moment SDP.
+@dataclass
+class _Lowered:
+    """One SDP lowered (`_compile`) and reduced (`_reduce`): the arrays the
+    iteration takes, what the scatter-back needs, the structure key on
+    which SDPs share a batch, and `doubles`, about how many doubles the
+    SDP holds in a run, which the structure fixes."""
 
-    Returns an Optimal solution when primal/dual residuals and the relative
-    duality gap fall below the tolerances and the value is below the
-    iterate's own rigorous bound; Infeasible (heuristic, via a
-    Farkas-style dual ray) when the dual objective diverges along a
-    near-feasible ray; SlowProgress with the best iterate on numerical
-    breakdown; IterLimit at the iteration cap.  The iteration runs on the
-    reduced SDP (`_reduce`); every reported array is scattered back to the
-    full size, and the rigorous bound is taken on the full problem.
-    """
-    settings = settings or SolverSettings()
+    sdp: SDPProblem
+    c: np.ndarray
+    g_mat: _Pencil
+    g_vec: np.ndarray
+    eq_layout: list
+    blocks: list
+    keep: np.ndarray
+    live_rows: np.ndarray
+    pieces: list
+    dims: list
+    members: list
+    y_bound: np.ndarray | None
+    doubles: int
+    seconds: float
+
+    @property
+    def key(self) -> tuple:
+        """Equal for two SDPs that reduce to the same structure: the same
+        kept moments, live rows of G and piece rows and columns of every
+        pencil, and a-priori bounds on both or on neither."""
+        return (self.keep.tobytes(), self.live_rows.tobytes(), self.y_bound is None,
+                tuple((len(idx), p.rows.tobytes(), p.cols.tobytes()) for _b, idx, p in self.pieces))
+
+
+def _lower(sdp: SDPProblem) -> _Lowered:
+    start = time.perf_counter()
     c, g_mat, g_vec, eq_layout, blocks = _compile(sdp)
-
     keep, g_rows, pieces = _reduce(sdp, blocks, g_mat)
     g_keep = g_mat.take_cols(np.flatnonzero(keep))
     live_rows = g_rows & ((np.bincount(g_keep.rows, minlength=len(g_vec)) > 0) | (g_vec != 0.0))
-    n_kept = int(keep.sum())
     dims = sorted({len(idx) for _b, idx, _p in pieces})
     members = [[p for p, piece in enumerate(pieces) if len(piece[1]) == k] for k in dims]
-    groups = [_Group(k, [pieces[p][2] for p in ps]) for k, ps in zip(dims, members)]
-
-    log = settings.log_stream
-    if log is not None:
-        print(_LOG_HEADER, file=log)
-
-    y0 = np.zeros(sdp.num_moments)
-    y0[0] = 1.0
     y_bound = sdp.moment_bounds
     if y_bound is not None:
         y_bound = y_bound[keep] if np.all(np.isfinite(y_bound[keep])) else None
-    out = _interior_point(c[keep], g_keep.take_rows(np.flatnonzero(live_rows)).toarray(),
-                          g_vec[live_rows], groups,
-                          y0[keep], y_bound, settings, log)
+    # the footprint: a few n^2 for the Schur complement, its factor and
+    # their temporaries, and a few used k^2 per piece for `_Group`'s dense
+    # matrices, Gram weights and work space
+    n = int(keep.sum())
+    stacks = sum(np.count_nonzero(np.bincount(p.cols)) * len(idx) ** 2 for _b, idx, p in pieces)
+    return _Lowered(sdp, c, g_mat, g_vec, eq_layout, blocks, keep, live_rows, pieces, dims,
+                    members, y_bound, 4 * (n * n + stacks), time.perf_counter() - start)
 
-    # Scatter back to the full size: dropped moments and rows at 0, the
-    # dual blocks block-diagonal in their source positions.
+
+def _batches(lowered: list) -> list[list[int]]:
+    """The SDPs (by position) that share an interior-point run: those of
+    one structure, in order, while their footprints (`_Lowered.doubles`)
+    add up to at most `_BATCH_DOUBLES`."""
+    batches, open_batch = [], {}
+    for i, low in enumerate(lowered):
+        key = low.key
+        batch = open_batch.get(key)
+        if batch is None or (len(batch) + 1) * low.doubles > _BATCH_DOUBLES:
+            batch = open_batch[key] = []
+            batches.append(batch)
+        batch.append(i)
+    return batches
+
+
+def _solve_batch(lowered: list, settings: SolverSettings, logs: list) -> list[_Outcome]:
+    """One interior-point run over SDPs of one structure."""
+    first = lowered[0]
+    keep, live = first.keep, first.live_rows
+    live_idx, kept = np.flatnonzero(live), np.flatnonzero(keep)
+    groups = [_Group(k, [[low.pieces[p][2] for p in ps] for low in lowered])
+              for k, ps in zip(first.dims, first.members)]
+    c = np.stack([low.c[keep] for low in lowered])
+    g_mat = np.stack([low.g_mat.take_cols(kept).take_rows(live_idx).toarray() for low in lowered])
+    g_vec = np.stack([low.g_vec[live] for low in lowered])
+    y_bound = None if first.y_bound is None else np.stack([low.y_bound for low in lowered])
+    y0 = np.zeros((len(lowered), first.sdp.num_moments))
+    y0[:, 0] = 1.0
+    for log in logs:
+        if log is not None:
+            print(_LOG_HEADER, file=log)
+    return _interior_point(c, g_mat, g_vec, groups, y0[:, keep], y_bound, settings, logs)
+
+
+def _scatter(low: _Lowered, out: _Outcome, seconds: float) -> SDPSolution:
+    """The solution of the full SDP from the outcome of its reduced one:
+    dropped moments and rows at 0, the dual blocks block-diagonal in their
+    source positions, and the rigorous bound taken on the full problem."""
+    sdp, blocks, pieces = low.sdp, low.blocks, low.pieces
+    c, g_mat, g_vec = low.c, low.g_mat, low.g_vec
     y = np.zeros(sdp.num_moments)
-    y[keep] = out.y
+    y[low.keep] = out.y
     nu = np.zeros(len(g_vec))
-    nu[live_rows] = out.nu
+    nu[low.live_rows] = out.nu
     x_blocks = [np.zeros((k, k)) for k, _p in blocks]
-    for stack, ps in zip(out.x, members):
+    for stack, ps in zip(out.x, low.members):
         for x, p in zip(stack, ps):
             b, idx, _piece = pieces[p]
             x_blocks[b][np.ix_(idx, idx)] = x
@@ -901,10 +1153,97 @@ def solve(sdp: SDPProblem, settings: SolverSettings | None = None) -> SDPSolutio
                    "gap": float(out.pobj - out.dobj)},
         infeasibility_ray=ray,
         upper_bound=upper_bound,
-        solved_moments=n_kept,
+        solved_moments=int(low.keep.sum()),
         solved_blocks=tuple(len(idx) for _b, idx, _p in pieces),
-        equality_duals=tuple(_multiplier_matrices(eq_layout, nu[1:])),
+        equality_duals=tuple(_multiplier_matrices(low.eq_layout, nu[1:])),
+        seconds=seconds,
     )
+
+
+def _solve_run(run: list, lowered: list, settings: SolverSettings, logs: list,
+               results: list) -> None:
+    """Solve the SDPs at the positions `run` in one interior-point run and
+    put each one's solution, or the exception it raised, at its position in
+    `results`.  A run that raises is repeated one SDP at a time, so an
+    exception reaches only the SDPs that raise alone."""
+    start = time.perf_counter()
+    try:
+        outcomes = _solve_batch([lowered[i] for i in run], settings, [logs[i] for i in run])
+    except Exception as err:
+        if len(run) == 1:
+            results[run[0]] = err
+            return
+        for i in run:
+            if logs[i] is not None:
+                logs[i] = io.StringIO()  # drop the lines of the failed run
+            _solve_run([i], lowered, settings, logs, results)
+        return
+    share = (time.perf_counter() - start) / len(run)
+    for i, out in zip(run, outcomes):
+        try:
+            results[i] = _scatter(lowered[i], out, lowered[i].seconds + share)
+        except Exception as err:
+            results[i] = err
+        lowered[i] = None  # its arrays are freed before the next run
+
+
+def solve_many(sdps, settings: SolverSettings | None = None) -> list:
+    """Solve several assembled moment SDPs; the solutions come back in
+    order.
+
+    Each SDP is lowered and reduced on its own (`_reduce`).  Those that
+    reduce to the same structure (the same kept moments, live rows of G
+    and piece rows and columns of every pencil, so that only the values
+    differ) are solved in one interior-point run over an instance axis, up
+    to `_BATCH_DOUBLES` per run.  Each instance runs exactly the iteration
+    of its solve alone, so its solution is bit-identical to `solve` of it.
+    An SDP whose lowering, run or scatter-back raises gets the exception in
+    place of its solution, and the other SDPs are solved as without it.
+    The iteration log of each SDP is held until every SDP before it is
+    solved, so the log stream reads as if they were solved one after
+    another.  `SDPSolution.seconds` is an SDP's own lowering time plus its
+    run's wall time divided by the number of SDPs in the run."""
+    settings = settings or SolverSettings()
+    lowered: list = []
+    for sdp in sdps:
+        try:
+            lowered.append(_lower(sdp))
+        except Exception as err:
+            lowered.append(err)
+    stream = settings.log_stream
+    if stream is None or len(lowered) == 1:
+        logs = [stream] * len(lowered)
+    else:
+        logs = [io.StringIO() for _ in lowered]
+    results = [low if isinstance(low, Exception) else None for low in lowered]
+    solvable = [i for i, r in enumerate(results) if r is None]
+    written = 0
+    for batch in _batches([lowered[i] for i in solvable]):
+        _solve_run([solvable[j] for j in batch], lowered, settings, logs, results)
+        while written < len(results) and results[written] is not None:
+            if logs[written] is not stream:
+                stream.write(logs[written].getvalue())
+            written += 1
+    return results
+
+
+def solve(sdp: SDPProblem, settings: SolverSettings | None = None) -> SDPSolution:
+    """Solve the assembled moment SDP.
+
+    Returns an Optimal solution when primal/dual residuals and the relative
+    duality gap fall below the tolerances and the value is below the
+    iterate's own rigorous bound; Infeasible (heuristic, via a
+    Farkas-style dual ray) when the dual objective diverges along a
+    near-feasible ray; SlowProgress with the best iterate on numerical
+    breakdown; IterLimit at the iteration cap.  The iteration runs on the
+    reduced SDP (`_reduce`); every reported array is scattered back to the
+    full size, and the rigorous bound is taken on the full problem.  It is
+    `solve_many` of the one SDP, whose exception, if any, it raises.
+    """
+    solution = solve_many([sdp], settings)[0]
+    if isinstance(solution, Exception):
+        raise solution
+    return solution
 
 
 def residuals(sdp: SDPProblem, solution: SDPSolution) -> dict:

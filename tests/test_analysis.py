@@ -8,6 +8,7 @@ import pytest
 from conftest import hurwitz_problem, running_matrix, running_problem
 
 import dstab.analysis
+import dstab.sdp
 from dstab.analysis import (
     SWEEP_CSV_HEADER,
     Verdict,
@@ -392,6 +393,61 @@ class TestSweep:
         assert points[1].status.startswith("error")
         assert np.isnan(points[1].p_upper)
         assert len(points) == 2
+
+    # 0.25 drops a term, so the grid holds two structures; -0.1 is Infeasible
+    GRID = [0.0, 0.05, 0.1, 0.15, 0.2, 0.25, -0.1]
+
+    @staticmethod
+    def _figures(points):
+        return [dataclasses.replace(p, seconds=0.0) for p in points]
+
+    def test_points_match_their_analyses_alone(self):
+        points = sweep(self.variance_family, self.GRID, tau=2)
+        assert [p.theta for p in points] == self.GRID
+        for point, theta in zip(points, self.GRID):
+            report = upper_probability(self.variance_family(theta), tau=2)
+            assert point.status == report.solver_status.value
+            assert point.p_upper == report.p_upper
+            assert point.p_lower == report.p_lower_stability
+            assert point.tau == report.tau == 2
+            assert point.seconds > 0
+        assert points[-1].status == "Infeasible" and points[-1].p_upper == 1.0
+
+    def test_failing_point_mid_batch(self):
+        def family(theta: float) -> DStabilityProblem:
+            if theta == 0.1:
+                raise RuntimeError("synthetic failure")
+            return self.variance_family(theta)
+
+        points = sweep(family, self.GRID, tau=2)
+        assert [p.theta for p in points] == self.GRID
+        assert points[2].status == "error: synthetic failure"
+        assert points[2].tau == 2 and np.isnan(points[2].p_upper)
+        expected = self._figures(sweep(self.variance_family, self.GRID, tau=2))
+        assert self._figures(points[:2] + points[3:]) == expected[:2] + expected[3:]
+
+    def test_failing_solve_mid_batch(self, monkeypatch):
+        lower, calls = dstab.sdp._lower, []
+
+        def failing(sdp):
+            calls.append(sdp)
+            if len(calls) == 3:
+                raise MemoryError("synthetic failure")
+            return lower(sdp)
+
+        expected = self._figures(sweep(self.variance_family, self.GRID, tau=2))
+        monkeypatch.setattr(dstab.sdp, "_lower", failing)
+        points = sweep(self.variance_family, self.GRID, tau=2)
+        assert [p.theta for p in points] == self.GRID
+        assert points[2].status == "error: synthetic failure"
+        assert points[2].tau == 2 and np.isnan(points[2].p_upper)
+        assert self._figures(points[:2] + points[3:]) == expected[:2] + expected[3:]
+
+    def test_points_do_not_depend_on_the_batch_size(self, monkeypatch):
+        batched = sweep(self.variance_family, self.GRID, tau=2)
+        monkeypatch.setattr(dstab.sdp, "_BATCH_DOUBLES", 1)  # one SDP per run
+        assert self._figures(sweep(self.variance_family, self.GRID, tau=2)) == \
+            self._figures(batched)
 
 
 class TestInfeasibleMoments:

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from conftest import hurwitz_problem, running_matrix
+from conftest import PROBLEMS_DIR, hurwitz_problem, running_matrix
 
-from dstab.poly import Polynomial, parse_polynomial
+from dstab.cli import load_problem
+from dstab.poly import Polynomial, embed, parse_polynomial
 from dstab.problem import (
     DStabilityProblem,
     ProblemError,
@@ -100,6 +101,36 @@ class TestBuildLiftedComplex:
             "(-2.4 - rho1^2 - lre)*xre1 + (6 - rho1^2)*xre2 + lim*xim1", names
         )
         assert first in eigen
+
+    @pytest.mark.parametrize("path", sorted(PROBLEMS_DIR.glob("*.prob")), ids=lambda p: p.stem)
+    def test_eigen_rows_match_the_sum_of_products(self, path):
+        # every shipped problem: the one-pass rows are, term for term and in
+        # order, the sums Polynomial addition builds
+        names = {"k": 0.45, "sigma2": 0.1}
+        placeholders = {n: v for n, v in names.items() if f"${n}" in path.read_text()}
+        problem = load_problem(path, placeholders)[0]
+        lifted = build_lifted(problem)
+        n_a = problem.matrix.size
+        z = [Polynomial.variable(lifted.num_vars, i) for i in range(lifted.num_vars)]
+        a = [[embed(e, problem.uncertainty_variables, lifted.z_vars) for e in row]
+             for row in problem.matrix.entries]
+        lre, x = z[lifted.lambda_indices[0]], [z[i] for i in lifted.x_indices]
+        if lifted.real_mode:
+            pairs = [(x, -lre * x[i]) for i in range(n_a)]
+        else:
+            lim, xre, xim = z[lifted.lambda_indices[1]], x[:n_a], x[n_a:]
+            pairs = ([(xre, -lre * xre[i] + lim * xim[i]) for i in range(n_a)]
+                     + [(xim, -lre * xim[i] - lim * xre[i]) for i in range(n_a)])
+        expected = []
+        for i, (vec, tail) in enumerate(pairs):
+            row = Polynomial.zero(lifted.num_vars)
+            for j in range(n_a):
+                row = row + a[i % n_a][j] * vec[j]
+            expected.append(list((row + tail).terms.items()))
+        rows = [list(p.terms.items()) for p, rel in lifted.support.constraints
+                if rel is Relation.EQ and any(sum(alpha[i] for i in lifted.x_indices) == 1
+                                              for alpha in p.terms)]
+        assert rows == expected
 
     def test_force_real_requires_override(self):
         base = hurwitz_problem()

@@ -1,12 +1,15 @@
 import dataclasses
 import gc
 import io
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 
 from conftest import PROBLEMS_DIR, hurwitz_problem, running_problem
+
+import dstab.sdp
 
 from dstab.analysis import DEFAULT_CERTIFICATION_MARGIN
 from dstab.cli import load_problem
@@ -26,8 +29,10 @@ from dstab.relax import (
 )
 from dstab.sdp import (
     SolverSettings,
+    _batches,
     _compile,
     _equality_rows,
+    _lower,
     _max_steps,
     _nt_scaling,
     _pencil,
@@ -36,10 +41,13 @@ from dstab.sdp import (
     _rounding_allowance,
     _SchurFactor,
     _second_order,
+    _solve_batch,
     _truncation,
     residuals,
     solve,
+    solve_many,
 )
+from dstab.sets import box_set
 
 
 def hankel_sdp() -> SDPProblem:
@@ -483,17 +491,18 @@ class TestSchurFactor:
         # a spread of scales, which the Jacobi scaling takes out
         scale = np.exp(rng.uniform(-6.0, 6.0, n))
         h = scale[:, None] * (q @ q.T + n * np.eye(n)) * scale
-        factor = _SchurFactor(h.copy())
+        factor = _SchurFactor(h[None].copy())
         for rhs in (rng.standard_normal(n), rng.standard_normal((n, 3))):
-            x = factor.solve(rhs)
+            x = factor.solve(rhs[None])[0]
             assert x.shape == rhs.shape
             np.testing.assert_allclose(x, np.linalg.solve(h, rhs), rtol=1e-9, atol=0.0)
         # matvec is h y up to the rounding of the scaled product
         y = rng.standard_normal(n)
-        assert np.all(np.abs(factor.matvec(y) - h @ y) <= 1e-13 * (np.abs(h) @ np.abs(y)))
+        assert np.all(np.abs(factor.matvec(y[None])[0] - h @ y)
+                      <= 1e-13 * (np.abs(h) @ np.abs(y)))
 
     def test_indefinite_matrix_raises_after_the_jitter_ladder(self):
-        h = np.diag([1.0, -1.0, 2.0])
+        h = np.diag([1.0, -1.0, 2.0])[None]
         with pytest.raises(np.linalg.LinAlgError):
             _SchurFactor(h)
 
@@ -501,7 +510,7 @@ class TestSchurFactor:
         # no reference cycle keeps the n x n matrices of a factor alive
         # after it is deleted, also when the jitter ladder caught errors
         v = np.array([1.0, 2.0, 3.0])
-        h = np.outer(v, v)
+        h = np.outer(v, v)[None]
         alive = weakref.ref(h)
         gc.disable()
         try:
@@ -516,9 +525,9 @@ class TestSchurFactor:
         # scaled matrix keeps its own diagonal for `matvec`
         v = np.array([1.0, 2.0, 3.0])
         h = np.outer(v, v)
-        factor = _SchurFactor(h.copy())
-        np.testing.assert_allclose(factor.matvec(v), np.outer(v, v) @ v, rtol=1e-12)
-        x = factor.solve(np.outer(v, v) @ v)
+        factor = _SchurFactor(h[None].copy())
+        np.testing.assert_allclose(factor.matvec(v[None])[0], np.outer(v, v) @ v, rtol=1e-12)
+        x = factor.solve((np.outer(v, v) @ v)[None])
         assert np.all(np.isfinite(x))
 
 
@@ -590,3 +599,159 @@ class TestIterationCounts:
         solution = solve(assemble_relaxation(build_lifted(hurwitz_problem()), 3))
         assert solution.status is SolverStatus.OPTIMAL
         assert solution.iterations <= 25
+
+
+# 0.25 drops the constant term of the variance localizer, so the grid holds
+# two structures; -0.1 is Infeasible.
+VARIANCE_GRID = [0.0, 0.05, 0.1, 0.15, 0.2, 0.25, -0.1]
+
+
+def _variance_sdps(grid=VARIANCE_GRID):
+    return [assemble_relaxation(build_lifted(running_problem(mean=0.5, variance=s)), 2)
+            for s in grid]
+
+
+def _assert_identical(batched, alone):
+    assert batched.status is alone.status
+    assert batched.iterations == alone.iterations
+    assert np.array_equal(batched.moments.values, alone.moments.values)
+    assert batched.primal_value == alone.primal_value
+    assert batched.dual_value == alone.dual_value
+    assert batched.upper_bound == alone.upper_bound
+    assert batched.residuals == alone.residuals
+    for x, z in zip(batched.dual_psd_blocks + batched.equality_duals,
+                    alone.dual_psd_blocks + alone.equality_duals):
+        assert np.array_equal(x, z)
+
+
+class TestSolveMany:
+    """Same-structure SDPs run in one interior-point loop over an instance
+    axis; each instance must come out bit-identical to its solve alone."""
+
+    def test_variance_grid_matches_solves_alone(self):
+        sdps = _variance_sdps()
+        assert [len(b) for b in _batches([_lower(s) for s in sdps])] == [6, 1]
+        batched = solve_many(sdps)
+        assert [s.status for s in batched] == [SolverStatus.OPTIMAL] * 6 + [SolverStatus.INFEASIBLE]
+        for sdp, solution in zip(sdps, batched):
+            _assert_identical(solution, solve(sdp))
+
+    @staticmethod
+    def _hurwitz_sdps():
+        # the boxes change values, not structure
+        return [assemble_relaxation(build_lifted(dataclasses.replace(
+                    hurwitz_problem(), delta=box_set(("rho1",), [-0.1], [hi]))), 3)
+                for hi in (3.4, 3.0)]
+
+    def test_sparse_schur_pieces_match_solves_alone(self):
+        # the order-3 Hurwitz pieces include ones whose Schur products go
+        # through the sparse path
+        sdps = self._hurwitz_sdps()
+        assert len(_batches([_lower(s) for s in sdps])) == 1
+        for sdp, solution in zip(sdps, solve_many(sdps)):
+            _assert_identical(solution, solve(sdp))
+
+    def test_backed_off_steps_match_solves_alone(self, monkeypatch):
+        # an overlong step fraction leaves the boundary behind, so commits
+        # fail and each instance backs off on its own
+        monkeypatch.setattr(dstab.sdp, "_STEP_FRACTION", 1.5)
+        sdps = _variance_sdps()
+        for sdp, solution in zip(sdps, solve_many(sdps)):
+            _assert_identical(solution, solve(sdp))
+
+    def test_breakdown_stops_only_its_instance(self, monkeypatch):
+        sdps = _variance_sdps([0.05, 0.1, 0.15])
+        alone = [solve(s) for s in sdps]
+        target = set()  # the pencils of the middle SDP's pieces
+        lower, newton_step = dstab.sdp._lower, dstab.sdp._newton_step
+
+        def recording(sdp):
+            low = lower(sdp)
+            if sdp is sdps[1]:
+                target.update(id(p) for _b, _idx, p in low.pieces)
+            return low
+
+        def breaking(groups, *args):
+            # the Newton system of the middle SDP fails once its mu is small
+            mu = args[-2]
+            for row, pencils in enumerate(groups[0].instances):
+                if id(pencils[0]) in target and mu[row] < 1e-4:
+                    raise np.linalg.LinAlgError("synthetic breakdown")
+            return newton_step(groups, *args)
+
+        monkeypatch.setattr(dstab.sdp, "_lower", recording)
+        monkeypatch.setattr(dstab.sdp, "_newton_step", breaking)
+        batched = solve_many(sdps)
+        assert batched[1].status is SolverStatus.SLOW_PROGRESS
+        assert batched[1].iterations < alone[1].iterations
+        _assert_identical(batched[1], solve(sdps[1]))
+        _assert_identical(batched[0], alone[0])
+        _assert_identical(batched[2], alone[2])
+
+    def test_log_reads_as_solves_one_after_another(self):
+        sdps = _variance_sdps()
+        expected = io.StringIO()
+        for sdp in sdps:
+            solve(sdp, SolverSettings(log_stream=expected))
+        stream = io.StringIO()
+        solve_many(sdps, SolverSettings(log_stream=stream))
+        assert stream.getvalue() == expected.getvalue()
+
+    def test_batches_hold_to_the_memory_cap(self, monkeypatch):
+        lowered = [_lower(s) for s in _variance_sdps()]
+        monkeypatch.setattr(dstab.sdp, "_BATCH_DOUBLES", 2 * lowered[0].doubles)
+        assert [len(b) for b in _batches(lowered)] == [2, 2, 2, 1]
+        monkeypatch.setattr(dstab.sdp, "_BATCH_DOUBLES", 0)
+        assert [len(b) for b in _batches(lowered)] == [1] * len(lowered)
+
+    def test_the_cap_counts_what_an_instance_holds(self, monkeypatch):
+        # a mid-sized SDP holds far more than its n^2 Schur complement in a
+        # run: with the cap between one and two solves' measured peak, two
+        # such SDPs take a run each
+        lowered = [_lower(s) for s in self._hurwitz_sdps()]
+        tracemalloc.start()
+        try:
+            _solve_batch(lowered[:1], SolverSettings(), [None])
+            peak = tracemalloc.get_traced_memory()[1] // 8
+        finally:
+            tracemalloc.stop()
+        assert peak <= lowered[0].doubles <= 2 * peak
+        monkeypatch.setattr(dstab.sdp, "_BATCH_DOUBLES", 3 * peak // 2)
+        assert [len(b) for b in _batches(lowered)] == [1, 1]
+        monkeypatch.setattr(dstab.sdp, "_BATCH_DOUBLES", 2 * lowered[0].doubles)
+        assert [len(b) for b in _batches(lowered)] == [2]
+
+    def test_a_failing_sdp_leaves_the_others_as_alone(self, monkeypatch):
+        sdps = _variance_sdps()
+        alone = [solve(s) for s in sdps]
+        lower = dstab.sdp._lower
+
+        def failing(sdp):
+            if sdp is sdps[2]:
+                raise MemoryError("synthetic failure")
+            return lower(sdp)
+
+        monkeypatch.setattr(dstab.sdp, "_lower", failing)
+        batched = solve_many(sdps)
+        assert isinstance(batched[2], MemoryError)
+        for i in (0, 1, 3, 4, 5, 6):
+            _assert_identical(batched[i], alone[i])
+        with pytest.raises(MemoryError, match="synthetic failure"):
+            solve(sdps[2])
+
+    def test_a_failing_run_is_repeated_one_sdp_at_a_time(self, monkeypatch):
+        sdps = _variance_sdps()
+        expected = io.StringIO()
+        alone = [solve(s, SolverSettings(log_stream=expected)) for s in sdps]
+        interior_point = dstab.sdp._interior_point
+
+        def failing(c, *args):
+            if len(c) > 1:
+                raise MemoryError("synthetic failure")
+            return interior_point(c, *args)
+
+        monkeypatch.setattr(dstab.sdp, "_interior_point", failing)
+        stream = io.StringIO()
+        for batched, solution in zip(solve_many(sdps, SolverSettings(log_stream=stream)), alone):
+            _assert_identical(batched, solution)
+        assert stream.getvalue() == expected.getvalue()
