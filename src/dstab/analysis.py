@@ -357,13 +357,14 @@ def sweep(
     lifted and assembled first, and all are then solved by one
     `sdp.solve_many` call, which runs the points of one structure in one
     interior-point run and hands back a failed point's exception in its
-    place; each point's solution is the one it gets alone."""
+    place; each point's solution is the one it gets alone.  A margin
+    outside [0, 1) is a ValueError, raised before any point."""
+    check_margin(margin)
     points: list = []
     pending, sdps = [], []  # (position, theta, problem, lift, seconds) and the SDPs
     for theta in grid:
         start = time.perf_counter()
         try:
-            check_margin(margin)
             problem = family(theta)
             lifted, order = _lift(problem, tau)
             sdps.append(assemble_relaxation(lifted, order))

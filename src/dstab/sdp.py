@@ -107,8 +107,8 @@ values, c, G, g and the a-priori bounds.  They are solved in one run: every
 stack is (B, pieces, k, k), the Schur complements are one (B, n, n) array
 with one stacked Cholesky (the jitter ladder runs per instance, and only
 when that Cholesky fails), and mu, sigma, the step lengths, the stopping
-and infeasibility tests, the best iterate, the stall count and the
-back-off are per instance.  An instance leaves the arrays when it stops.
+and infeasibility tests, the best iterate and the stall count are per
+instance.  An instance leaves the arrays when it stops.
 Each operation acts on the matrices of one instance at a time, in the
 same memory layout whatever B is, so every instance's iterates are
 bit-identical to those of its solve alone; `solve` is `solve_many` of one
@@ -120,9 +120,11 @@ u the moments a k x k piece uses): its Schur complement, factor and their
 temporaries, and the dense matrices, Gram weights and work space of its
 pieces.  It is 6.6 MB for the order-3 Hurwitz relaxation, whose batched
 instances peaked at 6.4 MB each (tracemalloc, four in one run), so four
-share a run; a larger SDP is solved alone.  An SDP whose lowering, run or
-scatter-back raises gets its exception in place of a solution; a run
-that raises is repeated one SDP at a time.
+share a run; a larger SDP is solved alone.  Only a run with one instance
+live recovers from a breakdown or backs off a step; with more it raises.
+A run that raises is repeated one SDP at a time, and an SDP whose
+lowering, run or scatter-back raises gets its exception in place of a
+solution.
 """
 
 from __future__ import annotations
@@ -839,11 +841,13 @@ def _interior_point(c, g_mat, g_vec, groups, y, y_bound, settings, logs) -> list
     its primal point y with S = X = eta*I: c and y are (B, n), G (B, m, n),
     g (B, m), y_bound (B, n) or None, and `logs` holds one stream (or None)
     per instance.  Every instance runs exactly the iteration it would run
-    alone, with its own mu, sigma, steps, stopping tests, best iterate and
-    back-off, and leaves the arrays when it stops.  With finite a-priori
-    moment bounds y_bound, an iterate whose value exceeds the bound its own
-    dual gives (`_rigorous_upper_bound`) is provably infeasible, so it is
-    not accepted as Optimal."""
+    alone, with its own mu, sigma, steps, stopping tests and best iterate,
+    and leaves the arrays when it stops.  A Newton breakdown or a step that
+    breaks definiteness raises `LinAlgError` while more than one instance
+    is live, for the caller to repeat the run one SDP at a time.  With
+    finite a-priori moment bounds y_bound, an iterate whose value exceeds
+    the bound its own dual gives (`_rigorous_upper_bound`) is provably
+    infeasible, so it is not accepted as Optimal."""
     n_y = c.shape[1]
     k_total = sum(g.dim * g.size for g in groups)
     nu = np.zeros(g_vec.shape)
@@ -947,62 +951,38 @@ def _interior_point(c, g_mat, g_vec, groups, y, y_bound, settings, logs) -> list
                 return outcomes
             mu, score, r_link, r_g, r_c = _take((mu, score, r_link, r_g, r_c), live)
 
-        args = [groups, g_mat, s_st, x_st, s_low, x_low, r_link, r_g, r_c, mu, score > switch]
         try:
-            dy, dnu, ds, dx, s_low_inv, x_low_inv = _newton_step(*args)
+            dy, dnu, ds, dx, s_low_inv, x_low_inv = _newton_step(
+                groups, g_mat, s_st, x_st, s_low, x_low, r_link, r_g, r_c, mu, score > switch)
         except np.linalg.LinAlgError:
-            # Some instance broke down: find which by solving each alone,
-            # stop those, and take the step for the rest.
-            failed = {}
-            for row in range(len(index)):
-                try:
-                    _newton_step(*_take(args, np.array([row])))
-                except np.linalg.LinAlgError:
-                    failed[row] = (SolverStatus.SLOW_PROGRESS, None)
-            live = stop(failed, it)
-            if not len(live):
-                return outcomes
-            args, mu = _take(args, live), mu[live]
-            dy, dnu, ds, dx, s_low_inv, x_low_inv = _newton_step(*args)
+            if len(index) > 1:
+                raise
+            stop({0: (SolverStatus.SLOW_PROGRESS, None)}, it)
+            return outcomes
 
         alpha_p, alpha_d = _step_lengths(s_low_inv, x_low_inv, ds, dx)
 
         # Commit, backing off deterministically if rounding broke
-        # definiteness: when the stacked check fails, each instance tries
-        # its step on its own, halving its step lengths, up to 12 times.
-        step_p, step_d = alpha_p[:, None, None, None], alpha_d[:, None, None, None]
-        s_new = [_sym(s + step_p * d) for s, d in zip(s_st, ds)]
-        x_new = [_sym(x + step_d * d) for x, d in zip(x_st, dx)]
-        try:
-            low = [np.linalg.cholesky(m) for m in s_new + x_new]
-        except np.linalg.LinAlgError:
-            low = None
-        ok = np.full(len(index), low is not None)
-        if low is None:
-            low = [np.zeros_like(m) for m in s_new + x_new]
-            for row in range(len(index)):
-                for _ in range(12):
-                    trial = ([_sym(s[row] + alpha_p[row] * d[row]) for s, d in zip(s_st, ds)]
-                             + [_sym(x[row] + alpha_d[row] * d[row]) for x, d in zip(x_st, dx)])
-                    try:
-                        factors = [np.linalg.cholesky(m) for m in trial]
-                    except np.linalg.LinAlgError:
-                        alpha_p[row] *= 0.5
-                        alpha_d[row] *= 0.5
-                        continue
-                    for new, m, f, lo in zip(s_new + x_new, trial, factors, low):
-                        new[row], lo[row] = m, f
-                    ok[row] = True
-                    break
-        y_new = y + alpha_p[:, None] * dy
-        nu_new = nu + alpha_d[:, None] * dnu
-        if not ok.all():  # an instance that never committed keeps its iterate
-            held = ~ok
-            for new, old in zip([y_new, nu_new] + s_new + x_new + low,
-                                [y, nu] + s_st + x_st + s_low + x_low):
-                new[held] = old[held]
-        y, nu, s_st, x_st = y_new, nu_new, s_new, x_new
-        s_low, x_low = low[:len(groups)], low[len(groups):]
+        # definiteness: halve the step lengths, up to 12 times, and keep the
+        # iterate if no step commits.
+        committed = False
+        for _ in range(12):
+            step_p, step_d = alpha_p[:, None, None, None], alpha_d[:, None, None, None]
+            s_new = [_sym(s + step_p * d) for s, d in zip(s_st, ds)]
+            x_new = [_sym(x + step_d * d) for x, d in zip(x_st, dx)]
+            try:
+                low = [np.linalg.cholesky(m) for m in s_new + x_new]
+            except np.linalg.LinAlgError:
+                if len(index) > 1:
+                    raise
+                alpha_p *= 0.5
+                alpha_d *= 0.5
+                continue
+            y, nu = y + alpha_p[:, None] * dy, nu + alpha_d[:, None] * dnu
+            s_st, x_st = s_new, x_new
+            s_low, x_low = low[:len(groups)], low[len(groups):]
+            committed = True
+            break
 
         stalled = {}
         for row, (track, a_p, a_d) in enumerate(zip(progress, alpha_p.tolist(), alpha_d.tolist())):
@@ -1011,7 +991,7 @@ def _interior_point(c, g_mat, g_vec, groups, y, y_bound, settings, logs) -> list
                 pobj, dobj, p_row, d_row = figures[row]
                 print(f"{it:6d} {mu[row]:11.4e} {p_row:11.4e} {d_row:11.4e} "
                       f"{pobj - dobj:11.4e} {a_p:8.2e} {a_d:8.2e}", file=log)
-            if not ok[row] or max(a_p, a_d) < 1e-10:
+            if not committed or max(a_p, a_d) < 1e-10:
                 track.stall += 1
                 if track.stall >= 3:
                     stalled[row] = (SolverStatus.SLOW_PROGRESS, None)
@@ -1165,7 +1145,8 @@ def _solve_run(run: list, lowered: list, settings: SolverSettings, logs: list,
     """Solve the SDPs at the positions `run` in one interior-point run and
     put each one's solution, or the exception it raised, at its position in
     `results`.  A run that raises is repeated one SDP at a time, so an
-    exception reaches only the SDPs that raise alone."""
+    exception reaches only the SDPs that raise alone; this is also how a
+    run of several recovers from a numerical breakdown (`_interior_point`)."""
     start = time.perf_counter()
     try:
         outcomes = _solve_batch([lowered[i] for i in run], settings, [logs[i] for i in run])
@@ -1197,8 +1178,10 @@ def solve_many(sdps, settings: SolverSettings | None = None) -> list:
     differ) are solved in one interior-point run over an instance axis, up
     to `_BATCH_DOUBLES` per run.  Each instance runs exactly the iteration
     of its solve alone, so its solution is bit-identical to `solve` of it.
-    An SDP whose lowering, run or scatter-back raises gets the exception in
-    place of its solution, and the other SDPs are solved as without it.
+    A run that raises, as one of several SDPs does on a numerical
+    breakdown, is repeated one SDP at a time.  An SDP whose lowering, run
+    or scatter-back raises gets the exception in place of its solution,
+    and the other SDPs are solved as without it.
     The iteration log of each SDP is held until every SDP before it is
     solved, so the log stream reads as if they were solved one after
     another.  `SDPSolution.seconds` is an SDP's own lowering time plus its

@@ -140,6 +140,8 @@ class TestCertify:
         # was certified on a bound of 1.00000001
         with pytest.raises(ValueError, match="margin"):
             certify_robust(support_problem, tau=2, margin=margin)
+        with pytest.raises(ValueError, match="margin"):
+            sweep(lambda _theta: support_problem, [0.0, 1.0], tau=2, margin=margin)
 
     def test_zero_margin_accepted(self):
         result = certify_robust(running_problem(mean=None, upper=0.9), tau=2, margin=0.0)

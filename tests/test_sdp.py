@@ -628,6 +628,28 @@ class TestSolveMany:
     """Same-structure SDPs run in one interior-point loop over an instance
     axis; each instance must come out bit-identical to its solve alone."""
 
+    @staticmethod
+    def _record_runs(monkeypatch) -> list:
+        """The number of SDPs in each interior-point run from now on."""
+        sizes, interior_point = [], dstab.sdp._interior_point
+
+        def recording(c, *args):
+            sizes.append(len(c))
+            return interior_point(c, *args)
+
+        monkeypatch.setattr(dstab.sdp, "_interior_point", recording)
+        return sizes
+
+    def test_a_sweep_runs_without_a_split(self, monkeypatch):
+        # a run is repeated one SDP at a time only to recover from a
+        # breakdown; the six sigma^2 points of a variance sweep, one in each
+        # sixth of [0, 0.25), take one run
+        sdps = _variance_sdps([0.01, 0.06, 0.1, 0.14, 0.18, 0.23])
+        sizes = self._record_runs(monkeypatch)
+        solutions = solve_many(sdps)
+        assert sizes == [6]
+        assert all(s.status is SolverStatus.OPTIMAL for s in solutions)
+
     def test_variance_grid_matches_solves_alone(self):
         sdps = _variance_sdps()
         assert [len(b) for b in _batches([_lower(s) for s in sdps])] == [6, 1]
@@ -653,10 +675,14 @@ class TestSolveMany:
 
     def test_backed_off_steps_match_solves_alone(self, monkeypatch):
         # an overlong step fraction leaves the boundary behind, so commits
-        # fail and each instance backs off on its own
+        # fail; the run of six is repeated one SDP at a time, and each SDP
+        # backs off as in its solve alone
         monkeypatch.setattr(dstab.sdp, "_STEP_FRACTION", 1.5)
         sdps = _variance_sdps()
-        for sdp, solution in zip(sdps, solve_many(sdps)):
+        sizes = self._record_runs(monkeypatch)
+        batched = solve_many(sdps)
+        assert sizes == [6] + [1] * 7
+        for sdp, solution in zip(sdps, batched):
             _assert_identical(solution, solve(sdp))
 
     def test_breakdown_stops_only_its_instance(self, monkeypatch):
@@ -681,7 +707,9 @@ class TestSolveMany:
 
         monkeypatch.setattr(dstab.sdp, "_lower", recording)
         monkeypatch.setattr(dstab.sdp, "_newton_step", breaking)
+        sizes = self._record_runs(monkeypatch)
         batched = solve_many(sdps)
+        assert sizes == [3, 1, 1, 1]
         assert batched[1].status is SolverStatus.SLOW_PROGRESS
         assert batched[1].iterations < alone[1].iterations
         _assert_identical(batched[1], solve(sdps[1]))
