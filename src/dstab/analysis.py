@@ -59,6 +59,9 @@ class CandidatePoint:
 
 @dataclass(frozen=True)
 class AnalysisReport:
+    """One solved relaxation, with the certification margin its verdict was
+    judged with; for a support-only problem, its certificate."""
+
     tau: int
     raw_value: float
     upper_bound: float
@@ -73,6 +76,7 @@ class AnalysisReport:
     support_only: bool
     solved_moments: int
     solved_largest_block: int
+    margin: float
     sdp: SDPProblem = field(repr=False, compare=False)  # the SDP that was solved
 
     @property
@@ -87,19 +91,6 @@ class HierarchyReport:
 
     def raw_values(self) -> list[float]:
         return [r.raw_value for r in self.reports]
-
-
-@dataclass(frozen=True)
-class CertificationResult:
-    certified: bool
-    raw_value: float
-    upper_bound: float
-    margin: float
-    report: AnalysisReport
-
-    @property
-    def label(self) -> str:
-        return "CertifiedRobustlyDStable" if self.certified else "NotCertified"
 
 
 @dataclass(frozen=True)
@@ -242,6 +233,7 @@ def _report(problem, lifted, sdp, solution, margin, seconds) -> AnalysisReport:
         support_only=support_only,
         solved_moments=solution.solved_moments,
         solved_largest_block=max(solution.solved_blocks, default=0),
+        margin=margin,
         sdp=sdp,
     )
 
@@ -251,8 +243,9 @@ def certify_robust(
     tau: int | None = None,
     margin: float = DEFAULT_CERTIFICATION_MARGIN,
     settings: SolverSettings | None = None,
-) -> CertificationResult:
-    """Robust D-stability certificate for a support-only problem: certified
+) -> AnalysisReport:
+    """Robust D-stability certificate for a support-only problem: the
+    `upper_probability` report, whose verdict is CertifiedRobustlyDStable
     iff the solve is Optimal and its rigorous upper bound on the violation
     probability stays below 1 by the given margin."""
     if not problem.is_support_only():
@@ -260,14 +253,7 @@ def certify_robust(
             "certification applies to support-only problems; drop the moment "
             "constraints or use upper_probability"
         )
-    report = upper_probability(problem, tau=tau, settings=settings, margin=margin)
-    return CertificationResult(
-        certified=report.verdict is Verdict.CERTIFIED_ROBUSTLY_DSTABLE,
-        raw_value=report.raw_value,
-        upper_bound=report.upper_bound,
-        margin=margin,
-        report=report,
-    )
+    return upper_probability(problem, tau=tau, settings=settings, margin=margin)
 
 
 def hierarchy(
@@ -324,9 +310,10 @@ def bisect_margin(
     evaluations = []
 
     def certified_at(k: float) -> bool:
-        result = certify_robust(family(k), tau=tau, margin=margin, settings=settings)
-        evaluations.append((k, result.certified, result.upper_bound))
-        return result.certified
+        report = certify_robust(family(k), tau=tau, margin=margin, settings=settings)
+        certified = report.verdict is Verdict.CERTIFIED_ROBUSTLY_DSTABLE
+        evaluations.append((k, certified, report.upper_bound))
+        return certified
 
     if certified_at(k_hi):
         return BisectionResult(k_star=k_hi, evaluations=tuple(evaluations))
@@ -408,13 +395,18 @@ def _failed_point(theta, tau, err, seconds) -> SweepPoint:
 SWEEP_CSV_HEADER = ("theta", "p_upper", "p_lower", "status", "tau", "seconds")
 
 
+def write_sweep_rows(writer, points) -> None:
+    """The sweep table through a `csv.writer`: the header, then one row per
+    point in grid order, numbers to 9 significant digits."""
+    writer.writerow(SWEEP_CSV_HEADER)
+    for p in points:
+        writer.writerow(
+            [f"{p.theta:.9g}", f"{p.p_upper:.9g}", f"{p.p_lower:.9g}",
+             p.status, p.tau, f"{p.seconds:.9g}"]
+        )
+
+
 def write_sweep_csv(points, path) -> None:
     """Deterministic CSV emission, rows in grid order."""
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(SWEEP_CSV_HEADER)
-        for p in points:
-            writer.writerow(
-                [f"{p.theta:.9g}", f"{p.p_upper:.9g}", f"{p.p_lower:.9g}",
-                 p.status, p.tau, f"{p.seconds:.9g}"]
-            )
+        write_sweep_rows(csv.writer(handle), points)

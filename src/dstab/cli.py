@@ -19,6 +19,7 @@ scripting) or a usage error such as a malformed flag value, 1 = error.
 from __future__ import annotations
 
 import argparse
+import csv
 import re
 import sys
 from pathlib import Path
@@ -26,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, oracle
-from .poly import Polynomial, PolynomialError, parse_polynomial
+from .poly import IDENTIFIER, Polynomial, PolynomialError, parse_polynomial
 from .problem import DStabilityProblem, MomentConstraint, UncertainMatrix, build_lifted
 from .relax import assemble_relaxation, export_sdp
 from .sdp import SolverSettings
@@ -79,7 +80,7 @@ def _eigen_space(text: str) -> str:
 _OPTION_PARSERS = {"tau": int, "margin": float, "max_iterations": int, "feasibility_tol": float,
                    "gap_tol": float, "eigen_space": _eigen_space,
                    "allow_asymmetric_real": _true_or_false, "lambda_radius": float}
-_PLACEHOLDER = re.compile(r"\$([A-Za-z][A-Za-z0-9_]*)")
+_PLACEHOLDER = re.compile(rf"\$({IDENTIFIER.pattern})")
 
 
 def _substitute(text: str, bindings: dict[str, float], path: str) -> str:
@@ -160,7 +161,7 @@ def load_problem(path, bindings: dict[str, float] | None = None):
     variables: list[str] = []
     for lineno, line in sections["variables"]:
         for name in line.replace(",", " ").split():
-            if not (name[0].isalpha() and all(c.isalnum() or c == "_" for c in name)):
+            if not IDENTIFIER.fullmatch(name):
                 raise ProblemFileError(f"bad variable name {name!r}", lineno, "variables")
             if name in variables:
                 raise ProblemFileError(f"duplicate variable {name!r}", lineno, "variables")
@@ -446,11 +447,12 @@ def _cmd_analyze(args, out) -> int:
 
 def _cmd_certify(args, out) -> int:
     problem, options = load_problem(args.problem, dict(args.bind))
-    result = analysis.certify_robust(problem, **_solve_kwargs(args, options))
-    _print_report(result.report, out)
-    print(f"certificate: {result.label} (bound {fmt(result.upper_bound)}, "
-          f"margin {fmt(result.margin)})", file=out)
-    return 0 if result.certified else 2
+    report = analysis.certify_robust(problem, **_solve_kwargs(args, options))
+    _print_report(report, out)
+    certified = report.verdict is analysis.Verdict.CERTIFIED_ROBUSTLY_DSTABLE
+    print(f"certificate: {report.verdict.value if certified else 'NotCertified'} "
+          f"(bound {fmt(report.upper_bound)}, margin {fmt(report.margin)})", file=out)
+    return 0 if certified else 2
 
 
 def _cmd_hierarchy(args, out) -> int:
@@ -469,30 +471,33 @@ def _cmd_hierarchy(args, out) -> int:
     return 2 if final.verdict is analysis.Verdict.INCONCLUSIVE else 0
 
 
+def _family(args, values):
+    """The problem family of `--param`, bound next to the `--bind` bindings,
+    and the file's [options], read at the first of `values` whose problem
+    loads; when none loads, the first value's error is raised."""
+    def load(value: float):
+        return load_problem(args.problem, {**dict(args.bind), args.param: value})
+
+    errors = []
+    for value in values:
+        try:
+            return (lambda theta: load(theta)[0]), load(value)[1]
+        except ValueError as err:
+            errors.append(err)
+    raise errors[0]
+
+
 def _cmd_sweep(args, out) -> int:
-    binds = dict(args.bind)
-    _problem, options = load_problem(args.problem, {**binds, args.param: args.values[0]})
-
-    def family(theta: float) -> DStabilityProblem:
-        return load_problem(args.problem, {**binds, args.param: theta})[0]
-
+    family, options = _family(args, args.values)
     points = analysis.sweep(family, args.values, **_solve_kwargs(args, options))
-    print(",".join(analysis.SWEEP_CSV_HEADER), file=out)
-    for p in points:
-        print(f"{fmt(p.theta)},{fmt(p.p_upper)},{fmt(p.p_lower)},{p.status},"
-              f"{p.tau},{fmt(p.seconds)}", file=out)
+    analysis.write_sweep_rows(csv.writer(out, lineterminator="\n"), points)
     if args.csv:
         analysis.write_sweep_csv(points, args.csv)
     return 0
 
 
 def _cmd_bisect(args, out) -> int:
-    binds = dict(args.bind)
-    _problem, options = load_problem(args.problem, {**binds, args.param: args.lo})
-
-    def family(k: float) -> DStabilityProblem:
-        return load_problem(args.problem, {**binds, args.param: k})[0]
-
+    family, options = _family(args, [args.lo])
     result = analysis.bisect_margin(
         family, args.lo, args.hi, tol=args.tol, **_solve_kwargs(args, options),
     )

@@ -354,13 +354,15 @@ def embed(
 #   factor := base ('^' nonneg-int)?
 #   base   := number | identifier | '(' expr ')'
 #
-# Whitespace is insignificant; identifiers start with a letter and may
-# contain letters, digits and underscores.
+# Whitespace is insignificant; identifiers, which also name a problem
+# file's variables and placeholders, start with an ASCII letter and may
+# contain ASCII letters, digits and underscores.
+IDENTIFIER = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<number>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?"
     r"|\d+(?:[eE][+-]?\d+)?)"
-    r"|(?P<ident>[A-Za-z][A-Za-z0-9_]*)"
+    rf"|(?P<ident>{IDENTIFIER.pattern})"
     r"|(?P<op>[-+*^()]))"
 )
 

@@ -157,9 +157,8 @@ class SolverSettings:
                 raise ValueError(f"{name} must be positive")
 
 
-# Fraction-to-boundary factor of every step, and the start S = X = I.
+# Fraction-to-boundary factor of every step.
 _STEP_FRACTION = 0.98
-_INITIAL_SCALE = 1.0
 # The corrector's second-order term is used only while the worst of the
 # residuals and the gap exceeds this multiple of the larger tolerance.
 _SECOND_ORDER_SWITCH = 100.0
@@ -239,10 +238,10 @@ class _Group:
     """All pieces of one dimension k, for each of B instances of one
     structure (`solve_many`), stacked: S, X, their scaling points and steps
     are (B, pieces, k, k) arrays, so every dense operation on them is one
-    numpy call, and A(y) and A*(W) are one `np.bincount` each over all
-    instances.
-    The pieces share their rows and columns across instances; only the
-    values differ."""
+    numpy call.  The pieces share their rows and columns across instances;
+    only the values differ.  All of them are one block-diagonal pencil, a
+    block per instance, so A(y) and A*(W) of every instance are one
+    `np.bincount` each."""
 
     def __init__(self, k: int, instances: list):
         """`instances` holds, per instance, the pencils of its pieces of
@@ -250,12 +249,13 @@ class _Group:
         self.dim, self.size, self.instances = k, len(instances[0]), instances
         n_inst = len(instances)
         stacked = [_vstack(pencils) for pencils in instances]
-        self.pencil = pencil = stacked[0]
-        self.vals = np.concatenate([p.vals for p in stacked])
-        # each instance's output rows and columns, past those of the ones before
+        pencil = stacked[0]
+        # each instance's rows and columns, past those of the ones before
         offsets = np.arange(n_inst)[:, None]
-        self.rows = (offsets * pencil.shape[0] + pencil.rows).ravel()
-        self.cols = (offsets * pencil.shape[1] + pencil.cols).ravel()
+        self.block = _Pencil((n_inst * pencil.shape[0], n_inst * pencil.shape[1]),
+                             (offsets * pencil.shape[0] + pencil.rows).ravel(),
+                             (offsets * pencil.shape[1] + pencil.cols).ravel(),
+                             np.concatenate([p.vals for p in stacked]))
         if k == 1:
             # tr(A_i V A_j V) = v^2 a_i a_j: one dense update over the used
             # variables replaces a call per piece
@@ -299,15 +299,11 @@ class _Group:
 
     def assemble(self, y: np.ndarray) -> np.ndarray:
         """A(y) of every instance: y is (B, n), the result (B, pieces, k, k)."""
-        out = np.bincount(self.rows, self.vals * y.ravel()[self.cols],
-                          minlength=len(y) * self.pencil.shape[0])
-        return out.reshape(len(y), -1, self.dim, self.dim)
+        return (self.block @ y.ravel()).reshape(len(y), -1, self.dim, self.dim)
 
     def adjoint(self, w: np.ndarray) -> np.ndarray:
         """A*(W) of every instance: W is (B, pieces, k, k), the result (B, n)."""
-        n_y = self.pencil.shape[1]
-        out = np.bincount(self.cols, self.vals * w.ravel()[self.rows], minlength=len(w) * n_y)
-        return out.reshape(len(w), n_y)
+        return self.block.adjoint(w.ravel()).reshape(len(w), -1)
 
     def schur_into(self, h: np.ndarray, v: np.ndarray) -> None:
         """h += the Schur contribution tr(A_i V A_j V) of every piece of
@@ -838,7 +834,7 @@ def _newton_step(groups, g_mat, s_st, x_st, s_low, x_low, r_link, r_g, r_c, mu, 
 
 def _interior_point(c, g_mat, g_vec, groups, y, y_bound, settings, logs) -> list[_Outcome]:
     """Path following for B instances of one structure at once, each from
-    its primal point y with S = X = eta*I: c and y are (B, n), G (B, m, n),
+    its primal point y with S = X = I: c and y are (B, n), G (B, m, n),
     g (B, m), y_bound (B, n) or None, and `logs` holds one stream (or None)
     per instance.  Every instance runs exactly the iteration it would run
     alone, with its own mu, sigma, steps, stopping tests and best iterate,
@@ -851,7 +847,7 @@ def _interior_point(c, g_mat, g_vec, groups, y, y_bound, settings, logs) -> list
     n_y = c.shape[1]
     k_total = sum(g.dim * g.size for g in groups)
     nu = np.zeros(g_vec.shape)
-    s_st = [np.tile(_INITIAL_SCALE * np.eye(g.dim), (len(c), g.size, 1, 1)) for g in groups]
+    s_st = [np.tile(np.eye(g.dim), (len(c), g.size, 1, 1)) for g in groups]
     x_st = [s.copy() for s in s_st]
     # the Cholesky factors of the iterate, from the check that committed it
     s_low = [np.linalg.cholesky(s) for s in s_st]

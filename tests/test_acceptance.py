@@ -68,31 +68,32 @@ def test_criterion_01_running_probabilistic(mean_report):
 
 def test_criterion_02_running_deterministic(support_solution):
     problem, _ = load_problem(PROBLEMS_DIR / "running_example_support.prob")
-    result = analysis.certify_robust(problem, tau=2)
+    report = analysis.certify_robust(problem, tau=2)
     witness = oracle.grid_violation_search(problem, 101)
     ok = (
         abs(support_solution.primal_value - 1.0) <= 1e-3
-        and result.label == "NotCertified"
+        and report.verdict is not analysis.Verdict.CERTIFIED_ROBUSTLY_DSTABLE
         and witness is not None
         and witness.rho[0] == pytest.approx(1.0, abs=1e-12)
         and abs(witness.lam) <= 1e-9
-        and result.report.seconds <= 5.0
+        and report.seconds <= 5.0
     )
     w = "none" if witness is None else f"(rho={witness.rho[0]:.3f}, lam={witness.lam:.1e})"
     check(2, ok, f"raw={support_solution.primal_value:.6f} (target 1 +/- 1e-3), "
-                 f"{result.label}, witness {w}")
+                 f"{report.verdict.value}, witness {w}")
 
 
 def test_criterion_03_shrunk_support():
     problem = running_problem(mean=None, upper=0.9)
-    result = analysis.certify_robust(problem, tau=2)
+    report = analysis.certify_robust(problem, tau=2)
     REGISTRY.append(("running/shrunk/tau2", _report_solution(problem, 2)))
     max_re = -math.inf
     for rho in np.linspace(0.0, 0.9, 10_000):
         eigs = oracle.eigenvalues(problem.matrix.evaluate([rho]))
         max_re = max(max_re, float(eigs.real.max()))
-    ok = result.certified and abs(max_re - (-0.1)) <= 1e-9
-    check(3, ok, f"{result.label} (raw={result.raw_value:.2e}), oracle max Re "
+    ok = (report.verdict is analysis.Verdict.CERTIFIED_ROBUSTLY_DSTABLE
+          and abs(max_re - (-0.1)) <= 1e-9)
+    check(3, ok, f"{report.verdict.value} (raw={report.raw_value:.2e}), oracle max Re "
                  f"eigenvalue over 10^4 points = {max_re:.12f} (target -0.1 +/- 1e-9)")
 
 

@@ -122,17 +122,17 @@ class TestUpperProbability:
 
 class TestCertify:
     def test_not_certified_with_candidate(self, support_problem):
-        result = certify_robust(support_problem, tau=2)
-        assert not result.certified
-        assert result.label == "NotCertified"
-        candidate = result.report.candidate
+        report = certify_robust(support_problem, tau=2)
+        assert report.verdict is not Verdict.CERTIFIED_ROBUSTLY_DSTABLE
+        assert report.verdict is Verdict.INCONCLUSIVE
+        candidate = report.candidate
         assert candidate.rho[0] == pytest.approx(1.0, abs=1e-4)
         assert abs(candidate.lam) <= 1e-4
 
     def test_shrunk_certified(self):
-        result = certify_robust(running_problem(mean=None, upper=0.9), tau=2)
-        assert result.certified
-        assert result.label == "CertifiedRobustlyDStable"
+        report = certify_robust(running_problem(mean=None, upper=0.9), tau=2)
+        assert report.verdict is Verdict.CERTIFIED_ROBUSTLY_DSTABLE
+        assert report.verdict.value == "CertifiedRobustlyDStable"
 
     @pytest.mark.parametrize("margin", [-0.1, 1.0, float("nan")])
     def test_margin_outside_unit_interval_rejected(self, support_problem, margin):
@@ -144,8 +144,8 @@ class TestCertify:
             sweep(lambda _theta: support_problem, [0.0, 1.0], tau=2, margin=margin)
 
     def test_zero_margin_accepted(self):
-        result = certify_robust(running_problem(mean=None, upper=0.9), tau=2, margin=0.0)
-        assert result.certified and result.margin == 0.0
+        report = certify_robust(running_problem(mean=None, upper=0.9), tau=2, margin=0.0)
+        assert report.verdict is Verdict.CERTIFIED_ROBUSTLY_DSTABLE and report.margin == 0.0
 
     def test_rejects_moment_constraints(self, mean_problem):
         with pytest.raises(ValueError, match="support-only"):
@@ -153,8 +153,8 @@ class TestCertify:
 
     def test_certification_soundness_against_oracle(self):
         problem = running_problem(mean=None, upper=0.9)
-        result = certify_robust(problem, tau=2)
-        assert result.certified
+        report = certify_robust(problem, tau=2)
+        assert report.verdict is Verdict.CERTIFIED_ROBUSTLY_DSTABLE
         assert grid_violation_search(problem, 10_000, membership_tol=1e-6) is None
 
 

@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import io
 import os
 import pathlib
 import re
@@ -77,6 +78,17 @@ class TestLoadProblem:
         for path in sorted(problems_dir.glob("*.prob")):
             problem, _options = load_problem(path, bindings.get(path.name, {}))
             assert problem.matrix.size >= 1
+
+    @pytest.mark.parametrize("name", ["\u03c1", "x\u00b2"])
+    def test_variable_name_outside_the_identifier_rule(self, tmp_path, name):
+        # str.isalpha and str.isalnum take these, the expression parser does not
+        path = tmp_path / "bad.prob"
+        path.write_text(
+            f"[variables]\n{name}\n[matrix]\n1\n{name}\n[delta]\n{name} in [0, 1]\n"
+            "[region]\nimaginary_axis\n", encoding="utf-8",
+        )
+        with pytest.raises(ProblemFileError, match=r"bad variable name .*section \[variables\]"):
+            load_problem(path)
 
     def test_unknown_region(self, tmp_path):
         path = tmp_path / "bad.prob"
@@ -366,6 +378,40 @@ class TestCommands:
         assert float(rows[2][1]) == pytest.approx(0.5, abs=1e-3)
         stdout = capsys.readouterr().out
         assert stdout.splitlines()[0] == "theta,p_upper,p_lower,status,tau,seconds"
+
+    @staticmethod
+    def _width_family(tmp_path):
+        # a negative width $w inverts the bounds, so that value fails to load
+        path = tmp_path / "width.prob"
+        path.write_text("[variables]\nrho\n[matrix]\n1\nrho\n"
+                        "[delta]\nrho in [0, $w]\n[region]\nimaginary_axis\n")
+        return str(path)
+
+    def test_sweep_stdout_is_the_csv_table(self, tmp_path, capsys):
+        # the error message holds commas: one quoted field on stdout as in the file
+        csv_path = tmp_path / "sweep.csv"
+        code = main(["sweep", self._width_family(tmp_path), "--param", "w",
+                     "--values", "1,-1", "--csv", str(csv_path)])
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+        assert [len(row) for row in rows] == [6, 6, 6]
+        assert rows[2][3].startswith("error: inverted bounds")
+        with open(csv_path, newline="") as handle:
+            assert rows == list(csv.reader(handle))
+
+    def test_sweep_reads_options_at_the_first_value_that_loads(self, tmp_path, capsys):
+        code = main(["sweep", self._width_family(tmp_path), "--param", "w", "--values=-1,1"])
+        captured = capsys.readouterr()
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(captured.out)))
+        assert [row[3].split(":")[0] for row in rows[1:]] == ["error", "Optimal"]
+        assert captured.err == ""
+        # with no value that loads, the first value's error ends the sweep
+        code = main(["sweep", self._width_family(tmp_path), "--param", "w", "--values=-1,-2"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err.startswith("error: inverted bounds [0.0, -1.0]")
+        assert captured.out == ""
 
     def test_bisect(self, tmp_path, capsys):
         path = tmp_path / "family.prob"

@@ -685,6 +685,18 @@ class TestSolveMany:
         for sdp, solution in zip(sdps, batched):
             _assert_identical(solution, solve(sdp))
 
+    def test_stalled_steps_stop_as_alone(self, monkeypatch):
+        # steps of 1e-12 of the way to the boundary stall every instance; each
+        # stops SlowProgress after its third stalled step, in one run
+        monkeypatch.setattr(dstab.sdp, "_STEP_FRACTION", 1e-12)
+        sdps = _variance_sdps([0.05, 0.1, 0.15])
+        sizes = self._record_runs(monkeypatch)
+        batched = solve_many(sdps)
+        assert sizes == [3]
+        for sdp, solution in zip(sdps, batched):
+            assert (solution.status, solution.iterations) == (SolverStatus.SLOW_PROGRESS, 3)
+            _assert_identical(solution, solve(sdp))
+
     def test_breakdown_stops_only_its_instance(self, monkeypatch):
         sdps = _variance_sdps([0.05, 0.1, 0.15])
         alone = [solve(s) for s in sdps]
