@@ -42,6 +42,18 @@ any optimal measure into an invariant one whose odd moments vanish, which
 is what the solver exploits (Gatermann and Parrilo, JPAA 192, 2004; Riener,
 Theobald, Andren and Lasserre, Math. Oper. Res. 38(1), 2013).  Detection
 reads polynomial parities only; there is no user flag.
+
+A complex-mode lift has one more symmetry: an eigenvector x = xre + i xim
+is fixed only up to a phase, so the quarter turn T, (xre, xim) ->
+(-xim, xre), maps the eigen equations of the real and imaginary parts onto
+each other (one with a sign) and leaves the norm bound and the objective
+alone.  Under T the moment m_alpha of the turned measure is
+(-1)^|alpha_xre| m_sigma(alpha), sigma swapping the xre and xim exponents,
+and the localizer of q becomes a signed permutation of that of q(T z).  So
+the relaxation is invariant when the objective maps to itself, every
+inequality onto an inequality of the same order and every equality onto
+an equality of the same order up to sign; assembly checks exactly that and
+stores the turn as `SDPProblem.quarter_turn`.
 """
 
 from __future__ import annotations
@@ -89,7 +101,12 @@ class SDPProblem:
     `x_coordinates` is derived data too: the indices of the eigenvector
     coordinates x, in which the lift is linear.  The solver keeps only the
     part of the relaxation of x-degree <= 2 (see `sdp`); an SDP without
-    them is solved untruncated."""
+    them is solved untruncated.
+
+    `quarter_turn` is derived data as well: (xre indices, xim indices) when
+    the quarter turn (xre, xim) -> (-xim, xre) leaves the relaxation
+    invariant (see the module docstring), else ().  The solver then folds
+    every moment orbit of the turn and the sign flips into one variable."""
 
     tau: int
     basis: np.ndarray
@@ -101,6 +118,7 @@ class SDPProblem:
     sign_symmetries: tuple[tuple[int, ...], ...] = ()
     equalities: tuple[tuple[str, LinearMatrixForm], ...] = ()
     x_coordinates: tuple[int, ...] = ()
+    quarter_turn: tuple[tuple[int, ...], ...] = ()
 
     @property
     def n_z(self) -> int:
@@ -228,6 +246,39 @@ def _sign_symmetries(even, uniform, n_z: int) -> tuple[tuple[int, ...], ...]:
     return tuple(generators)
 
 
+def _turned(p: Polynomial, re, im) -> Polynomial:
+    """p(T z) for the quarter turn T: xre_j -> -xim_j, xim_j -> xre_j."""
+    out = {}
+    for alpha, coeff in p.terms.items():
+        beta = list(alpha)
+        for r, i in zip(re, im):
+            beta[r], beta[i] = alpha[i], alpha[r]
+        out[tuple(beta)] = -coeff if sum(alpha[r] for r in re) % 2 else coeff
+    return Polynomial(p.num_vars, out)
+
+
+def _quarter_turn(lifted: LiftedProblem, objective: Polynomial, inequalities,
+                  equalities) -> tuple[tuple[int, ...], ...]:
+    """(xre indices, xim indices) when the quarter turn maps the objective
+    to itself, each (polynomial, order) of `inequalities` onto one of them
+    and each of `equalities` onto one of them up to sign; else ()."""
+    if lifted.real_mode or not lifted.x_indices:
+        return ()
+    half = len(lifted.x_indices) // 2
+    re, im = lifted.x_indices[:half], lifted.x_indices[half:]
+    inequalities, equalities = set(inequalities), set(equalities)
+    if _turned(objective, re, im) != objective:
+        return ()
+    for q, order in inequalities:
+        if (_turned(q, re, im), order) not in inequalities:
+            return ()
+    for q, order in equalities:
+        t = _turned(q, re, im)
+        if (t, order) not in equalities and (-t, order) not in equalities:
+            return ()
+    return (tuple(re), tuple(im))
+
+
 def assemble_relaxation(lifted: LiftedProblem, tau: int | None = None) -> SDPProblem:
     """Build the order-tau SDP for a lifted problem: a PSD localizer for
     each inequality and an equality form for each equality, support and
@@ -263,9 +314,9 @@ def assemble_relaxation(lifted: LiftedProblem, tau: int | None = None) -> SDPPro
     objective = np.zeros(num_moments)
     alphas = np.array(list(objective_scaled.terms), dtype=np.intp).reshape(-1, n_z)
     objective[graded_lex_index(alphas)] = list(objective_scaled.terms.values())
-    # parity classes for the sign-symmetry detection
-    even: list[Polynomial] = [objective_scaled]
-    uniform: list[Polynomial] = []
+    # the localized polynomials with their orders, for the symmetry detection
+    ge_polys: list[tuple[Polynomial, int]] = []
+    eq_polys: list[tuple[Polynomial, int]] = []
     blocks: list[tuple[str, LinearMatrixForm]] = [
         ("moment", moment_matrix_form(n_z, tau))
     ]
@@ -274,10 +325,10 @@ def assemble_relaxation(lifted: LiftedProblem, tau: int | None = None) -> SDPPro
     def localize(label: str, q: Polynomial, order: int, equality: bool) -> None:
         form = localizing_matrix_form(q, n_z, order)
         if equality:
-            uniform.append(q)
+            eq_polys.append((q, order))
             equalities.append((label, form))
         else:
-            even.append(q)
+            ge_polys.append((q, order))
             blocks.append((label, form))
 
     # expectation constraint k (from 1; moment[0] is the normalization) as
@@ -300,9 +351,11 @@ def assemble_relaxation(lifted: LiftedProblem, tau: int | None = None) -> SDPPro
         scale_pow=scale_pow,
         z_vars=lifted.z_vars,
         moment_bounds=moment_bounds,
-        sign_symmetries=_sign_symmetries(even, uniform, n_z),
+        sign_symmetries=_sign_symmetries([objective_scaled] + [q for q, _ in ge_polys],
+                                         [q for q, _ in eq_polys], n_z),
         equalities=tuple(equalities),
         x_coordinates=lifted.x_indices,
+        quarter_turn=_quarter_turn(lifted, objective_scaled, ge_polys, eq_polys),
     )
 
 

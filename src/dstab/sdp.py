@@ -17,8 +17,8 @@ held as one pencil, the sparse matrix P with P y = vec A(y) (row r k + c
 for entry (r, c), one column per moment; Vandenberghe and Boyd, SIAM
 Review 38(1), 1996), kept as numpy entry arrays: assembly P y and the
 adjoint P' vec(X) are one `np.bincount` each.
-G is assembled sparse; only its part on the live rows and kept moments
-(see below) becomes dense for the iteration.
+G is assembled sparse; only its part on the live rows and the orbits (see
+below) becomes dense for the iteration.
 The engine's maximization objective is negated on entry and the reported
 values are mapped back, so `primal_value` is the relaxation value at the
 final primal iterate and `dual_value` the dual objective at the final dual
@@ -42,25 +42,38 @@ Reduction, before the iteration:
   Every kept block is a principal submatrix of a full one and the kept
   equality entries are a subset, so the truncated value can only be
   higher: it is still an upper bound;
-- every moment that is odd under one of the SDP's sign symmetries
-  (`SDPProblem.sign_symmetries`, found by `relax`) is fixed at 0: an
-  invariant optimum exists, whose odd moments vanish.  Equality rows left
-  empty are dropped;
+- the moments are folded into the orbits of the SDP's symmetry group,
+  generated by its sign symmetries (`SDPProblem.sign_symmetries`) and, in
+  complex mode, the quarter turn (`SDPProblem.quarter_turn`), both found
+  by `relax`.  An invariant optimum exists, whose moments are equal up to
+  sign along an orbit, so one signed column map y = P z (`_Orbits`) takes
+  each orbit to one variable, its lowest graded-lex moment with sign +1,
+  and fixes at 0 each moment whose orbit holds its own negative (the odd
+  moments of a sign flip among them).  The pencils and G are multiplied
+  by P once, entries that meet in one column summed;
 - every block is split into the connected components of the sparsity
   pattern that remains.  A matrix that is block-diagonal up to a
   permutation is PSD exactly when its diagonal pieces are, so this step is
-  exact for any block.  For the order-3 Hurwitz relaxation the three
-  steps take 1716 moments and a 120x120 moment block to 234 moments and
-  pieces of at most 20x20.
+  exact for any block;
+- under the turn, a piece and its image, and an equality row and its
+  image, are equal up to a signed permutation once folded, so of each
+  turned set of pieces the first is solved, and of the rows of G that are
+  equal up to sign the first is kept.  For the order-3 Hurwitz relaxation
+  these steps take 1716 moments and a 120x120 moment block to 129
+  orbits, 26 moments fixed at 0 by the turn, and 17 pieces of at most
+  20x20 (234 moments and 22 pieces without the turn).
 
 The reduced SDP is solved, and moments, multipliers and dual blocks are
-scattered back to the full size in the original order (zero
-dropped moments, block-diagonal duals that are zero off the kept rows);
-the multipliers of each equality's rows are gathered into its multiplier
-matrix.  `upper_bound` is evaluated on the full problem from the
-scattered dual; since it holds for any dual, a wrong symmetry could only
-loosen it, never make it unsound.  The dual residual on a moment of
-x-degree > 2 is exactly its objective coefficient, 0.
+scattered back to the full size in the original order (y = P z,
+block-diagonal duals that are zero off the kept rows and on the pieces
+and rows not solved); the multipliers of each equality's rows are
+gathered into its multiplier matrix.  With a quarter turn the scattered
+dual is averaged over the turn's four powers (`_turn_average`); its
+residual then vanishes on every moment, not only summed over each orbit.
+`upper_bound` is evaluated on the full problem from the scattered dual;
+since it holds for any dual, a wrong symmetry could only loosen it, never
+make it unsound.  The dual residual on a moment of x-degree > 2 is exactly
+its objective coefficient, 0.
 
 Algorithm: infeasible-start path following in the Nesterov-Todd scaling.
 Each iteration linearizes the centering condition X = sigma*mu*S^-1 with
@@ -101,8 +114,8 @@ definiteness, or a vanishing step) is reported as SlowProgress together
 with the best iterate seen; it never raises.
 
 The iteration runs over a leading instance axis (`solve_many`).  SDPs that
-reduce to the same structure (the same kept moments, live rows of G and
-piece rows and columns of every pencil) differ only in values: pencil
+reduce to the same structure (the same orbits, live rows of G and piece
+rows and columns of every solved pencil) differ only in values: pencil
 values, c, G, g and the a-priori bounds.  They are solved in one run: every
 stack is (B, pieces, k, k), the Schur complements are one (B, n, n) array
 with one stacked Cholesky (the jitter ladder runs per instance, and only
@@ -118,9 +131,11 @@ their footprints stay within `_BATCH_DOUBLES` (2^22 doubles, 32 MB).  An
 instance's footprint is counted as 4 (n^2 + sum of u k^2 over its pieces,
 u the moments a k x k piece uses): its Schur complement, factor and their
 temporaries, and the dense matrices, Gram weights and work space of its
-pieces.  It is 6.6 MB for the order-3 Hurwitz relaxation, whose batched
-instances peaked at 6.4 MB each (tracemalloc, four in one run), so four
-share a run; a larger SDP is solved alone.  Only a run with one instance
+pieces.  It is 2.5 MB for the order-3 Hurwitz relaxation, whose batched
+instances peaked at 2.8 MB each (tracemalloc, four in one run; 2.4 MB
+alone), so twelve share a run; a larger SDP is solved alone.  An instance
+that stops leaves the arrays as slices of the old ones, and the work
+space stays shared (`_Group.take`).  Only a run with one instance
 live recovers from a breakdown or backs off a step; with more it raises.
 A run that raises is repeated one SDP at a time, and an SDP whose
 lowering, run or scatter-back raises gets its exception in place of a
@@ -129,6 +144,7 @@ solution.
 
 from __future__ import annotations
 
+import copy
 import io
 import time
 from dataclasses import dataclass
@@ -136,6 +152,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .moments import MomentVector
+from .poly import graded_lex_index
 from .relax import SDPProblem, SDPSolution, SolverStatus
 
 
@@ -205,6 +222,27 @@ class _Pencil:
         hit = new >= 0
         return _Pencil((self.shape[0], len(idx)), self.rows[hit], new[hit], self.vals[hit])
 
+    def fold(self, orbits: _Orbits) -> _Pencil:
+        """The product with the column map y = P z of `orbits`: each entry
+        moves to its moment's orbit, times the moment's sign; entries that
+        meet in one row and orbit are summed in entry order, and entries of
+        moments fixed at 0 and sums that cancel go.  An entry alone in its
+        place keeps its bits, so on a map without merges this is a column
+        selection."""
+        new = orbits.col[self.cols]
+        hit = new >= 0
+        n = len(orbits.reps)
+        key = self.rows[hit] * n + new[hit]
+        vals = self.vals[hit] * orbits.sign[self.cols[hit]]
+        if np.any(key[1:] <= key[:-1]):  # entries to merge or reorder
+            order = np.argsort(key, kind="stable")
+            key, vals = key[order], vals[order]
+            starts = np.flatnonzero(np.diff(key, prepend=-1))
+            key, vals = key[starts], np.add.reduceat(vals, starts)
+        nonzero = vals != 0
+        rows, cols = np.divmod(key[nonzero], n)
+        return _Pencil((self.shape[0], n), rows, cols, vals[nonzero])
+
     def rows_using(self, columns: np.ndarray) -> np.ndarray:
         """Mask of the rows with a nonzero entry in one of the columns (a
         boolean mask over the columns)."""
@@ -215,6 +253,34 @@ class _Pencil:
     def toarray(self) -> np.ndarray:
         out = np.zeros(self.shape)
         out[self.rows, self.cols] = self.vals
+        return out
+
+
+class _Orbits:
+    """The signed column map y = P z of the reduction: moment i is
+    sign[i] z[col[i]], or fixed at 0 where col[i] is -1.  Column j is one
+    orbit of the SDP's symmetry group; its lowest graded-lex moment,
+    reps[j], has sign +1."""
+
+    __slots__ = ("col", "sign", "reps")
+
+    def __init__(self, col: np.ndarray, sign: np.ndarray, reps: np.ndarray):
+        self.col, self.sign, self.reps = col, sign, reps
+
+    def expand(self, z: np.ndarray) -> np.ndarray:
+        """y = P z."""
+        y = np.zeros(len(self.col))
+        hit = self.col >= 0
+        y[hit] = self.sign[hit] * z[self.col[hit]]
+        return y
+
+    def fold(self, v: np.ndarray) -> np.ndarray:
+        """P' v: the signed sum of v over each orbit, its representative's
+        entry first (alone, it keeps its bits)."""
+        out = v[self.reps]
+        others = self.col >= 0
+        others[self.reps] = False
+        np.add.at(out, self.col[others], self.sign[others] * v[others])
         return out
 
 
@@ -294,8 +360,23 @@ class _Group:
             self.pieces.append((n, gram, parts))
 
     def take(self, rows: np.ndarray) -> _Group:
-        """The group of the instances `rows` (an index array)."""
-        return _Group(self.dim, [self.instances[i] for i in rows])
+        """The group of the instances `rows` (an index array): the rows of
+        this group's per-instance arrays, the leading instances of its
+        block pencil's structure, and the leading part of its work space,
+        which the new group shares."""
+        new, count, old = copy.copy(self), len(rows), len(self.instances)
+        new.instances = [self.instances[i] for i in rows]
+        size = len(self.block.vals) // old
+        new.block = _Pencil((count * self.block.shape[0] // old, count * self.block.shape[1] // old),
+                            self.block.rows[:count * size], self.block.cols[:count * size],
+                            self.block.vals.reshape(old, size)[rows].ravel())
+        if self.dim == 1:
+            new.coef = self.coef[rows]
+            return new
+        new.pieces = [(n, (where, weights[rows], var),
+                       [(part[rows], place, work[:, :count]) for part, place, work in parts])
+                      for n, (where, weights, var), parts in self.pieces]
+        return new
 
     def assemble(self, y: np.ndarray) -> np.ndarray:
         """A(y) of every instance: y is (B, n), the result (B, pieces, k, k)."""
@@ -479,42 +560,136 @@ def _truncation(sdp: SDPProblem, blocks: list, equalities: list):
     return rows, [~m.rows_using(high) for m in equalities]
 
 
+def _turn(sdp: SDPProblem):
+    """The quarter turn on the moments: (image, sign) with
+    m_i = sign[i] m_image[i] for every turn-invariant measure, image[i] the
+    monomial with the xre and xim exponents of monomial i swapped and
+    sign[i] = (-1)^(its xre degree).  The graded-lex basis of each order is
+    a prefix of `sdp.basis` that the turn maps onto itself, so the first k
+    entries are the turn on the rows of a k x k block too.  Without a turn
+    it is the identity."""
+    image = np.arange(sdp.num_moments)
+    if not sdp.quarter_turn:
+        return image, np.ones(sdp.num_moments)
+    re, im = map(list, sdp.quarter_turn)
+    swapped = sdp.basis.copy()
+    swapped[:, re], swapped[:, im] = sdp.basis[:, im], sdp.basis[:, re]
+    return graded_lex_index(swapped), np.where(sdp.basis[:, re].sum(axis=1) % 2, -1.0, 1.0)
+
+
+def _orbits(sdp: SDPProblem, used: np.ndarray) -> _Orbits:
+    """The orbits of the moments that `used` marks under the group that
+    the sign flips and the quarter turn generate.  A flip only changes
+    signs, so an orbit is {i, image[i]} (`_turn`).  A moment is fixed at 0
+    when its orbit holds its own negative: odd under a flip, or mapped by
+    the turn onto minus itself, directly or after two turns (odd x-degree)."""
+    index = np.arange(sdp.num_moments)
+    image, turn_sign = _turn(sdp)
+    zero = ~(used | used[image])
+    parity = sdp.basis % 2
+    for flip in sdp.sign_symmetries:
+        zero |= parity[:, list(flip)].sum(axis=1) % 2 == 1
+    zero |= (turn_sign * turn_sign[image] < 0) | ((image == index) & (turn_sign < 0))
+    zero |= zero[image]
+    rep = np.minimum(index, image)
+    reps = np.flatnonzero(~zero & (rep == index))
+    col = np.full(sdp.num_moments, -1)
+    col[reps] = np.arange(len(reps))
+    return _Orbits(np.where(zero, -1, col[rep]), np.where(rep == index, 1.0, turn_sign), reps)
+
+
 def _reduce(sdp: SDPProblem, blocks: list, g_mat):
-    """Truncate the SDP to x-degree <= 2 (`_truncation`), fix every moment
-    that is odd under a sign symmetry of the SDP at 0, and split every
-    block into the connected components of the entries that remain.
+    """Truncate the SDP to x-degree <= 2 (`_truncation`), fold the moments
+    into orbits of its symmetries (`_orbits`), and split every block into
+    the connected components of the entries that remain.
 
     The truncated blocks are principal submatrices of the full ones and
     the kept rows of G a subset of its rows, so the truncated value bounds
     the full one from above.  A moment that no kept PSD entry uses is
     dropped, since it would be free; those are the moments of x-degree > 2.
-    An invariant optimum exists (see `relax`), so the odd moments may be
-    fixed; after that each block is block-diagonal up to a permutation, and
-    it is PSD exactly when each diagonal piece is, whatever the symmetries.
-    Returns the mask of kept variables, the mask of kept rows of G and, per
-    piece that carries entries, (source block index, its rows in the source
-    block, the piece's pencil over the kept variables)."""
+    An invariant optimum exists (see `relax`), so each orbit may be one
+    variable; after the folding each block is block-diagonal up to a
+    permutation, and it is PSD exactly when each diagonal piece is.
+    Returns the orbits, the mask of kept rows of G, per piece that carries
+    entries (source block index, its rows in the source block, the piece's
+    folded pencil), and with a quarter turn its action on the pieces
+    (`_piece_turns`), else None."""
     block_rows, (g_rows,) = _truncation(sdp, blocks, [g_mat])
     subs = [p.take_rows((rows[:, None] * k + rows).ravel())
             for (k, p), rows in zip(blocks, block_rows)]
-    keep = np.zeros(sdp.num_moments, dtype=bool)
+    used = np.zeros(sdp.num_moments, dtype=bool)
     for sub in subs:
-        keep[sub.cols[sub.vals != 0]] = True
-    if sdp.sign_symmetries:
-        parity = sdp.basis % 2
-        for flip in sdp.sign_symmetries:
-            keep &= parity[:, list(flip)].sum(axis=1) % 2 == 0
-    kept = np.flatnonzero(keep)
+        used[sub.cols[sub.vals != 0]] = True
+    orbits = _orbits(sdp, used)
     pieces = []
     for b, (rows, sub) in enumerate(zip(block_rows, subs)):
         k = len(rows)
-        live = sub.take_cols(kept)
+        live = sub.fold(orbits)
         r, c = np.divmod(live.rows, k)
         label = _components(k, r, c)
         for root in np.flatnonzero(np.bincount(label[r])):
             idx = np.flatnonzero(label == root)
             pieces.append((b, rows[idx], live.take_rows((idx[:, None] * k + idx).ravel())))
-    return keep, g_rows, pieces
+    return orbits, g_rows, pieces, _piece_turns(sdp, pieces) if sdp.quarter_turn else None
+
+
+def _piece_turns(sdp: SDPProblem, pieces: list) -> list:
+    """The quarter turn on the pieces: per piece, (the index of its image,
+    the image's local row of each of its rows, the row signs).  The turn
+    maps row r of the localizer of q to row image[r] of the localizer of
+    q(T z) with sign sign[r] (`_turn`), and on folded pencils this signed
+    permutation is exact, so the image is the piece on the turned rows
+    whose folded pencil is the turned one.  A piece without such an image
+    maps to itself."""
+    image, turn_sign = _turn(sdp)
+
+    def stamp(idx, p):
+        return idx.tobytes(), p.rows.tobytes(), p.cols.tobytes(), p.vals.tobytes()
+
+    found: dict = {}
+    for j, (_b, idx, p) in enumerate(pieces):
+        found.setdefault(stamp(idx, p), j)
+    turns = []
+    for j, (_b, idx, p) in enumerate(pieces):
+        k = len(idx)
+        rows = np.sort(image[idx])
+        pos, sign = np.searchsorted(rows, image[idx]), turn_sign[idx]
+        r, c = np.divmod(p.rows, k)
+        flat = pos[r] * k + pos[c]
+        order = np.lexsort((p.cols, flat))
+        turned = _Pencil(p.shape, flat[order], p.cols[order], (sign[r] * sign[c] * p.vals)[order])
+        target = found.get(stamp(rows, turned))
+        turns.append((j, np.arange(k), np.ones(k)) if target is None else (target, pos, sign))
+    return turns
+
+
+def _signed_stamp(cols: np.ndarray, vals: np.ndarray):
+    """A sparse row up to sign: (key, s), the key equal for the row and its
+    negative, s times the row the entries it describes."""
+    order = np.argsort(cols)
+    s = 1.0 if vals[order[0]] > 0 else -1.0
+    return (cols[order].tobytes(), (s * vals[order]).tobytes()), s
+
+
+def _row_turns(g_mat: _Pencil, rows: np.ndarray, sdp: SDPProblem):
+    """The quarter turn on the rows `rows` of G (each with an entry): per
+    row i, the row j among them and the sign s with G_i(T y) = s G_j(y),
+    found by entries up to sign (i itself and 1 where none matches)."""
+    image, turn_sign = _turn(sdp)
+    starts = np.searchsorted(g_mat.rows, np.arange(g_mat.shape[0] + 1))
+    spans = [(i, slice(starts[i], starts[i + 1])) for i in rows.tolist()]
+    found: dict = {}
+    for i, span in spans:
+        key, s = _signed_stamp(g_mat.cols[span], g_mat.vals[span])
+        found.setdefault(key, (i, s))
+    targets, signs = [], []
+    for i, span in spans:
+        cols = g_mat.cols[span]
+        key, s = _signed_stamp(image[cols], turn_sign[cols] * g_mat.vals[span])
+        j, s_j = found.get(key, (i, s))
+        targets.append(j)
+        signs.append(s * s_j)
+    return np.array(targets, dtype=np.intp), np.array(signs)
 
 
 def _sym(a: np.ndarray) -> np.ndarray:
@@ -1003,9 +1178,11 @@ def _interior_point(c, g_mat, g_vec, groups, y, y_bound, settings, logs) -> list
 @dataclass
 class _Lowered:
     """One SDP lowered (`_compile`) and reduced (`_reduce`): the arrays the
-    iteration takes, what the scatter-back needs, the structure key on
-    which SDPs share a batch, and `doubles`, about how many doubles the
-    SDP holds in a run, which the structure fixes."""
+    iteration takes (the folded c, the folded G on its live rows, the
+    pieces that carry distinct PSD conditions and the a-priori bounds of
+    the orbits), what the scatter-back needs, the structure key on which
+    SDPs share a batch, and `doubles`, about how many doubles the SDP holds
+    in a run, which the structure fixes."""
 
     sdp: SDPProblem
     c: np.ndarray
@@ -1013,11 +1190,15 @@ class _Lowered:
     g_vec: np.ndarray
     eq_layout: list
     blocks: list
-    keep: np.ndarray
+    orbits: _Orbits
+    g_rows: np.ndarray
     live_rows: np.ndarray
     pieces: list
+    turns: list | None
     dims: list
     members: list
+    c_folded: np.ndarray
+    g_folded: _Pencil
     y_bound: np.ndarray | None
     doubles: int
     seconds: float
@@ -1025,30 +1206,70 @@ class _Lowered:
     @property
     def key(self) -> tuple:
         """Equal for two SDPs that reduce to the same structure: the same
-        kept moments, live rows of G and piece rows and columns of every
-        pencil, and a-priori bounds on both or on neither."""
-        return (self.keep.tobytes(), self.live_rows.tobytes(), self.y_bound is None,
-                tuple((len(idx), p.rows.tobytes(), p.cols.tobytes()) for _b, idx, p in self.pieces))
+        orbits, live rows of G and solved pieces with their rows and
+        columns, and a-priori bounds on both or on neither."""
+        return (self.orbits.col.tobytes(), self.live_rows.tobytes(), self.y_bound is None,
+                tuple((len(idx), p.rows.tobytes(), p.cols.tobytes())
+                      for _b, idx, p in (self.pieces[j] for j in self.solved)))
+
+    @property
+    def solved(self) -> list:
+        """The pieces the iteration takes, in piece order."""
+        return sorted(sum(self.members, []))
+
+
+def _live_rows(g_folded: _Pencil, g_vec: np.ndarray, g_rows: np.ndarray) -> np.ndarray:
+    """Mask of the rows of the folded G that the iteration keeps: kept by
+    the truncation, with an entry or a right-hand side, and, among those
+    with right-hand side 0, not equal up to sign to an earlier one (the
+    turn maps each eigen-equation row onto one of the other part, which
+    folds to the same row up to sign)."""
+    starts = np.searchsorted(g_folded.rows, np.arange(len(g_vec) + 1))
+    live = g_rows & ((np.diff(starts) > 0) | (g_vec != 0.0))
+    seen: set = set()
+    for row in np.flatnonzero(live & (g_vec == 0.0)).tolist():
+        span = slice(starts[row], starts[row + 1])
+        key, _s = _signed_stamp(g_folded.cols[span], g_folded.vals[span])
+        if key in seen:
+            live[row] = False
+        seen.add(key)
+    return live
 
 
 def _lower(sdp: SDPProblem) -> _Lowered:
     start = time.perf_counter()
     c, g_mat, g_vec, eq_layout, blocks = _compile(sdp)
-    keep, g_rows, pieces = _reduce(sdp, blocks, g_mat)
-    g_keep = g_mat.take_cols(np.flatnonzero(keep))
-    live_rows = g_rows & ((np.bincount(g_keep.rows, minlength=len(g_vec)) > 0) | (g_vec != 0.0))
-    dims = sorted({len(idx) for _b, idx, _p in pieces})
-    members = [[p for p, piece in enumerate(pieces) if len(piece[1]) == k] for k in dims]
+    orbits, g_rows, pieces, turns = _reduce(sdp, blocks, g_mat)
+    g_folded = g_mat.fold(orbits)
+    live_rows = _live_rows(g_folded, g_vec, g_rows)
+    # a piece whose turned image is an earlier piece carries the same PSD
+    # condition: of each orbit of pieces, the first is solved
+    solved = range(len(pieces))
+    if turns is not None:
+        solved = []
+        for p in range(len(pieces)):
+            orbit, q = {p}, turns[p][0]
+            while q not in orbit:
+                orbit.add(q)
+                q = turns[q][0]
+            if min(orbit) == p:
+                solved.append(p)
+    dims = sorted({len(pieces[p][1]) for p in solved})
+    members = [[p for p in solved if len(pieces[p][1]) == k] for k in dims]
     y_bound = sdp.moment_bounds
     if y_bound is not None:
-        y_bound = y_bound[keep] if np.all(np.isfinite(y_bound[keep])) else None
+        y_bound = y_bound[orbits.reps]
+        y_bound = y_bound if np.all(np.isfinite(y_bound)) else None
     # the footprint: a few n^2 for the Schur complement, its factor and
     # their temporaries, and a few used k^2 per piece for `_Group`'s dense
     # matrices, Gram weights and work space
-    n = int(keep.sum())
-    stacks = sum(np.count_nonzero(np.bincount(p.cols)) * len(idx) ** 2 for _b, idx, p in pieces)
-    return _Lowered(sdp, c, g_mat, g_vec, eq_layout, blocks, keep, live_rows, pieces, dims,
-                    members, y_bound, 4 * (n * n + stacks), time.perf_counter() - start)
+    n = len(orbits.reps)
+    stacks = sum(np.count_nonzero(np.bincount(pieces[p][2].cols)) * len(pieces[p][1]) ** 2
+                 for p in solved)
+    return _Lowered(sdp, c, g_mat, g_vec, eq_layout, blocks, orbits, g_rows, live_rows, pieces,
+                    turns, dims, members, orbits.fold(c),
+                    g_folded.take_rows(np.flatnonzero(live_rows)), y_bound,
+                    4 * (n * n + stacks), time.perf_counter() - start)
 
 
 def _batches(lowered: list) -> list[list[int]]:
@@ -1069,37 +1290,69 @@ def _batches(lowered: list) -> list[list[int]]:
 def _solve_batch(lowered: list, settings: SolverSettings, logs: list) -> list[_Outcome]:
     """One interior-point run over SDPs of one structure."""
     first = lowered[0]
-    keep, live = first.keep, first.live_rows
-    live_idx, kept = np.flatnonzero(live), np.flatnonzero(keep)
     groups = [_Group(k, [[low.pieces[p][2] for p in ps] for low in lowered])
               for k, ps in zip(first.dims, first.members)]
-    c = np.stack([low.c[keep] for low in lowered])
-    g_mat = np.stack([low.g_mat.take_cols(kept).take_rows(live_idx).toarray() for low in lowered])
-    g_vec = np.stack([low.g_vec[live] for low in lowered])
+    c = np.stack([low.c_folded for low in lowered])
+    g_mat = np.stack([low.g_folded.toarray() for low in lowered])
+    g_vec = np.stack([low.g_vec[low.live_rows] for low in lowered])
     y_bound = None if first.y_bound is None else np.stack([low.y_bound for low in lowered])
     y0 = np.zeros((len(lowered), first.sdp.num_moments))
     y0[:, 0] = 1.0
     for log in logs:
         if log is not None:
             print(_LOG_HEADER, file=log)
-    return _interior_point(c, g_mat, g_vec, groups, y0[:, keep], y_bound, settings, logs)
+    return _interior_point(c, g_mat, g_vec, groups, y0[:, first.orbits.reps], y_bound, settings,
+                           logs)
+
+
+def _turn_average(low: _Lowered, xs: list, nu: np.ndarray):
+    """The dual iterate averaged over the quarter turn: the dual blocks of
+    the pieces `xs` (all pieces, zero where not solved) and the row
+    multipliers nu, each replaced by the mean of its images under the four
+    powers of the turn, which acts on a piece as its signed row
+    permutation (`_piece_turns`) and on nu so that G' nu turns as the
+    moments do (`_row_turns`).  The residual r = c - G' nu - A*(X) of the
+    mean is the mean of the turned residuals; with c invariant and P'r = 0,
+    the residual the reduced solve drives to 0, that vanishes on every
+    moment, fixed ones included."""
+    rows = np.flatnonzero(low.g_rows)
+    targets, signs = _row_turns(low.g_mat, rows, low.sdp)
+
+    def turn(xs, nu):
+        out = [np.zeros_like(x) for x in xs]
+        for x, (target, pos, sign) in zip(xs, low.turns):
+            out[target][np.ix_(pos, pos)] += sign[:, None] * x * sign
+        turned = np.zeros_like(nu)
+        np.add.at(turned, targets, signs * nu[rows])
+        return out, turned
+
+    def mean(a, b):
+        return [0.5 * (x + t) for x, t in zip(a[0], b[0])], 0.5 * (a[1] + b[1])
+
+    half = mean((xs, nu), turn(xs, nu))  # over 1 and T
+    return mean(half, turn(*turn(*half)))  # and over 1 and T^2
 
 
 def _scatter(low: _Lowered, out: _Outcome, seconds: float) -> SDPSolution:
     """The solution of the full SDP from the outcome of its reduced one:
-    dropped moments and rows at 0, the dual blocks block-diagonal in their
-    source positions, and the rigorous bound taken on the full problem."""
+    y = P z, dropped rows and pieces at 0, with a quarter turn the dual
+    averaged over it (`_turn_average`), the dual blocks block-diagonal in
+    their source positions, and the rigorous bound taken on the full
+    problem."""
     sdp, blocks, pieces = low.sdp, low.blocks, low.pieces
     c, g_mat, g_vec = low.c, low.g_mat, low.g_vec
-    y = np.zeros(sdp.num_moments)
-    y[low.keep] = out.y
+    y = low.orbits.expand(out.y)
     nu = np.zeros(len(g_vec))
     nu[low.live_rows] = out.nu
-    x_blocks = [np.zeros((k, k)) for k, _p in blocks]
+    xs = [np.zeros((len(idx), len(idx))) for _b, idx, _p in pieces]
     for stack, ps in zip(out.x, low.members):
         for x, p in zip(stack, ps):
-            b, idx, _piece = pieces[p]
-            x_blocks[b][np.ix_(idx, idx)] = x
+            xs[p] = x
+    if low.turns is not None:
+        xs, nu = _turn_average(low, xs, nu)
+    x_blocks = [np.zeros((k, k)) for k, _p in blocks]
+    for x, (b, idx, _piece) in zip(xs, pieces):
+        x_blocks[b][np.ix_(idx, idx)] = x
 
     adjoint_x = np.zeros(sdp.num_moments)
     for (_k, p), x in zip(blocks, x_blocks):
@@ -1129,8 +1382,8 @@ def _scatter(low: _Lowered, out: _Outcome, seconds: float) -> SDPSolution:
                    "gap": float(out.pobj - out.dobj)},
         infeasibility_ray=ray,
         upper_bound=upper_bound,
-        solved_moments=int(low.keep.sum()),
-        solved_blocks=tuple(len(idx) for _b, idx, _p in pieces),
+        solved_moments=len(low.orbits.reps),
+        solved_blocks=tuple(len(pieces[p][1]) for p in low.solved),
         equality_duals=tuple(_multiplier_matrices(low.eq_layout, nu[1:])),
         seconds=seconds,
     )
@@ -1169,8 +1422,8 @@ def solve_many(sdps, settings: SolverSettings | None = None) -> list:
     order.
 
     Each SDP is lowered and reduced on its own (`_reduce`).  Those that
-    reduce to the same structure (the same kept moments, live rows of G
-    and piece rows and columns of every pencil, so that only the values
+    reduce to the same structure (the same orbits, live rows of G and
+    piece rows and columns of every solved pencil, so that only the values
     differ) are solved in one interior-point run over an instance axis, up
     to `_BATCH_DOUBLES` per run.  Each instance runs exactly the iteration
     of its solve alone, so its solution is bit-identical to `solve` of it.

@@ -286,10 +286,11 @@ def test_criterion_10_bifurcation_oracle_and_desk_scale_files():
 
 
 @pytest.mark.skip(
-    reason="stretch goal: the order-3 bifurcation relaxation reduces to 2961 solved "
-    "moments with pieces up to 91x91; one solve at k = 0.45 stops SlowProgress after "
-    "39 iterations in about 100 s, so the bisection's solves are beyond the dense "
-    "solver's desk-scale runtime budget; the gating det(J) oracle check runs above"
+    reason="stretch goal: the order-3 bifurcation relaxation reduces to 1971 solved "
+    "moment orbits with pieces up to 91x91; one solve at k = 0.45 stops SlowProgress "
+    "after 44 iterations in about 61 s, so the bisection's solves are beyond the dense "
+    "solver's desk-scale runtime budget and would not certify; the gating det(J) oracle "
+    "check runs above"
 )
 def test_criterion_10_stretch_bifurcation_bisection():
     def family(k: float) -> DStabilityProblem:

@@ -186,6 +186,65 @@ class TestSignSymmetries:
             assert sorted(sdp.sign_symmetries) == expected
 
 
+# each shipped problem with the bindings its placeholders need
+SHIPPED_BINDINGS = {
+    "bifurcation": {"k": 0.45},
+    "bifurcation_probabilistic": {"sigma2": 0.1},
+    "running_example_variance": {"sigma2": 0.1},
+}
+
+
+class TestQuarterTurn:
+    """A complex-mode lift is invariant under (xre, xim) -> (-xim, xre);
+    assembly verifies that on the polynomials before it records the turn."""
+
+    @pytest.mark.parametrize("path", sorted(PROBLEMS_DIR.glob("*.prob")),
+                             ids=lambda path: path.stem)
+    def test_detected_on_every_complex_lift(self, path):
+        problem, options = load_problem(path, SHIPPED_BINDINGS.get(path.stem, {}))
+        lifted = build_lifted(problem)
+        sdp = assemble_relaxation(lifted, minimal_order(lifted))
+        if lifted.real_mode:
+            assert sdp.quarter_turn == ()
+            return
+        names = [sdp.z_vars[i] for i in sdp.x_coordinates]
+        re, im = sdp.quarter_turn
+        assert [sdp.z_vars[i] for i in re] == [n for n in names if n.startswith("xre")]
+        assert [sdp.z_vars[i] for i in im] == [n for n in names if n.startswith("xim")]
+
+    @pytest.mark.parametrize("relation", ["GE", "EQ"])
+    def test_a_constraint_that_breaks_the_turn_drops_it(self, relation):
+        # xre1 >= 0 turns into xim1 >= 0 (xre1 = 0 into -xim1 = 0), which
+        # the lift does not hold
+        from dstab.poly import Polynomial
+        from dstab.sets import Relation, SemialgebraicSet
+        lifted = build_lifted(hurwitz_problem())
+        xre1 = Polynomial.variable(lifted.num_vars, lifted.z_vars.index("xre1"))
+        assert assemble_relaxation(lifted, 2).quarter_turn
+        support = SemialgebraicSet(
+            lifted.support.variables,
+            lifted.support.constraints + ((xre1, getattr(Relation, relation)),),
+        )
+        assert assemble_relaxation(dataclasses.replace(lifted, support=support), 2) \
+            .quarter_turn == ()
+
+    def test_a_turned_pair_of_constraints_keeps_it(self):
+        # with xim1 >= 0 beside xre1 >= 0 the turn maps the pair onto
+        # xim1 >= 0 and -xre1 >= 0; only a third, -xre1 >= 0, closes it
+        from dstab.poly import Polynomial
+        from dstab.sets import Relation, SemialgebraicSet
+        lifted = build_lifted(hurwitz_problem())
+        xre1, xim1 = (Polynomial.variable(lifted.num_vars, lifted.z_vars.index(name))
+                      for name in ("xre1", "xim1"))
+        for extra, kept in (((xre1, xim1), False), ((xre1, xim1, -xre1, -xim1), True)):
+            support = SemialgebraicSet(
+                lifted.support.variables,
+                lifted.support.constraints + tuple((q, Relation.GE) for q in extra),
+            )
+            sdp = assemble_relaxation(dataclasses.replace(lifted, support=support), 2)
+            assert bool(sdp.quarter_turn) is kept
+
+
 class TestScaling:
     def test_scale_pow_matches_variable_scales(self):
         lifted = build_lifted(hurwitz_problem())

@@ -228,8 +228,8 @@ def _reduction_cases():
 
 class TestSignReduction:
     """The solver fixes the moments that are odd under a sign symmetry at 0
-    and splits the blocks; dropping the generators gives the unreduced
-    solve of the same SDP."""
+    and splits the blocks; dropping the generators and the quarter turn
+    gives the unreduced solve of the same SDP."""
 
     @pytest.mark.parametrize("name,problem,tau", _reduction_cases(),
                              ids=[case[0] for case in _reduction_cases()])
@@ -237,7 +237,7 @@ class TestSignReduction:
         sdp = assemble_relaxation(build_lifted(problem), tau)
         assert sdp.sign_symmetries
         reduced = solve(sdp)
-        full = solve(dataclasses.replace(sdp, sign_symmetries=()))
+        full = solve(dataclasses.replace(sdp, sign_symmetries=(), quarter_turn=()))
         assert reduced.solved_moments < full.solved_moments == (_x_degree(sdp) <= 2).sum()
         assert reduced.status is full.status
         assert reduced.primal_value == pytest.approx(full.primal_value, abs=1e-7)
@@ -270,9 +270,100 @@ class TestSignReduction:
         assert wrong.upper_bound >= mean_solution.primal_value - 1e-7
 
 
+def _turn_cases():
+    lti, _ = load_problem(PROBLEMS_DIR / "lti_stability.prob")
+    return [("hurwitz/tau2", hurwitz_problem(), 2), ("hurwitz/tau3", hurwitz_problem(), 3),
+            ("lti_stability/tau2", lti, 2)]
+
+
+class TestQuarterTurn:
+    """With a quarter turn the solver folds each orbit {m_a, +-m_turn(a)}
+    into one variable and solves each turned pair of pieces and of rows
+    once; without it, the same SDP is solved with the sign reduction only."""
+
+    @pytest.mark.parametrize("name,problem,tau", _turn_cases(),
+                             ids=[case[0] for case in _turn_cases()])
+    def test_matches_unturned(self, name, problem, tau):
+        sdp = assemble_relaxation(build_lifted(problem), tau)
+        assert sdp.quarter_turn
+        turned = solve(sdp)
+        unturned = solve(dataclasses.replace(sdp, quarter_turn=()))
+        assert turned.solved_moments < unturned.solved_moments
+        assert len(turned.solved_blocks) < len(unturned.solved_blocks)
+        assert turned.status is unturned.status is SolverStatus.OPTIMAL
+        assert turned.primal_value == pytest.approx(unturned.primal_value, abs=1e-7)
+        certified = 1.0 - DEFAULT_CERTIFICATION_MARGIN
+        assert (turned.upper_bound < certified) == (unturned.upper_bound < certified)
+
+    def test_hurwitz_orbits(self):
+        # 234 moments fold into 129 orbits and 26 moments fixed at 0; 5 of
+        # the 22 pieces and 16 of the 33 live equality rows are turned
+        # images of others
+        sdp = assemble_relaxation(build_lifted(hurwitz_problem()), 3)
+        low = _lower(sdp)
+        assert len(low.orbits.reps) == 129
+        assert (len(low.solved), len(low.pieces)) == (17, 22)
+        assert low.live_rows.sum() == 17
+        # each kept moment shares its column with its turned image, with
+        # m_a = (-1)^|a_xre| m_turn(a)
+        image, sign = _turned_moments(sdp)
+        kept = np.flatnonzero(low.orbits.col >= 0)
+        assert np.array_equal(low.orbits.col[kept], low.orbits.col[image[kept]])
+        assert np.array_equal(low.orbits.sign[kept], sign[kept] * low.orbits.sign[image[kept]])
+        assert np.array_equal(low.orbits.reps, np.flatnonzero(
+            (low.orbits.col >= 0) & (np.arange(sdp.num_moments) <= image)))
+        solution = solve(sdp)
+        assert solution.solved_moments == 129
+        assert max(solution.solved_blocks) == 20
+
+    def test_averaged_dual_closes_the_full_residual(self):
+        # the reduced dual leaves c - G'nu - A*(X) far from 0 on the full
+        # SDP (each orbit sums to 0, its members do not); averaged over the
+        # turn it vanishes, and the rigorous bound is as tight as the solve
+        sdp = assemble_relaxation(build_lifted(hurwitz_problem()), 3)
+        solution = solve(sdp)
+        assert solution.status is SolverStatus.OPTIMAL
+        assert residuals(sdp, solution)["dual_infeas"] <= 1e-7
+        assert solution.upper_bound - solution.primal_value <= 1e-7
+
+    def test_a_constraint_that_breaks_the_turn_is_solved_without_it(self):
+        from dstab.poly import Polynomial
+        from dstab.sets import Relation, SemialgebraicSet
+        lifted = build_lifted(hurwitz_problem())
+        xre1 = Polynomial.variable(lifted.num_vars, lifted.z_vars.index("xre1"))
+        support = SemialgebraicSet(lifted.support.variables,
+                                   lifted.support.constraints + ((xre1, Relation.GE),))
+        sdp = assemble_relaxation(dataclasses.replace(lifted, support=support), 2)
+        assert sdp.quarter_turn == ()
+        solution = solve(sdp)
+        assert solution.status is SolverStatus.OPTIMAL
+        # no orbit folding: every even moment of x-degree <= 2 is a variable
+        parity = sdp.basis % 2
+        even = np.all([parity[:, list(flip)].sum(axis=1) % 2 == 0
+                       for flip in sdp.sign_symmetries], axis=0)
+        assert solution.solved_moments == ((_x_degree(sdp) <= 2) & even).sum()
+        assert residuals(sdp, solution)["dual_infeas"] <= 1e-7
+
+
 def _x_degree(sdp) -> np.ndarray:
     """Eigenvector degree of each moment of the SDP."""
     return sdp.basis[:, list(sdp.x_coordinates)].sum(axis=1)
+
+
+def _turned_moments(sdp):
+    """Reference, one moment at a time: the index of each moment with its
+    xre and xim exponents swapped, and (-1)^(its xre degree); the identity
+    without a quarter turn."""
+    image, sign = np.arange(sdp.num_moments), np.ones(sdp.num_moments)
+    if sdp.quarter_turn:
+        re, im = sdp.quarter_turn
+        for i, alpha in enumerate(sdp.basis.tolist()):
+            beta = list(alpha)
+            for r, j in zip(re, im):
+                beta[r], beta[j] = alpha[j], alpha[r]
+            image[i] = graded_lex_position(tuple(beta), sdp.n_z, 2 * sdp.tau)
+            sign[i] = (-1.0) ** sum(alpha[r] for r in re)
+    return image, sign
 
 
 def _truncation_cases():
@@ -310,17 +401,20 @@ class TestTruncation:
     @pytest.mark.parametrize("name,problem,tau", _truncation_cases()[::4],
                              ids=[case[0] for case in _truncation_cases()[::4]])
     def test_no_moment_is_left_free(self, name, problem, tau):
-        # the solver keeps exactly the even moments of x-degree <= 2, and a
-        # kept PSD entry uses each of them (a free moment would leave the
+        # the solver keeps exactly the even moments of x-degree <= 2 that
+        # the quarter turn does not map onto their own negatives, and a
+        # kept PSD entry uses each orbit (a free moment would leave the
         # Schur matrix singular)
         sdp = assemble_relaxation(build_lifted(problem), tau)
         _c, g_mat, _g, _layout, blocks = _compile(sdp)
-        keep, g_rows, pieces = _reduce(sdp, blocks, g_mat)
+        orbits, g_rows, pieces, _turns = _reduce(sdp, blocks, g_mat)
         parity = sdp.basis % 2
         even = np.all([parity[:, list(flip)].sum(axis=1) % 2 == 0
                        for flip in sdp.sign_symmetries], axis=0)
-        assert np.array_equal(keep, (_x_degree(sdp) <= 2) & even)
-        used = np.zeros(int(keep.sum()), dtype=bool)
+        image, sign = _turned_moments(sdp)
+        negated = (image == np.arange(sdp.num_moments)) & (sign < 0)
+        assert np.array_equal(orbits.col >= 0, (_x_degree(sdp) <= 2) & even & ~negated)
+        used = np.zeros(len(orbits.reps), dtype=bool)
         for _b, _rows, piece in pieces:
             used[piece.cols] = True
         assert used.all()
@@ -335,7 +429,7 @@ class TestTruncation:
         sdp = dataclasses.replace(mean_sdp, sign_symmetries=())
         _c, g_mat, _g, _layout, blocks = _compile(sdp)
         block_rows, _ = _truncation(sdp, blocks, [])
-        _keep, _g_rows, pieces = _reduce(sdp, blocks, g_mat)
+        _orbits, _g_rows, pieces, _turns = _reduce(sdp, blocks, g_mat)
         for b, rows in enumerate(block_rows):
             covered = np.concatenate([idx for src, idx, _p in pieces if src == b])
             assert np.array_equal(np.sort(covered), rows)
@@ -667,11 +761,25 @@ class TestSolveMany:
 
     def test_sparse_schur_pieces_match_solves_alone(self):
         # the order-3 Hurwitz pieces include ones whose Schur products go
-        # through the sparse path
+        # through the sparse path; the SDPs are folded by the quarter turn
         sdps = self._hurwitz_sdps()
+        assert all(sdp.quarter_turn for sdp in sdps)
         assert len(_batches([_lower(s) for s in sdps])) == 1
         for sdp, solution in zip(sdps, solve_many(sdps)):
             _assert_identical(solution, solve(sdp))
+
+    def test_turned_sdps_that_stop_apart_match_solves_alone(self):
+        # order-2 Hurwitz boxes of one structure stop at different
+        # iterations, so the run drops instances (`_Group.take`) on the way
+        sdps = [assemble_relaxation(build_lifted(dataclasses.replace(
+                    hurwitz_problem(), delta=box_set(("rho1",), [lo], [hi]))), 2)
+                for lo, hi in ((-0.1, 3.4), (1.0, 2.0), (2.0, 3.0), (0.5, 5.0))]
+        assert all(sdp.quarter_turn for sdp in sdps)
+        assert [len(b) for b in _batches([_lower(s) for s in sdps])] == [4]
+        alone = [solve(sdp) for sdp in sdps]
+        assert len({s.iterations for s in alone}) > 1
+        for solution, single in zip(solve_many(sdps), alone):
+            _assert_identical(solution, single)
 
     def test_backed_off_steps_match_solves_alone(self, monkeypatch):
         # an overlong step fraction leaves the boundary behind, so commits
