@@ -474,16 +474,20 @@ def _cmd_hierarchy(args, out) -> int:
 def _family(args, values):
     """The problem family of `--param`, bound next to the `--bind` bindings,
     and the file's [options], read at the first of `values` whose problem
-    loads; when none loads, the first value's error is raised."""
+    loads, whose problem the family hands back for that value instead of
+    parsing the file again; when none loads, the first value's error is
+    raised."""
     def load(value: float):
         return load_problem(args.problem, {**dict(args.bind), args.param: value})
 
     errors = []
     for value in values:
         try:
-            return (lambda theta: load(theta)[0]), load(value)[1]
+            first, options = load(value)
         except ValueError as err:
             errors.append(err)
+            continue
+        return (lambda theta: first if theta == value else load(theta)[0]), options
     raise errors[0]
 
 

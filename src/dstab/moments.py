@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .poly import (Exponent, Polynomial, PolynomialError, graded_lex_index,
+from .poly import (Exponent, Polynomial, PolynomialError, graded_lex_index_by_variable,
                    graded_lex_position, monomial_basis)
 
 
@@ -59,7 +59,9 @@ class LinearMatrixForm:
     vals[e] m_alpha to (rows[e], cols[e]), alpha the monomial at graded-lex
     position moments[e].  Each entry of each B_alpha appears once, both
     triangles included, ordered by alpha ascending lexicographically and
-    by (i, j, gamma) within one alpha; the export writes them in this order."""
+    by (i, j, gamma) within one alpha; the export writes them in this order.
+    `rows`, `cols` and `moments` are int32, so a reader widens them to
+    np.intp before any arithmetic on them (`rows * dimension` overflows)."""
 
     dimension: int
     num_vars: int
@@ -83,6 +85,7 @@ class LinearMatrixForm:
 
 
 _KEY_LIMIT = 1 << 62
+_INT32_MAX = int(np.iinfo(np.int32).max)
 
 
 def _lex_keys(exponents: np.ndarray, radix: np.ndarray) -> np.ndarray:
@@ -115,25 +118,33 @@ def _pencil(q: Polynomial, num_vars: int, order: int) -> LinearMatrixForm:
     kb[i] + kb[j] + kg[g] (`_lex_keys`, with a radix per variable of
     2 order + max gamma + 1, which no digit of alpha reaches), so no
     exponent array of the entries is formed, and only the first entry of
-    each run of equal keys gets its graded-lex index."""
+    each run of equal keys gets its graded-lex index, one variable at a
+    time.  Raises PolynomialError when an entry or moment index would not
+    fit in int32."""
+    n, t, top = math.comb(num_vars + order, order), len(q.terms), 2 * order + q.degree
+    if n * n * t > _INT32_MAX or math.comb(num_vars + top, top) > _INT32_MAX:
+        raise PolynomialError(f"a pencil of dimension {n} with {t} terms and moments of "
+                              f"degree {top} in {num_vars} variables exceeds 32-bit indices")
     basis = monomial_basis(num_vars, order)
     gammas = np.array(list(q.terms), dtype=np.intp).reshape(-1, num_vars)
     coeffs = np.array(list(q.terms.values()), dtype=float)
-    n, t = len(basis), len(gammas)
     radix = 2 * order + gammas.max(axis=0, initial=0) + 1
     kb, kg = _lex_keys(basis, radix), _lex_keys(gammas, radix)
     # entries in (i, j, gamma) order, then stably by exponent
     keys = kb[:, :, None, None] + kb[:, None, :, None] + kg[:, None, None, :]
     keys = keys.reshape(len(kb), -1)
-    by_alpha = np.lexsort(keys[::-1])
-    ij, g = np.divmod(by_alpha, t)
-    rows, cols = np.divmod(ij, n)
+    by_alpha = np.lexsort(keys[::-1]).astype(np.int32)
     keys = keys[:, by_alpha]
     opens = np.ones(len(by_alpha), dtype=bool)  # entry opens a run of equal keys
     opens[1:] = (keys[:, 1:] != keys[:, :-1]).any(axis=0)
+    del keys
+    ij, g = np.divmod(by_alpha, t)
+    rows, cols = np.divmod(ij, n)
     starts = np.flatnonzero(opens)
-    first = graded_lex_index(basis[rows[starts]] + basis[cols[starts]] + gammas[g[starts]])
-    moments = first[np.cumsum(opens) - 1]
+    ri, ci, gi = rows[starts], cols[starts], g[starts]
+    first = graded_lex_index_by_variable(
+        lambda v: basis[ri, v] + basis[ci, v] + gammas[gi, v], num_vars, top)
+    moments = first.astype(np.int32)[np.cumsum(opens, dtype=np.int32) - 1]
     return LinearMatrixForm(n, num_vars, rows, cols, moments, coeffs[g])
 
 

@@ -290,17 +290,24 @@ _INTP_MAX = int(np.iinfo(np.intp).max)
 
 def graded_lex_index(alphas) -> np.ndarray:
     """Position of each exponent (the last axis of an integer array) in any
-    graded-lex basis that holds it.  With below[s, m] = C(s - 1 + m, m) the
-    count of monomials in m variables of degree < s, alpha of degree d in n
-    variables follows the below[d, n] monomials of lower degree and, for
-    each variable i, the below[s_i, n - 1 - i] of degree d that agree with
-    alpha before i and have more of i, s_i being the degree after i.  By
-    Pascal's rule below[s] is the running sum of below[s - 1] for s >= 2.
+    graded-lex basis that holds it (see `graded_lex_index_by_variable`).
     Raises PolynomialError when an index could leave the integer range."""
     alphas = np.asarray(alphas, dtype=np.intp)
-    n = alphas.shape[-1]
-    after = np.cumsum(alphas[..., ::-1], axis=-1)[..., ::-1]  # degree from each variable on
-    top = int(after[..., 0].max(initial=0))
+    top = int(alphas.sum(axis=-1).max(initial=0))
+    return graded_lex_index_by_variable(lambda i: alphas[..., i], alphas.shape[-1], top)
+
+
+def graded_lex_index_by_variable(column, n: int, top: int) -> np.ndarray:
+    """`graded_lex_index` of exponents in n variables of degree <= top given
+    one variable at a time, column(i) being the exponents of variable i, so
+    no array of whole exponent vectors is formed.  With below[s, m] =
+    C(s - 1 + m, m) the count of monomials in m variables of degree < s,
+    alpha of degree d follows the below[d, n] monomials of lower degree
+    and, for each variable i, the below[s_i, n - 1 - i] of degree d that
+    agree with alpha before i and have more of i, s_i being the degree
+    after i.  By Pascal's rule below[s] is the running sum of below[s - 1]
+    for s >= 2.  Raises PolynomialError when an index could leave the
+    integer range."""
     if math.comb(n + top, n) > _INTP_MAX:
         raise PolynomialError(f"graded-lex index of degree {top} in {n} variables "
                               "exceeds the integer range")
@@ -308,7 +315,11 @@ def graded_lex_index(alphas) -> np.ndarray:
     below[0] = 0
     for s in range(2, top + 1):
         below[s] = below[s - 1].cumsum()
-    return below[after[..., 0], n] + below[after[..., 1:], np.arange(n - 1, 0, -1)].sum(axis=-1)
+    after = index = 0  # degree from variable i on, and the position so far
+    for i in range(n - 1, -1, -1):
+        after = after + column(i)
+        index = index + below[after, n - i]
+    return index
 
 
 def graded_lex_position(alpha: Exponent, num_vars: int, order: int) -> int:

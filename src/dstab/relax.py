@@ -375,34 +375,40 @@ def _file_blocks(sdp: SDPProblem) -> list[tuple[str, LinearMatrixForm, float]]:
     return sorted(blocks, key=file_order)
 
 
-def _float_texts(values) -> np.ndarray:
-    """`repr(v)` and a newline for each value, as an object array.  Each
+# cells per write (at least one line): the export holds one slice's text
+_SLICE_CELLS = 1 << 14
+
+
+def _write_lines(handle, count: int, columns) -> None:
+    """Write `count` lines, in slices of at most `_SLICE_CELLS` cells or one
+    line.  Each column maps a slice of the line numbers to the texts of its
+    cells (each ending in its separator)."""
+    step = max(1, _SLICE_CELLS // len(columns))
+    for lo in range(0, count, step):
+        part = slice(lo, min(lo + step, count))
+        cells = np.empty((part.stop - lo, len(columns)), dtype=object)
+        for c, column in enumerate(columns):
+            cells[:, c] = column(part)
+        handle.write("".join(cells.ravel().tolist()))
+
+
+def _float_column(values, sign: float = 1.0):
+    """The column of `repr(sign * v)` and a newline for the values.  Each
     distinct value is formatted once, keyed by its bit pattern so that -0.0
-    keeps its own text."""
-    values = np.ascontiguousarray(values, dtype=np.float64)
-    keys, inverse = np.unique(values.view(np.int64), return_inverse=True)
-    texts = np.array([repr(v) + "\n" for v in keys.view(np.float64).tolist()], dtype=object)
-    return texts[inverse]
+    keeps its own text; negation maps distinct values to distinct ones."""
+    bits = np.ascontiguousarray(values, dtype=np.float64).view(np.int64)
+    keys = np.sort(bits)
+    distinct = np.ones(len(keys), dtype=bool)
+    distinct[1:] = keys[1:] != keys[:-1]
+    keys = keys[distinct]
+    texts = np.array([repr(sign * v) + "\n" for v in keys.view(np.float64).tolist()],
+                     dtype=object)
+    return lambda part: texts[np.searchsorted(keys, bits[part])]
 
 
-def _basis_text(basis: np.ndarray, numbers: np.ndarray) -> str:
-    """The basis section: each index with its exponent vector."""
-    last = np.array([f"{e}\n" for e in range(basis.max() + 1)], dtype=object)
-    cells = np.empty((len(basis), basis.shape[1] + 1), dtype=object)
-    cells[:, 0] = numbers[:len(basis)]
-    cells[:, 1:-1] = numbers[basis[:, :-1]]
-    cells[:, -1] = last[basis[:, -1]]
-    return "".join(cells.ravel().tolist())
-
-
-def _block_text(form: LinearMatrixForm, sign: float, numbers: np.ndarray) -> str:
-    """The entry lines of one block: row, column, moment index, coefficient."""
-    cells = np.empty((len(form.vals), 4), dtype=object)
-    cells[:, 0] = numbers[form.rows]
-    cells[:, 1] = numbers[form.cols]
-    cells[:, 2] = numbers[form.moments]
-    cells[:, 3] = _float_texts(sign * form.vals)
-    return "".join(cells.ravel().tolist())
+def _index_column(numbers: np.ndarray, indices: np.ndarray):
+    """The column of the texts numbers[i] for the indices."""
+    return lambda part: numbers[indices[part]]
 
 
 def export_sdp(sdp: SDPProblem, path) -> tuple[int, ...]:
@@ -416,23 +422,31 @@ def export_sdp(sdp: SDPProblem, path) -> tuple[int, ...]:
     with every equality form written as a +/- block pair.  Indices are
     zero-based.
 
-    Each section is built from arrays, with every integer and every
-    distinct value formatted once, and written as soon as it is built, so
-    the writer never holds more than one block's lines."""
+    Each section is written in slices of at most `_SLICE_CELLS` cells built
+    from arrays, with every integer formatted once and every distinct value
+    once per section, so the writer never holds more than one slice's text.
+    A form's int32 indices only select texts here."""
     blocks = _file_blocks(sdp)
     dims = tuple(form.dimension for _label, form, _sign in blocks)
     # "i " for every moment index, row and column in the file
     numbers = np.array([f"{i} " for i in range(max((sdp.num_moments, *dims)))], dtype=object)
+    basis = sdp.basis
+    last = np.array([f"{e}\n" for e in range(basis.max() + 1)], dtype=object)
     nnz = np.nonzero(sdp.objective)[0]
     with open(path, "w") as handle:
         handle.write(f"DSTAB-SDP 1\nnz {sdp.n_z} tau {sdp.tau} moments {sdp.num_moments}\n"
                      f"zvars {' '.join(sdp.z_vars)}\nbasis\n")
-        handle.write(_basis_text(sdp.basis, numbers))
+        _write_lines(handle, len(basis), [lambda part: numbers[part]]
+                     + [_index_column(numbers, e) for e in basis.T[:-1]]
+                     + [_index_column(last, basis[:, -1])])
         handle.write(f"objective {len(nnz)}\n")
-        handle.write("".join(numbers[nnz] + _float_texts(sdp.objective[nnz])))
+        _write_lines(handle, len(nnz), [_index_column(numbers, nnz),
+                                        _float_column(sdp.objective[nnz])])
         handle.write("constraint 0 = 1.0 1 moment[0]\n0 1.0\n")
         for k, (label, form, sign) in enumerate(blocks):
             handle.write(f"block {k} {form.dimension} {len(form.vals)} {label}\n")
-            handle.write(_block_text(form, sign, numbers))
+            _write_lines(handle, len(form.vals), [
+                _index_column(numbers, form.rows), _index_column(numbers, form.cols),
+                _index_column(numbers, form.moments), _float_column(form.vals, sign)])
         handle.write("end\n")
     return dims

@@ -414,9 +414,11 @@ def _pencil(sdp: SDPProblem, form) -> _Pencil:
     """The pencil A(y) = sum_i y_i A_i of a form as one sparse matrix P of
     shape (k^2, num_moments) with P y = vec A(y): row r k + c holds entry
     (r, c), column i the moment y_i.  A form holds each entry of each B_alpha
-    once (`moments`), so P is the form's entry arrays in row-major order."""
+    once (`moments`), so P is the form's entry arrays in row-major order;
+    its int32 indices are widened first, since flat * n_y passes 2^31 on
+    the larger relaxations."""
     k, n_y = form.dimension, sdp.num_moments
-    flat = form.rows * k + form.cols
+    flat = form.rows.astype(np.intp) * k + form.cols
     order = np.argsort(flat * n_y + form.moments)
     return _Pencil((k * k, n_y), flat[order], form.moments[order], form.vals[order])
 

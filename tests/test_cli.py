@@ -413,6 +413,33 @@ class TestCommands:
         assert captured.err.startswith("error: inverted bounds [0.0, -1.0]")
         assert captured.out == ""
 
+    def test_sweep_and_bisect_parse_the_file_once_per_value(self, problems_dir, tmp_path,
+                                                            monkeypatch, capsys):
+        # the first value's load, which also gives the [options], is reused
+        loads = []
+        load = dstab.cli.load_problem
+
+        def counting_load(path, bindings=None):
+            loads.append(dict(bindings))
+            return load(path, bindings)
+
+        monkeypatch.setattr(dstab.cli, "load_problem", counting_load)
+        assert main(["sweep", str(problems_dir / VARIANCE), "--param", "sigma2",
+                     "--values", "0.05,0.1,0.25"]) == 0
+        assert loads == [{"sigma2": 0.05}, {"sigma2": 0.1}, {"sigma2": 0.25}]
+        loads.clear()
+        path = tmp_path / "family.prob"
+        path.write_text(
+            "[variables]\nrho\n[matrix]\n2\nrho - 1\n0\n0\n-1\n"
+            "[delta]\nrho in [0, $k]\n[region]\nleft_half_plane_closure\n"
+            "[options]\ntau = 2\n"
+        )
+        assert main(["bisect", str(path), "--param", "k",
+                     "--lo", "0.5", "--hi", "1.0", "--tol", "0.1"]) == 0
+        evaluated = [float(line.split(":")[0][2:]) for line in
+                     capsys.readouterr().out.splitlines() if line.startswith("k=")]
+        assert sorted(b["k"] for b in loads) == sorted(evaluated)
+
     def test_bisect(self, tmp_path, capsys):
         path = tmp_path / "family.prob"
         path.write_text(
@@ -836,3 +863,23 @@ def test_import_pins_blas_threads_unless_set(user_value, expected):
     result = subprocess.run([sys.executable, "-c", probe], env=env,
                             capture_output=True, text=True, timeout=120, check=True)
     assert result.stdout.strip() == expected
+
+
+@pytest.mark.parametrize("user_value, warns", [(None, True), ("1", False)])
+def test_import_after_numpy_warns_unless_a_thread_count_is_set(user_value, warns):
+    # numpy has fixed its BLAS thread count by then, so dstab's default of
+    # one thread cannot apply
+    src_dir = str(pathlib.Path(dstab.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    env["PYTHONPATH"] = src_dir
+    if user_value is not None:
+        env["OPENBLAS_NUM_THREADS"] = user_value
+    probe = ("import warnings, numpy\n"
+             "with warnings.catch_warnings(record=True) as caught:\n"
+             "    warnings.simplefilter('always')\n"
+             "    import dstab\n"
+             "print([w.category.__name__ for w in caught])")
+    result = subprocess.run([sys.executable, "-c", probe], env=env,
+                            capture_output=True, text=True, timeout=120, check=True)
+    assert result.stdout.strip() == ("['RuntimeWarning']" if warns else "[]")

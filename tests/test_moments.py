@@ -110,6 +110,25 @@ class TestFormsMatchLoopReference:
                 for alpha, rows, cols, vals in form.terms] == reference
 
 
+class TestIndexWidth:
+    def test_index_arrays_are_int32(self):
+        q = parse_polynomial("1 - x1^2 - x2^2", Z_RUN)
+        for form in (moment_matrix_form(4, 2), localizing_matrix_form(q, 4, 1)):
+            assert form.rows.dtype == form.cols.dtype == form.moments.dtype == np.int32
+
+    def test_entries_past_int32_are_rejected(self):
+        # C(312, 2) = 48516 rows, and 48516^2 entries pass 2^31 - 1
+        with pytest.raises(PolynomialError, match="32-bit"):
+            moment_matrix_form(310, 2)
+
+    def test_moments_past_int32_are_rejected(self):
+        # a 1x1 localizer of x^4 in 2000 variables reaches the C(2004, 4)
+        # moments of degree <= 4
+        q = Polynomial(2000, {(4,) + (0,) * 1999: 1.0})
+        with pytest.raises(PolynomialError, match="32-bit"):
+            localizing_matrix_form(q, 2000, 0)
+
+
 class TestLocalizingForm:
     def test_unit_polynomial_matches_moment_matrix(self):
         one = Polynomial.constant(3, 1.0)

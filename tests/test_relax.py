@@ -10,6 +10,8 @@ import pytest
 
 from conftest import PROBLEMS_DIR, hurwitz_problem, running_problem
 
+import dstab.relax
+
 from dstab.cli import load_problem
 from dstab.moments import LinearMatrixForm, MomentVector, assemble, moments_of_atomic
 from dstab.poly import graded_lex_position, monomial_basis
@@ -480,3 +482,30 @@ def test_export_memory_stays_below_whole_file_accumulation(tmp_path):
         tracemalloc.stop()
     assert (tmp_path / "hinf.sdp").stat().st_size > 6_000_000
     assert peak < 20e6
+
+
+def test_export_working_set_is_one_slice(tmp_path):
+    # bifurcation at order 3 writes 12376 basis lines and a 364x364 moment
+    # block of 132496 entry lines: a writer that holds a block's lines peaks
+    # about 11 MB above what the SDP holds, one that holds a slice about 2 MB
+    problem, _options = load_problem(PROBLEMS_DIR / "bifurcation.prob", {"k": 0.45})
+    sdp = assemble_relaxation(build_lifted(problem), 3)
+    tracemalloc.start()
+    try:
+        before, _peak = tracemalloc.get_traced_memory()
+        export_sdp(sdp, tmp_path / "bifurcation.sdp")
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - before <= 4e6
+
+
+@pytest.mark.parametrize("cells", [1, 7, 30])
+def test_export_is_the_same_in_any_slice_size(cells, tmp_path, monkeypatch):
+    # small slices put their boundaries inside the basis, the objective and
+    # each block
+    sdp = _shipped_sdp("hurwitz.prob")
+    export_sdp(sdp, tmp_path / "default.sdp")
+    monkeypatch.setattr(dstab.relax, "_SLICE_CELLS", cells)
+    export_sdp(sdp, tmp_path / "sliced.sdp")
+    assert (tmp_path / "sliced.sdp").read_bytes() == (tmp_path / "default.sdp").read_bytes()

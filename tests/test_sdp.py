@@ -14,6 +14,7 @@ import dstab.sdp
 from dstab.analysis import DEFAULT_CERTIFICATION_MARGIN
 from dstab.cli import load_problem
 from dstab.moments import (
+    LinearMatrixForm,
     MomentVector,
     assemble,
     localizing_matrix_form,
@@ -574,6 +575,24 @@ class TestPencil:
             assert np.all(np.diff(order) > 0)
         y = rng.standard_normal(p.shape[1])
         assert np.array_equal(p.take_rows(rows) @ y, (p @ y)[rows])
+
+    def test_int32_form_indices_are_widened(self):
+        # rows * k + cols passes 2^31 at k = 50000, and flat * n_y passes
+        # it further; the int32 form gives the pencil of the intp one
+        k = 50_000
+        rows, cols, moments = [49_999, 0, 49_999, 1], [49_999, 3, 0, 2], [6, 1, 2, 0]
+
+        def form(dtype):
+            return LinearMatrixForm(k, 1, np.array(rows, dtype), np.array(cols, dtype),
+                                    np.array(moments, dtype), np.array([1.0, 2.0, 3.0, 4.0]))
+
+        sdp = dataclasses.replace(hankel_sdp(), basis=monomial_basis(1, 6))
+        narrow, wide = _pencil(sdp, form(np.int32)), _pencil(sdp, form(np.intp))
+        assert narrow.shape == wide.shape == (k * k, 7)
+        for a, b in ((narrow.rows, wide.rows), (narrow.cols, wide.cols),
+                     (narrow.vals, wide.vals)):
+            assert np.array_equal(a, b)
+        assert narrow.rows.tolist() == [3, 50_002, 49_999 * k, 49_999 * k + 49_999]
 
 
 class TestSchurFactor:
