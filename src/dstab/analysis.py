@@ -89,9 +89,6 @@ class HierarchyReport:
     reports: tuple[AnalysisReport, ...]
     monotonicity_violations: tuple[tuple[int, float, float], ...]
 
-    def raw_values(self) -> list[float]:
-        return [r.raw_value for r in self.reports]
-
 
 @dataclass(frozen=True)
 class BisectionResult:

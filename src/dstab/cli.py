@@ -308,50 +308,6 @@ def load_problem(path, bindings: dict[str, float] | None = None):
     return problem, options
 
 
-def dump_problem(problem: DStabilityProblem, options: dict | None = None) -> str:
-    """Render a problem back into the file format; load_problem of the
-    result reproduces the problem structurally."""
-    rho = list(problem.uncertainty_variables)
-    lines = ["[variables]", " ".join(rho), "", "[matrix]", str(problem.matrix.size)]
-    for row in problem.matrix.entries:
-        for entry in row:
-            lines.append(entry.to_string(rho))
-    lines += ["", "[delta]"]
-    for p, rel in problem.delta.constraints:
-        op = ">=" if rel is Relation.GE else "="
-        lines.append(f"{p.to_string(rho)} {op} 0")
-    lines += ["", "[region]"]
-    preset_names = {p.value for p in RegionPreset}
-    if problem.region.name in preset_names:
-        lines.append(problem.region.name)
-    else:
-        names = list(problem.region.variables)
-        for p, rel in problem.region.region_set.constraints:
-            op = ">=" if rel is Relation.GE else "="
-            lines.append(f"{p.to_string(names)} {op} 0")
-    if problem.moment_constraints:
-        lines += ["", "[moments]"]
-        for mc in problem.moment_constraints:
-            op = "=" if mc.relation == "=" else mc.relation
-            lines.append(f"E[{mc.f.to_string(rho)}] {op} {mc.target!r}")
-    opts = dict(options or {})
-    if problem.eigen_space != "auto":
-        opts.setdefault("eigen_space", problem.eigen_space)
-    if problem.allow_asymmetric_real:
-        opts.setdefault("allow_asymmetric_real", "true")
-    if problem.lambda_radius is not None:
-        opts.setdefault("lambda_radius", repr(problem.lambda_radius))
-    if opts:
-        lines += ["", "[options]"]
-        for key, value in opts.items():
-            lines.append(f"{key} = {value}")
-    return "\n".join(lines) + "\n"
-
-
-def save_problem(problem: DStabilityProblem, path, options: dict | None = None) -> None:
-    Path(path).write_text(dump_problem(problem, options))
-
-
 # ----------------------------------------------------------------------
 # Commands.
 

@@ -124,11 +124,6 @@ def spectra(problem: DStabilityProblem, points) -> np.ndarray:
     return out
 
 
-def _check_points_per_axis(points_per_axis: int) -> None:
-    if points_per_axis < 1:
-        raise OracleError(f"points per axis must be at least 1, got {points_per_axis}")
-
-
 def grid_points(problem: DStabilityProblem, points_per_axis: int,
                 max_points: int = 200_000, seed: int = 0) -> np.ndarray:
     """Candidate uncertainty values: a uniform grid over the box part of
@@ -138,11 +133,13 @@ def grid_points(problem: DStabilityProblem, points_per_axis: int,
     Raises OracleError for fewer than one point per axis, or when nothing
     can be sampled, e.g. when equality constraints give Delta measure zero
     inside its box."""
-    _check_points_per_axis(points_per_axis)
+    if points_per_axis < 1:
+        raise OracleError(f"points per axis must be at least 1, got {points_per_axis}")
     bounds = delta_box_bounds(problem.delta)
     if bounds is None:
         raise OracleError(
-            "delta has no box bounds to sample from; pass explicit candidate points"
+            "delta has no box bounds to sample from; check chosen points with "
+            "oracle.deepest_witness and oracle.spectra, or with oracle.atomic_lp_bound"
         )
     lower, upper = bounds
     n = len(lower)
@@ -169,7 +166,8 @@ def grid_points(problem: DStabilityProblem, points_per_axis: int,
     if len(pts) == 0:
         raise OracleError(
             "no grid point satisfies the delta constraints; the support is "
-            "likely measure-zero (equality constraints) - pass explicit points"
+            "likely measure-zero (equality constraints) - check chosen points with "
+            "oracle.deepest_witness and oracle.spectra, or with oracle.atomic_lp_bound"
         )
     return pts
 
@@ -178,7 +176,6 @@ def grid_violation_search(
     problem: DStabilityProblem,
     points_per_axis: int,
     membership_tol: float = 1e-6,
-    extra_points=None,
     max_points: int = 200_000,
     seed: int = 0,
 ) -> ViolationWitness | None:
@@ -194,16 +191,7 @@ def grid_violation_search(
     residual of at most EIG_RESIDUAL_TOL; finding one proves that the
     worst-case violation probability is 1 in the support-only setting.
     """
-    _check_points_per_axis(points_per_axis)
-    try:
-        points = grid_points(problem, points_per_axis, max_points, seed)
-    except OracleError:
-        if extra_points is None:
-            raise
-        points = np.zeros((0, len(problem.uncertainty_variables)))
-    if extra_points is not None:
-        extra = np.asarray(extra_points, dtype=float).reshape(len(extra_points), points.shape[1])
-        points = np.vstack([points, extra[problem.delta.contains(extra, 1e-9)]])
+    points = grid_points(problem, points_per_axis, max_points, seed)
     return deepest_witness(problem, points, spectra(problem, points), membership_tol)
 
 

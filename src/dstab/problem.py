@@ -364,8 +364,8 @@ def build_lifted(problem: DStabilityProblem) -> LiftedProblem:
     if radius is None and not problem.region.known_bounded:
         radius = max(spectral_bound(problem.matrix, problem.delta), 1e-6)
     if radius is not None:
-        if radius <= 0:
-            raise ProblemError(f"lambda_radius must be positive, got {radius}")
+        if not 0 < radius < math.inf:
+            raise ProblemError(f"lambda_radius must be positive and finite, got {radius}")
         ball = Polynomial.constant(n_z, radius * radius)
         for i in lam_idx:
             v = zvar(i)

@@ -128,9 +128,6 @@ class SDPProblem:
     def num_moments(self) -> int:
         return len(self.basis)
 
-    def block_dimensions(self) -> tuple[int, ...]:
-        return tuple(form.dimension for _label, form in self.psd_blocks)
-
 
 class SolverStatus(enum.Enum):
     OPTIMAL = "Optimal"

@@ -170,8 +170,9 @@ class SolverSettings:
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
         for name in ("feasibility_tol", "gap_tol"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            value = getattr(self, name)
+            if not 0 < value < np.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
 # Fraction-to-boundary factor of every step.
@@ -260,12 +261,13 @@ class _Orbits:
     """The signed column map y = P z of the reduction: moment i is
     sign[i] z[col[i]], or fixed at 0 where col[i] is -1.  Column j is one
     orbit of the SDP's symmetry group; its lowest graded-lex moment,
-    reps[j], has sign +1."""
+    reps[j], has sign +1.  `turn` is the quarter turn on the moments,
+    (image, sign) of `_turn`."""
 
-    __slots__ = ("col", "sign", "reps")
+    __slots__ = ("col", "sign", "reps", "turn")
 
-    def __init__(self, col: np.ndarray, sign: np.ndarray, reps: np.ndarray):
-        self.col, self.sign, self.reps = col, sign, reps
+    def __init__(self, col: np.ndarray, sign: np.ndarray, reps: np.ndarray, turn: tuple):
+        self.col, self.sign, self.reps, self.turn = col, sign, reps, turn
 
     def expand(self, z: np.ndarray) -> np.ndarray:
         """y = P z."""
@@ -597,7 +599,8 @@ def _orbits(sdp: SDPProblem, used: np.ndarray) -> _Orbits:
     reps = np.flatnonzero(~zero & (rep == index))
     col = np.full(sdp.num_moments, -1)
     col[reps] = np.arange(len(reps))
-    return _Orbits(np.where(zero, -1, col[rep]), np.where(rep == index, 1.0, turn_sign), reps)
+    return _Orbits(np.where(zero, -1, col[rep]), np.where(rep == index, 1.0, turn_sign), reps,
+                   (image, turn_sign))
 
 
 def _reduce(sdp: SDPProblem, blocks: list, g_mat):
@@ -632,10 +635,10 @@ def _reduce(sdp: SDPProblem, blocks: list, g_mat):
         for root in np.flatnonzero(np.bincount(label[r])):
             idx = np.flatnonzero(label == root)
             pieces.append((b, rows[idx], live.take_rows((idx[:, None] * k + idx).ravel())))
-    return orbits, g_rows, pieces, _piece_turns(sdp, pieces) if sdp.quarter_turn else None
+    return orbits, g_rows, pieces, _piece_turns(orbits, pieces) if sdp.quarter_turn else None
 
 
-def _piece_turns(sdp: SDPProblem, pieces: list) -> list:
+def _piece_turns(orbits: _Orbits, pieces: list) -> list:
     """The quarter turn on the pieces: per piece, (the index of its image,
     the image's local row of each of its rows, the row signs).  The turn
     maps row r of the localizer of q to row image[r] of the localizer of
@@ -643,7 +646,7 @@ def _piece_turns(sdp: SDPProblem, pieces: list) -> list:
     permutation is exact, so the image is the piece on the turned rows
     whose folded pencil is the turned one.  A piece without such an image
     maps to itself."""
-    image, turn_sign = _turn(sdp)
+    image, turn_sign = orbits.turn
 
     def stamp(idx, p):
         return idx.tobytes(), p.rows.tobytes(), p.cols.tobytes(), p.vals.tobytes()
@@ -673,11 +676,11 @@ def _signed_stamp(cols: np.ndarray, vals: np.ndarray):
     return (cols[order].tobytes(), (s * vals[order]).tobytes()), s
 
 
-def _row_turns(g_mat: _Pencil, rows: np.ndarray, sdp: SDPProblem):
+def _row_turns(g_mat: _Pencil, rows: np.ndarray, orbits: _Orbits):
     """The quarter turn on the rows `rows` of G (each with an entry): per
     row i, the row j among them and the sign s with G_i(T y) = s G_j(y),
     found by entries up to sign (i itself and 1 where none matches)."""
-    image, turn_sign = _turn(sdp)
+    image, turn_sign = orbits.turn
     starts = np.searchsorted(g_mat.rows, np.arange(g_mat.shape[0] + 1))
     spans = [(i, slice(starts[i], starts[i + 1])) for i in rows.tolist()]
     found: dict = {}
@@ -1318,7 +1321,7 @@ def _turn_average(low: _Lowered, xs: list, nu: np.ndarray):
     the residual the reduced solve drives to 0, that vanishes on every
     moment, fixed ones included."""
     rows = np.flatnonzero(low.g_rows)
-    targets, signs = _row_turns(low.g_mat, rows, low.sdp)
+    targets, signs = _row_turns(low.g_mat, rows, low.orbits)
 
     def turn(xs, nu):
         out = [np.zeros_like(x) for x in xs]

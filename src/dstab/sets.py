@@ -70,9 +70,6 @@ class SemialgebraicSet:
             inside &= value >= -tol if rel is Relation.GE else abs(value) <= tol
         return bool(inside) if x.ndim == 1 else inside
 
-    def with_constraints(self, extra) -> "SemialgebraicSet":
-        return SemialgebraicSet(self.variables, self.constraints + tuple(extra))
-
 
 def box_set(variables, lower, upper) -> SemialgebraicSet:
     """Interval box {lower_i <= v_i <= upper_i} as 2n linear constraints."""

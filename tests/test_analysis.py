@@ -161,7 +161,7 @@ class TestCertify:
 class TestHierarchy:
     def test_running_example_orders(self, mean_problem):
         report = hierarchy(mean_problem, 1, 3)
-        raws = report.raw_values()
+        raws = [r.raw_value for r in report.reports]
         assert len(raws) == 3
         for prev, nxt in zip(raws, raws[1:]):
             assert nxt <= prev + 1e-6
@@ -172,7 +172,7 @@ class TestHierarchy:
         # at the minimal order only scalar localizers exist and the bound is
         # vacuous; from tau = 2 the never-violable matrix certifies at 0
         report = hierarchy(constant_stable_problem(), 1, 3)
-        raws = report.raw_values()
+        raws = [r.raw_value for r in report.reports]
         assert all(nxt <= prev + 1e-6 for prev, nxt in zip(raws, raws[1:]))
         for r in report.reports[1:]:
             assert r.raw_value <= 1e-6

@@ -15,7 +15,7 @@ import dstab
 import dstab.analysis
 import dstab.cli
 import dstab.oracle
-from dstab.cli import ProblemFileError, load_problem, main, save_problem
+from dstab.cli import ProblemFileError, load_problem, main
 from dstab.poly import parse_polynomial
 from dstab.sets import Relation
 
@@ -23,6 +23,16 @@ from dstab.sets import Relation
 RUNNING = "running_example.prob"
 SUPPORT = "running_example_support.prob"
 VARIANCE = "running_example_variance.prob"
+
+
+def _running_file(path, *, upper="1", region="left_half_plane_closure", moments="",
+                  options="tau = 2\n"):
+    """Write the running example's matrix over rho in [0, upper] as problem
+    text with the given region, [moments] lines and [options] lines."""
+    path.write_text("[variables]\nrho\n[matrix]\n2\nrho - 1\n0\n0\n-1\n"
+                    f"[delta]\nrho in [0, {upper}]\n[region]\n{region}\n"
+                    f"[moments]\n{moments}[options]\n{options}")
+    return path
 
 
 class TestLoadProblem:
@@ -228,8 +238,8 @@ class TestLoadProblem:
 class TestRoundTrip:
     def test_structural_equality(self, tmp_path):
         problem = running_problem(mean=0.5, variance=0.1)
-        path = tmp_path / "saved.prob"
-        save_problem(problem, path, options={"tau": 2})
+        path = _running_file(tmp_path / "saved.prob",
+                             moments="E[rho] = 0.5\nE[(rho - 0.5)^2] <= 0.1\n")
         again, options = load_problem(path)
         assert again.matrix == problem.matrix
         assert again.delta == problem.delta
@@ -245,8 +255,8 @@ class TestRoundTrip:
         problem = dataclasses.replace(
             problem, region=custom_region([(p, Relation.GE)]), lambda_radius=2.5
         )
-        path = tmp_path / "saved.prob"
-        save_problem(problem, path)
+        path = _running_file(tmp_path / "saved.prob", region="lre^2 - lim >= 0",
+                             options="lambda_radius = 2.5\n")
         again, _ = load_problem(path)
         assert again.region.region_set == problem.region.region_set
         assert again.lambda_radius == 2.5
@@ -257,8 +267,10 @@ class TestOptions:
         given = {"tau": 3, "margin": 0.01, "max_iterations": 50, "feasibility_tol": 1e-7,
                  "gap_tol": 1e-9, "eigen_space": "real", "allow_asymmetric_real": True,
                  "lambda_radius": 2.5}
-        path = tmp_path / "saved.prob"
-        save_problem(running_problem(mean=0.5), path, options=given)
+        path = _running_file(tmp_path / "saved.prob", moments="E[rho] = 0.5\n", options=(
+            "tau = 3\nmargin = 0.01\nmax_iterations = 50\nfeasibility_tol = 1e-07\n"
+            "gap_tol = 1e-09\neigen_space = real\nallow_asymmetric_real = True\n"
+            "lambda_radius = 2.5\n"))
         again, options = load_problem(path)
         problem_owned = {key: getattr(again, key)
                          for key in ("eigen_space", "allow_asymmetric_real", "lambda_radius")}
@@ -285,6 +297,24 @@ class TestOptions:
         assert main(["analyze", str(path)]) == 1
         captured = capsys.readouterr()
         assert re.search(message, captured.err) and captured.out == ""
+
+    @pytest.mark.parametrize("key, value", [
+        ("feasibility_tol", "inf"), ("gap_tol", "inf"), ("feasibility_tol", "nan"),
+        ("gap_tol", "nan"), ("lambda_radius", "inf"), ("lambda_radius", "nan"),
+        ("margin", "nan"),
+    ])
+    def test_non_finite_value_names_its_option(self, problems_dir, tmp_path, capsys,
+                                               key, value):
+        # if accepted, an infinite tolerance would stop the solve Optimal after
+        # one iteration, and a NaN one or a non-finite radius would stall it
+        text = (problems_dir / RUNNING).read_text()
+        assert text.endswith("[options]\ntau = 2\n")
+        path = tmp_path / "non_finite.prob"
+        path.write_text(text + f"{key} = {value}\n")
+        assert main(["analyze", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and key in captured.err
+        assert captured.out == ""
 
     def test_option_given_twice_rejected(self, problems_dir, tmp_path, capsys):
         # the second value used to replace the first without a word
@@ -350,9 +380,7 @@ class TestCommands:
         assert "Inconclusive" in capsys.readouterr().out
 
     def test_certify_shrunk_exit_zero(self, tmp_path, capsys):
-        problem = running_problem(mean=None, upper=0.9)
-        path = tmp_path / "shrunk.prob"
-        save_problem(problem, path, options={"tau": 2})
+        path = _running_file(tmp_path / "shrunk.prob", upper="0.9")
         code = main(["certify", str(path)])
         assert code == 0
         assert "CertifiedRobustlyDStable" in capsys.readouterr().out
@@ -702,7 +730,8 @@ def test_export_sdp_golden_output(problems_dir, tmp_path, capsys, args, sha256, 
 # checked; the witness itself is fixed by the depth tie rule.
 _NOISE = "<noise>"
 _NO_MEASURE = ("oracle error: no grid point satisfies the delta constraints; the support "
-               "is likely measure-zero (equality constraints) - pass explicit points\n")
+               "is likely measure-zero (equality constraints) - check chosen points with "
+               "oracle.deepest_witness and oracle.spectra, or with oracle.atomic_lp_bound\n")
 ORACLE_GOLDEN = [
     (["hurwitz.prob", "--grid", "11"], 0,
      "grid search (11 points/axis): no violation found\n"
@@ -805,9 +834,7 @@ class TestBindAndInfeasible:
         assert captured.out == ""
 
     def test_infeasible_moments_exit_two(self, tmp_path, capsys):
-        problem = running_problem(mean=2.0)
-        path = tmp_path / "bad_mean.prob"
-        save_problem(problem, path, options={"tau": 2})
+        path = _running_file(tmp_path / "bad_mean.prob", moments="E[rho] = 2.0\n")
         code = main(["analyze", str(path)])
         out = capsys.readouterr().out
         assert code == 2

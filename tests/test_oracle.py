@@ -11,10 +11,12 @@ from dstab.oracle import (
     AtomicLPInfeasible,
     OracleError,
     atomic_lp_bound,
+    deepest_witness,
     eigenvalues,
     grid_points,
     grid_violation_search,
     simplex_maximize,
+    spectra,
     unit_eigenvector,
 )
 from dstab.poly import parse_polynomial
@@ -198,9 +200,8 @@ class TestGridSearch:
         # is empty and explicit candidate points are the only way in
         names = ["a", "b"]
         constraint = parse_polynomial("a - b - 0.05", names)
-        delta = box_set(("a", "b"), [0.0, 0.0], [1.0, 1.0]).with_constraints(
-            [(constraint, Relation.EQ)]
-        )
+        box = box_set(("a", "b"), [0.0, 0.0], [1.0, 1.0])
+        delta = dataclasses.replace(box, constraints=box.constraints + ((constraint, Relation.EQ),))
         matrix = UncertainMatrix(
             ("a", "b"),
             ((parse_polynomial("a - 1", names), parse_polynomial("0", names)),
@@ -212,7 +213,9 @@ class TestGridSearch:
         )
         with pytest.raises(OracleError):
             grid_violation_search(problem, 11)
-        witness = grid_violation_search(problem, 11, extra_points=[[1.0, 0.95]])
+        pts = np.array([[1.0, 0.95]])
+        assert problem.delta.contains(pts, 1e-9).all()
+        witness = deepest_witness(problem, pts, spectra(problem, pts), 1e-6)
         assert witness is not None and witness.rho[0] == 1.0
 
 
@@ -333,9 +336,6 @@ class TestGridPoints:
     def test_fewer_than_one_point_per_axis_rejected(self, mean_problem, points_per_axis):
         with pytest.raises(OracleError, match="at least 1"):
             grid_points(mean_problem, points_per_axis)
-        # extra points do not stand in for an empty grid
-        with pytest.raises(OracleError, match="at least 1"):
-            grid_violation_search(mean_problem, points_per_axis, extra_points=[[1.0]])
 
     def test_box_grid(self, mean_problem):
         pts = grid_points(mean_problem, 11)
@@ -373,9 +373,9 @@ class TestGridPointsOnDisc:
     @staticmethod
     def _disc_problem():
         names = ["a", "b"]
-        delta = box_set(tuple(names), [-1.0, -1.0], [1.0, 1.0]).with_constraints(
-            [(parse_polynomial("1 - a^2 - b^2", names), Relation.GE)]
-        )
+        box = box_set(tuple(names), [-1.0, -1.0], [1.0, 1.0])
+        delta = dataclasses.replace(box, constraints=box.constraints + (
+            (parse_polynomial("1 - a^2 - b^2", names), Relation.GE),))
         matrix = UncertainMatrix(
             tuple(names),
             ((parse_polynomial("a", names), parse_polynomial("b", names)),
@@ -417,9 +417,8 @@ class TestGridPointsOnDisc:
         # a thin lens: few of the 20 * max_points draws land in it
         problem = self._disc_problem()
         names = ["a", "b"]
-        thin = problem.delta.with_constraints(
-            [(parse_polynomial("0.0001 - b^2", names), Relation.GE)]
-        )
+        thin = dataclasses.replace(problem.delta, constraints=problem.delta.constraints + (
+            (parse_polynomial("0.0001 - b^2", names), Relation.GE),))
         problem = dataclasses.replace(problem, delta=thin)
         pts = grid_points(problem, 100, max_points=50, seed=3)
         expected = self._reference(problem, 100, 50, 3)
@@ -448,9 +447,9 @@ class TestBifurcationJacobian:
 
     def test_witness_at_singular_point(self):
         problem = self._problem(0.4650)
-        witness = grid_violation_search(
-            problem, 5, membership_tol=1e-4, extra_points=[self._full_point()]
-        )
+        pts = np.array([self._full_point()])
+        assert problem.delta.contains(pts, 1e-9).all()
+        witness = deepest_witness(problem, pts, spectra(problem, pts), 1e-4)
         assert witness is not None
         assert np.allclose(witness.rho[:3], self.SINGULAR_POINT)
         assert abs(witness.lam.real) <= 1e-4

@@ -239,9 +239,10 @@ class TestMinimalOrder:
         lifted = build_lifted(mean_problem)
         base = minimal_order(lifted)
         quartic = parse_polynomial("1 - rho^4", Z_RUN)
-        more = dataclasses.replace(
-            lifted, support=lifted.support.with_constraints([(quartic, Relation.GE)])
+        support = dataclasses.replace(
+            lifted.support, constraints=lifted.support.constraints + ((quartic, Relation.GE),)
         )
+        more = dataclasses.replace(lifted, support=support)
         assert minimal_order(more) >= base
 
 

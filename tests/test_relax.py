@@ -46,7 +46,7 @@ class TestRunningAssembly:
         # moment block at full order tau, localizers at tau - ceil(deg/2);
         # each support equality has one form, kept apart from the PSD blocks
         labels = [label for label, _f in mean_sdp.psd_blocks]
-        dims = mean_sdp.block_dimensions()
+        dims = tuple(f.dimension for _l, f in mean_sdp.psd_blocks)
         assert labels == ["moment", "q[0]", "q[1]", "q[2]", "q[5]", "q[6]"]
         assert dims == (15,) + (5,) * 5
         assert [label for label, _f in mean_sdp.equalities] == ["moment[1]", "q[3]", "q[4]"]
@@ -67,7 +67,7 @@ class TestRunningAssembly:
     def test_stats(self, mean_sdp):
         assert mean_sdp.num_moments == 70
         assert mean_sdp.n_z == 4
-        assert mean_sdp.block_dimensions() == (15,) + (5,) * 5
+        assert tuple(f.dimension for _l, f in mean_sdp.psd_blocks) == (15,) + (5,) * 5
 
     def test_support_only_drops_mean_row(self):
         # the normalization stays the only linear row; no expectation form
@@ -101,7 +101,7 @@ class TestStats:
     def test_hurwitz_tau3(self):
         sdp = assemble_relaxation(build_lifted(hurwitz_problem()), 3)
         assert sdp.num_moments == math.comb(7 + 6, 6) == 1716
-        assert max(sdp.block_dimensions()) == math.comb(7 + 3, 3) == 120
+        assert max(f.dimension for _l, f in sdp.psd_blocks) == math.comb(7 + 3, 3) == 120
 
     def test_tiny_problem(self):
         # one lifted variable at order 1: 3 moments, 2x2 moment block
@@ -122,13 +122,13 @@ class TestStats:
         )
         sdp = assemble_relaxation(lifted, 1)
         assert sdp.num_moments == 3
-        assert max(sdp.block_dimensions()) == 2
+        assert max(f.dimension for _l, f in sdp.psd_blocks) == 2
         # a lift that still carries the row E[1] = 1 gets the same SDP: its
         # form 1 - 1 is zero and is skipped
         bare = assemble_relaxation(dataclasses.replace(lifted, moment_constraints=()), 1)
         for one in (sdp, bare):
             assert [label for label, _f in one.psd_blocks] == ["moment", "q[0]"]
-            assert one.block_dimensions() == (2, 1) and not one.equalities
+            assert tuple(f.dimension for _l, f in one.psd_blocks) == (2, 1) and not one.equalities
 
 
 def flip_group(generators) -> set[frozenset]:

@@ -136,13 +136,17 @@ class TestSolve:
         # the ray's blocks align with the SDP's PSD blocks
         assert len(sdp.psd_blocks) == 6
         assert [x.shape for x in ray["psd_blocks"]] == \
-            [(d, d) for d in sdp.block_dimensions()]
+            [(f.dimension, f.dimension) for _l, f in sdp.psd_blocks]
 
     def test_settings_validation(self):
         with pytest.raises(ValueError):
             SolverSettings(feasibility_tol=-1.0)
         with pytest.raises(ValueError):
             SolverSettings(max_iterations=0)
+        for name in ("feasibility_tol", "gap_tol"):
+            for value in (float("nan"), float("inf")):
+                with pytest.raises(ValueError, match=name):
+                    SolverSettings(**{name: value})
 
 
 class TestResiduals:
@@ -250,7 +254,7 @@ class TestSignReduction:
         assert max(mean_solution.solved_blocks) == 6
         assert mean_solution.moments.values.shape == (mean_sdp.num_moments,)
         dims = tuple(np.asarray(x).shape for x in mean_solution.dual_psd_blocks)
-        assert dims == tuple((d, d) for d in mean_sdp.block_dimensions())
+        assert dims == tuple((f.dimension, f.dimension) for _l, f in mean_sdp.psd_blocks)
         assert [w.shape for w in mean_solution.equality_duals] == \
             [(f.dimension, f.dimension) for _l, f in mean_sdp.equalities]
         # the normalization's multiplier is dual_value: with it and the

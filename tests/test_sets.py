@@ -136,10 +136,10 @@ class TestContains:
 
     def test_stack_matches_points(self):
         names = ["x", "y"]
-        disc = box_set(names, [-1.0, -1.0], [1.0, 1.0]).with_constraints([
+        disc = SemialgebraicSet(names, box_set(names, [-1.0, -1.0], [1.0, 1.0]).constraints + (
             (parse_polynomial("1 - x^2 - y^2", names), Relation.GE),
             (parse_polynomial("x*y^3 - y", names), Relation.EQ),
-        ])
+        ))
         rng = np.random.default_rng(11)
         stack = rng.uniform(-1.2, 1.2, size=(6, 50, 2))
         stack[0, :, 1] = 0.0  # on the equality's zero set
