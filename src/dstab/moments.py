@@ -7,12 +7,17 @@ matrices B_alpha, held as flat entry arrays; assembling a pencil against a
 concrete moment vector gives the dense symmetric matrix whose positive
 semidefiniteness is necessary for m to be the moment sequence of a
 probability measure supported where the localizing polynomial is
-nonnegative.  A pencil's entries are ordered on exponent vectors packed
-into int64 keys, one key for every shipped form, so building one costs a
-sort of integers and one graded-lex rank per distinct alpha.
+nonnegative.
+
+Entry (i, j) of the localizer of q is sum_gamma q_gamma m_{beta_i + beta_j
++ gamma}, so every pencil is a shifted copy of the moment matrix's Hankel
+index pattern (Lasserre, SIAM J. Optim. 11(3), 2001).  `IndexTables` holds
+that pattern once per relaxation, with the successor and lex-rank tables
+that shift and sort it, and every pencil is a few gathers from them.
 
 Every call builds its form afresh and the module keeps none, so a form
-lives exactly as long as the SDP that holds it.
+lives exactly as long as the SDP that holds it; the tables live as long
+as their caller holds them.
 """
 
 from __future__ import annotations
@@ -23,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .poly import (Exponent, Polynomial, PolynomialError, graded_lex_index_by_variable,
-                   graded_lex_position, monomial_basis)
+from .poly import (Exponent, Polynomial, PolynomialError, graded_lex_below, graded_lex_position,
+                   monomial_basis)
 
 
 @dataclass(frozen=True)
@@ -84,85 +89,135 @@ class LinearMatrixForm:
                      for alpha, lo, hi in zip(alphas.tolist(), bounds, bounds[1:]))
 
 
-_KEY_LIMIT = 1 << 62
 _INT32_MAX = int(np.iinfo(np.int32).max)
 
 
-def _lex_keys(exponents: np.ndarray, radix: np.ndarray) -> np.ndarray:
-    """Pack the exponent columns (digit c below radix[c]) by mixed radix into
-    as few int64 keys as stay below 2^62, one row per key, most significant
-    first: the keys order the exponents lexicographically, and adding keys
-    adds exponents as long as no digit of the sum reaches its radix."""
-    radix = radix.tolist()
-    groups, span = [[]], 1
-    for c, r in enumerate(radix):
-        if span * r > _KEY_LIMIT:
-            groups.append([])
-            span = 1
-        groups[-1].append(c)
-        span *= r
-    places = np.zeros((len(radix), len(groups)), dtype=np.int64)
-    for k, group in enumerate(groups):
-        place = 1
-        for c in reversed(group):
-            places[c, k] = place
-            place *= radix[c]
-    return (exponents @ places).T
+def _prefix(num_vars: int, degree: int) -> int:
+    """Number of graded-lex monomials of degree <= degree (0 below 0)."""
+    return math.comb(num_vars + degree, degree) if degree >= 0 else 0
 
 
-def _pencil(q: Polynomial, num_vars: int, order: int) -> LinearMatrixForm:
+class IndexTables:
+    """Index tables of a graded-lex basis of degree <= top, all int32.
+
+    `succ[v, k]` is the index of basis[k] + e_v for every row k of degree
+    below top; `hankel[i, j]` the index of basis[i] + basis[j] for i, j
+    below C(n + order, order); `rank[k]` the position of basis[k] in
+    lexicographic order.  Lex order is translation-invariant, so one
+    permutation of the order-d corner of `hankel` sorts the entries of
+    every term of every pencil of order d; `corner` keeps it per order."""
+
+    def __init__(self, basis: np.ndarray, order: int):
+        """Tables of `basis`, a `monomial_basis` of degree top >= 2 order in
+        any integer dtype, with a Hankel table of order `order`."""
+        num_vars, top = basis.shape[1], int(basis[-1].sum())
+        self.num_vars, self.top = num_vars, top
+        # basis[k] + e_v raises the degree from variable i on by 1 for each
+        # i <= v, so its index is k plus a running sum over the variables
+        inner = basis[:_prefix(num_vars, top - 1)]
+        after = np.cumsum(inner[:, ::-1], axis=1, dtype=np.intp)[:, ::-1]
+        below = graded_lex_below(num_vars, top)
+        count = num_vars - np.arange(num_vars)
+        steps = below[after + 1, count] - below[after, count]
+        succ = np.arange(len(inner))[:, None] + np.cumsum(steps, axis=1)
+        self.succ = np.ascontiguousarray(succ.T, dtype=np.int32)
+        self.rank = np.empty(len(basis), dtype=np.int32)
+        self.rank[np.lexsort(basis.T[::-1])] = np.arange(len(basis), dtype=np.int32)
+        # each row i > 0 of degree d is row p of degree d - 1 plus e_v, (p, v)
+        # the first pair whose successor it is
+        size = _prefix(num_vars, order)
+        targets = self.succ[:, :_prefix(num_vars, order - 1)].T.ravel()
+        first = np.unique(targets, return_index=True)[1]
+        parent, var = np.divmod(np.concatenate([[0], first]), num_vars)
+        self.order, self.hankel = order, np.empty((size, size), dtype=np.int32)
+        self.hankel[0] = np.arange(size)
+        for d in range(1, order + 1):
+            rows = slice(_prefix(num_vars, d - 1), _prefix(num_vars, d))
+            self.hankel[rows] = self.succ[var[rows, None], self.hankel[parent[rows]]]
+        self._corners: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+    def restrict(self, order: int) -> None:
+        """Keep only the corner of `hankel` (and the sorted corners) up to
+        `order`."""
+        size = _prefix(self.num_vars, order)
+        self.order, self.hankel = order, self.hankel[:size, :size].copy()
+        self._corners = {d: c for d, c in self._corners.items() if d <= order}
+
+    def corner(self, order: int) -> tuple[np.ndarray, np.ndarray]:
+        """(positions i * n + j of the order-`order` corner of `hankel`,
+        sorted by the lex rank of hankel[i, j], then i, then j; the corner's
+        entries in that order), both int32."""
+        if order not in self._corners:
+            size = _prefix(self.num_vars, order)
+            entries = self.hankel[:size, :size].ravel()
+            by_rank = np.argsort(self.rank[entries], kind="stable").astype(np.int32)
+            self._corners[order] = by_rank, entries[by_rank]
+        return self._corners[order]
+
+
+def _pencil(q: Polynomial, num_vars: int, order: int,
+            tables: IndexTables | None) -> LinearMatrixForm:
     """Pencil with entry (i, j) = sum_gamma q_gamma m_{beta_i + beta_j + gamma}
-    over the graded-lex basis beta of degree <= order.
+    over the graded-lex basis beta of degree <= order, from `tables` (built
+    here when None; they must reach degree 2 order + deg q and Hankel order
+    `order`).
 
-    Entry alpha = beta_i + beta_j + gamma is sorted by its packed lex key
-    kb[i] + kb[j] + kg[g] (`_lex_keys`, with a radix per variable of
-    2 order + max gamma + 1, which no digit of alpha reaches), so no
-    exponent array of the entries is formed, and only the first entry of
-    each run of equal keys gets its graded-lex index, one variable at a
-    time.  Raises PolynomialError when an entry or moment index would not
-    fit in int32."""
-    n, t, top = math.comb(num_vars + order, order), len(q.terms), 2 * order + q.degree
-    if n * n * t > _INT32_MAX or math.comb(num_vars + top, top) > _INT32_MAX:
+    The moments of term gamma are shift_gamma[hankel corner], shift_gamma
+    being |gamma| `succ` gathers over the degree-2 order prefix.  Each
+    term's entries come sorted by (rank, i, j) from `IndexTables.corner`,
+    so the t terms merge by one stable argsort of their sorted runs on the
+    unique int64 key rank * n^2 t + (i n + j) t + g.  Raises
+    PolynomialError when an entry or moment index would not fit in int32,
+    before any table is built."""
+    n, t, top = _prefix(num_vars, order), len(q.terms), 2 * order + q.degree
+    if n * n * t > _INT32_MAX or _prefix(num_vars, top) > _INT32_MAX:
         raise PolynomialError(f"a pencil of dimension {n} with {t} terms and moments of "
                               f"degree {top} in {num_vars} variables exceeds 32-bit indices")
-    basis = monomial_basis(num_vars, order)
-    gammas = np.array(list(q.terms), dtype=np.intp).reshape(-1, num_vars)
+    if tables is None:
+        tables = IndexTables(monomial_basis(num_vars, top), order)
+    if tables.top < top or tables.order < order:
+        raise PolynomialError(f"index tables of degree {tables.top} and order "
+                              f"{tables.order} cannot hold a pencil of degree {top} "
+                              f"and order {order}")
+    by_rank, entries = tables.corner(order)
+    span = np.arange(_prefix(num_vars, 2 * order), dtype=np.int32)
+    moments = np.empty((t, n * n), dtype=np.int32)
+    for g, gamma in enumerate(q.terms):
+        shift = span
+        for v, e in enumerate(gamma):
+            for _ in range(e):
+                shift = tables.succ[v, shift]
+        moments[g] = shift[entries]
     coeffs = np.array(list(q.terms.values()), dtype=float)
-    radix = 2 * order + gammas.max(axis=0, initial=0) + 1
-    kb, kg = _lex_keys(basis, radix), _lex_keys(gammas, radix)
-    # entries in (i, j, gamma) order, then stably by exponent
-    keys = kb[:, :, None, None] + kb[:, None, :, None] + kg[:, None, None, :]
-    keys = keys.reshape(len(kb), -1)
-    by_alpha = np.lexsort(keys[::-1]).astype(np.int32)
-    keys = keys[:, by_alpha]
-    opens = np.ones(len(by_alpha), dtype=bool)  # entry opens a run of equal keys
-    opens[1:] = (keys[:, 1:] != keys[:, :-1]).any(axis=0)
+    if t == 1:  # one run, already in order
+        rows, cols = np.divmod(by_rank, n)
+        return LinearMatrixForm(n, num_vars, rows, cols, moments[0], np.full(n * n, coeffs[0]))
+    keys = (tables.rank[moments].astype(np.int64) * (n * n * t) + by_rank * t
+            + np.arange(t)[:, None])
+    merged = np.argsort(keys.ravel(), kind="stable")
     del keys
-    ij, g = np.divmod(by_alpha, t)
-    rows, cols = np.divmod(ij, n)
-    starts = np.flatnonzero(opens)
-    ri, ci, gi = rows[starts], cols[starts], g[starts]
-    first = graded_lex_index_by_variable(
-        lambda v: basis[ri, v] + basis[ci, v] + gammas[gi, v], num_vars, top)
-    moments = first.astype(np.int32)[np.cumsum(opens, dtype=np.int32) - 1]
-    return LinearMatrixForm(n, num_vars, rows, cols, moments, coeffs[g])
+    g, position = np.divmod(merged.astype(np.int32), n * n)
+    rows, cols = np.divmod(by_rank[position], n)
+    return LinearMatrixForm(n, num_vars, rows, cols, moments.ravel()[merged], coeffs[g])
 
 
-def moment_matrix_form(num_vars: int, order: int) -> LinearMatrixForm:
+def moment_matrix_form(num_vars: int, order: int,
+                       tables: IndexTables | None = None) -> LinearMatrixForm:
     """Pencil of the moment matrix truncated to `order`: entry (i, j) is
     m_{beta_i + beta_j} over the graded-lex basis."""
     one = Polynomial.constant(num_vars, 1.0)
-    return _pencil(one, num_vars, order)
+    return _pencil(one, num_vars, order, tables)
 
 
-def localizing_matrix_form(q: Polynomial, num_vars: int, order: int) -> LinearMatrixForm:
+def localizing_matrix_form(q: Polynomial, num_vars: int, order: int,
+                           tables: IndexTables | None = None) -> LinearMatrixForm:
     """Pencil of the localizing matrix of q at `order`: entry (i, j) is
     sum_gamma q_gamma m_{beta_i + beta_j + gamma}."""
     if q.num_vars != num_vars:
         raise PolynomialError(
             f"localizing polynomial has {q.num_vars} vars, expected {num_vars}"
         )
-    return _pencil(q, num_vars, order)
+    return _pencil(q, num_vars, order, tables)
 
 
 def assemble(form: LinearMatrixForm, m: MomentVector) -> np.ndarray:

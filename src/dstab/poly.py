@@ -288,36 +288,34 @@ def monomial_basis(num_vars: int, order: int) -> np.ndarray:
 _INTP_MAX = int(np.iinfo(np.intp).max)
 
 
-def graded_lex_index(alphas) -> np.ndarray:
-    """Position of each exponent (the last axis of an integer array) in any
-    graded-lex basis that holds it (see `graded_lex_index_by_variable`).
-    Raises PolynomialError when an index could leave the integer range."""
-    alphas = np.asarray(alphas, dtype=np.intp)
-    top = int(alphas.sum(axis=-1).max(initial=0))
-    return graded_lex_index_by_variable(lambda i: alphas[..., i], alphas.shape[-1], top)
-
-
-def graded_lex_index_by_variable(column, n: int, top: int) -> np.ndarray:
-    """`graded_lex_index` of exponents in n variables of degree <= top given
-    one variable at a time, column(i) being the exponents of variable i, so
-    no array of whole exponent vectors is formed.  With below[s, m] =
-    C(s - 1 + m, m) the count of monomials in m variables of degree < s,
-    alpha of degree d follows the below[d, n] monomials of lower degree
-    and, for each variable i, the below[s_i, n - 1 - i] of degree d that
-    agree with alpha before i and have more of i, s_i being the degree
-    after i.  By Pascal's rule below[s] is the running sum of below[s - 1]
-    for s >= 2.  Raises PolynomialError when an index could leave the
-    integer range."""
-    if math.comb(n + top, n) > _INTP_MAX:
-        raise PolynomialError(f"graded-lex index of degree {top} in {n} variables "
-                              "exceeds the integer range")
+def graded_lex_below(n: int, top: int) -> np.ndarray:
+    """below[s, m] = C(s - 1 + m, m), the count of monomials in m variables
+    of degree < s, for s <= top and m <= n (0 at s = 0).  By Pascal's rule
+    below[s] is the running sum of below[s - 1] for s >= 2."""
     below = np.ones((top + 1, n + 1), dtype=np.intp)
     below[0] = 0
     for s in range(2, top + 1):
         below[s] = below[s - 1].cumsum()
+    return below
+
+
+def graded_lex_index(alphas) -> np.ndarray:
+    """Position of each exponent (the last axis of an integer array) in any
+    graded-lex basis that holds it.  With below = `graded_lex_below`, alpha
+    of degree d follows the below[d, n] monomials of lower degree and, for
+    each variable i, the below[s_i, n - 1 - i] of degree d that agree with
+    alpha before i and have more of i, s_i being the degree after i.
+    Raises PolynomialError when an index could leave the integer range."""
+    alphas = np.asarray(alphas, dtype=np.intp)
+    n = alphas.shape[-1]
+    top = int(alphas.sum(axis=-1).max(initial=0))
+    if math.comb(n + top, n) > _INTP_MAX:
+        raise PolynomialError(f"graded-lex index of degree {top} in {n} variables "
+                              "exceeds the integer range")
+    below = graded_lex_below(n, top)
     after = index = 0  # degree from variable i on, and the position so far
     for i in range(n - 1, -1, -1):
-        after = after + column(i)
+        after = after + alphas[..., i]
         index = index + below[after, n - i]
     return index
 

@@ -120,6 +120,9 @@ class DStabilityProblem:
             )
         if self.eigen_space not in ("auto", "real", "complex"):
             raise ProblemError(f"bad eigen_space {self.eigen_space!r}")
+        if self.lambda_radius is not None and not 0 < self.lambda_radius < math.inf:
+            raise ProblemError(
+                f"lambda_radius must be positive and finite, got {self.lambda_radius}")
         n_rho = len(self.matrix.variables)
         for mc in self.moment_constraints:
             if mc.f.num_vars != n_rho:
@@ -364,8 +367,6 @@ def build_lifted(problem: DStabilityProblem) -> LiftedProblem:
     if radius is None and not problem.region.known_bounded:
         radius = max(spectral_bound(problem.matrix, problem.delta), 1e-6)
     if radius is not None:
-        if not 0 < radius < math.inf:
-            raise ProblemError(f"lambda_radius must be positive and finite, got {radius}")
         ball = Polynomial.constant(n_z, radius * radius)
         for i in lam_idx:
             v = zvar(i)

@@ -64,7 +64,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .moments import LinearMatrixForm, MomentVector, localizing_matrix_form, moment_matrix_form
+from .moments import (IndexTables, LinearMatrixForm, MomentVector, localizing_matrix_form,
+                      moment_matrix_form)
 from .poly import Polynomial, graded_lex_index, monomial_basis
 from .problem import LiftedProblem, minimal_order
 from .sets import Relation
@@ -78,7 +79,9 @@ class RelaxationError(ValueError):
 class SDPProblem:
     """Concrete moment SDP: maximize objective . m subject to the
     normalization m_0 = 1, the PSD pencil blocks and the equality forms
-    (all expressed in scaled moments).
+    (all expressed in scaled moments).  `basis` holds the graded-lex
+    exponents of the moments in the narrowest unsigned type that holds
+    2 tau (uint8 in practice), so a reader widens them before arithmetic.
 
     `psd_blocks` holds the moment matrix, the 1x1 localizer of each
     one-sided expectation constraint and one localizer per support
@@ -289,7 +292,8 @@ def assemble_relaxation(lifted: LiftedProblem, tau: int | None = None) -> SDPPro
 
     n_z = lifted.num_vars
     scales = lifted.var_scales
-    basis = monomial_basis(n_z, 2 * tau)
+    # exponents never pass 2 tau: the narrowest unsigned type that holds it
+    basis = monomial_basis(n_z, 2 * tau).astype(np.min_scalar_type(2 * tau))
     num_moments = len(basis)
 
     # |z_i / s_i| <= b_i / s_i on the support, so |m_alpha| <= prod of powers
@@ -311,34 +315,31 @@ def assemble_relaxation(lifted: LiftedProblem, tau: int | None = None) -> SDPPro
     objective = np.zeros(num_moments)
     alphas = np.array(list(objective_scaled.terms), dtype=np.intp).reshape(-1, n_z)
     objective[graded_lex_index(alphas)] = list(objective_scaled.terms.values())
-    # the localized polynomials with their orders, for the symmetry detection
-    ge_polys: list[tuple[Polynomial, int]] = []
-    eq_polys: list[tuple[Polynomial, int]] = []
-    blocks: list[tuple[str, LinearMatrixForm]] = [
-        ("moment", moment_matrix_form(n_z, tau))
-    ]
-    equalities: list[tuple[str, LinearMatrixForm]] = []
-
-    def localize(label: str, q: Polynomial, order: int, equality: bool) -> None:
-        form = localizing_matrix_form(q, n_z, order)
-        if equality:
-            eq_polys.append((q, order))
-            equalities.append((label, form))
-        else:
-            ge_polys.append((q, order))
-            blocks.append((label, form))
-
-    # expectation constraint k (from 1; moment[0] is the normalization) as
-    # the order-0 localizer of t - f or f - t, or the 1x1 equality form of f - t
+    # (label, polynomial, order, equality) of each localizer: expectation
+    # constraint k (from 1; moment[0] is the normalization) as the order-0
+    # localizer of t - f or f - t, or the 1x1 equality form of f - t
+    localizers = []
     for k, (f, rel, target) in enumerate(lifted.moment_constraints, start=1):
         q = _scale_polynomial(f, scales) - target
         q = _normalize(-q if rel == "<=" else q)
         if not q.is_zero():
-            localize(f"moment[{k}]", q, 0, rel == "=")
+            localizers.append((f"moment[{k}]", q, 0, rel == "="))
     for j, (q, rel) in enumerate(lifted.support.constraints):
         q = _normalize(_scale_polynomial(q, scales))
         if not q.is_zero():
-            localize(f"q[{j}]", q, tau - math.ceil(q.degree / 2), rel is Relation.EQ)
+            localizers.append((f"q[{j}]", q, tau - math.ceil(q.degree / 2), rel is Relation.EQ))
+
+    # one index table per relaxation; the localizers need only its corner
+    tables = IndexTables(basis, tau)
+    blocks = [("moment", moment_matrix_form(n_z, tau, tables))]
+    tables.restrict(max((order for _label, _q, order, _eq in localizers), default=0))
+    equalities = []
+    for label, q, order, equality in localizers:
+        form = localizing_matrix_form(q, n_z, order, tables)
+        (equalities if equality else blocks).append((label, form))
+    # the localized polynomials with their orders, for the symmetry detection
+    ge_polys = [(q, order) for _label, q, order, equality in localizers if not equality]
+    eq_polys = [(q, order) for _label, q, order, equality in localizers if equality]
 
     return SDPProblem(
         tau=tau,
@@ -428,7 +429,7 @@ def export_sdp(sdp: SDPProblem, path) -> tuple[int, ...]:
     # "i " for every moment index, row and column in the file
     numbers = np.array([f"{i} " for i in range(max((sdp.num_moments, *dims)))], dtype=object)
     basis = sdp.basis
-    last = np.array([f"{e}\n" for e in range(basis.max() + 1)], dtype=object)
+    last = np.array([f"{e}\n" for e in range(int(basis.max()) + 1)], dtype=object)
     nnz = np.nonzero(sdp.objective)[0]
     with open(path, "w") as handle:
         handle.write(f"DSTAB-SDP 1\nnz {sdp.n_z} tau {sdp.tau} moments {sdp.num_moments}\n"

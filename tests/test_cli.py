@@ -316,6 +316,18 @@ class TestOptions:
         assert captured.err.startswith("error: ") and key in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("value", ["inf", "nan", "-1"])
+    def test_oracle_rejects_invalid_lambda_radius(self, problems_dir, tmp_path, capsys, value):
+        # the oracle never lifts the problem, so the radius is checked where
+        # the problem is built, and the oracle prints no witness
+        text = (problems_dir / RUNNING).read_text()
+        path = tmp_path / "radius.prob"
+        path.write_text(text + f"lambda_radius = {value}\n")
+        assert main(["oracle", str(path), "--grid", "5"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "lambda_radius" in captured.err
+        assert captured.out == ""
+
     def test_option_given_twice_rejected(self, problems_dir, tmp_path, capsys):
         # the second value used to replace the first without a word
         text = (problems_dir / SUPPORT).read_text()

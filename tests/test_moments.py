@@ -1,11 +1,14 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import running_problem
+from conftest import PROBLEMS_DIR, running_problem
 
+from dstab import relax
+from dstab.cli import load_problem
 from dstab.moments import (
     MomentVector,
     assemble,
@@ -69,6 +72,26 @@ def _loop_form(q: Polynomial, num_vars: int, order: int):
     return [(alpha, *by_alpha[alpha]) for alpha in sorted(by_alpha)]
 
 
+def _assert_matches_loop_reference(form, q: Polynomial, num_vars: int, order: int):
+    """The form holds `_loop_form`'s entries, array for array and dtype for
+    dtype, and its `terms` view reads them back."""
+    reference = _loop_form(q, num_vars, order)
+    top = max(sum(alpha) for alpha, *_rest in reference)
+    expected = [
+        np.array([i for _a, rows, _c, _v in reference for i in rows], dtype=np.int32),
+        np.array([j for _a, _r, cols, _v in reference for j in cols], dtype=np.int32),
+        np.array([k for alpha, rows, _c, _v in reference
+                  for k in [graded_lex_position(alpha, num_vars, top)] * len(rows)],
+                 dtype=np.int32),
+        np.array([v for _a, _r, _c, vals in reference for v in vals], dtype=float),
+    ]
+    for got, want in zip((form.rows, form.cols, form.moments, form.vals), expected):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert form.dimension == math.comb(num_vars + order, order)
+    assert [(alpha, rows.tolist(), cols.tolist(), vals.tolist())
+            for alpha, rows, cols, vals in form.terms] == reference
+
+
 class TestFormsMatchLoopReference:
     @pytest.mark.parametrize("text,order", [
         ("1", 2), ("rho", 1), ("1 - x1^2 - x2^2", 2),
@@ -85,8 +108,8 @@ class TestFormsMatchLoopReference:
             assert rows.tolist() == r_rows and cols.tolist() == r_cols
             assert vals.tolist() == r_vals
 
-    # in 40 and 45 variables the packed exponents need two int64 keys,
-    # since every radix is at least 3 and 3^40 > 2^62
+    # in 40 and 45 variables the index tables span far more moments than
+    # the pencil of dimension 41 or 46 uses
     @pytest.mark.parametrize("num_vars,order,degree", [(1, 3, 3), (40, 1, 2), (45, 1, 2)])
     def test_random_polynomials_as_arrays(self, num_vars, order, degree):
         rng = random.Random(num_vars)
@@ -98,16 +121,82 @@ class TestFormsMatchLoopReference:
             terms[tuple(alpha)] = rng.uniform(-2.0, 2.0)
         q = Polynomial(num_vars, terms)
         form = localizing_matrix_form(q, num_vars, order)
-        reference = _loop_form(q, num_vars, order)
-        top = max(sum(alpha) for alpha, *_rest in reference)
-        assert form.rows.tolist() == [i for _a, rows, _c, _v in reference for i in rows]
-        assert form.cols.tolist() == [j for _a, _r, cols, _v in reference for j in cols]
-        assert form.moments.tolist() == [
-            k for alpha, rows, _c, _v in reference
-            for k in [graded_lex_position(alpha, num_vars, top)] * len(rows)]
-        assert form.vals.tolist() == [v for _a, _r, _c, vals in reference for v in vals]
-        assert [(alpha, rows.tolist(), cols.tolist(), vals.tolist())
-                for alpha, rows, cols, vals in form.terms] == reference
+        _assert_matches_loop_reference(form, q, num_vars, order)
+
+    def test_localizer_of_degree_past_twice_its_order(self):
+        # x^4 at order 1 needs moments up to degree 6, beyond the degree-2
+        # Hankel corner it shifts
+        q = parse_polynomial("x^4 - 0.5*x", ["x"])
+        form = localizing_matrix_form(q, 1, 1)
+        assert form.max_degree() == 6
+        _assert_matches_loop_reference(form, q, 1, 1)
+
+
+def _relaxation_pencils(monkeypatch, name: str, tau: int, bindings=None):
+    """The SDP that `assemble_relaxation` builds for a shipped problem, and
+    (polynomial, order, form) of every pencil it built on the way, the
+    moment matrix as the localizer of 1."""
+    built = []
+
+    def moment(num_vars, order, tables=None):
+        form = moment_matrix_form(num_vars, order, tables)
+        built.append((Polynomial.constant(num_vars, 1.0), order, form))
+        return form
+
+    def localizer(q, num_vars, order, tables=None):
+        form = localizing_matrix_form(q, num_vars, order, tables)
+        built.append((q, order, form))
+        return form
+
+    monkeypatch.setattr(relax, "moment_matrix_form", moment)
+    monkeypatch.setattr(relax, "localizing_matrix_form", localizer)
+    problem, _options = load_problem(PROBLEMS_DIR / name, bindings)
+    sdp = relax.assemble_relaxation(build_lifted(problem), tau)
+    held = [form for _label, form in sdp.psd_blocks + sdp.equalities]
+    assert sorted(map(id, held)) == sorted(id(form) for *_rest, form in built)
+    return sdp, built
+
+
+class TestRelaxationIndexTables:
+    """The pencils that `assemble_relaxation` builds from its shared index
+    tables are the ones built entry by entry."""
+
+    @pytest.mark.parametrize("name,tau", [("hurwitz.prob", 3), ("running_example.prob", 2)])
+    def test_every_form_matches_loop_reference(self, monkeypatch, name, tau):
+        sdp, built = _relaxation_pencils(monkeypatch, name, tau)
+        assert len(built) > 1
+        for q, order, form in built:
+            _assert_matches_loop_reference(form, q, sdp.n_z, order)
+
+    @pytest.mark.parametrize("name,tau,bindings", [("bifurcation.prob", 3, {"k": 0.45}),
+                                                   ("lti_hinf.prob", 2, None)])
+    def test_every_form_is_ordered_and_indexed(self, monkeypatch, name, tau, bindings):
+        sdp, built = _relaxation_pencils(monkeypatch, name, tau, bindings)
+        rng = np.random.default_rng(tau)
+        for q, order, form in built:
+            n = form.dimension
+            assert len(form.vals) == n * n * len(q.terms)
+            # exponents lex non-decreasing: the first nonzero step is positive
+            alphas = sdp.basis[form.moments].astype(np.int16)
+            step = np.diff(alphas, axis=0)
+            lead = step[np.arange(len(step)), np.argmax(step != 0, axis=1)]
+            assert np.all(lead >= 0)
+            # within one moment (i, j) increases strictly: an entry (i, j)
+            # of moment alpha has the one term gamma = alpha - beta_i - beta_j
+            tie = np.diff(form.moments) == 0
+            assert np.array_equal(tie, lead == 0)
+            di = np.diff(form.rows.astype(np.intp))[tie]
+            dj = np.diff(form.cols.astype(np.intp))[tie]
+            assert np.all((di > 0) | ((di == 0) & (dj > 0)))
+            # a sample of entries: the moment is the graded-lex index of
+            # beta_i + beta_j + gamma for a term gamma of q with that coefficient
+            basis = monomial_basis(sdp.n_z, order)
+            for e in rng.choice(len(form.vals), size=min(40, len(form.vals)), replace=False):
+                beta_ij = basis[form.rows[e]] + basis[form.cols[e]]
+                gamma = tuple((alphas[e] - beta_ij).tolist())
+                assert q.terms.get(gamma) == form.vals[e]
+                alpha = tuple((beta_ij + gamma).tolist())
+                assert graded_lex_position(alpha, sdp.n_z, 2 * tau) == form.moments[e]
 
 
 class TestIndexWidth:
@@ -120,6 +209,18 @@ class TestIndexWidth:
         # C(312, 2) = 48516 rows, and 48516^2 entries pass 2^31 - 1
         with pytest.raises(PolynomialError, match="32-bit"):
             moment_matrix_form(310, 2)
+
+    def test_rejected_before_any_table_is_built(self):
+        # the index tables of moment_matrix_form(310, 2) would span the
+        # C(314, 4) moments of degree <= 4
+        tracemalloc.start()
+        try:
+            with pytest.raises(PolynomialError, match="32-bit"):
+                moment_matrix_form(310, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_moments_past_int32_are_rejected(self):
         # a 1x1 localizer of x^4 in 2000 variables reaches the C(2004, 4)

@@ -31,6 +31,11 @@ class TestRunningAssembly:
         nonzero = {tuple(basis[i].tolist()): c for i, c in enumerate(mean_sdp.objective) if c}
         assert nonzero == {(0, 0, 2, 0): 1.0, (0, 0, 0, 2): 1.0}
 
+    def test_basis_is_stored_narrow(self, mean_sdp):
+        # exponents never pass 2 tau = 4, so the basis is one byte each
+        assert mean_sdp.basis.dtype == np.uint8
+        assert np.array_equal(mean_sdp.basis, monomial_basis(4, 4))
+
     def test_equality_rows(self, mean_sdp):
         # the normalization m_0 = 1 is the one linear row, on the constant
         # monomial at the head of the basis; E[rho] = 0.5 is the 1x1
