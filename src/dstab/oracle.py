@@ -29,6 +29,10 @@ from .problem import DStabilityProblem, delta_box_bounds, is_box
 from .sets import Relation
 
 EIG_RESIDUAL_TOL = 1e-8
+# An eigenvalue this far outside the instability region still counts as
+# inside it: for the grid search's witnesses, and, tighter, for the atomic
+# LP's violating atoms.
+WITNESS_MEMBERSHIP_TOL = 1e-6
 VIOLATION_MEMBERSHIP_TOL = 1e-9
 # Region depths closer than this to the deepest one are ties in the grid
 # search: depth differences this small are rounding noise of the spectra.
@@ -175,7 +179,6 @@ def grid_points(problem: DStabilityProblem, points_per_axis: int,
 def grid_violation_search(
     problem: DStabilityProblem,
     points_per_axis: int,
-    membership_tol: float = 1e-6,
     max_points: int = 200_000,
     seed: int = 0,
 ) -> ViolationWitness | None:
@@ -192,14 +195,14 @@ def grid_violation_search(
     worst-case violation probability is 1 in the support-only setting.
     """
     points = grid_points(problem, points_per_axis, max_points, seed)
-    return deepest_witness(problem, points, spectra(problem, points), membership_tol)
+    return deepest_witness(problem, points, spectra(problem, points))
 
 
-def deepest_witness(problem: DStabilityProblem, points, point_spectra,
-                    membership_tol: float = 1e-6) -> ViolationWitness | None:
+def deepest_witness(problem: DStabilityProblem, points,
+                    point_spectra) -> ViolationWitness | None:
     """The deepest validated witness among the points, given their sorted
     spectra (`spectra`), or None; see `grid_violation_search`."""
-    flat = _region_depth(problem, point_spectra, membership_tol).ravel()
+    flat = _region_depth(problem, point_spectra, WITNESS_MEMBERSHIP_TOL).ravel()
     remaining = np.flatnonzero(~np.isnan(flat))
     while remaining.size:
         tied = flat[remaining] >= flat[remaining].max() - DEPTH_TIE_TOL
@@ -339,7 +342,6 @@ class AtomicLPResult:
 def atomic_lp_bound(
     problem: DStabilityProblem,
     atoms,
-    membership_tol: float = VIOLATION_MEMBERSHIP_TOL,
     atom_spectra=None,
 ) -> AtomicLPResult:
     """Maximize the probability mass on violating atoms over all atomic
@@ -361,7 +363,7 @@ def atomic_lp_bound(
 
     if atom_spectra is None:
         atom_spectra = spectra(problem, atoms)
-    depths = _region_depth(problem, atom_spectra, membership_tol)
+    depths = _region_depth(problem, atom_spectra, VIOLATION_MEMBERSHIP_TOL)
     violating = ~np.isnan(depths).all(axis=1)
 
     objective = violating.astype(float)

@@ -266,14 +266,17 @@ def grlex_key(alpha: Exponent) -> tuple:
 
 def monomial_basis(num_vars: int, order: int) -> np.ndarray:
     """Graded-lex exponents of all monomials of total degree <= order, one
-    row each: an integer array of shape (C(num_vars + order, order), num_vars).
+    row each: an array of shape (C(num_vars + order, order), num_vars) in the
+    narrowest unsigned type that holds order (uint8 up to 255), built in it
+    from the first block on.  Widen it before arithmetic that may pass
+    order.
 
     The degree-d block is, for each variable i, the degree-(d - 1) rows
     whose first nonzero variable is i or later, plus e_i.  Within a block
     that first variable never decreases, so those rows are a suffix."""
     if num_vars < 1 or order < 0:
         raise PolynomialError(f"invalid basis parameters n={num_vars}, order={order}")
-    blocks = [np.zeros((1, num_vars), dtype=np.intp)]
+    blocks = [np.zeros((1, num_vars), dtype=np.min_scalar_type(order))]
     first = np.array([num_vars])  # first nonzero variable of each row (none: num_vars)
     for _ in range(order):
         starts = np.searchsorted(first, np.arange(num_vars))  # the suffix for each variable

@@ -292,8 +292,7 @@ def assemble_relaxation(lifted: LiftedProblem, tau: int | None = None) -> SDPPro
 
     n_z = lifted.num_vars
     scales = lifted.var_scales
-    # exponents never pass 2 tau: the narrowest unsigned type that holds it
-    basis = monomial_basis(n_z, 2 * tau).astype(np.min_scalar_type(2 * tau))
+    basis = monomial_basis(n_z, 2 * tau)
     num_moments = len(basis)
 
     # |z_i / s_i| <= b_i / s_i on the support, so |m_alpha| <= prod of powers

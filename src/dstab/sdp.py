@@ -8,8 +8,9 @@ where y is the vector of scaled moments.  G holds the normalization
 y_0 = 1, the only linear row of the SDP (the constant monomial heads every
 graded-lex basis, so y_0 is its moment), and, for each equality form
 A_e(y) = 0 (support equalities and expectation equalities alike), one row
-per upper-triangle entry of A_e in row-major order; all-zero rows are
-dropped and a row equal to an earlier one is kept once.
+per upper-triangle entry of A_e in row-major order.  The reduction drops
+the empty rows and every row equal up to sign to an earlier one, exact
+repeats included (`_live_rows`).
 The PSD blocks are the moment matrix and the localizers of the
 inequalities, expectation constraints among them as 1x1 blocks (`relax`).
 Each block, each piece of a block (see below) and each equality form is
@@ -58,7 +59,8 @@ Reduction, before the iteration:
 - under the turn, a piece and its image, and an equality row and its
   image, are equal up to a signed permutation once folded, so of each
   turned set of pieces the first is solved, and of the rows of G that are
-  equal up to sign the first is kept.  For the order-3 Hurwitz relaxation
+  equal up to sign (turned images and exact repeats alike) the first is
+  kept; empty rows go.  For the order-3 Hurwitz relaxation
   these steps take 1716 moments and a 120x120 moment block to 129
   orbits, 26 moments fixed at 0 by the turn, and 17 pieces of at most
   20x20 (234 moments and 22 pieces without the turn).
@@ -215,14 +217,6 @@ class _Pencil:
         hit = new >= 0
         return _Pencil((len(idx), self.shape[1]), new[hit], self.cols[hit], self.vals[hit])
 
-    def take_cols(self, idx: np.ndarray) -> _Pencil:
-        """The columns idx (ascending, distinct), renumbered 0, 1, ..."""
-        pos = np.full(self.shape[1], -1)
-        pos[idx] = np.arange(len(idx))
-        new = pos[self.cols]
-        hit = new >= 0
-        return _Pencil((self.shape[0], len(idx)), self.rows[hit], new[hit], self.vals[hit])
-
     def fold(self, orbits: _Orbits) -> _Pencil:
         """The product with the column map y = P z of `orbits`: each entry
         moves to its moment's orbit, times the moment's sign; entries that
@@ -329,7 +323,7 @@ class _Group:
             # variables replaces a call per piece
             used = np.flatnonzero(np.bincount(pencil.cols))
             self.place = (slice(None), used[:, None], used)
-            self.coef = np.stack([p.take_cols(used).toarray() for p in stacked])
+            self.coef = np.stack([p.toarray()[:, used] for p in stacked])
             return
         # Per piece, built once: the variables it uses, their matrices A_i
         # as one dense (B, n, k, k) stack, and the upper-triangle entries of
@@ -427,67 +421,41 @@ def _pencil(sdp: SDPProblem, form) -> _Pencil:
 
 def _compile(sdp: SDPProblem):
     """Lower the SDP into solver arrays: the objective c, the linear rows
-    G y = g (the normalization, then the rows of the equality forms), the
-    layout of the equality rows (`_equality_rows`), and each PSD block as
-    (dimension, pencil)."""
+    G y = g (the normalization, then the rows of the equality forms,
+    `_equality_rows`), and each PSD block as (dimension, pencil).  Every
+    row of G is kept here; `_live_rows` picks those the iteration takes."""
     norm_row = _Pencil((1, sdp.num_moments), [0], [0], [1.0])
-    eq_rows, eq_layout = _equality_rows(sdp)
-    g_mat = _vstack([norm_row, eq_rows])
+    g_mat = _vstack([norm_row, _equality_rows(sdp)])
     g_vec = np.zeros(g_mat.shape[0])
     g_vec[0] = 1.0
     blocks = [(form.dimension, _pencil(sdp, form)) for _label, form in sdp.psd_blocks]
-    return -sdp.objective, g_mat, g_vec, eq_layout, blocks  # the solver minimizes
+    return -sdp.objective, g_mat, g_vec, blocks  # the solver minimizes
 
 
-def _equality_rows(sdp: SDPProblem):
+def _equality_rows(sdp: SDPProblem) -> _Pencil:
     """The equality forms A_e(y) = 0 as sparse rows over y: the rows of
     their stacked pencils that belong to upper-triangle entries (r, c), in
-    row-major order, all-zero rows dropped, and a row equal to an earlier
-    one (of any equality) kept once, the first occurrence winning.
-
-    Returns the rows (a pencil) and, per equality, its dimension and the
-    entries (r, c) whose row was kept, with that row's position, from which
-    the multiplier matrix is rebuilt (`_multiplier_matrices`)."""
-    n_y = sdp.num_moments
+    row-major order, equality after equality.  Rows that are empty or
+    repeat an earlier one are left to the reduction (`_live_rows`)."""
     if not sdp.equalities:
-        return _Pencil((0, n_y), [], [], []), []
-    dims = [form.dimension for _label, form in sdp.equalities]
-    offsets = np.concatenate([[0], np.cumsum([d * d for d in dims])]).astype(np.intp)
-    upper = np.concatenate([offset + np.flatnonzero(np.triu(np.ones((d, d), dtype=bool)))
-                            for d, offset in zip(dims, offsets)])
-    entries = _vstack([_pencil(sdp, form) for _label, form in sdp.equalities]).take_rows(upper)
-    # without stored zeros, equal rows have equal byte stamps
-    nonzero = entries.vals != 0
-    entries = _Pencil(entries.shape, entries.rows[nonzero], entries.cols[nonzero],
-                      entries.vals[nonzero])
-    starts = np.searchsorted(entries.rows, np.arange(len(upper) + 1))
-    cols, vals = entries.cols, entries.vals
-    seen: set[tuple[bytes, bytes]] = set()
-    kept = []
-    for row in np.flatnonzero(np.diff(starts)):
-        lo, hi = starts[row], starts[row + 1]
-        stamp = (cols[lo:hi].tobytes(), vals[lo:hi].tobytes())
-        if stamp not in seen:
-            seen.add(stamp)
-            kept.append(row)
-    kept = np.array(kept, dtype=np.intp)
-    flat = upper[kept]
-    layout = []
-    for e, dim in enumerate(dims):
-        pos = np.flatnonzero((flat >= offsets[e]) & (flat < offsets[e + 1]))
-        r, cc = np.divmod(flat[pos] - offsets[e], dim)
-        layout.append((dim, r, cc, pos))
-    return entries.take_rows(kept), layout
+        return _Pencil((0, sdp.num_moments), [], [], [])
+    forms = [form for _label, form in sdp.equalities]
+    offsets = np.cumsum([0] + [form.dimension ** 2 for form in forms])
+    upper = np.concatenate([offset + np.flatnonzero(np.triu(np.ones((form.dimension,) * 2, bool)))
+                            for form, offset in zip(forms, offsets)])
+    return _vstack([_pencil(sdp, form) for form in forms]).take_rows(upper)
 
 
-def _multiplier_matrices(layout, multipliers: np.ndarray) -> list[np.ndarray]:
-    """The multiplier matrix W_e of each equality from its row multipliers:
-    A_e*(W_e) equals the rows' adjoint (the off-diagonal weight is split
-    between the two triangles)."""
-    out = []
-    for dim, r, cc, pos in layout:
-        w = np.zeros((dim, dim))
-        weight = np.where(r == cc, 1.0, 0.5) * multipliers[pos]
+def _multiplier_matrices(sdp: SDPProblem, multipliers: np.ndarray) -> list[np.ndarray]:
+    """The multiplier matrix W_e of each equality from the multipliers of
+    its rows (`_equality_rows`): A_e*(W_e) equals the rows' adjoint (the
+    off-diagonal weight is split between the two triangles)."""
+    out, start = [], 0
+    for _label, form in sdp.equalities:
+        r, cc = np.triu_indices(form.dimension)
+        weight = np.where(r == cc, 1.0, 0.5) * multipliers[start:start + len(r)]
+        start += len(r)
+        w = np.zeros((form.dimension, form.dimension))
         w[r, cc] = weight
         w[cc, r] = weight
         out.append(w)
@@ -1193,7 +1161,6 @@ class _Lowered:
     c: np.ndarray
     g_mat: _Pencil
     g_vec: np.ndarray
-    eq_layout: list
     blocks: list
     orbits: _Orbits
     g_rows: np.ndarray
@@ -1224,11 +1191,14 @@ class _Lowered:
 
 
 def _live_rows(g_folded: _Pencil, g_vec: np.ndarray, g_rows: np.ndarray) -> np.ndarray:
-    """Mask of the rows of the folded G that the iteration keeps: kept by
-    the truncation, with an entry or a right-hand side, and, among those
-    with right-hand side 0, not equal up to sign to an earlier one (the
-    turn maps each eigen-equation row onto one of the other part, which
-    folds to the same row up to sign)."""
+    """Mask of the rows of the folded G that the iteration keeps, the one
+    filter on the rows of G: kept by the truncation, with an entry or a
+    right-hand side, and, among those with right-hand side 0, not equal up
+    to sign to an earlier one.  That drops exact repeats (an equality's
+    entries repeat wherever beta_r + beta_c does, and so may whole
+    equalities) as well as the turn's images (the turn maps each
+    eigen-equation row onto one of the other part, which folds to the same
+    row up to sign)."""
     starts = np.searchsorted(g_folded.rows, np.arange(len(g_vec) + 1))
     live = g_rows & ((np.diff(starts) > 0) | (g_vec != 0.0))
     seen: set = set()
@@ -1243,7 +1213,7 @@ def _live_rows(g_folded: _Pencil, g_vec: np.ndarray, g_rows: np.ndarray) -> np.n
 
 def _lower(sdp: SDPProblem) -> _Lowered:
     start = time.perf_counter()
-    c, g_mat, g_vec, eq_layout, blocks = _compile(sdp)
+    c, g_mat, g_vec, blocks = _compile(sdp)
     orbits, g_rows, pieces, turns = _reduce(sdp, blocks, g_mat)
     g_folded = g_mat.fold(orbits)
     live_rows = _live_rows(g_folded, g_vec, g_rows)
@@ -1271,8 +1241,8 @@ def _lower(sdp: SDPProblem) -> _Lowered:
     n = len(orbits.reps)
     stacks = sum(np.count_nonzero(np.bincount(pieces[p][2].cols)) * len(pieces[p][1]) ** 2
                  for p in solved)
-    return _Lowered(sdp, c, g_mat, g_vec, eq_layout, blocks, orbits, g_rows, live_rows, pieces,
-                    turns, dims, members, orbits.fold(c),
+    return _Lowered(sdp, c, g_mat, g_vec, blocks, orbits, g_rows, live_rows, pieces, turns,
+                    dims, members, orbits.fold(c),
                     g_folded.take_rows(np.flatnonzero(live_rows)), y_bound,
                     4 * (n * n + stacks), time.perf_counter() - start)
 
@@ -1389,7 +1359,7 @@ def _scatter(low: _Lowered, out: _Outcome, seconds: float) -> SDPSolution:
         upper_bound=upper_bound,
         solved_moments=len(low.orbits.reps),
         solved_blocks=tuple(len(pieces[p][1]) for p in low.solved),
-        equality_duals=tuple(_multiplier_matrices(low.eq_layout, nu[1:])),
+        equality_duals=tuple(_multiplier_matrices(sdp, nu[1:])),
         seconds=seconds,
     )
 

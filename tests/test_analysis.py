@@ -155,7 +155,7 @@ class TestCertify:
         problem = running_problem(mean=None, upper=0.9)
         report = certify_robust(problem, tau=2)
         assert report.verdict is Verdict.CERTIFIED_ROBUSTLY_DSTABLE
-        assert grid_violation_search(problem, 10_000, membership_tol=1e-6) is None
+        assert grid_violation_search(problem, 10_000) is None
 
 
 class TestHierarchy:
@@ -336,6 +336,23 @@ class TestBisect:
         assert ks[0] == 1.0 and ks[1] == 0.5  # bracket checked first
         for _k, certified, bound in result.evaluations:
             assert certified == (bound < 1.0 - 1e-3)
+
+    def test_threshold_inside_the_bracket(self):
+        # diag(rho - 0.7, -1) on [0, k] is Hurwitz exactly for k < 0.7, so
+        # the bisection meets midpoints that are not certified
+        names = ["rho"]
+
+        def family(k):
+            entries = (("rho - 0.7", "0"), ("0", "-1"))
+            matrix = UncertainMatrix(
+                ("rho",), tuple(tuple(parse_polynomial(e, names) for e in row) for row in entries))
+            return DStabilityProblem(matrix=matrix, delta=box_set(("rho",), [0.0], [k]),
+                                     region=region_preset("left_half_plane_closure"))
+
+        result = bisect_margin(family, 0.5, 1.0, tau=2, tol=1e-2)
+        midpoints = result.evaluations[2:]
+        assert any(not certified for _k, certified, _bound in midpoints)
+        assert 0.65 <= result.k_star < 0.7
 
     def test_certified_at_both_ends(self):
         result = bisect_margin(running_family, 0.2, 0.8, tau=2, tol=1e-2)

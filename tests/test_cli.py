@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import io
 import os
@@ -251,7 +252,6 @@ class TestRoundTrip:
         from dstab.sets import custom_region
         p = parse_polynomial("lre^2 - lim", ["lre", "lim"])
         problem = running_problem(mean=None)
-        import dataclasses
         problem = dataclasses.replace(
             problem, region=custom_region([(p, Relation.GE)]), lambda_radius=2.5
         )
@@ -506,6 +506,14 @@ class TestCommands:
         assert "witness rho = (1)" in out
         assert "lower bound 0.5" in out
 
+    def test_oracle_reports_an_infeasible_atomic_lp(self, tmp_path, capsys):
+        # no measure on [0, 1] has E[rho] = 2, so the LP has no solution
+        path = _running_file(tmp_path / "mean2.prob", moments="E[rho] = 2\n")
+        assert main(["oracle", str(path), "--grid", "11"]) == 0
+        out = capsys.readouterr().out
+        assert "atomic LP: infeasible on this grid" in out
+        assert out.rstrip().endswith("refine the grid")
+
     def test_oracle_non_finite_matrix_exit_one(self, problems_dir, tmp_path, capsys):
         # 1e400 overflows to inf, and inf * 0 gives NaN entries at rho = 0
         text = (problems_dir / SUPPORT).read_text().replace("\nrho - 1\n", "\n1e400*rho - 1\n")
@@ -521,6 +529,29 @@ class TestCommands:
         out = capsys.readouterr().out
         assert code == 0
         assert "tau=1" in out and "tau=2" in out
+
+    def test_hierarchy_csv_has_one_row_per_order(self, problems_dir, tmp_path):
+        csv_path = tmp_path / "orders.csv"
+        assert main(["hierarchy", str(problems_dir / RUNNING), "--tau", "1", "--tau-max", "2",
+                     "--csv", str(csv_path)]) == 0
+        with open(csv_path, newline="") as handle:
+            rows = list(csv.reader(handle))
+        assert rows[0] == ["theta", "p_upper", "p_lower", "status", "tau", "seconds"]
+        assert [row[4] for row in rows[1:]] == ["1", "2"]
+
+    def test_hierarchy_warns_when_the_raw_value_increases(self, problems_dir, capsys,
+                                                          monkeypatch):
+        original = dstab.analysis.hierarchy
+
+        def rising(*args, **kwargs):
+            report = original(*args, **kwargs)
+            return dataclasses.replace(report, monotonicity_violations=((2, 0.25, 0.5),))
+
+        monkeypatch.setattr(dstab.analysis, "hierarchy", rising)
+        assert main(["hierarchy", str(problems_dir / RUNNING),
+                     "--tau", "1", "--tau-max", "2"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1] == "warning: raw value increased at tau=2: 0.25 -> 0.5"
 
     def test_hierarchy_default_end_follows_the_effective_start(self, problems_dir, capsys):
         # --tau 1 starts at the minimal order 2, and the default range still

@@ -222,6 +222,21 @@ class TestIndexWidth:
             tracemalloc.stop()
         assert peak < 1 << 20
 
+    def test_tables_built_for_one_localizer_stay_narrow(self):
+        # without tables, the localizer builds them over the C(49, 4)
+        # moments of degree <= 4 in 45 variables: 9.5 MB of exponents in
+        # uint8, 76 MB in intp (a 147 MB peak in all)
+        names = [f"z{i}" for i in range(45)]
+        q = parse_polynomial("1 - z0^2 - z44^2 + z3*z7", names)
+        tracemalloc.start()
+        try:
+            form = localizing_matrix_form(q, 45, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert form.dimension == 46
+        assert peak < 64 << 20
+
     def test_moments_past_int32_are_rejected(self):
         # a 1x1 localizer of x^4 in 2000 variables reaches the C(2004, 4)
         # moments of degree <= 4

@@ -188,9 +188,15 @@ class TestBasis:
                              + [(11, 6), (22, 4), (40, 2)])
     def test_matches_multiset_reference(self, n, order):
         basis = monomial_basis(n, order)
-        assert basis.dtype == np.intp
+        assert basis.dtype == np.uint8
         assert basis.shape == (math.comb(n + order, order), n)
         assert np.array_equal(basis, _reference_basis(n, order))
+
+    def test_dtype_is_the_narrowest_that_holds_the_order(self):
+        assert monomial_basis(2, 255).dtype == np.uint8
+        wide = monomial_basis(1, 256)
+        assert wide.dtype == np.uint16
+        assert wide[-1].tolist() == [256]
 
     def test_strictly_increasing_grlex(self):
         basis = monomial_basis(3, 4)

@@ -411,7 +411,7 @@ class TestTruncation:
         # kept PSD entry uses each orbit (a free moment would leave the
         # Schur matrix singular)
         sdp = assemble_relaxation(build_lifted(problem), tau)
-        _c, g_mat, _g, _layout, blocks = _compile(sdp)
+        _c, g_mat, _g, blocks = _compile(sdp)
         orbits, g_rows, pieces, _turns = _reduce(sdp, blocks, g_mat)
         parity = sdp.basis % 2
         even = np.all([parity[:, list(flip)].sum(axis=1) % 2 == 0
@@ -432,7 +432,7 @@ class TestTruncation:
         # pieces cover exactly the rows `_truncation` keeps, which are also
         # the rows `residuals` scores
         sdp = dataclasses.replace(mean_sdp, sign_symmetries=())
-        _c, g_mat, _g, _layout, blocks = _compile(sdp)
+        _c, g_mat, _g, blocks = _compile(sdp)
         block_rows, _ = _truncation(sdp, blocks, [])
         _orbits, _g_rows, pieces, _turns = _reduce(sdp, blocks, g_mat)
         for b, rows in enumerate(block_rows):
@@ -451,21 +451,30 @@ class TestTruncation:
 
 def _dense_equality_rows(sdp, n_y):
     """Reference: one dense row per upper-triangle entry (r, c) of each
-    equality form in row-major order, zero rows dropped, repeats kept once."""
-    rows, seen = [], set()
+    equality form in row-major order, equality after equality."""
+    rows = []
     for _label, form in sdp.equalities:
-        entries = {}
+        k = form.dimension
+        entries = {(r, c): np.zeros(n_y) for r in range(k) for c in range(r, k)}
         for alpha, rr, cc, vals in form.terms:
             for r, c, v in zip(rr, cc, vals):
                 if r <= c:
-                    row = entries.setdefault((int(r), int(c)), np.zeros(n_y))
-                    row[graded_lex_position(alpha, sdp.n_z, 2 * sdp.tau)] += v
-        for key in sorted(entries):
-            row = entries[key]
-            if row.any() and row.tobytes() not in seen:
-                seen.add(row.tobytes())
-                rows.append(row)
+                    entries[int(r), int(c)][graded_lex_position(alpha, sdp.n_z, 2 * sdp.tau)] += v
+        rows += [entries[key] for key in sorted(entries)]
     return np.array(rows).reshape(-1, n_y)
+
+
+def _row_keys(p, signed):
+    """(columns, values) of each row of a pencil as bytes, with signed=True
+    times the sign of the row's first value."""
+    starts = np.searchsorted(p.rows, np.arange(p.shape[0] + 1))
+    keys = []
+    for lo, hi in zip(starts[:-1], starts[1:]):
+        vals = p.vals[lo:hi]
+        if signed and hi > lo and vals[0] < 0:
+            vals = -vals
+        keys.append((p.cols[lo:hi].tobytes(), vals.tobytes()))
+    return keys
 
 
 class TestEqualityRows:
@@ -476,19 +485,20 @@ class TestEqualityRows:
     def test_rows_match_dense_reference(self, tau):
         sdp = assemble_relaxation(build_lifted(hurwitz_problem()), tau)
         n_y = sdp.num_moments
-        rows, layout = _equality_rows(sdp)
+        rows = _equality_rows(sdp)
         reference = _dense_equality_rows(sdp, n_y)
         assert rows.shape == reference.shape
         assert np.array_equal(rows.toarray(), reference)
         if tau == 3:
             assert rows.shape[0] == 144
-        # every kept row is owned by exactly one entry
-        positions = np.sort(np.concatenate([pos for _d, _r, _c, pos in layout]))
-        assert np.array_equal(positions, np.arange(rows.shape[0]))
+        # one row per upper-triangle entry of each equality
+        dims = [form.dimension for _label, form in sdp.equalities]
+        assert rows.shape[0] == sum(d * (d + 1) // 2 for d in dims)
 
     def test_repeated_equality_adds_no_row(self, mean_sdp, mean_solution):
+        # the repeat's rows reach G, and the reduction drops them
         twice = dataclasses.replace(mean_sdp, equalities=mean_sdp.equalities * 2)
-        assert _equality_rows(twice)[0].shape == _equality_rows(mean_sdp)[0].shape
+        assert _lower(twice).g_folded.shape == _lower(mean_sdp).g_folded.shape
         solution = solve(twice)
         assert solution.iterations == mean_solution.iterations
         assert solution.primal_value == mean_solution.primal_value
@@ -497,6 +507,18 @@ class TestEqualityRows:
         for w, first in zip(solution.equality_duals, mean_solution.equality_duals):
             assert np.array_equal(w, first)
         assert residuals(twice, solution)["dual_infeas"] <= 1e-7
+
+    def test_live_rows_keep_each_row_once(self):
+        # the order-2 localizer of lre = 0 repeats its entries wherever
+        # beta_r + beta_c repeats: G holds those repeats, and the reduction
+        # keeps one row of each set of rows equal up to sign
+        problem, _ = load_problem(PROBLEMS_DIR / "bifurcation.prob", {"k": 0.45})
+        low = _lower(assemble_relaxation(build_lifted(problem), 3))
+        rows = [key for key in _row_keys(low.g_mat, signed=False) if key[0]]
+        assert len(set(rows)) < len(rows)
+        live = _row_keys(low.g_folded, signed=True)[1:]  # past the normalization
+        assert all(cols for cols, _vals in live)
+        assert len(set(live)) == len(live) == 1015
 
     def test_multiplier_matrices_close_dual_stationarity(self, mean_sdp, mean_solution):
         # without the equality multipliers the dual residual is far from 0
@@ -514,13 +536,15 @@ class TestRoundingAllowance:
         # orders; both lie within the allowance of the exact value
         sdp = assemble_relaxation(build_lifted(hurwitz_problem()), 3)
         solution = solve(sdp)
-        c, g_mat, _g_vec, layout, blocks = _compile(sdp)
-        # nu: -dual_value on the normalization, then each kept equality
-        # row's multiplier, read back from the multiplier matrices
-        nu = np.zeros(g_mat.shape[0])
-        nu[0] = -solution.dual_value
-        for (_dim, r, cc, pos), w in zip(layout, solution.equality_duals):
-            nu[1 + pos] = w[r, cc] * np.where(r == cc, 1.0, 2.0)
+        c, g_mat, _g_vec, blocks = _compile(sdp)
+        # nu: -dual_value on the normalization, then each equality row's
+        # multiplier, read back from the multiplier matrices
+        nu = [np.array([-solution.dual_value])]
+        for w in solution.equality_duals:
+            r, cc = np.triu_indices(len(w))
+            nu.append(w[r, cc] * np.where(r == cc, 1.0, 2.0))
+        nu = np.concatenate(nu)
+        assert len(nu) == g_mat.shape[0]
         assert np.abs(nu).max() > 100.0
         allowance = _rounding_allowance(c, g_mat, nu, blocks, solution.dual_psd_blocks)
         gap = np.abs(g_mat.toarray().T @ nu - g_mat.adjoint(nu))
@@ -562,21 +586,18 @@ class TestPencil:
             np.testing.assert_allclose(p.adjoint(w.ravel()), reference, rtol=1e-12, atol=1e-12)
 
 
-    def test_row_and_column_selection_match_dense_slicing(self):
+    def test_row_selection_matches_dense_slicing(self):
         sdp = assemble_relaxation(build_lifted(hurwitz_problem()), 2)
         p = _pencil(sdp, sdp.psd_blocks[0][1])
         dense = p.toarray()
         rng = np.random.default_rng(7)
         rows = np.flatnonzero(rng.random(p.shape[0]) < 0.3)
-        cols = np.flatnonzero(rng.random(p.shape[1]) < 0.3)
-        for sub, reference in ((p.take_rows(rows), dense[rows]),
-                               (p.take_cols(cols), dense[:, cols]),
-                               (p.take_rows(rows).take_cols(cols), dense[np.ix_(rows, cols)])):
-            assert sub.shape == reference.shape
-            assert np.array_equal(sub.toarray(), reference)
-            # still in row-major order, each entry once
-            order = sub.rows * sub.shape[1] + sub.cols
-            assert np.all(np.diff(order) > 0)
+        sub = p.take_rows(rows)
+        assert sub.shape == (len(rows), p.shape[1])
+        assert np.array_equal(sub.toarray(), dense[rows])
+        # still in row-major order, each entry once
+        order = sub.rows * sub.shape[1] + sub.cols
+        assert np.all(np.diff(order) > 0)
         y = rng.standard_normal(p.shape[1])
         assert np.array_equal(p.take_rows(rows) @ y, (p @ y)[rows])
 
