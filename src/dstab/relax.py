@@ -160,13 +160,16 @@ class SDPSolution:
     `equalities`, one symmetric multiplier matrix W_e each, which enters
     dual stationarity as A_e*(W_e) just as a PSD dual block does, but
     carries no sign constraint.  Expectation constraints are among these
-    forms, so their multipliers are 1x1 blocks.  All of these have the
-    full size of the SDP, whatever reduction the solver applied;
-    `solved_moments` and `solved_blocks` record the size of the problem it
-    actually iterated on (moment variables and PSD block dimensions after
-    the reduction).  `seconds` is the wall time of the solve; for an SDP
-    solved in a batch (`sdp.solve_many`), its own compile-and-reduce time
-    plus the batch's run time divided by the number of SDPs in it.
+    forms, so their multipliers are 1x1 blocks.  Of equality rows equal up
+    to sign after the reduction, the solver keeps one; its multiplier stays
+    there, or with a quarter turn is shared evenly, with signs, by them all.
+    All of these have the full size of the SDP, whatever reduction the
+    solver applied; `solved_moments` and `solved_blocks` record the size of
+    the problem it actually iterated on (moment variables and PSD block
+    dimensions after the reduction).  `seconds` is the wall time of the
+    solve; for an SDP solved in a batch (`sdp.solve_many`), its own
+    compile-and-reduce time plus the batch's run time divided by the number
+    of SDPs in it.
     """
 
     moments: MomentVector

@@ -8,9 +8,10 @@ where y is the vector of scaled moments.  G holds the normalization
 y_0 = 1, the only linear row of the SDP (the constant monomial heads every
 graded-lex basis, so y_0 is its moment), and, for each equality form
 A_e(y) = 0 (support equalities and expectation equalities alike), one row
-per upper-triangle entry of A_e in row-major order.  The reduction drops
-the empty rows and every row equal up to sign to an earlier one, exact
-repeats included (`_live_rows`).
+per upper-triangle entry of A_e in row-major order.  The reduction maps
+each row onto the live row it stands for (`_row_classes`): the empty rows
+are dropped, and every row equal up to sign to an earlier one, exact
+repeats included, stands for the first.
 The PSD blocks are the moment matrix and the localizers of the
 inequalities, expectation constraints among them as 1x1 blocks (`relax`).
 Each block, each piece of a block (see below) and each equality form is
@@ -58,20 +59,22 @@ Reduction, before the iteration:
   exact for any block;
 - under the turn, a piece and its image, and an equality row and its
   image, are equal up to a signed permutation once folded, so of each
-  turned set of pieces the first is solved, and of the rows of G that are
-  equal up to sign (turned images and exact repeats alike) the first is
-  kept; empty rows go.  For the order-3 Hurwitz relaxation
-  these steps take 1716 moments and a 120x120 moment block to 129
-  orbits, 26 moments fixed at 0 by the turn, and 17 pieces of at most
+  turned set of pieces the first is solved, and of each class of rows of G
+  that are equal up to sign once folded (turned images and exact repeats
+  alike) the first is kept; empty rows go.  For the order-3 Hurwitz
+  relaxation these steps take 1716 moments and a 120x120 moment block to
+  129 orbits, 26 moments fixed at 0 by the turn, and 17 pieces of at most
   20x20 (234 moments and 22 pieces without the turn).
 
 The reduced SDP is solved, and moments, multipliers and dual blocks are
 scattered back to the full size in the original order (y = P z,
 block-diagonal duals that are zero off the kept rows and on the pieces
 and rows not solved); the multipliers of each equality's rows are
-gathered into its multiplier matrix.  With a quarter turn the scattered
-dual is averaged over the turn's four powers (`_turn_average`); its
-residual then vanishes on every moment, not only summed over each orbit.
+gathered into its multiplier matrix.  With a quarter turn the dual blocks
+are averaged over the turn's four powers (`_turn_average`) and each
+multiplier is spread evenly over its class of rows, with the row's sign
+(`_scatter`); the dual residual then vanishes on every moment, not only
+summed over each orbit.
 `upper_bound` is evaluated on the full problem from the scattered dual;
 since it holds for any dual, a wrong symmetry could only loosen it, never
 make it unsound.  The dual residual on a moment of x-degree > 2 is exactly
@@ -423,7 +426,7 @@ def _compile(sdp: SDPProblem):
     """Lower the SDP into solver arrays: the objective c, the linear rows
     G y = g (the normalization, then the rows of the equality forms,
     `_equality_rows`), and each PSD block as (dimension, pencil).  Every
-    row of G is kept here; `_live_rows` picks those the iteration takes."""
+    row of G is kept here; `_row_classes` picks those the iteration takes."""
     norm_row = _Pencil((1, sdp.num_moments), [0], [0], [1.0])
     g_mat = _vstack([norm_row, _equality_rows(sdp)])
     g_vec = np.zeros(g_mat.shape[0])
@@ -436,7 +439,7 @@ def _equality_rows(sdp: SDPProblem) -> _Pencil:
     """The equality forms A_e(y) = 0 as sparse rows over y: the rows of
     their stacked pencils that belong to upper-triangle entries (r, c), in
     row-major order, equality after equality.  Rows that are empty or
-    repeat an earlier one are left to the reduction (`_live_rows`)."""
+    repeat an earlier one are left to the reduction (`_row_classes`)."""
     if not sdp.equalities:
         return _Pencil((0, sdp.num_moments), [], [], [])
     forms = [form for _label, form in sdp.equalities]
@@ -634,35 +637,6 @@ def _piece_turns(orbits: _Orbits, pieces: list) -> list:
         target = found.get(stamp(rows, turned))
         turns.append((j, np.arange(k), np.ones(k)) if target is None else (target, pos, sign))
     return turns
-
-
-def _signed_stamp(cols: np.ndarray, vals: np.ndarray):
-    """A sparse row up to sign: (key, s), the key equal for the row and its
-    negative, s times the row the entries it describes."""
-    order = np.argsort(cols)
-    s = 1.0 if vals[order[0]] > 0 else -1.0
-    return (cols[order].tobytes(), (s * vals[order]).tobytes()), s
-
-
-def _row_turns(g_mat: _Pencil, rows: np.ndarray, orbits: _Orbits):
-    """The quarter turn on the rows `rows` of G (each with an entry): per
-    row i, the row j among them and the sign s with G_i(T y) = s G_j(y),
-    found by entries up to sign (i itself and 1 where none matches)."""
-    image, turn_sign = orbits.turn
-    starts = np.searchsorted(g_mat.rows, np.arange(g_mat.shape[0] + 1))
-    spans = [(i, slice(starts[i], starts[i + 1])) for i in rows.tolist()]
-    found: dict = {}
-    for i, span in spans:
-        key, s = _signed_stamp(g_mat.cols[span], g_mat.vals[span])
-        found.setdefault(key, (i, s))
-    targets, signs = [], []
-    for i, span in spans:
-        cols = g_mat.cols[span]
-        key, s = _signed_stamp(image[cols], turn_sign[cols] * g_mat.vals[span])
-        j, s_j = found.get(key, (i, s))
-        targets.append(j)
-        signs.append(s * s_j)
-    return np.array(targets, dtype=np.intp), np.array(signs)
 
 
 def _sym(a: np.ndarray) -> np.ndarray:
@@ -1153,9 +1127,10 @@ class _Lowered:
     """One SDP lowered (`_compile`) and reduced (`_reduce`): the arrays the
     iteration takes (the folded c, the folded G on its live rows, the
     pieces that carry distinct PSD conditions and the a-priori bounds of
-    the orbits), what the scatter-back needs, the structure key on which
-    SDPs share a batch, and `doubles`, about how many doubles the SDP holds
-    in a run, which the structure fixes."""
+    the orbits), what the scatter-back needs (among it `classes`, the map
+    (rep, sign) of `_row_classes` from the rows of G to the live rows), the
+    structure key on which SDPs share a batch, and `doubles`, about how
+    many doubles the SDP holds in a run, which the structure fixes."""
 
     sdp: SDPProblem
     c: np.ndarray
@@ -1163,7 +1138,7 @@ class _Lowered:
     g_vec: np.ndarray
     blocks: list
     orbits: _Orbits
-    g_rows: np.ndarray
+    classes: tuple
     live_rows: np.ndarray
     pieces: list
     turns: list | None
@@ -1190,25 +1165,29 @@ class _Lowered:
         return sorted(sum(self.members, []))
 
 
-def _live_rows(g_folded: _Pencil, g_vec: np.ndarray, g_rows: np.ndarray) -> np.ndarray:
-    """Mask of the rows of the folded G that the iteration keeps, the one
-    filter on the rows of G: kept by the truncation, with an entry or a
-    right-hand side, and, among those with right-hand side 0, not equal up
-    to sign to an earlier one.  That drops exact repeats (an equality's
-    entries repeat wherever beta_r + beta_c does, and so may whole
-    equalities) as well as the turn's images (the turn maps each
-    eigen-equation row onto one of the other part, which folds to the same
-    row up to sign)."""
+def _row_classes(g_folded: _Pencil, g_vec: np.ndarray, g_rows: np.ndarray):
+    """The one map from the rows of G to the rows the iteration keeps:
+    (rep, sign), rep[i] the live row that row i stands for (-1 where it is
+    dropped) and sign[i] the s with folded row i = s * folded row rep[i].
+    A row is dropped when the truncation drops it or it has neither an entry
+    nor a right-hand side; a row with right-hand side 0 stands for the first
+    such row equal to it up to sign, and every other row for itself.  That
+    drops exact repeats (an equality's entries repeat wherever
+    beta_r + beta_c does, and so may whole equalities) as well as the
+    turn's images (the turn maps each eigen-equation row onto one of the
+    other part, which folds to the same row up to sign).  A folded row
+    holds its columns ascending and no zero."""
     starts = np.searchsorted(g_folded.rows, np.arange(len(g_vec) + 1))
-    live = g_rows & ((np.diff(starts) > 0) | (g_vec != 0.0))
-    seen: set = set()
-    for row in np.flatnonzero(live & (g_vec == 0.0)).tolist():
+    rep = np.where(g_rows & ((np.diff(starts) > 0) | (g_vec != 0.0)), np.arange(len(g_vec)), -1)
+    sign = np.ones(len(g_vec))
+    first: dict = {}
+    for row in np.flatnonzero((rep >= 0) & (g_vec == 0.0)).tolist():
         span = slice(starts[row], starts[row + 1])
-        key, _s = _signed_stamp(g_folded.cols[span], g_folded.vals[span])
-        if key in seen:
-            live[row] = False
-        seen.add(key)
-    return live
+        vals = g_folded.vals[span]
+        s = 1.0 if vals[0] > 0 else -1.0
+        j, s_j = first.setdefault((g_folded.cols[span].tobytes(), (s * vals).tobytes()), (row, s))
+        rep[row], sign[row] = j, s * s_j
+    return rep, sign
 
 
 def _lower(sdp: SDPProblem) -> _Lowered:
@@ -1216,7 +1195,8 @@ def _lower(sdp: SDPProblem) -> _Lowered:
     c, g_mat, g_vec, blocks = _compile(sdp)
     orbits, g_rows, pieces, turns = _reduce(sdp, blocks, g_mat)
     g_folded = g_mat.fold(orbits)
-    live_rows = _live_rows(g_folded, g_vec, g_rows)
+    classes = _row_classes(g_folded, g_vec, g_rows)
+    live_rows = classes[0] == np.arange(len(g_vec))
     # a piece whose turned image is an earlier piece carries the same PSD
     # condition: of each orbit of pieces, the first is solved
     solved = range(len(pieces))
@@ -1241,7 +1221,7 @@ def _lower(sdp: SDPProblem) -> _Lowered:
     n = len(orbits.reps)
     stacks = sum(np.count_nonzero(np.bincount(pieces[p][2].cols)) * len(pieces[p][1]) ** 2
                  for p in solved)
-    return _Lowered(sdp, c, g_mat, g_vec, blocks, orbits, g_rows, live_rows, pieces, turns,
+    return _Lowered(sdp, c, g_mat, g_vec, blocks, orbits, classes, live_rows, pieces, turns,
                     dims, members, orbits.fold(c),
                     g_folded.take_rows(np.flatnonzero(live_rows)), y_bound,
                     4 * (n * n + stacks), time.perf_counter() - start)
@@ -1280,40 +1260,38 @@ def _solve_batch(lowered: list, settings: SolverSettings, logs: list) -> list[_O
                            logs)
 
 
-def _turn_average(low: _Lowered, xs: list, nu: np.ndarray):
-    """The dual iterate averaged over the quarter turn: the dual blocks of
-    the pieces `xs` (all pieces, zero where not solved) and the row
-    multipliers nu, each replaced by the mean of its images under the four
-    powers of the turn, which acts on a piece as its signed row
-    permutation (`_piece_turns`) and on nu so that G' nu turns as the
-    moments do (`_row_turns`).  The residual r = c - G' nu - A*(X) of the
-    mean is the mean of the turned residuals; with c invariant and P'r = 0,
-    the residual the reduced solve drives to 0, that vanishes on every
-    moment, fixed ones included."""
-    rows = np.flatnonzero(low.g_rows)
-    targets, signs = _row_turns(low.g_mat, rows, low.orbits)
+def _turn_average(turns: list, xs: list) -> list:
+    """The dual blocks of the pieces `xs` (all pieces, zero where not
+    solved) averaged over the quarter turn: each replaced by the mean of
+    its images under the four powers of the turn, which acts on a piece as
+    its signed row permutation (`_piece_turns`)."""
 
-    def turn(xs, nu):
+    def turn(xs):
         out = [np.zeros_like(x) for x in xs]
-        for x, (target, pos, sign) in zip(xs, low.turns):
+        for x, (target, pos, sign) in zip(xs, turns):
             out[target][np.ix_(pos, pos)] += sign[:, None] * x * sign
-        turned = np.zeros_like(nu)
-        np.add.at(turned, targets, signs * nu[rows])
-        return out, turned
+        return out
 
     def mean(a, b):
-        return [0.5 * (x + t) for x, t in zip(a[0], b[0])], 0.5 * (a[1] + b[1])
+        return [0.5 * (x + t) for x, t in zip(a, b)]
 
-    half = mean((xs, nu), turn(xs, nu))  # over 1 and T
-    return mean(half, turn(*turn(*half)))  # and over 1 and T^2
+    half = mean(xs, turn(xs))  # over 1 and T
+    return mean(half, turn(turn(half)))  # and over 1 and T^2
 
 
 def _scatter(low: _Lowered, out: _Outcome, seconds: float) -> SDPSolution:
     """The solution of the full SDP from the outcome of its reduced one:
-    y = P z, dropped rows and pieces at 0, with a quarter turn the dual
-    averaged over it (`_turn_average`), the dual blocks block-diagonal in
-    their source positions, and the rigorous bound taken on the full
-    problem."""
+    y = P z, dropped rows and pieces at 0, the dual blocks block-diagonal
+    in their source positions, and the rigorous bound taken on the full
+    problem.  Without a quarter turn each multiplier stays on its live row.
+    With one, the piece duals are averaged over the turn (`_turn_average`)
+    and each live multiplier is spread evenly over the rows it stands for
+    (`_row_classes`), nu_i = sign_i nu_rep / |class|.  A class is closed
+    under the turn, since a row and its turned image fold to the same row up
+    to sign, so the spread G' nu turns as the moments do, and its fold is
+    the reduced solve's G' nu.  The residual r = c - G' nu - A*(X) is then
+    turn-invariant; with c invariant and P'r = 0, the residual the reduced
+    solve drives to 0, it vanishes on every moment, fixed ones included."""
     sdp, blocks, pieces = low.sdp, low.blocks, low.pieces
     c, g_mat, g_vec = low.c, low.g_mat, low.g_vec
     y = low.orbits.expand(out.y)
@@ -1324,7 +1302,11 @@ def _scatter(low: _Lowered, out: _Outcome, seconds: float) -> SDPSolution:
         for x, p in zip(stack, ps):
             xs[p] = x
     if low.turns is not None:
-        xs, nu = _turn_average(low, xs, nu)
+        xs = _turn_average(low.turns, xs)
+        rep, sign = low.classes
+        kept = np.flatnonzero(rep >= 0)
+        size = np.bincount(rep[kept], minlength=len(rep))
+        nu[kept] = sign[kept] * nu[rep[kept]] / size[rep[kept]]
     x_blocks = [np.zeros((k, k)) for k, _p in blocks]
     for x, (b, idx, _piece) in zip(xs, pieces):
         x_blocks[b][np.ix_(idx, idx)] = x

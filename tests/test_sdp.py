@@ -321,15 +321,31 @@ class TestQuarterTurn:
         assert solution.solved_moments == 129
         assert max(solution.solved_blocks) == 20
 
-    def test_averaged_dual_closes_the_full_residual(self):
+    @pytest.mark.parametrize("tau", [3, 4])
+    def test_averaged_dual_closes_the_full_residual(self, tau):
         # the reduced dual leaves c - G'nu - A*(X) far from 0 on the full
-        # SDP (each orbit sums to 0, its members do not); averaged over the
-        # turn it vanishes, and the rigorous bound is as tight as the solve
-        sdp = assemble_relaxation(build_lifted(hurwitz_problem()), 3)
+        # SDP (each orbit sums to 0, its members do not); with the piece
+        # duals averaged over the turn and each multiplier spread over its
+        # class of rows it vanishes, and the rigorous bound is as tight as
+        # the solve
+        sdp = assemble_relaxation(build_lifted(hurwitz_problem()), tau)
         solution = solve(sdp)
         assert solution.status is SolverStatus.OPTIMAL
         assert residuals(sdp, solution)["dual_infeas"] <= 1e-7
         assert solution.upper_bound - solution.primal_value <= 1e-7
+        # at order 4 the kept rows of G hold exact repeats, which share
+        # their multiplier; a mean over the turn alone would leave every
+        # copy but the first at 0
+        low = _lower(sdp)
+        keys = _row_keys(low.g_mat, signed=False)
+        copies: dict = {}
+        for row in np.flatnonzero(low.classes[0] >= 0):
+            copies.setdefault(keys[row], []).append(row)
+        repeats = [rows for rows in copies.values() if len(rows) > 1]
+        assert bool(repeats) == (tau == 4)
+        nu = _multipliers(solution)
+        assert all(np.all(nu[rows] == nu[rows[0]]) for rows in repeats)
+        assert all(nu[rows[0]] != 0.0 for rows in repeats)
 
     def test_a_constraint_that_breaks_the_turn_is_solved_without_it(self):
         from dstab.poly import Polynomial
@@ -464,6 +480,16 @@ def _dense_equality_rows(sdp, n_y):
     return np.array(rows).reshape(-1, n_y)
 
 
+def _multipliers(solution) -> np.ndarray:
+    """nu over the rows of G: -dual_value on the normalization, then each
+    equality row's multiplier, read back from the multiplier matrices."""
+    nu = [np.array([-solution.dual_value])]
+    for w in solution.equality_duals:
+        r, cc = np.triu_indices(len(w))
+        nu.append(w[r, cc] * np.where(r == cc, 1.0, 2.0))
+    return np.concatenate(nu)
+
+
 def _row_keys(p, signed):
     """(columns, values) of each row of a pencil as bytes, with signed=True
     times the sign of the row's first value."""
@@ -519,6 +545,33 @@ class TestEqualityRows:
         live = _row_keys(low.g_folded, signed=True)[1:]  # past the normalization
         assert all(cols for cols, _vals in live)
         assert len(set(live)) == len(live) == 1015
+        # the class map: each kept row folds to sign x its representative,
+        # and the representatives are exactly the live rows
+        rep, sign = low.classes
+        kept, live_rows = np.flatnonzero(rep >= 0), np.flatnonzero(low.live_rows)
+        assert np.array_equal(np.unique(rep[kept]), live_rows)
+        assert np.array_equal(rep[live_rows], live_rows)
+        folded = low.g_mat.fold(low.orbits)
+        starts = np.searchsorted(folded.rows, np.arange(folded.shape[0] + 1))
+        for row, first in zip(kept.tolist(), rep[kept].tolist()):
+            at, to = slice(starts[row], starts[row + 1]), slice(starts[first], starts[first + 1])
+            assert np.array_equal(folded.cols[at], folded.cols[to])
+            assert np.array_equal(folded.vals[at], sign[row] * folded.vals[to])
+        # a multiplier on each live row, spread evenly over its class, keeps
+        # the fold of G'nu and makes G'nu turn as the moments do; left on
+        # the live rows it does not
+        nu = np.zeros(len(rep))
+        nu[live_rows] = np.random.default_rng(31).standard_normal(len(live_rows))
+        spread = np.zeros(len(rep))
+        spread[kept] = sign[kept] * nu[rep[kept]] / np.bincount(rep[kept])[rep[kept]]
+        adjoint, spread_adjoint = low.g_mat.adjoint(nu), low.g_mat.adjoint(spread)
+        np.testing.assert_allclose(low.orbits.fold(spread_adjoint), low.orbits.fold(adjoint),
+                                   rtol=0, atol=1e-12)
+        image, turn_sign = low.orbits.turn
+        moments = np.flatnonzero(low.orbits.col >= 0)
+        np.testing.assert_allclose(spread_adjoint[image[moments]],
+                                   turn_sign[moments] * spread_adjoint[moments], rtol=0, atol=1e-12)
+        assert np.abs(adjoint[image[moments]] - turn_sign[moments] * adjoint[moments]).max() > 1e-3
 
     def test_multiplier_matrices_close_dual_stationarity(self, mean_sdp, mean_solution):
         # without the equality multipliers the dual residual is far from 0
@@ -537,13 +590,7 @@ class TestRoundingAllowance:
         sdp = assemble_relaxation(build_lifted(hurwitz_problem()), 3)
         solution = solve(sdp)
         c, g_mat, _g_vec, blocks = _compile(sdp)
-        # nu: -dual_value on the normalization, then each equality row's
-        # multiplier, read back from the multiplier matrices
-        nu = [np.array([-solution.dual_value])]
-        for w in solution.equality_duals:
-            r, cc = np.triu_indices(len(w))
-            nu.append(w[r, cc] * np.where(r == cc, 1.0, 2.0))
-        nu = np.concatenate(nu)
+        nu = _multipliers(solution)
         assert len(nu) == g_mat.shape[0]
         assert np.abs(nu).max() > 100.0
         allowance = _rounding_allowance(c, g_mat, nu, blocks, solution.dual_psd_blocks)
