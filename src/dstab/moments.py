@@ -61,19 +61,32 @@ class MomentVector:
 @dataclass(frozen=True)
 class LinearMatrixForm:
     """Symmetric matrix pencil sum_alpha B_alpha m_alpha: entry e adds
-    vals[e] m_alpha to (rows[e], cols[e]), alpha the monomial at graded-lex
-    position moments[e].  Each entry of each B_alpha appears once, both
-    triangles included, ordered by alpha ascending lexicographically and
-    by (i, j, gamma) within one alpha; the export writes them in this order.
-    `rows`, `cols` and `moments` are int32, so a reader widens them to
-    np.intp before any arithmetic on them (`rows * dimension` overflows)."""
+    coeffs[term[e]] m_alpha to (rows[e], cols[e]), alpha the monomial at
+    graded-lex position moments[e].  Each entry of each B_alpha appears
+    once, both triangles included, ordered by alpha ascending
+    lexicographically and by (i, j, gamma) within one alpha; the export
+    writes them in this order.
+
+    An entry of the localizer of q carries one of q's t coefficients, so a
+    form keeps them once (`coeffs`, float64) and each entry only the index
+    of its term (`term`, in the narrowest unsigned type that holds t - 1).
+    `rows` and `cols` are in the narrowest unsigned type that holds
+    dimension - 1 (uint8 up to 256 rows, else uint16) and `moments` is
+    int32, so a reader widens them to np.intp before any arithmetic on them
+    (`rows * dimension` overflows)."""
 
     dimension: int
     num_vars: int
     rows: np.ndarray
     cols: np.ndarray
     moments: np.ndarray
-    vals: np.ndarray
+    term: np.ndarray
+    coeffs: np.ndarray
+
+    @property
+    def vals(self) -> np.ndarray:
+        """The value of each entry, coeffs[term], built on every read."""
+        return self.coeffs[self.term]
 
     def max_degree(self) -> int:
         top = int(self.moments.max(initial=0))
@@ -85,7 +98,8 @@ class LinearMatrixForm:
         first read: a view for readers outside `dstab`."""
         bounds = np.flatnonzero(np.diff(self.moments, prepend=-1, append=-1)).tolist()
         alphas = monomial_basis(self.num_vars, self.max_degree())[self.moments[bounds[:-1]]]
-        return tuple((tuple(alpha), self.rows[lo:hi], self.cols[lo:hi], self.vals[lo:hi])
+        vals = self.vals  # once: each read gathers every entry
+        return tuple((tuple(alpha), self.rows[lo:hi], self.cols[lo:hi], vals[lo:hi])
                      for alpha, lo, hi in zip(alphas.tolist(), bounds, bounds[1:]))
 
 
@@ -166,7 +180,9 @@ def _pencil(q: Polynomial, num_vars: int, order: int,
     being |gamma| `succ` gathers over the degree-2 order prefix.  Each
     term's entries come sorted by (rank, i, j) from `IndexTables.corner`,
     so the t terms merge by one stable argsort of their sorted runs on the
-    unique int64 key rank * n^2 t + (i n + j) t + g.  Raises
+    unique int64 key rank * n^2 t + (i n + j) t + g.  The form keeps q's
+    coefficients once and the term g of each merged entry, with i and j
+    narrowed to the smallest type that holds n - 1.  Raises
     PolynomialError when an entry or moment index would not fit in int32,
     before any table is built."""
     n, t, top = _prefix(num_vars, order), len(q.terms), 2 * order + q.degree
@@ -189,16 +205,19 @@ def _pencil(q: Polynomial, num_vars: int, order: int,
                 shift = tables.succ[v, shift]
         moments[g] = shift[entries]
     coeffs = np.array(list(q.terms.values()), dtype=float)
+    index = np.min_scalar_type(n - 1)
     if t == 1:  # one run, already in order
         rows, cols = np.divmod(by_rank, n)
-        return LinearMatrixForm(n, num_vars, rows, cols, moments[0], np.full(n * n, coeffs[0]))
+        return LinearMatrixForm(n, num_vars, rows.astype(index), cols.astype(index), moments[0],
+                                np.zeros(n * n, dtype=np.uint8), coeffs)
     keys = (tables.rank[moments].astype(np.int64) * (n * n * t) + by_rank * t
             + np.arange(t)[:, None])
     merged = np.argsort(keys.ravel(), kind="stable")
     del keys
     g, position = np.divmod(merged.astype(np.int32), n * n)
     rows, cols = np.divmod(by_rank[position], n)
-    return LinearMatrixForm(n, num_vars, rows, cols, moments.ravel()[merged], coeffs[g])
+    return LinearMatrixForm(n, num_vars, rows.astype(index), cols.astype(index),
+                            moments.ravel()[merged], g.astype(np.min_scalar_type(t - 1)), coeffs)
 
 
 def moment_matrix_form(num_vars: int, order: int,

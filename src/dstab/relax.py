@@ -392,17 +392,16 @@ def _write_lines(handle, count: int, columns) -> None:
         handle.write("".join(cells.ravel().tolist()))
 
 
-def _float_column(values, sign: float = 1.0):
-    """The column of `repr(sign * v)` and a newline for the values.  Each
-    distinct value is formatted once, keyed by its bit pattern so that -0.0
-    keeps its own text; negation maps distinct values to distinct ones."""
+def _float_column(values):
+    """The column of `repr(v)` and a newline for the values.  Each distinct
+    value is formatted once, keyed by its bit pattern so that -0.0 keeps
+    its own text."""
     bits = np.ascontiguousarray(values, dtype=np.float64).view(np.int64)
     keys = np.sort(bits)
     distinct = np.ones(len(keys), dtype=bool)
     distinct[1:] = keys[1:] != keys[:-1]
     keys = keys[distinct]
-    texts = np.array([repr(sign * v) + "\n" for v in keys.view(np.float64).tolist()],
-                     dtype=object)
+    texts = np.array([repr(v) + "\n" for v in keys.view(np.float64).tolist()], dtype=object)
     return lambda part: texts[np.searchsorted(keys, bits[part])]
 
 
@@ -423,9 +422,10 @@ def export_sdp(sdp: SDPProblem, path) -> tuple[int, ...]:
     zero-based.
 
     Each section is written in slices of at most `_SLICE_CELLS` cells built
-    from arrays, with every integer formatted once and every distinct value
-    once per section, so the writer never holds more than one slice's text.
-    A form's int32 indices only select texts here."""
+    from arrays, with every integer formatted once, every distinct value of
+    the objective once and the coefficients of a form once per block, so
+    the writer never holds more than one slice's text.  A form's indices,
+    its term indices among them, only select texts here."""
     blocks = _file_blocks(sdp)
     dims = tuple(form.dimension for _label, form, _sign in blocks)
     # "i " for every moment index, row and column in the file
@@ -444,9 +444,10 @@ def export_sdp(sdp: SDPProblem, path) -> tuple[int, ...]:
                                         _float_column(sdp.objective[nnz])])
         handle.write("constraint 0 = 1.0 1 moment[0]\n0 1.0\n")
         for k, (label, form, sign) in enumerate(blocks):
-            handle.write(f"block {k} {form.dimension} {len(form.vals)} {label}\n")
-            _write_lines(handle, len(form.vals), [
+            values = np.array([repr(sign * c) + "\n" for c in form.coeffs.tolist()], dtype=object)
+            handle.write(f"block {k} {form.dimension} {len(form.term)} {label}\n")
+            _write_lines(handle, len(form.term), [
                 _index_column(numbers, form.rows), _index_column(numbers, form.cols),
-                _index_column(numbers, form.moments), _float_column(form.vals, sign)])
+                _index_column(numbers, form.moments), _index_column(values, form.term)])
         handle.write("end\n")
     return dims

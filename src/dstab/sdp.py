@@ -414,7 +414,7 @@ def _pencil(sdp: SDPProblem, form) -> _Pencil:
     shape (k^2, num_moments) with P y = vec A(y): row r k + c holds entry
     (r, c), column i the moment y_i.  A form holds each entry of each B_alpha
     once (`moments`), so P is the form's entry arrays in row-major order;
-    its int32 indices are widened first, since flat * n_y passes 2^31 on
+    its narrow indices are widened first, since flat * n_y passes 2^31 on
     the larger relaxations."""
     k, n_y = form.dimension, sdp.num_moments
     flat = form.rows.astype(np.intp) * k + form.cols

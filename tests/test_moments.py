@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import PROBLEMS_DIR, running_problem
+from conftest import PROBLEMS_DIR, hurwitz_problem, running_problem
 
 from dstab import relax
 from dstab.cli import load_problem
@@ -77,9 +77,10 @@ def _assert_matches_loop_reference(form, q: Polynomial, num_vars: int, order: in
     dtype, and its `terms` view reads them back."""
     reference = _loop_form(q, num_vars, order)
     top = max(sum(alpha) for alpha, *_rest in reference)
+    index = np.min_scalar_type(form.dimension - 1)
     expected = [
-        np.array([i for _a, rows, _c, _v in reference for i in rows], dtype=np.int32),
-        np.array([j for _a, _r, cols, _v in reference for j in cols], dtype=np.int32),
+        np.array([i for _a, rows, _c, _v in reference for i in rows], dtype=index),
+        np.array([j for _a, _r, cols, _v in reference for j in cols], dtype=index),
         np.array([k for alpha, rows, _c, _v in reference
                   for k in [graded_lex_position(alpha, num_vars, top)] * len(rows)],
                  dtype=np.int32),
@@ -87,6 +88,8 @@ def _assert_matches_loop_reference(form, q: Polynomial, num_vars: int, order: in
     ]
     for got, want in zip((form.rows, form.cols, form.moments, form.vals), expected):
         assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert form.coeffs.tolist() == list(q.terms.values())
+    assert form.term.dtype == np.min_scalar_type(len(q.terms) - 1)
     assert form.dimension == math.comb(num_vars + order, order)
     assert [(alpha, rows.tolist(), cols.tolist(), vals.tolist())
             for alpha, rows, cols, vals in form.terms] == reference
@@ -200,10 +203,56 @@ class TestRelaxationIndexTables:
 
 
 class TestIndexWidth:
-    def test_index_arrays_are_int32(self):
+    def test_index_arrays_are_narrow(self):
         q = parse_polynomial("1 - x1^2 - x2^2", Z_RUN)
         for form in (moment_matrix_form(4, 2), localizing_matrix_form(q, 4, 1)):
-            assert form.rows.dtype == form.cols.dtype == form.moments.dtype == np.int32
+            assert form.rows.dtype == form.cols.dtype == form.term.dtype == np.uint8
+            assert form.moments.dtype == np.int32
+        # 257 rows need a 16-bit row index
+        form = moment_matrix_form(256, 1)
+        assert form.dimension == 257 and form.rows.dtype == form.cols.dtype == np.uint16
+        assert form.rows.max() == form.cols.max() == 256
+
+    def test_bifurcation_forms_store_at_most_9_bytes_per_entry(self, monkeypatch):
+        # each entry holds a row, a column, a moment and a term index; the
+        # values live once per form in `coeffs` (20 bytes an entry when each
+        # entry held its int32 indices and float64 value)
+        sdp, built = _relaxation_pencils(monkeypatch, "bifurcation.prob", 3, {"k": 0.45})
+        forms = [form for _q, _order, form in built]
+        entries = sum(len(form.moments) for form in forms)
+        stored = sum(form.rows.nbytes + form.cols.nbytes + form.moments.nbytes
+                     + form.term.nbytes + form.coeffs.nbytes for form in forms)
+        assert entries == 340804 and stored <= 9 * entries
+        moment = sdp.psd_blocks[0][1]
+        assert moment.dimension == 364 and moment.rows.dtype == moment.cols.dtype == np.uint16
+        localizers = [form for form in forms if form is not moment]
+        assert max(form.dimension for form in localizers) == 78
+        for form in forms:
+            assert form.term.dtype == np.uint8
+        for form in localizers:
+            assert form.rows.dtype == form.cols.dtype == np.uint8
+
+    def test_terms_gathers_the_values_once(self):
+        # Hurwitz's moment form at order 3 has 14400 entries in 1716 terms:
+        # a `vals` gather per term would hold 1716 copies of its 115 kB
+        # values, near 200 MB, where one gather holds one
+        form = relax.assemble_relaxation(build_lifted(hurwitz_problem()), 3).psd_blocks[0][1]
+        tracemalloc.start()
+        try:
+            terms = form.terms
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20
+        assert len(terms) == 1716 and len(form.moments) == 14400
+        for column, want in [(1, form.rows), (2, form.cols), (3, form.vals)]:
+            assert np.array_equal(np.concatenate([term[column] for term in terms]), want)
+        # each run holds the entries of one moment, that of its alpha
+        basis = monomial_basis(form.num_vars, 6)
+        position = {tuple(alpha): k for k, alpha in enumerate(basis.tolist())}
+        lengths = [len(rows) for _alpha, rows, _c, _v in terms]
+        assert np.array_equal(np.repeat([position[alpha] for alpha, *_rest in terms], lengths),
+                              form.moments)
 
     def test_entries_past_int32_are_rejected(self):
         # C(312, 2) = 48516 rows, and 48516^2 entries pass 2^31 - 1

@@ -650,16 +650,19 @@ class TestPencil:
 
     def test_int32_form_indices_are_widened(self):
         # rows * k + cols passes 2^31 at k = 50000, and flat * n_y passes
-        # it further; the int32 form gives the pencil of the intp one
+        # it further; the form of uint16 rows and columns, int32 moments and
+        # uint8 terms gives the pencil of the intp one
         k = 50_000
         rows, cols, moments = [49_999, 0, 49_999, 1], [49_999, 3, 0, 2], [6, 1, 2, 0]
 
-        def form(dtype):
-            return LinearMatrixForm(k, 1, np.array(rows, dtype), np.array(cols, dtype),
-                                    np.array(moments, dtype), np.array([1.0, 2.0, 3.0, 4.0]))
+        def form(index, moment, term):
+            return LinearMatrixForm(k, 1, np.array(rows, index), np.array(cols, index),
+                                    np.array(moments, moment), np.array([3, 2, 1, 0], term),
+                                    np.array([4.0, 3.0, 2.0, 1.0]))
 
         sdp = dataclasses.replace(hankel_sdp(), basis=monomial_basis(1, 6))
-        narrow, wide = _pencil(sdp, form(np.int32)), _pencil(sdp, form(np.intp))
+        narrow = _pencil(sdp, form(np.uint16, np.int32, np.uint8))
+        wide = _pencil(sdp, form(np.intp, np.intp, np.intp))
         assert narrow.shape == wide.shape == (k * k, 7)
         for a, b in ((narrow.rows, wide.rows), (narrow.cols, wide.cols),
                      (narrow.vals, wide.vals)):
