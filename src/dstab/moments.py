@@ -69,7 +69,8 @@ class LinearMatrixForm:
 
     An entry of the localizer of q carries one of q's t coefficients, so a
     form keeps them once (`coeffs`, float64) and each entry only the index
-    of its term (`term`, in the narrowest unsigned type that holds t - 1).
+    of its term (`term`, in the narrowest unsigned type that holds t - 1; a
+    read-only zero-strided view of one 0 when t = 1, as readers only gather).
     `rows` and `cols` are in the narrowest unsigned type that holds
     dimension - 1 (uint8 up to 256 rows, else uint16) and `moments` is
     int32, so a reader widens them to np.intp before any arithmetic on them
@@ -209,7 +210,7 @@ def _pencil(q: Polynomial, num_vars: int, order: int,
     if t == 1:  # one run, already in order
         rows, cols = np.divmod(by_rank, n)
         return LinearMatrixForm(n, num_vars, rows.astype(index), cols.astype(index), moments[0],
-                                np.zeros(n * n, dtype=np.uint8), coeffs)
+                                np.broadcast_to(np.uint8(0), (n * n,)), coeffs)
     keys = (tables.rank[moments].astype(np.int64) * (n * n * t) + by_rank * t
             + np.arange(t)[:, None])
     merged = np.argsort(keys.ravel(), kind="stable")

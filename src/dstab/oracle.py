@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random import default_rng
 
 from .problem import DStabilityProblem, delta_box_bounds, is_box
 from .sets import Relation
@@ -159,7 +158,7 @@ def grid_points(problem: DStabilityProblem, points_per_axis: int,
         # Seeded rejection sampling against the membership test: at most 20
         # batches of max_points draws, keeping the first max_points accepted
         # in draw order.
-        rng = default_rng(seed)
+        rng = np.random.default_rng(seed)
         accepted = []
         for _ in range(20):
             candidates = rng.uniform(lower, upper, size=(max_points, n))

@@ -375,39 +375,50 @@ def _file_blocks(sdp: SDPProblem) -> list[tuple[str, LinearMatrixForm, float]]:
     return sorted(blocks, key=file_order)
 
 
-# cells per write (at least one line): the export holds one slice's text
+# cells per write (at least one line): the export holds one slice's bytes
 _SLICE_CELLS = 1 << 14
 
 
-def _write_lines(handle, count: int, columns) -> None:
+def _words(texts) -> np.ndarray:
+    """The (len(texts), k) table of ASCII texts, zero-padded to the narrowest
+    uint16, uint32 or uint64 word that holds the longest, or to k uint64
+    words past 8 bytes.  No text holds a NUL, so every NUL is padding."""
+    texts = np.asarray(texts, dtype=np.bytes_)
+    width = texts.itemsize
+    word = 2 if width <= 2 else 4 if width <= 4 else 8
+    table = np.zeros((len(texts), -(-width // word) * word), dtype=np.uint8)
+    table[:, :width] = texts.view(np.uint8).reshape(len(texts), width)
+    return table.view(f"u{word}")
+
+
+def _numbers(count: int, end: bytes) -> np.ndarray:
+    """The table of the texts f"{i}{end}" for i < count, built in numpy with
+    the digits right-aligned: digit k of i is written where i >= 10^k or
+    k = 0 (counts stay below 2^31, as the forms index moments in int32)."""
+    width = len(str(count - 1))
+    texts = np.zeros((count, width + 1), dtype=np.uint8)
+    texts[:, width] = end[0]
+    number = np.arange(count, dtype=np.uint32)
+    for k in range(width):
+        lo = 10 ** k if k else 0
+        texts[lo:, width - 1 - k] = number[lo:] % 10 + ord("0")
+        number //= 10
+    return _words(texts.view(f"S{width + 1}").ravel())
+
+
+def _write_rows(handle, count: int, columns) -> None:
     """Write `count` lines, in slices of at most `_SLICE_CELLS` cells or one
-    line.  Each column maps a slice of the line numbers to the texts of its
-    cells (each ending in its separator)."""
+    line.  A column (table, indices) gives line i the words table[indices[i]];
+    each slice gathers them into one buffer and drops its padding."""
+    offsets = np.cumsum([0] + [table.shape[1] * table.itemsize for table, _indices in columns])
     step = max(1, _SLICE_CELLS // len(columns))
+    buf = np.empty((min(step, count), offsets[-1]), dtype=np.uint8)
     for lo in range(0, count, step):
         part = slice(lo, min(lo + step, count))
-        cells = np.empty((part.stop - lo, len(columns)), dtype=object)
-        for c, column in enumerate(columns):
-            cells[:, c] = column(part)
-        handle.write("".join(cells.ravel().tolist()))
-
-
-def _float_column(values):
-    """The column of `repr(v)` and a newline for the values.  Each distinct
-    value is formatted once, keyed by its bit pattern so that -0.0 keeps
-    its own text."""
-    bits = np.ascontiguousarray(values, dtype=np.float64).view(np.int64)
-    keys = np.sort(bits)
-    distinct = np.ones(len(keys), dtype=bool)
-    distinct[1:] = keys[1:] != keys[:-1]
-    keys = keys[distinct]
-    texts = np.array([repr(v) + "\n" for v in keys.view(np.float64).tolist()], dtype=object)
-    return lambda part: texts[np.searchsorted(keys, bits[part])]
-
-
-def _index_column(numbers: np.ndarray, indices: np.ndarray):
-    """The column of the texts numbers[i] for the indices."""
-    return lambda part: numbers[indices[part]]
+        lines = buf[:part.stop - lo]
+        for (table, indices), start, stop in zip(columns, offsets, offsets[1:]):
+            lines[:, start:stop].view(table.dtype)[...] = np.take(table, indices[part], 0)
+        handle.write(lines.tobytes().translate(None, b"\0"))
 
 
 def export_sdp(sdp: SDPProblem, path) -> tuple[int, ...]:
@@ -419,35 +430,36 @@ def export_sdp(sdp: SDPProblem, path) -> tuple[int, ...]:
     pairs, the normalization as the one linear row `constraint 0`, then
     each PSD block as (row, col, moment-index, coefficient) quadruples,
     with every equality form written as a +/- block pair.  Indices are
-    zero-based.
+    zero-based.  Lines end in "\\n" on every platform.
 
-    Each section is written in slices of at most `_SLICE_CELLS` cells built
-    from arrays, with every integer formatted once, every distinct value of
-    the objective once and the coefficients of a form once per block, so
-    the writer never holds more than one slice's text.  A form's indices,
-    its term indices among them, only select texts here."""
+    Every text a column can hold is formatted once into a table of words
+    (`_words`): the integers in numpy, the objective's values and each
+    block's coefficients by `repr`.  A form's indices, its term indices
+    among them, only select words.  Each section is written in slices of
+    at most `_SLICE_CELLS` cells, one gathered byte buffer each."""
     blocks = _file_blocks(sdp)
     dims = tuple(form.dimension for _label, form, _sign in blocks)
-    # "i " for every moment index, row and column in the file
-    numbers = np.array([f"{i} " for i in range(max((sdp.num_moments, *dims)))], dtype=object)
+    # moment indices (basis line numbers too), and row and column indices per dimension
+    moments = _numbers(sdp.num_moments, b" ")
+    dimensions = {dim: _numbers(dim, b" ") for dim in set(dims)}
     basis = sdp.basis
-    last = np.array([f"{e}\n" for e in range(int(basis.max()) + 1)], dtype=object)
     nnz = np.nonzero(sdp.objective)[0]
-    with open(path, "w") as handle:
+    with open(path, "wb") as handle:
         handle.write(f"DSTAB-SDP 1\nnz {sdp.n_z} tau {sdp.tau} moments {sdp.num_moments}\n"
-                     f"zvars {' '.join(sdp.z_vars)}\nbasis\n")
-        _write_lines(handle, len(basis), [lambda part: numbers[part]]
-                     + [_index_column(numbers, e) for e in basis.T[:-1]]
-                     + [_index_column(last, basis[:, -1])])
-        handle.write(f"objective {len(nnz)}\n")
-        _write_lines(handle, len(nnz), [_index_column(numbers, nnz),
-                                        _float_column(sdp.objective[nnz])])
-        handle.write("constraint 0 = 1.0 1 moment[0]\n0 1.0\n")
+                     f"zvars {' '.join(sdp.z_vars)}\nbasis\n".encode())
+        exponents = _numbers(int(basis.max()) + 1, b" ")
+        _write_rows(handle, len(basis), [(moments, np.arange(len(basis)))]
+                    + [(exponents, e) for e in basis.T[:-1]]
+                    + [(_numbers(len(exponents), b"\n"), basis[:, -1])])
+        handle.write(f"objective {len(nnz)}\n".encode())
+        values = _words([f"{v!r}\n" for v in sdp.objective[nnz].tolist()])
+        _write_rows(handle, len(nnz), [(moments, nnz), (values, np.arange(len(nnz)))])
+        handle.write(b"constraint 0 = 1.0 1 moment[0]\n0 1.0\n")
         for k, (label, form, sign) in enumerate(blocks):
-            values = np.array([repr(sign * c) + "\n" for c in form.coeffs.tolist()], dtype=object)
-            handle.write(f"block {k} {form.dimension} {len(form.term)} {label}\n")
-            _write_lines(handle, len(form.term), [
-                _index_column(numbers, form.rows), _index_column(numbers, form.cols),
-                _index_column(numbers, form.moments), _index_column(values, form.term)])
-        handle.write("end\n")
+            handle.write(f"block {k} {form.dimension} {len(form.term)} {label}\n".encode())
+            indices = dimensions[form.dimension]
+            values = _words([f"{sign * c!r}\n" for c in form.coeffs.tolist()])
+            _write_rows(handle, len(form.term), [(indices, form.rows), (indices, form.cols),
+                                                 (moments, form.moments), (values, form.term)])
+        handle.write(b"end\n")
     return dims

@@ -419,7 +419,8 @@ def _pencil(sdp: SDPProblem, form) -> _Pencil:
     k, n_y = form.dimension, sdp.num_moments
     flat = form.rows.astype(np.intp) * k + form.cols
     order = np.argsort(flat * n_y + form.moments)
-    return _Pencil((k * k, n_y), flat[order], form.moments[order], form.vals[order])
+    return _Pencil((k * k, n_y), flat[order], form.moments[order],
+                   form.coeffs[form.term[order]])
 
 
 def _compile(sdp: SDPProblem):

@@ -901,6 +901,22 @@ def test_cli_import_leaves_out_scipy_optimize():
     assert result.stdout.strip() == "False"
 
 
+def test_cli_import_leaves_out_numpy_random():
+    # numpy.random costs every command about 10 ms of start-up; only the
+    # oracle's seeded sampling needs it (some numpy versions import it
+    # with numpy itself)
+    src_dir = str(pathlib.Path(dstab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src_dir}
+    probe = ("import sys, numpy; print('numpy.random' in sys.modules)\n"
+             "import dstab.cli; print('numpy.random' in sys.modules)")
+    result = subprocess.run([sys.executable, "-c", probe], env=env,
+                            capture_output=True, text=True, timeout=120, check=True)
+    with_numpy, with_cli = result.stdout.split()
+    if with_numpy == "True":
+        pytest.skip("this numpy imports numpy.random itself")
+    assert with_cli == "False"
+
+
 def test_cli_needs_no_scipy(problems_dir):
     # importing any scipy module costs a command about 0.3 s of start-up;
     # neither the import nor a whole certify run may load one

@@ -213,6 +213,17 @@ class TestIndexWidth:
         assert form.dimension == 257 and form.rows.dtype == form.cols.dtype == np.uint16
         assert form.rows.max() == form.cols.max() == 256
 
+    def test_one_term_forms_hold_a_zero_strided_term(self):
+        # the moment matrix and the localizer of a monomial have one term, so
+        # `term` is a view of one 0 byte, not n^2 of them
+        q = parse_polynomial("-2*x1", Z_RUN)
+        for form, coeff in ((moment_matrix_form(4, 2), 1.0),
+                            (localizing_matrix_form(q, 4, 1), -2.0)):
+            assert form.term.strides == (0,) and not form.term.flags.writeable
+            assert form.term.shape == form.moments.shape and form.term.dtype == np.uint8
+            assert form.vals.dtype == np.float64 and form.vals.flags.writeable
+            assert np.array_equal(form.vals, np.full(len(form.moments), coeff))
+
     def test_bifurcation_forms_store_at_most_9_bytes_per_entry(self, monkeypatch):
         # each entry holds a row, a column, a moment and a term index; the
         # values live once per form in `coeffs` (20 bytes an entry when each

@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import io
 import math
 import tracemalloc
 import warnings
@@ -16,7 +17,8 @@ from dstab.cli import load_problem
 from dstab.moments import LinearMatrixForm, MomentVector, assemble, moments_of_atomic
 from dstab.poly import graded_lex_position, monomial_basis
 from dstab.problem import LiftedProblem, build_lifted, minimal_order
-from dstab.relax import RelaxationError, SDPProblem, _file_blocks, assemble_relaxation, export_sdp
+from dstab.relax import (RelaxationError, SDPProblem, _file_blocks, _numbers, _words,
+                         _write_rows, assemble_relaxation, export_sdp)
 from dstab.sdp import SolverSettings, solve
 
 
@@ -494,8 +496,8 @@ def test_export_memory_stays_below_whole_file_accumulation(tmp_path):
 def test_export_working_set_is_one_slice(tmp_path):
     # bifurcation at order 3 writes 12376 basis lines and a 364x364 moment
     # block of 132496 entry lines: a writer that holds a block's lines peaks
-    # about 11 MB above what the SDP holds, one that holds a slice about
-    # 1.2 MB (2.1 MB while it also sorted the bits of each block's values)
+    # about 11 MB above what the SDP holds, one that holds a slice of Python
+    # strings about 1.2 MB, one that holds a slice of bytes about 0.6 MB
     problem, _options = load_problem(PROBLEMS_DIR / "bifurcation.prob", {"k": 0.45})
     sdp = assemble_relaxation(build_lifted(problem), 3)
     tracemalloc.start()
@@ -505,7 +507,42 @@ def test_export_working_set_is_one_slice(tmp_path):
         _current, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak - before <= 2e6
+    assert peak - before <= 1e6
+
+
+def _word_texts(table) -> list[bytes]:
+    """The texts of a word table, its padding dropped."""
+    return [row.tobytes().replace(b"\0", b"") for row in table]
+
+
+@pytest.mark.parametrize("cells", [1, 100, 1 << 14])
+def test_row_writer_matches_a_join_of_the_texts(cells, monkeypatch):
+    # tables whose longest text has 1 to 9, 16 or 17 bytes, so every word
+    # width and 1, 2 and 3 uint64 words per text, in 24 columns: 45 lines
+    # are 45 slices of one line, 12 of 4 (the last ends after one) or one
+    monkeypatch.setattr(dstab.relax, "_SLICE_CELLS", cells)
+    letters = b"abcdefghijklmnopq"
+    texts = [[letters[:w - k] for k in range(w)] for w in (*range(1, 10), 16, 17)]
+    tables = [_words(t) for t in texts]
+    assert [(table.dtype.itemsize, table.shape[1]) for table in tables] == [
+        (2, 1), (2, 1), (4, 1), (4, 1), (8, 1), (8, 1), (8, 1), (8, 1), (8, 2), (8, 2), (8, 3)]
+    # indices around 9/10, 99/100, 999/1000 and 9999/10000
+    for count in (10, 11, 100, 101, 1000, 1001, 10000, 10001):
+        table = _numbers(count, b" ")
+        assert _word_texts(table) == [f"{i} ".encode() for i in range(count)]
+        texts.append(_word_texts(table))
+        tables.append(table)
+    values = [-0.30000000000000004, -0.0, 1e-300, 1.0]
+    tables.append(_words([f"{v!r}\n" for v in values]))
+    texts.append([repr(v).encode() + b"\n" for v in values])
+    assert tables[-1].shape == (4, 3)
+    rng = np.random.default_rng(3)
+    count = 45
+    picks = [rng.integers(len(t), size=count) for t in texts]
+    out = io.BytesIO()
+    _write_rows(out, count, list(zip(tables, picks)))
+    assert out.getvalue() == b"".join(text[pick[i]] for i in range(count)
+                                      for text, pick in zip(texts, picks))
 
 
 @pytest.mark.parametrize("cells", [1, 7, 30])
