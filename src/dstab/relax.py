@@ -49,11 +49,11 @@ is fixed only up to a phase, so the quarter turn T, (xre, xim) ->
 each other (one with a sign) and leaves the norm bound and the objective
 alone.  Under T the moment m_alpha of the turned measure is
 (-1)^|alpha_xre| m_sigma(alpha), sigma swapping the xre and xim exponents,
-and the localizer of q becomes a signed permutation of that of q(T z).  So
-the relaxation is invariant when the objective maps to itself, every
-inequality onto an inequality of the same order and every equality onto
-an equality of the same order up to sign; assembly checks exactly that and
-stores the turn as `SDPProblem.quarter_turn`.
+and the localizer of q becomes a signed permutation of that of q(T z).
+Assembly stores the turn as `SDPProblem.quarter_turn` when the objective
+and every inequality map onto themselves, so each PSD block does too (as
+`sdp` needs), and every equality onto one of the same order up to sign.
+In a lift of `build_lifted` x enters no inequality but the norm bound.
 """
 
 from __future__ import annotations
@@ -108,8 +108,9 @@ class SDPProblem:
 
     `quarter_turn` is derived data as well: (xre indices, xim indices) when
     the quarter turn (xre, xim) -> (-xim, xre) leaves the relaxation
-    invariant (see the module docstring), else ().  The solver then folds
-    every moment orbit of the turn and the sign flips into one variable."""
+    invariant, each PSD block onto itself (see the module docstring), else
+    ().  The solver then folds every moment orbit of the turn and the sign
+    flips into one variable."""
 
     tau: int
     basis: np.ndarray
@@ -161,8 +162,8 @@ class SDPSolution:
     dual stationarity as A_e*(W_e) just as a PSD dual block does, but
     carries no sign constraint.  Expectation constraints are among these
     forms, so their multipliers are 1x1 blocks.  Of equality rows equal up
-    to sign after the reduction, the solver keeps one; its multiplier stays
-    there, or with a quarter turn is shared evenly, with signs, by them all.
+    to sign after the reduction, the solver keeps one, and its multiplier is
+    shared evenly, with signs, by them all, with or without a quarter turn.
     All of these have the full size of the SDP, whatever reduction the
     solver applied; `solved_moments` and `solved_blocks` record the size of
     the problem it actually iterated on (moment variables and PSD block
@@ -260,21 +261,18 @@ def _turned(p: Polynomial, re, im) -> Polynomial:
     return Polynomial(p.num_vars, out)
 
 
-def _quarter_turn(lifted: LiftedProblem, objective: Polynomial, inequalities,
+def _quarter_turn(lifted: LiftedProblem, invariant: list,
                   equalities) -> tuple[tuple[int, ...], ...]:
-    """(xre indices, xim indices) when the quarter turn maps the objective
-    to itself, each (polynomial, order) of `inequalities` onto one of them
-    and each of `equalities` onto one of them up to sign; else ()."""
+    """(xre indices, xim indices) when the quarter turn maps each of the
+    polynomials `invariant` to itself and each (polynomial, order) of
+    `equalities` onto one of them up to sign; else ()."""
     if lifted.real_mode or not lifted.x_indices:
         return ()
     half = len(lifted.x_indices) // 2
     re, im = lifted.x_indices[:half], lifted.x_indices[half:]
-    inequalities, equalities = set(inequalities), set(equalities)
-    if _turned(objective, re, im) != objective:
+    if any(_turned(q, re, im) != q for q in invariant):
         return ()
-    for q, order in inequalities:
-        if (_turned(q, re, im), order) not in inequalities:
-            return ()
+    equalities = set(equalities)
     for q, order in equalities:
         t = _turned(q, re, im)
         if (t, order) not in equalities and (-t, order) not in equalities:
@@ -339,8 +337,9 @@ def assemble_relaxation(lifted: LiftedProblem, tau: int | None = None) -> SDPPro
     for label, q, order, equality in localizers:
         form = localizing_matrix_form(q, n_z, order, tables)
         (equalities if equality else blocks).append((label, form))
-    # the localized polynomials with their orders, for the symmetry detection
-    ge_polys = [(q, order) for _label, q, order, equality in localizers if not equality]
+    # the polynomials the symmetries keep, and the equalities with orders
+    invariant = [objective_scaled] + [q for _label, q, _order, equality in localizers
+                                      if not equality]
     eq_polys = [(q, order) for _label, q, order, equality in localizers if equality]
 
     return SDPProblem(
@@ -351,11 +350,10 @@ def assemble_relaxation(lifted: LiftedProblem, tau: int | None = None) -> SDPPro
         scale_pow=scale_pow,
         z_vars=lifted.z_vars,
         moment_bounds=moment_bounds,
-        sign_symmetries=_sign_symmetries([objective_scaled] + [q for q, _ in ge_polys],
-                                         [q for q, _ in eq_polys], n_z),
+        sign_symmetries=_sign_symmetries(invariant, [q for q, _ in eq_polys], n_z),
         equalities=tuple(equalities),
         x_coordinates=lifted.x_indices,
-        quarter_turn=_quarter_turn(lifted, objective_scaled, ge_polys, eq_polys),
+        quarter_turn=_quarter_turn(lifted, invariant, eq_polys),
     )
 
 

@@ -57,24 +57,26 @@ Reduction, before the iteration:
   pattern that remains.  A matrix that is block-diagonal up to a
   permutation is PSD exactly when its diagonal pieces are, so this step is
   exact for any block;
-- under the turn, a piece and its image, and an equality row and its
-  image, are equal up to a signed permutation once folded, so of each
-  turned set of pieces the first is solved, and of each class of rows of G
-  that are equal up to sign once folded (turned images and exact repeats
-  alike) the first is kept; empty rows go.  For the order-3 Hurwitz
-  relaxation these steps take 1716 moments and a 120x120 moment block to
-  129 orbits, 26 moments fixed at 0 by the turn, and 17 pieces of at most
-  20x20 (234 moments and 22 pieces without the turn).
+- the turn maps each block's rows by the signed permutation of `_turn`
+  (the identity without a turn), so each piece onto a piece of the same
+  block that equals it up to that permutation once folded: a piece is
+  solved unless the turned image of its first row lies in an earlier piece.
+  Of each class of rows of G that are equal up to sign once folded (turned
+  images and exact repeats alike) the first is kept; empty rows go.  For
+  the order-3 Hurwitz relaxation these steps take 1716 moments and a
+  120x120 moment block to 129 orbits, 26 moments fixed at 0 by the turn,
+  and 17 pieces of at most 20x20 (234 moments and 22 pieces without the
+  turn).
 
 The reduced SDP is solved, and moments, multipliers and dual blocks are
-scattered back to the full size in the original order (y = P z,
-block-diagonal duals that are zero off the kept rows and on the pieces
-and rows not solved); the multipliers of each equality's rows are
-gathered into its multiplier matrix.  With a quarter turn the dual blocks
-are averaged over the turn's four powers (`_turn_average`) and each
-multiplier is spread evenly over its class of rows, with the row's sign
-(`_scatter`); the dual residual then vanishes on every moment, not only
-summed over each orbit.
+scattered back to the full size in the original order by one rule
+(`_scatter`): y = P z; each dual block holds the solved piece duals, zero
+elsewhere, averaged over the four powers of the turn (`_turn_average`,
+which leaves a block without a turn as it is); each multiplier is spread
+evenly over its class of rows, with the row's sign, and the multipliers
+of each equality's rows are gathered into its multiplier matrix.  The
+dual residual then vanishes on every moment, not only summed over each
+orbit.
 `upper_bound` is evaluated on the full problem from the scattered dual;
 since it holds for any dual, a wrong symmetry could only loosen it, never
 make it unsound.  The dual residual on a moment of x-degree > 2 is exactly
@@ -311,8 +313,8 @@ class _Group:
     def __init__(self, k: int, instances: list):
         """`instances` holds, per instance, the pencils of its pieces of
         dimension k."""
-        self.dim, self.size, self.instances = k, len(instances[0]), instances
-        n_inst = len(instances)
+        self.dim, self.size = k, len(instances[0])
+        n_inst = self.count = len(instances)
         stacked = [_vstack(pencils) for pencils in instances]
         pencil = stacked[0]
         # each instance's rows and columns, past those of the ones before
@@ -363,8 +365,8 @@ class _Group:
         this group's per-instance arrays, the leading instances of its
         block pencil's structure, and the leading part of its work space,
         which the new group shares."""
-        new, count, old = copy.copy(self), len(rows), len(self.instances)
-        new.instances = [self.instances[i] for i in rows]
+        new, count, old = copy.copy(self), len(rows), self.count
+        new.count = count
         size = len(self.block.vals) // old
         new.block = _Pencil((count * self.block.shape[0] // old, count * self.block.shape[1] // old),
                             self.block.rows[:count * size], self.block.cols[:count * size],
@@ -586,11 +588,12 @@ def _reduce(sdp: SDPProblem, blocks: list, g_mat):
     dropped, since it would be free; those are the moments of x-degree > 2.
     An invariant optimum exists (see `relax`), so each orbit may be one
     variable; after the folding each block is block-diagonal up to a
-    permutation, and it is PSD exactly when each diagonal piece is.
-    Returns the orbits, the mask of kept rows of G, per piece that carries
-    entries (source block index, its rows in the source block, the piece's
-    folded pencil), and with a quarter turn its action on the pieces
-    (`_piece_turns`), else None."""
+    permutation, and it is PSD exactly when each diagonal piece is.  The
+    turn (`_Orbits.turn`) maps the pieces of a block onto pieces of the
+    same block, so its row map tells which piece is each piece's image.
+    Returns the orbits, the mask of kept rows of G, and per piece that
+    carries entries (source block index, its rows in the source block, the
+    piece's folded pencil)."""
     block_rows, (g_rows,) = _truncation(sdp, blocks, [g_mat])
     subs = [p.take_rows((rows[:, None] * k + rows).ravel())
             for (k, p), rows in zip(blocks, block_rows)]
@@ -607,37 +610,7 @@ def _reduce(sdp: SDPProblem, blocks: list, g_mat):
         for root in np.flatnonzero(np.bincount(label[r])):
             idx = np.flatnonzero(label == root)
             pieces.append((b, rows[idx], live.take_rows((idx[:, None] * k + idx).ravel())))
-    return orbits, g_rows, pieces, _piece_turns(orbits, pieces) if sdp.quarter_turn else None
-
-
-def _piece_turns(orbits: _Orbits, pieces: list) -> list:
-    """The quarter turn on the pieces: per piece, (the index of its image,
-    the image's local row of each of its rows, the row signs).  The turn
-    maps row r of the localizer of q to row image[r] of the localizer of
-    q(T z) with sign sign[r] (`_turn`), and on folded pencils this signed
-    permutation is exact, so the image is the piece on the turned rows
-    whose folded pencil is the turned one.  A piece without such an image
-    maps to itself."""
-    image, turn_sign = orbits.turn
-
-    def stamp(idx, p):
-        return idx.tobytes(), p.rows.tobytes(), p.cols.tobytes(), p.vals.tobytes()
-
-    found: dict = {}
-    for j, (_b, idx, p) in enumerate(pieces):
-        found.setdefault(stamp(idx, p), j)
-    turns = []
-    for j, (_b, idx, p) in enumerate(pieces):
-        k = len(idx)
-        rows = np.sort(image[idx])
-        pos, sign = np.searchsorted(rows, image[idx]), turn_sign[idx]
-        r, c = np.divmod(p.rows, k)
-        flat = pos[r] * k + pos[c]
-        order = np.lexsort((p.cols, flat))
-        turned = _Pencil(p.shape, flat[order], p.cols[order], (sign[r] * sign[c] * p.vals)[order])
-        target = found.get(stamp(rows, turned))
-        turns.append((j, np.arange(k), np.ones(k)) if target is None else (target, pos, sign))
-    return turns
+    return orbits, g_rows, pieces
 
 
 def _sym(a: np.ndarray) -> np.ndarray:
@@ -1142,7 +1115,6 @@ class _Lowered:
     classes: tuple
     live_rows: np.ndarray
     pieces: list
-    turns: list | None
     dims: list
     members: list
     c_folded: np.ndarray
@@ -1194,22 +1166,19 @@ def _row_classes(g_folded: _Pencil, g_vec: np.ndarray, g_rows: np.ndarray):
 def _lower(sdp: SDPProblem) -> _Lowered:
     start = time.perf_counter()
     c, g_mat, g_vec, blocks = _compile(sdp)
-    orbits, g_rows, pieces, turns = _reduce(sdp, blocks, g_mat)
+    orbits, g_rows, pieces = _reduce(sdp, blocks, g_mat)
     g_folded = g_mat.fold(orbits)
     classes = _row_classes(g_folded, g_vec, g_rows)
     live_rows = classes[0] == np.arange(len(g_vec))
-    # a piece whose turned image is an earlier piece carries the same PSD
-    # condition: of each orbit of pieces, the first is solved
-    solved = range(len(pieces))
-    if turns is not None:
-        solved = []
-        for p in range(len(pieces)):
-            orbit, q = {p}, turns[p][0]
-            while q not in orbit:
-                orbit.add(q)
-                q = turns[q][0]
-            if min(orbit) == p:
-                solved.append(p)
+    # the turn maps a piece onto a piece of its block that carries the same
+    # PSD condition, and it pairs the rows (T^2 changes only signs): a piece
+    # is solved unless the image of its first row lies in an earlier piece
+    # (`owner`: the piece of each row, len(pieces) for none)
+    image = orbits.turn[0]
+    owner = [np.full(k, len(pieces)) for k, _p in blocks]
+    for j, (b, idx, _p) in enumerate(pieces):
+        owner[b][idx] = j
+    solved = [j for j, (b, idx, _p) in enumerate(pieces) if owner[b][image[idx[0]]] >= j]
     dims = sorted({len(pieces[p][1]) for p in solved})
     members = [[p for p in solved if len(pieces[p][1]) == k] for k in dims]
     y_bound = sdp.moment_bounds
@@ -1222,7 +1191,7 @@ def _lower(sdp: SDPProblem) -> _Lowered:
     n = len(orbits.reps)
     stacks = sum(np.count_nonzero(np.bincount(pieces[p][2].cols)) * len(pieces[p][1]) ** 2
                  for p in solved)
-    return _Lowered(sdp, c, g_mat, g_vec, blocks, orbits, classes, live_rows, pieces, turns,
+    return _Lowered(sdp, c, g_mat, g_vec, blocks, orbits, classes, live_rows, pieces,
                     dims, members, orbits.fold(c),
                     g_folded.take_rows(np.flatnonzero(live_rows)), y_bound,
                     4 * (n * n + stacks), time.perf_counter() - start)
@@ -1261,33 +1230,30 @@ def _solve_batch(lowered: list, settings: SolverSettings, logs: list) -> list[_O
                            logs)
 
 
-def _turn_average(turns: list, xs: list) -> list:
-    """The dual blocks of the pieces `xs` (all pieces, zero where not
-    solved) averaged over the quarter turn: each replaced by the mean of
-    its images under the four powers of the turn, which acts on a piece as
-    its signed row permutation (`_piece_turns`)."""
-
-    def turn(xs):
-        out = [np.zeros_like(x) for x in xs]
-        for x, (target, pos, sign) in zip(xs, turns):
-            out[target][np.ix_(pos, pos)] += sign[:, None] * x * sign
-        return out
-
-    def mean(a, b):
-        return [0.5 * (x + t) for x, t in zip(a, b)]
-
-    half = mean(xs, turn(xs))  # over 1 and T
-    return mean(half, turn(turn(half)))  # and over 1 and T^2
+def _turn_average(turn: tuple, x: np.ndarray) -> np.ndarray:
+    """A k x k dual block averaged over the quarter turn: the mean of its
+    images under the four powers of the turn, which acts on its rows as the
+    first k entries of `turn` ((image, sign) of `_turn`).  T^2 only negates
+    the rows of odd x-degree, and no entry of a piece joins rows of both
+    parities (it would use a moment of odd x-degree, fixed at 0), so this is
+    the mean of the block and its turned image.  A block whose rows the
+    turn fixes, as without a turn, is returned as is."""
+    k = len(x)
+    image, sign = turn[0][:k], turn[1][:k]
+    if np.array_equal(image, np.arange(k)) and np.all(sign > 0):
+        return x
+    turned = np.empty_like(x)
+    turned[np.ix_(image, image)] = sign[:, None] * x * sign
+    return 0.5 * (x + turned)
 
 
 def _scatter(low: _Lowered, out: _Outcome, seconds: float) -> SDPSolution:
     """The solution of the full SDP from the outcome of its reduced one:
-    y = P z, dropped rows and pieces at 0, the dual blocks block-diagonal
-    in their source positions, and the rigorous bound taken on the full
-    problem.  Without a quarter turn each multiplier stays on its live row.
-    With one, the piece duals are averaged over the turn (`_turn_average`)
-    and each live multiplier is spread evenly over the rows it stands for
-    (`_row_classes`), nu_i = sign_i nu_rep / |class|.  A class is closed
+    y = P z, the dual blocks zero off the solved pieces and then averaged
+    over the turn (`_turn_average`, which fills in the pieces not solved),
+    and the rigorous bound taken on the full problem.  Each live multiplier
+    is spread evenly over the rows it stands for (`_row_classes`),
+    nu_i = sign_i nu_rep / |class|, dropped rows at 0.  A class is closed
     under the turn, since a row and its turned image fold to the same row up
     to sign, so the spread G' nu turns as the moments do, and its fold is
     the reduced solve's G' nu.  The residual r = c - G' nu - A*(X) is then
@@ -1298,19 +1264,16 @@ def _scatter(low: _Lowered, out: _Outcome, seconds: float) -> SDPSolution:
     y = low.orbits.expand(out.y)
     nu = np.zeros(len(g_vec))
     nu[low.live_rows] = out.nu
-    xs = [np.zeros((len(idx), len(idx))) for _b, idx, _p in pieces]
+    rep, sign = low.classes
+    kept = np.flatnonzero(rep >= 0)
+    size = np.bincount(rep[kept], minlength=len(rep))
+    nu[kept] = sign[kept] * nu[rep[kept]] / size[rep[kept]]
+    x_blocks = [np.zeros((k, k)) for k, _p in blocks]
     for stack, ps in zip(out.x, low.members):
         for x, p in zip(stack, ps):
-            xs[p] = x
-    if low.turns is not None:
-        xs = _turn_average(low.turns, xs)
-        rep, sign = low.classes
-        kept = np.flatnonzero(rep >= 0)
-        size = np.bincount(rep[kept], minlength=len(rep))
-        nu[kept] = sign[kept] * nu[rep[kept]] / size[rep[kept]]
-    x_blocks = [np.zeros((k, k)) for k, _p in blocks]
-    for x, (b, idx, _piece) in zip(xs, pieces):
-        x_blocks[b][np.ix_(idx, idx)] = x
+            b, idx, _piece = pieces[p]
+            x_blocks[b][np.ix_(idx, idx)] = x
+    x_blocks = [_turn_average(low.orbits.turn, x) for x in x_blocks]
 
     adjoint_x = np.zeros(sdp.num_moments)
     for (_k, p), x in zip(blocks, x_blocks):

@@ -17,9 +17,9 @@ from dstab.cli import load_problem
 from dstab.moments import LinearMatrixForm, MomentVector, assemble, moments_of_atomic
 from dstab.poly import graded_lex_position, monomial_basis
 from dstab.problem import LiftedProblem, build_lifted, minimal_order
-from dstab.relax import (RelaxationError, SDPProblem, _file_blocks, _numbers, _words,
-                         _write_rows, assemble_relaxation, export_sdp)
-from dstab.sdp import SolverSettings, solve
+from dstab.relax import (RelaxationError, SDPProblem, SolverStatus, _file_blocks, _numbers,
+                         _turned, _words, _write_rows, assemble_relaxation, export_sdp)
+from dstab.sdp import SolverSettings, residuals, solve
 
 
 @pytest.fixture(scope="module")
@@ -237,21 +237,47 @@ class TestQuarterTurn:
         assert assemble_relaxation(dataclasses.replace(lifted, support=support), 2) \
             .quarter_turn == ()
 
-    def test_a_turned_pair_of_constraints_keeps_it(self):
-        # with xim1 >= 0 beside xre1 >= 0 the turn maps the pair onto
-        # xim1 >= 0 and -xre1 >= 0; only a third, -xre1 >= 0, closes it
+    def test_a_turned_set_of_constraints_drops_it(self):
+        # the turn maps xre1 >= 0 onto xim1 >= 0 and xim1 >= 0 onto
+        # -xre1 >= 0; it maps {xre1, xim1, -xre1, -xim1} >= 0 onto itself,
+        # but no member onto itself, so their localizers trade places.  The
+        # turn is kept only when each inequality maps onto itself, and the
+        # SDP is solved without it
         from dstab.poly import Polynomial
         from dstab.sets import Relation, SemialgebraicSet
         lifted = build_lifted(hurwitz_problem())
         xre1, xim1 = (Polynomial.variable(lifted.num_vars, lifted.z_vars.index(name))
                       for name in ("xre1", "xim1"))
-        for extra, kept in (((xre1, xim1), False), ((xre1, xim1, -xre1, -xim1), True)):
+        for extra in ((xre1, xim1), (xre1, xim1, -xre1, -xim1)):
             support = SemialgebraicSet(
                 lifted.support.variables,
                 lifted.support.constraints + tuple((q, Relation.GE) for q in extra),
             )
             sdp = assemble_relaxation(dataclasses.replace(lifted, support=support), 2)
-            assert bool(sdp.quarter_turn) is kept
+            assert sdp.quarter_turn == ()
+        solution = solve(sdp)
+        assert solution.status is SolverStatus.OPTIMAL
+        assert residuals(sdp, solution)["dual_infeas"] <= 1e-7
+
+    def test_every_shipped_inequality_is_turn_invariant(self):
+        # the premise of the solver's row map: each localized inequality of
+        # every complex-mode lift maps onto itself, so the turn maps each
+        # PSD block onto itself
+        from dstab.sets import Relation
+        for path in sorted(PROBLEMS_DIR.glob("*.prob")):
+            problem, _options = load_problem(path, SHIPPED_BINDINGS.get(path.stem, {}))
+            lifted = build_lifted(problem)
+            if lifted.real_mode:
+                continue
+            sdp = assemble_relaxation(lifted, minimal_order(lifted))
+            assert sdp.quarter_turn, path.stem
+            re, im = sdp.quarter_turn
+            inequalities = [q for q, rel in lifted.support.constraints if rel is not Relation.EQ]
+            inequalities += [f - target for f, rel, target in lifted.moment_constraints
+                             if rel != "="]
+            assert inequalities, path.stem
+            for q in inequalities:
+                assert _turned(q, re, im) == q, (path.stem, q)
 
 
 class TestScaling:

@@ -44,6 +44,7 @@ from dstab.sdp import (
     _second_order,
     _solve_batch,
     _truncation,
+    _turn_average,
     residuals,
     solve,
     solve_many,
@@ -347,6 +348,40 @@ class TestQuarterTurn:
         assert all(np.all(nu[rows] == nu[rows[0]]) for rows in repeats)
         assert all(nu[rows[0]] != 0.0 for rows in repeats)
 
+    @pytest.mark.parametrize("name,tau", [("hurwitz", 3), ("hurwitz", 4), ("lti_stability", 2),
+                                          ("lti_hinf", 2)])
+    def test_row_map_matches_the_stamp_search(self, name, tau):
+        # the turn's row map picks the same pieces as a search for each
+        # piece's turned folded pencil, and its block mean equals the mean
+        # over the pieces' images, bit for bit
+        problem, _ = load_problem(PROBLEMS_DIR / f"{name}.prob")
+        low = _lower(assemble_relaxation(build_lifted(problem), tau))
+        turns = _stamp_turns(low)
+        assert all(low.pieces[t][0] == b for (t, _pos, _sign), (b, _idx, _p)
+                   in zip(turns, low.pieces))
+        orbit_minima = []
+        for j in range(len(turns)):
+            orbit, t = {j}, turns[j][0]
+            while t not in orbit:
+                orbit.add(t)
+                t = turns[t][0]
+            if min(orbit) == j:
+                orbit_minima.append(j)
+        assert low.solved == orbit_minima
+        assert len(low.solved) < len(low.pieces)
+        rng = np.random.default_rng(7)
+        xs = [np.zeros((len(idx), len(idx))) for _b, idx, _p in low.pieces]
+        for j in low.solved:
+            a = rng.standard_normal(xs[j].shape)
+            xs[j] = a + a.T
+        x_blocks = [np.zeros((k, k)) for k, _p in low.blocks]
+        reference = [np.zeros((k, k)) for k, _p in low.blocks]
+        for x, mean, (b, idx, _p) in zip(xs, _stamp_average(turns, xs), low.pieces):
+            x_blocks[b][np.ix_(idx, idx)] = x
+            reference[b][np.ix_(idx, idx)] = mean
+        for x, mean in zip(x_blocks, reference):
+            assert _turn_average(low.orbits.turn, x).tobytes() == mean.tobytes()
+
     def test_a_constraint_that_breaks_the_turn_is_solved_without_it(self):
         from dstab.poly import Polynomial
         from dstab.sets import Relation, SemialgebraicSet
@@ -364,6 +399,51 @@ class TestQuarterTurn:
                        for flip in sdp.sign_symmetries], axis=0)
         assert solution.solved_moments == ((_x_degree(sdp) <= 2) & even).sum()
         assert residuals(sdp, solution)["dual_infeas"] <= 1e-7
+
+
+def _stamp_turns(low) -> list:
+    """Reference, a search by folded pencil: per piece, (the index of its
+    image, the image's local row of each of its rows, the row signs).  The
+    turn maps row r of a localizer to row image[r] with sign sign[r], so
+    the image is the piece on the turned rows whose folded pencil is the
+    turned one (a KeyError where there is none)."""
+    image, turn_sign = low.orbits.turn
+
+    def stamp(idx, p):
+        return idx.tobytes(), p.rows.tobytes(), p.cols.tobytes(), p.vals.tobytes()
+
+    found: dict = {}
+    for j, (_b, idx, p) in enumerate(low.pieces):
+        found.setdefault(stamp(idx, p), j)
+    turns = []
+    for _b, idx, p in low.pieces:
+        k = len(idx)
+        rows = np.sort(image[idx])
+        pos, sign = np.searchsorted(rows, image[idx]), turn_sign[idx]
+        r, c = np.divmod(p.rows, k)
+        flat = pos[r] * k + pos[c]
+        order = np.lexsort((p.cols, flat))
+        turned = _Pencil(p.shape, flat[order], p.cols[order], (sign[r] * sign[c] * p.vals)[order])
+        turns.append((found[stamp(rows, turned)], pos, sign))
+    return turns
+
+
+def _stamp_average(turns, xs) -> list:
+    """Reference: the piece duals xs (zero where not solved), each replaced
+    by the mean of its images under the four powers of the turn on the
+    pieces (`_stamp_turns`)."""
+
+    def turn(xs):
+        out = [np.zeros_like(x) for x in xs]
+        for x, (target, pos, sign) in zip(xs, turns):
+            out[target][np.ix_(pos, pos)] += sign[:, None] * x * sign
+        return out
+
+    def mean(a, b):
+        return [0.5 * (x + t) for x, t in zip(a, b)]
+
+    half = mean(xs, turn(xs))
+    return mean(half, turn(turn(half)))
 
 
 def _x_degree(sdp) -> np.ndarray:
@@ -428,7 +508,7 @@ class TestTruncation:
         # Schur matrix singular)
         sdp = assemble_relaxation(build_lifted(problem), tau)
         _c, g_mat, _g, blocks = _compile(sdp)
-        orbits, g_rows, pieces, _turns = _reduce(sdp, blocks, g_mat)
+        orbits, g_rows, pieces = _reduce(sdp, blocks, g_mat)
         parity = sdp.basis % 2
         even = np.all([parity[:, list(flip)].sum(axis=1) % 2 == 0
                        for flip in sdp.sign_symmetries], axis=0)
@@ -450,7 +530,7 @@ class TestTruncation:
         sdp = dataclasses.replace(mean_sdp, sign_symmetries=())
         _c, g_mat, _g, blocks = _compile(sdp)
         block_rows, _ = _truncation(sdp, blocks, [])
-        _orbits, _g_rows, pieces, _turns = _reduce(sdp, blocks, g_mat)
+        _orbits, _g_rows, pieces = _reduce(sdp, blocks, g_mat)
         for b, rows in enumerate(block_rows):
             covered = np.concatenate([idx for src, idx, _p in pieces if src == b])
             assert np.array_equal(np.sort(covered), rows)
@@ -526,12 +606,13 @@ class TestEqualityRows:
         twice = dataclasses.replace(mean_sdp, equalities=mean_sdp.equalities * 2)
         assert _lower(twice).g_folded.shape == _lower(mean_sdp).g_folded.shape
         solution = solve(twice)
-        assert solution.iterations == mean_solution.iterations
+        assert solution.iterations == mean_solution.iterations == 17
         assert solution.primal_value == mean_solution.primal_value
-        # the repeat's multipliers stay with the first copy
-        assert all(not w.any() for w in solution.equality_duals[len(mean_sdp.equalities):])
-        for w, first in zip(solution.equality_duals, mean_solution.equality_duals):
-            assert np.array_equal(w, first)
+        # the two copies share each multiplier: each holds half of it
+        n_eq = len(mean_sdp.equalities)
+        for copy in (solution.equality_duals[:n_eq], solution.equality_duals[n_eq:]):
+            for w, single in zip(copy, mean_solution.equality_duals):
+                assert np.array_equal(w, single / 2)
         assert residuals(twice, solution)["dual_infeas"] <= 1e-7
 
     def test_live_rows_keep_each_row_once(self):
@@ -902,20 +983,21 @@ class TestSolveMany:
     def test_breakdown_stops_only_its_instance(self, monkeypatch):
         sdps = _variance_sdps([0.05, 0.1, 0.15])
         alone = [solve(s) for s in sdps]
-        target = set()  # the pencils of the middle SDP's pieces
+        target = []  # the values of the middle SDP's pieces in the first group
         lower, newton_step = dstab.sdp._lower, dstab.sdp._newton_step
 
         def recording(sdp):
             low = lower(sdp)
             if sdp is sdps[1]:
-                target.update(id(p) for _b, _idx, p in low.pieces)
+                target.append(np.concatenate([low.pieces[p][2].vals for p in low.members[0]]))
             return low
 
         def breaking(groups, *args):
             # the Newton system of the middle SDP fails once its mu is small
             mu = args[-2]
-            for row, pencils in enumerate(groups[0].instances):
-                if id(pencils[0]) in target and mu[row] < 1e-4:
+            vals = groups[0].block.vals.reshape(len(mu), -1)
+            for row in range(len(mu)):
+                if np.array_equal(vals[row], target[0]) and mu[row] < 1e-4:
                     raise np.linalg.LinAlgError("synthetic breakdown")
             return newton_step(groups, *args)
 
