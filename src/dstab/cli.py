@@ -24,8 +24,6 @@ import re
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import analysis, oracle
 from .poly import IDENTIFIER, Polynomial, PolynomialError, parse_polynomial
 from .problem import DStabilityProblem, MomentConstraint, UncertainMatrix, build_lifted
@@ -484,10 +482,7 @@ def _cmd_oracle(args, out) -> int:
             f"eigenpair residual {fmt(witness.eig_residual)}", file=out,
         )
     try:
-        atoms = oracle.grid_points(problem, args.grid, max_points=10_000, seed=args.seed)
-        # the LP's grid is the search grid unless that exceeds the LP's cap
-        shared = np.array_equal(atoms, points)
-        result = oracle.atomic_lp_bound(problem, atoms, atom_spectra=spectra if shared else None)
+        result = oracle.atomic_lp_bound(problem, points, atom_spectra=spectra)
         print(
             f"atomic LP over {len(result.atoms)} atoms: lower bound "
             f"{fmt(result.lower_bound)} on the violation probability", file=out,

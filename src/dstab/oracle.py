@@ -255,8 +255,9 @@ def _minimize(tableau, basis, cost, allowed, max_iter=20000):
     raise OracleError("simplex iteration limit exceeded")
 
 
-def simplex_maximize(c, a_eq, b_eq, a_le=None, b_le=None):
-    """Maximize c.x subject to a_eq x = b_eq, a_le x <= b_le, x >= 0.
+def simplex_maximize(c, a_eq, b_eq, a_le=(), b_le=()):
+    """Maximize c.x subject to a_eq x = b_eq, a_le x <= b_le, x >= 0,
+    where the <= rows a_le, b_le may be empty sequences (the default).
 
     Dense two-phase tableau simplex: Dantzig's rule, with Bland's rule
     after a degenerate pivot against cycling, so the path and the answer
@@ -266,9 +267,6 @@ def simplex_maximize(c, a_eq, b_eq, a_le=None, b_le=None):
     c = np.asarray(c, dtype=float)
     a_eq = np.asarray(a_eq, dtype=float).reshape(-1, len(c))
     b_eq = np.asarray(b_eq, dtype=float)
-    if a_le is None:
-        a_le = np.zeros((0, len(c)))
-        b_le = np.zeros(0)
     a_le = np.asarray(a_le, dtype=float).reshape(-1, len(c))
     b_le = np.asarray(b_le, dtype=float)
 
@@ -382,7 +380,7 @@ def atomic_lp_bound(
             a_le.append(-row)
             b_le.append(-mc.target)
 
-    weights, value = simplex_maximize(objective, a_eq, b_eq, a_le or None, b_le or None)
+    weights, value = simplex_maximize(objective, a_eq, b_eq, a_le, b_le)
     return AtomicLPResult(
         atoms=atoms, weights=weights, lower_bound=min(1.0, max(0.0, float(value))),
         violating=violating,

@@ -2,16 +2,16 @@
 
 The solver works on the internal minimization form
 
-    min  c . y     s.t.   G y = g,    S_b = A_b(y)  PSD  for each block b,
+    min  c . y     s.t.   G y = e_0,    S_b = A_b(y)  PSD  for each block b,
 
 where y is the vector of scaled moments.  G holds the normalization
-y_0 = 1, the only linear row of the SDP (the constant monomial heads every
-graded-lex basis, so y_0 is its moment), and, for each equality form
-A_e(y) = 0 (support equalities and expectation equalities alike), one row
-per upper-triangle entry of A_e in row-major order.  The reduction maps
-each row onto the live row it stands for (`_row_classes`): the empty rows
-are dropped, and every row equal up to sign to an earlier one, exact
-repeats included, stands for the first.
+y_0 = 1, the only inhomogeneous row of the SDP (the constant monomial
+heads every graded-lex basis, so y_0 is its moment), and, for each
+equality form A_e(y) = 0 (support equalities and expectation equalities
+alike), one row per upper-triangle entry of A_e in row-major order.  The
+reduction maps each row onto the live row it stands for (`_row_classes`):
+the empty rows are dropped, and every row equal up to sign to an earlier
+one, exact repeats included, stands for the first.
 The PSD blocks are the moment matrix and the localizers of the
 inequalities, expectation constraints among them as 1x1 blocks (`relax`).
 Each block, each piece of a block (see below) and each equality form is
@@ -24,10 +24,11 @@ below) becomes dense for the iteration.
 The engine's maximization objective is negated on entry and the reported
 values are mapped back, so `primal_value` is the relaxation value at the
 final primal iterate and `dual_value` the dual objective at the final dual
-iterate.  Neither is a safe bound on its own; `upper_bound` is, by the
-a-posteriori error bound of Jansson, Chaykin and Keil (SIAM J. Numer. Anal.
-46(1), 2007) over the a-priori moment bounds of the relaxation, with an
-allowance for the rounding of its own evaluation.
+iterate, -nu_0 for the normalization's multiplier nu_0.  Neither is a
+safe bound on its own; `upper_bound` is, by the a-posteriori error bound
+of Jansson, Chaykin and Keil (SIAM J. Numer. Anal. 46(1), 2007) over the
+a-priori moment bounds of the relaxation, with an allowance for the
+rounding of its own evaluation.
 
 Reduction, before the iteration:
 
@@ -123,7 +124,7 @@ with the best iterate seen; it never raises.
 The iteration runs over a leading instance axis (`solve_many`).  SDPs that
 reduce to the same structure (the same orbits, live rows of G and piece
 rows and columns of every solved pencil) differ only in values: pencil
-values, c, G, g and the a-priori bounds.  They are solved in one run: every
+values, c, G and the a-priori bounds.  They are solved in one run: every
 stack is (B, pieces, k, k), the Schur complements are one (B, n, n) array
 with one stacked Cholesky (the jitter ladder runs per instance, and only
 when that Cholesky fails), and mu, sigma, the step lengths, the stopping
@@ -427,15 +428,14 @@ def _pencil(sdp: SDPProblem, form) -> _Pencil:
 
 def _compile(sdp: SDPProblem):
     """Lower the SDP into solver arrays: the objective c, the linear rows
-    G y = g (the normalization, then the rows of the equality forms,
-    `_equality_rows`), and each PSD block as (dimension, pencil).  Every
-    row of G is kept here; `_row_classes` picks those the iteration takes."""
+    G y = e_0 (the normalization, then the rows of the equality forms,
+    `_equality_rows`, all homogeneous), and each PSD block as (dimension,
+    pencil).  Every row of G is kept here; `_row_classes` picks those the
+    iteration takes."""
     norm_row = _Pencil((1, sdp.num_moments), [0], [0], [1.0])
     g_mat = _vstack([norm_row, _equality_rows(sdp)])
-    g_vec = np.zeros(g_mat.shape[0])
-    g_vec[0] = 1.0
     blocks = [(form.dimension, _pencil(sdp, form)) for _label, form in sdp.psd_blocks]
-    return -sdp.objective, g_mat, g_vec, blocks  # the solver minimizes
+    return -sdp.objective, g_mat, blocks  # the solver minimizes
 
 
 def _equality_rows(sdp: SDPProblem) -> _Pencil:
@@ -489,7 +489,7 @@ def _rigorous_upper_bound(dual_value, r_c, allowance, blocks, x_blocks, y_bound)
     residual r_c = c - G'nu - sum_b A_b*(X_b), computed to within
     `allowance`, and A_b(y) PSD,
 
-        -c.y = -g.nu - r_c.y - sum_b <X_b, A_b(y)>
+        -c.y = -nu_0 - r_c.y - sum_b <X_b, A_b(y)>
             <= dual_value + (|r_c| + allowance).y_bound
                + sum_b max(0, -lambda_min(X_b)) sum_i |tr A_b,i| y_bound_i,
 
@@ -928,28 +928,28 @@ def _newton_step(groups, g_mat, s_st, x_st, s_low, x_low, r_link, r_g, r_c, mu, 
     return (*newton(comp), s_low_inv, x_low_inv)
 
 
-def _interior_point(c, g_mat, g_vec, groups, y, y_bound, settings, logs) -> list[_Outcome]:
+def _interior_point(c, g_mat, groups, y, y_bound, settings, logs) -> list[_Outcome]:
     """Path following for B instances of one structure at once, each from
-    its primal point y with S = X = I: c and y are (B, n), G (B, m, n),
-    g (B, m), y_bound (B, n) or None, and `logs` holds one stream (or None)
-    per instance.  Every instance runs exactly the iteration it would run
-    alone, with its own mu, sigma, steps, stopping tests and best iterate,
-    and leaves the arrays when it stops.  A Newton breakdown or a step that
-    breaks definiteness raises `LinAlgError` while more than one instance
-    is live, for the caller to repeat the run one SDP at a time.  With
-    finite a-priori moment bounds y_bound, an iterate whose value exceeds
-    the bound its own dual gives (`_rigorous_upper_bound`) is provably
-    infeasible, so it is not accepted as Optimal."""
+    its primal point y with S = X = I: c and y are (B, n), G (B, m, n) with
+    G y = e_0, so that the dual objective is nu_0, y_bound (B, n) or None,
+    and `logs` holds one stream (or None) per instance.  Every instance
+    runs exactly the iteration it would run alone, with its own mu, sigma,
+    steps, stopping tests and best iterate, and leaves the arrays when it
+    stops.  A Newton breakdown or a step that breaks definiteness raises
+    `LinAlgError` while more than one instance is live, for the caller to
+    repeat the run one SDP at a time.  With finite a-priori moment bounds
+    y_bound, an iterate whose value exceeds the bound its own dual gives
+    (`_rigorous_upper_bound`) is provably infeasible, so it is not accepted
+    as Optimal."""
     n_y = c.shape[1]
     k_total = sum(g.dim * g.size for g in groups)
-    nu = np.zeros(g_vec.shape)
+    nu = np.zeros(g_mat.shape[:2])
     s_st = [np.tile(np.eye(g.dim), (len(c), g.size, 1, 1)) for g in groups]
     x_st = [s.copy() for s in s_st]
     # the Cholesky factors of the iterate, from the check that committed it
     s_low = [np.linalg.cholesky(s) for s in s_st]
     x_low = [np.linalg.cholesky(x) for x in x_st]
     c_norm = 1.0 + np.abs(c).max(axis=1, initial=0.0)
-    g_norm = 1.0 + np.abs(g_vec).max(axis=1, initial=0.0)
     switch = _SECOND_ORDER_SWITCH * max(settings.feasibility_tol, settings.gap_tol)
 
     index = np.arange(len(c))  # the instance in each row of the arrays
@@ -960,8 +960,8 @@ def _interior_point(c, g_mat, g_vec, groups, y, y_bound, settings, logs) -> list
     def stop(rows: dict, it: int) -> np.ndarray:
         """Record the outcome of the instances in `rows` (row -> (status,
         ray)) and drop them from the arrays; returns the rows kept."""
-        nonlocal c, g_mat, g_vec, y_bound, c_norm, g_norm, groups, y, nu, s_st, x_st, s_low, \
-            x_low, index, progress, figures
+        nonlocal c, g_mat, y_bound, c_norm, groups, y, nu, s_st, x_st, s_low, x_low, index, \
+            progress, figures
         for row, (status, ray) in rows.items():
             best = progress[row].best
             if status in (SolverStatus.SLOW_PROGRESS, SolverStatus.ITER_LIMIT) and best is not None:
@@ -973,9 +973,8 @@ def _interior_point(c, g_mat, g_vec, groups, y, y_bound, settings, logs) -> list
         keep = np.array([row for row in range(len(index)) if row not in rows], dtype=np.intp)
         if not len(keep):  # the batch is done
             return keep
-        (c, g_mat, g_vec, y_bound, c_norm, g_norm, groups, y, nu, s_st, x_st, s_low, x_low,
-         index) = _take((c, g_mat, g_vec, y_bound, c_norm, g_norm, groups, y, nu, s_st, x_st,
-                         s_low, x_low, index), keep)
+        c, g_mat, y_bound, c_norm, groups, y, nu, s_st, x_st, s_low, x_low, index = _take(
+            (c, g_mat, y_bound, c_norm, groups, y, nu, s_st, x_st, s_low, x_low, index), keep)
         progress = [progress[row] for row in keep]
         figures = [figures[row] for row in keep]
         return keep
@@ -983,14 +982,15 @@ def _interior_point(c, g_mat, g_vec, groups, y, y_bound, settings, logs) -> list
     it = 0
     for it in range(1, settings.max_iterations + 1):
         r_link = [g.assemble(y) - s for g, s in zip(groups, s_st)]
-        r_g = g_vec - _mv(g_mat, y)
+        r_g = -_mv(g_mat, y)
+        r_g[:, 0] += 1.0  # e_0 - G y
         gt_nu = _mv(g_mat.swapaxes(1, 2), nu)
         adjoint_x = _adjoint(groups, x_st, y.shape)
         r_c = c - gt_nu - adjoint_x
         mu = _inner(x_st, s_st) / k_total
         score = np.empty(len(index))
 
-        p_inf = np.abs(r_g).max(axis=1, initial=0.0) / g_norm
+        p_inf = np.abs(r_g).max(axis=1) / 2.0  # the scale 1 + max |e_0|
         for r, s in zip(r_link, s_st):
             p_inf = np.maximum(p_inf, (np.abs(r).max(axis=(2, 3))
                                        / (1.0 + np.abs(s).max(axis=(2, 3)))).max(axis=1))
@@ -1008,7 +1008,7 @@ def _interior_point(c, g_mat, g_vec, groups, y, y_bound, settings, logs) -> list
             x_norm = x_norm + np.sqrt(np.add.reduce(x * x, axis=(2, 3))).sum(axis=1)
         ray_res = None
 
-        figures = list(zip(_dot(c, y).tolist(), _dot(g_vec, nu).tolist(), p_inf.tolist(),
+        figures = list(zip(_dot(c, y).tolist(), nu[:, 0].tolist(), p_inf.tolist(),
                            d_inf.tolist()))
         stopped = {}
         for row, (track, (pobj, dobj, p_row, d_row), residual_term, norm) in enumerate(
@@ -1109,7 +1109,6 @@ class _Lowered:
     sdp: SDPProblem
     c: np.ndarray
     g_mat: _Pencil
-    g_vec: np.ndarray
     blocks: list
     orbits: _Orbits
     classes: tuple
@@ -1138,23 +1137,25 @@ class _Lowered:
         return sorted(sum(self.members, []))
 
 
-def _row_classes(g_folded: _Pencil, g_vec: np.ndarray, g_rows: np.ndarray):
+def _row_classes(g_folded: _Pencil, g_rows: np.ndarray):
     """The one map from the rows of G to the rows the iteration keeps:
     (rep, sign), rep[i] the live row that row i stands for (-1 where it is
     dropped) and sign[i] the s with folded row i = s * folded row rep[i].
-    A row is dropped when the truncation drops it or it has neither an entry
-    nor a right-hand side; a row with right-hand side 0 stands for the first
-    such row equal to it up to sign, and every other row for itself.  That
-    drops exact repeats (an equality's entries repeat wherever
-    beta_r + beta_c does, and so may whole equalities) as well as the
-    turn's images (the turn maps each eigen-equation row onto one of the
-    other part, which folds to the same row up to sign).  A folded row
-    holds its columns ascending and no zero."""
-    starts = np.searchsorted(g_folded.rows, np.arange(len(g_vec) + 1))
-    rep = np.where(g_rows & ((np.diff(starts) > 0) | (g_vec != 0.0)), np.arange(len(g_vec)), -1)
-    sign = np.ones(len(g_vec))
+    Row 0, the normalization and the only row with a right-hand side
+    (G y = e_0), stands for itself.  Any other row is dropped when the
+    truncation drops it or it has no entry, and otherwise stands for the
+    first such row equal to it up to sign.  That drops exact repeats (an
+    equality's entries repeat wherever beta_r + beta_c does, and so may
+    whole equalities) as well as the turn's images (the turn maps each
+    eigen-equation row onto one of the other part, which folds to the same
+    row up to sign).  A folded row holds its columns ascending and no
+    zero."""
+    rows = np.arange(len(g_rows))
+    starts = np.searchsorted(g_folded.rows, np.arange(len(g_rows) + 1))
+    rep = np.where(g_rows & ((np.diff(starts) > 0) | (rows == 0)), rows, -1)
+    sign = np.ones(len(g_rows))
     first: dict = {}
-    for row in np.flatnonzero((rep >= 0) & (g_vec == 0.0)).tolist():
+    for row in np.flatnonzero((rep >= 0) & (rows > 0)).tolist():
         span = slice(starts[row], starts[row + 1])
         vals = g_folded.vals[span]
         s = 1.0 if vals[0] > 0 else -1.0
@@ -1165,11 +1166,11 @@ def _row_classes(g_folded: _Pencil, g_vec: np.ndarray, g_rows: np.ndarray):
 
 def _lower(sdp: SDPProblem) -> _Lowered:
     start = time.perf_counter()
-    c, g_mat, g_vec, blocks = _compile(sdp)
+    c, g_mat, blocks = _compile(sdp)
     orbits, g_rows, pieces = _reduce(sdp, blocks, g_mat)
     g_folded = g_mat.fold(orbits)
-    classes = _row_classes(g_folded, g_vec, g_rows)
-    live_rows = classes[0] == np.arange(len(g_vec))
+    classes = _row_classes(g_folded, g_rows)
+    live_rows = classes[0] == np.arange(len(g_rows))
     # the turn maps a piece onto a piece of its block that carries the same
     # PSD condition, and it pairs the rows (T^2 changes only signs): a piece
     # is solved unless the image of its first row lies in an earlier piece
@@ -1191,7 +1192,7 @@ def _lower(sdp: SDPProblem) -> _Lowered:
     n = len(orbits.reps)
     stacks = sum(np.count_nonzero(np.bincount(pieces[p][2].cols)) * len(pieces[p][1]) ** 2
                  for p in solved)
-    return _Lowered(sdp, c, g_mat, g_vec, blocks, orbits, classes, live_rows, pieces,
+    return _Lowered(sdp, c, g_mat, blocks, orbits, classes, live_rows, pieces,
                     dims, members, orbits.fold(c),
                     g_folded.take_rows(np.flatnonzero(live_rows)), y_bound,
                     4 * (n * n + stacks), time.perf_counter() - start)
@@ -1219,15 +1220,14 @@ def _solve_batch(lowered: list, settings: SolverSettings, logs: list) -> list[_O
               for k, ps in zip(first.dims, first.members)]
     c = np.stack([low.c_folded for low in lowered])
     g_mat = np.stack([low.g_folded.toarray() for low in lowered])
-    g_vec = np.stack([low.g_vec[low.live_rows] for low in lowered])
     y_bound = None if first.y_bound is None else np.stack([low.y_bound for low in lowered])
-    y0 = np.zeros((len(lowered), first.sdp.num_moments))
+    # e_0 in orbit coordinates: moment 0 is the first orbit's representative
+    y0 = np.zeros(c.shape)
     y0[:, 0] = 1.0
     for log in logs:
         if log is not None:
             print(_LOG_HEADER, file=log)
-    return _interior_point(c, g_mat, g_vec, groups, y0[:, first.orbits.reps], y_bound, settings,
-                           logs)
+    return _interior_point(c, g_mat, groups, y0, y_bound, settings, logs)
 
 
 def _turn_average(turn: tuple, x: np.ndarray) -> np.ndarray:
@@ -1258,11 +1258,13 @@ def _scatter(low: _Lowered, out: _Outcome, seconds: float) -> SDPSolution:
     to sign, so the spread G' nu turns as the moments do, and its fold is
     the reduced solve's G' nu.  The residual r = c - G' nu - A*(X) is then
     turn-invariant; with c invariant and P'r = 0, the residual the reduced
-    solve drives to 0, it vanishes on every moment, fixed ones included."""
+    solve drives to 0, it vanishes on every moment, fixed ones included.
+    Row 0 stands for itself, so the dual value is nu_0 of the reduced solve,
+    negated back to the maximization."""
     sdp, blocks, pieces = low.sdp, low.blocks, low.pieces
-    c, g_mat, g_vec = low.c, low.g_mat, low.g_vec
+    c, g_mat = low.c, low.g_mat
     y = low.orbits.expand(out.y)
-    nu = np.zeros(len(g_vec))
+    nu = np.zeros(g_mat.shape[0])
     nu[low.live_rows] = out.nu
     rep, sign = low.classes
     kept = np.flatnonzero(rep >= 0)
@@ -1279,7 +1281,7 @@ def _scatter(low: _Lowered, out: _Outcome, seconds: float) -> SDPSolution:
     for (_k, p), x in zip(blocks, x_blocks):
         adjoint_x += p.adjoint(x.ravel())
     upper_bound = _rigorous_upper_bound(
-        -float(g_vec @ nu), c - g_mat.adjoint(nu) - adjoint_x,
+        -float(nu[0]), c - g_mat.adjoint(nu) - adjoint_x,
         _rounding_allowance(c, g_mat, nu, blocks, x_blocks),
         blocks, x_blocks, sdp.moment_bounds,
     )

@@ -182,6 +182,51 @@ class TestLoadProblem:
         with pytest.raises(ProblemFileError, match="no placeholder.*notes"):
             load_problem(path, {"k": 0.5, "notes": 1.0})
 
+    _BASE = ("[variables]\nrho\n[matrix]\n1\nrho - 1\n[delta]\nrho in [0, 1]\n"
+             "[region]\nleft_half_plane_closure\n")
+
+    @pytest.mark.parametrize("text, message, line, section", [
+        (_BASE.replace("[matrix]", "[bogus]"), "unknown section [bogus] in ", 3, None),
+        (_BASE + "[delta]\n", "duplicate section [delta]", 10, None),
+        ("rho\n" + _BASE, "content before any section in ", 1, None),
+        (_BASE.replace("rho\n[matrix]", "rho, rho\n[matrix]"), "duplicate variable 'rho'", 2,
+         "variables"),
+        (_BASE.replace("[variables]\nrho\n", "[variables]\n"), "no uncertainty variables declared",
+         None, "variables"),
+        (_BASE.replace("1\nrho - 1\n", ""), "empty matrix section", None, "matrix"),
+        (_BASE.replace("1\nrho - 1\n", "rho - 1\n"),
+         "matrix section must start with the size, got 'rho - 1'", 4, "matrix"),
+        (_BASE.replace("rho in [0, 1]\n", ""), "delta section may not be empty", None, "delta"),
+        (_BASE.replace("left_half_plane_closure\n", ""), "region section may not be empty", None,
+         "region"),
+        (_BASE.replace("rho in", "sigma in"), "unknown variable 'sigma'", 7, "delta"),
+        (_BASE.replace("[0, 1]", "(0, 1)"), "bounds must look like [lo, hi], got '(0, 1)'", 7,
+         "delta"),
+        (_BASE.replace("[0, 1]", "[0, 1, 2]"), "bounds need exactly two values", 7, "delta"),
+        (_BASE.replace("[0, 1]", "[0, one]"), "bad numeric expression ' one': ", 7, "delta"),
+        (_BASE.replace("left_half_plane_closure\n", "lre >= 0\nleft_half_plane_closure\n"),
+         "preset regions cannot be mixed with inline constraints", 10, "region"),
+        (_BASE + "[moments]\nrho = 0.5\n",
+         "moment lines look like 'E[expr] = value', got 'rho = 0.5'", 11, "moments"),
+        (_BASE + "[moments]\nE[rho = 0.5\n",
+         "moment lines look like 'E[expr] = value', got 'E[rho = 0.5'", 11, "moments"),
+        (_BASE + "[moments]\nE[rho] 0.5\n", "missing relation in 'E[rho] 0.5'", 11, "moments"),
+        (_BASE + "[options]\ntau 2\n", "options are 'key = value', got 'tau 2'", 11, "options"),
+    ], ids=["unknown-section", "duplicate-section", "content-before-sections",
+            "duplicate-variable", "no-variables", "empty-matrix", "matrix-without-size",
+            "empty-delta", "empty-region", "unknown-delta-variable", "bounds-without-brackets",
+            "three-bounds", "bad-bound-number", "preset-and-inline-region",
+            "moment-without-expectation", "moment-without-bracket", "moment-without-relation",
+            "option-without-equals"])
+    def test_malformed_file_names_its_line_and_section(self, tmp_path, text, message, line,
+                                                       section):
+        path = tmp_path / "bad.prob"
+        path.write_text(text)
+        with pytest.raises(ProblemFileError) as caught:
+            load_problem(path)
+        assert str(caught.value).startswith(message)
+        assert (caught.value.line, caught.value.section) == (line, section)
+
     def test_missing_section(self, tmp_path):
         path = tmp_path / "bad.prob"
         path.write_text("[variables]\nx\n[matrix]\n1\nx\n[region]\norigin\n")
@@ -810,21 +855,43 @@ ORACLE_GOLDEN = [
 @pytest.mark.parametrize("args, calls", [
     ([VARIANCE, "--grid", "5000", "--bind", "sigma2=0.1"], 1),
     (["lti_stability.prob", "--grid", "6"], 1),
-    # 11^4 points exceed the LP's cap of 10 000 atoms, so its grid differs
-    (["lti_stability.prob", "--grid", "11"], 2),
+    # 11^4 points: the LP's atoms are the search grid past 10 000 points too
+    (["lti_stability.prob", "--grid", "11"], 1),
 ])
 def test_oracle_spectra_once_per_grid(problems_dir, monkeypatch, capsys, args, calls):
-    grids = []
-    spectra = dstab.oracle.spectra
+    grids, spectra_grids = [], []
+    grid_points, spectra = dstab.oracle.grid_points, dstab.oracle.spectra
+
+    def counted_grid(*grid_args, **kwargs):
+        points = grid_points(*grid_args, **kwargs)
+        grids.append(len(points))
+        return points
 
     def counted(problem, points):
-        grids.append(len(points))
+        spectra_grids.append(len(points))
         return spectra(problem, points)
 
+    monkeypatch.setattr(dstab.oracle, "grid_points", counted_grid)
     monkeypatch.setattr(dstab.oracle, "spectra", counted)
     assert main(["oracle", str(problems_dir / args[0]), *args[1:]]) == 0
-    capsys.readouterr()
-    assert len(grids) == calls
+    out = capsys.readouterr().out
+    assert len(grids) == len(spectra_grids) == calls
+    assert f"atomic LP over {grids[0]} atoms" in out
+
+
+def _lp_bound(problems_dir, capsys, grid: int) -> float:
+    assert main(["oracle", str(problems_dir / VARIANCE), "--grid", str(grid),
+                 "--bind", "sigma2=0.13"]) == 0
+    return float(re.search(r"lower bound (\S+)", capsys.readouterr().out).group(1))
+
+
+def test_oracle_refined_grid_keeps_the_lp_bound(problems_dir, capsys):
+    # the search grid holds rho = 1, where the spectrum reaches the
+    # imaginary axis; the LP's atoms are that grid, so refining it past
+    # 10 000 points cannot lose the violating atom
+    coarse = _lp_bound(problems_dir, capsys, 10_000)
+    fine = _lp_bound(problems_dir, capsys, 10_001)
+    assert coarse > 0.342 and fine >= coarse
 
 
 @pytest.mark.parametrize("args, code, stdout, stderr", ORACLE_GOLDEN,

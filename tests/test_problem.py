@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from conftest import PROBLEMS_DIR, hurwitz_problem, running_matrix
 
+from dstab.analysis import Verdict, certify_robust
 from dstab.cli import load_problem
 from dstab.poly import Polynomial, embed, parse_polynomial
 from dstab.problem import (
@@ -15,7 +18,8 @@ from dstab.problem import (
     minimal_order,
     spectral_bound,
 )
-from dstab.sets import Relation, box_set, region_preset
+from dstab.relax import SolverStatus
+from dstab.sets import Relation, SemialgebraicSet, box_set, region_preset
 
 Z_RUN = ["rho", "lre", "x1", "x2"]
 
@@ -156,6 +160,38 @@ class TestBuildLiftedComplex:
         assert lifted.num_vars == 2 * 2 + 1 + 2
 
 
+class TestBuildLiftedOrigin:
+    """The origin region is bounded: lambda takes its a-priori bound from
+    the region's box (lre = lim = 0), and the lift adds no eigenvalue ball."""
+
+    @staticmethod
+    def _problem():
+        return dataclasses.replace(hurwitz_problem(), region=region_preset("origin"))
+
+    def test_lambda_bounds_from_the_region_box(self):
+        lifted = build_lifted(self._problem())
+        names = list(lifted.z_vars)
+        lam = [lifted.z_vars.index(v) for v in ("lre", "lim")]
+        assert [lifted.var_bounds[i] for i in lam] == [0.0, 0.0]
+        assert [lifted.var_scales[i] for i in lam] == [1.0, 1.0]
+        ge = [p for p, rel in lifted.support.constraints if rel is Relation.GE]
+        # the box of rho1 and the norm bound; no ball
+        assert len(ge) == 3
+        norm = parse_polynomial("1 - xre1^2 - xre2^2 - xim1^2 - xim2^2", names)
+        assert ge[-1] == norm
+        eq = [p for p, rel in lifted.support.constraints if rel is Relation.EQ]
+        assert eq[:2] == [parse_polynomial("lre", names), parse_polynomial("lim", names)]
+
+    def test_certified_from_order_3(self):
+        low, high = (certify_robust(self._problem(), tau=tau) for tau in (2, 3))
+        assert low.solver_status is SolverStatus.OPTIMAL
+        assert low.verdict is Verdict.INCONCLUSIVE
+        assert low.upper_bound == pytest.approx(1.0, abs=1e-7)
+        assert high.solver_status is SolverStatus.OPTIMAL
+        assert high.verdict is Verdict.CERTIFIED_ROBUSTLY_DSTABLE
+        assert high.upper_bound < 1e-7
+
+
 class TestSpectralBound:
     def test_running_example(self, mean_problem):
         assert spectral_bound(mean_problem.matrix, mean_problem.delta) == pytest.approx(1.0)
@@ -213,8 +249,21 @@ class TestSpectralBound:
         box = box_set(("a", "b"), [-1.0, 2.0], [3.0, 2.5])
         lower, upper = delta_box_bounds(box)
         assert np.allclose(lower, [-1.0, 2.0]) and np.allclose(upper, [3.0, 2.5])
-        from dstab.sets import SemialgebraicSet
         assert delta_box_bounds(SemialgebraicSet(("a",))) is None
+
+    def test_box_recovery_from_an_equality(self):
+        # an equality row c v + d = 0 bounds v from both sides by -d / c, on
+        # top of any interval rows of v
+        names = ["a", "b"]
+        box = box_set(("a", "b"), [-1.0, 0.0], [3.0, 5.0])
+        eq = SemialgebraicSet(("a", "b"), box.constraints + (
+            (parse_polynomial("2*b - 3", names), Relation.EQ),
+            (parse_polynomial("a - 0.5", names), Relation.EQ),
+        ))
+        lower, upper = delta_box_bounds(eq)
+        assert lower.tolist() == [0.5, 1.5] and upper.tolist() == [0.5, 1.5]
+        only_eq = SemialgebraicSet(("a",), ((parse_polynomial("4 - 2*a", ["a"]), Relation.EQ),))
+        assert [b.tolist() for b in delta_box_bounds(only_eq)] == [[2.0], [2.0]]
 
 
 class TestMinimalOrder:

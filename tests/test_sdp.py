@@ -33,6 +33,7 @@ from dstab.sdp import (
     _batches,
     _compile,
     _equality_rows,
+    _Group,
     _lower,
     _max_steps,
     _nt_scaling,
@@ -507,7 +508,7 @@ class TestTruncation:
         # kept PSD entry uses each orbit (a free moment would leave the
         # Schur matrix singular)
         sdp = assemble_relaxation(build_lifted(problem), tau)
-        _c, g_mat, _g, blocks = _compile(sdp)
+        _c, g_mat, blocks = _compile(sdp)
         orbits, g_rows, pieces = _reduce(sdp, blocks, g_mat)
         parity = sdp.basis % 2
         even = np.all([parity[:, list(flip)].sum(axis=1) % 2 == 0
@@ -528,7 +529,7 @@ class TestTruncation:
         # pieces cover exactly the rows `_truncation` keeps, which are also
         # the rows `residuals` scores
         sdp = dataclasses.replace(mean_sdp, sign_symmetries=())
-        _c, g_mat, _g, blocks = _compile(sdp)
+        _c, g_mat, blocks = _compile(sdp)
         block_rows, _ = _truncation(sdp, blocks, [])
         _orbits, _g_rows, pieces = _reduce(sdp, blocks, g_mat)
         for b, rows in enumerate(block_rows):
@@ -670,7 +671,7 @@ class TestRoundingAllowance:
         # orders; both lie within the allowance of the exact value
         sdp = assemble_relaxation(build_lifted(hurwitz_problem()), 3)
         solution = solve(sdp)
-        c, g_mat, _g_vec, blocks = _compile(sdp)
+        c, g_mat, blocks = _compile(sdp)
         nu = _multipliers(solution)
         assert len(nu) == g_mat.shape[0]
         assert np.abs(nu).max() > 100.0
@@ -928,20 +929,31 @@ class TestSolveMany:
             _assert_identical(solution, solve(sdp))
 
     @staticmethod
-    def _hurwitz_sdps():
+    def _hurwitz_sdps(tau=3):
         # the boxes change values, not structure
         return [assemble_relaxation(build_lifted(dataclasses.replace(
-                    hurwitz_problem(), delta=box_set(("rho1",), [-0.1], [hi]))), 3)
+                    hurwitz_problem(), delta=box_set(("rho1",), [-0.1], [hi]))), tau)
                 for hi in (3.4, 3.0)]
 
-    def test_sparse_schur_pieces_match_solves_alone(self):
-        # the order-3 Hurwitz pieces include ones whose Schur products go
-        # through the sparse path; the SDPs are folded by the quarter turn
-        sdps = self._hurwitz_sdps()
+    def test_sparse_schur_pieces_match_solves_alone(self, monkeypatch):
+        # each order-4 Hurwitz box has one solved piece whose Schur products
+        # go through the sparse path (`schur_into`'s bincount); the SDPs are
+        # folded by the quarter turn, share one run once the cap admits two
+        # footprints, and stop apart, so the run drops the sparse weights of
+        # an instance (`_Group.take`) on the way
+        sdps = self._hurwitz_sdps(tau=4)
         assert all(sdp.quarter_turn for sdp in sdps)
-        assert len(_batches([_lower(s) for s in sdps])) == 1
-        for sdp, solution in zip(sdps, solve_many(sdps)):
-            _assert_identical(solution, solve(sdp))
+        lowered = [_lower(s) for s in sdps]
+        for low in lowered:
+            groups = [_Group(k, [[low.pieces[p][2] for p in ps]])
+                      for k, ps in zip(low.dims, low.members) if k > 1]
+            assert any(var is not None for g in groups for _n, (_w, _v, var), _p in g.pieces)
+        monkeypatch.setattr(dstab.sdp, "_BATCH_DOUBLES", 2 * lowered[0].doubles)
+        assert _batches(lowered) == [[0, 1]]
+        alone = [solve(sdp) for sdp in sdps]
+        assert len({s.iterations for s in alone}) > 1
+        for solution, single in zip(solve_many(sdps), alone):
+            _assert_identical(solution, single)
 
     def test_turned_sdps_that_stop_apart_match_solves_alone(self):
         # order-2 Hurwitz boxes of one structure stop at different
@@ -1056,6 +1068,29 @@ class TestSolveMany:
             return lower(sdp)
 
         monkeypatch.setattr(dstab.sdp, "_lower", failing)
+        batched = solve_many(sdps)
+        assert isinstance(batched[2], MemoryError)
+        for i in (0, 1, 3, 4, 5, 6):
+            _assert_identical(batched[i], alone[i])
+        with pytest.raises(MemoryError, match="synthetic failure"):
+            solve(sdps[2])
+
+    @pytest.mark.parametrize("stage", ["_solve_batch", "_scatter"])
+    def test_an_sdp_whose_run_or_scatter_raises_gets_the_exception(self, monkeypatch, stage):
+        # a run that raises is repeated one SDP at a time, and the failing
+        # SDP's lone run puts its exception in its place; a scatter-back that
+        # raises does so without repeating the run
+        sdps = _variance_sdps()
+        alone = [solve(s) for s in sdps]
+        original = getattr(dstab.sdp, stage)
+
+        def failing(lowered, *args):
+            run = lowered if stage == "_solve_batch" else [lowered]
+            if any(low.sdp is sdps[2] for low in run):
+                raise MemoryError("synthetic failure")
+            return original(lowered, *args)
+
+        monkeypatch.setattr(dstab.sdp, stage, failing)
         batched = solve_many(sdps)
         assert isinstance(batched[2], MemoryError)
         for i in (0, 1, 3, 4, 5, 6):
