@@ -170,6 +170,15 @@ class IndexTables:
         return self._corners[order]
 
 
+def check_pencil_indices(q: Polynomial, num_vars: int, order: int) -> None:
+    """Raise PolynomialError when the pencil of q at `order` would index an
+    entry (n^2 per term of q) or a moment past int32."""
+    n, t, top = _prefix(num_vars, order), len(q.terms), 2 * order + q.degree
+    if n * n * t > _INT32_MAX or _prefix(num_vars, top) > _INT32_MAX:
+        raise PolynomialError(f"a pencil of dimension {n} with {t} terms and moments of "
+                              f"degree {top} in {num_vars} variables exceeds 32-bit indices")
+
+
 def _pencil(q: Polynomial, num_vars: int, order: int,
             tables: IndexTables | None) -> LinearMatrixForm:
     """Pencil with entry (i, j) = sum_gamma q_gamma m_{beta_i + beta_j + gamma}
@@ -184,12 +193,10 @@ def _pencil(q: Polynomial, num_vars: int, order: int,
     unique int64 key rank * n^2 t + (i n + j) t + g.  The form keeps q's
     coefficients once and the term g of each merged entry, with i and j
     narrowed to the smallest type that holds n - 1.  Raises
-    PolynomialError when an entry or moment index would not fit in int32,
-    before any table is built."""
+    PolynomialError when an entry or moment index would not fit in int32
+    (`check_pencil_indices`), before any table is built."""
+    check_pencil_indices(q, num_vars, order)
     n, t, top = _prefix(num_vars, order), len(q.terms), 2 * order + q.degree
-    if n * n * t > _INT32_MAX or _prefix(num_vars, top) > _INT32_MAX:
-        raise PolynomialError(f"a pencil of dimension {n} with {t} terms and moments of "
-                              f"degree {top} in {num_vars} variables exceeds 32-bit indices")
     if tables is None:
         tables = IndexTables(monomial_basis(num_vars, top), order)
     if tables.top < top or tables.order < order:

@@ -131,7 +131,11 @@ def grid_points(problem: DStabilityProblem, points_per_axis: int,
                 max_points: int = 200_000, seed: int = 0) -> np.ndarray:
     """Candidate uncertainty values: a uniform grid over the box part of
     Delta (membership-filtered when Delta carries extra constraints), or
-    seeded rejection sampling when the full grid would be too large.
+    seeded rejection sampling when the full grid would be too large.  A
+    sample can miss a thin violation set that a smaller full grid holds:
+    on running_example_variance.prob at sigma2 = 0.13 the 200 000-point
+    grid holds the witness rho = 1, and the sample that replaces a
+    200 001-point grid misses it.
 
     Raises OracleError for fewer than one point per axis, or when nothing
     can be sampled, e.g. when equality constraints give Delta measure zero

@@ -64,8 +64,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .moments import (IndexTables, LinearMatrixForm, MomentVector, localizing_matrix_form,
-                      moment_matrix_form)
+from .moments import (IndexTables, LinearMatrixForm, MomentVector, check_pencil_indices,
+                      localizing_matrix_form, moment_matrix_form)
 from .poly import Polynomial, graded_lex_index, monomial_basis
 from .problem import LiftedProblem, minimal_order
 from .sets import Relation
@@ -293,6 +293,26 @@ def assemble_relaxation(lifted: LiftedProblem, tau: int | None = None) -> SDPPro
 
     n_z = lifted.num_vars
     scales = lifted.var_scales
+    objective_scaled = _scale_polynomial(lifted.objective, scales)
+    # (label, polynomial, order, equality) of each localizer: expectation
+    # constraint k (from 1; moment[0] is the normalization) as the order-0
+    # localizer of t - f or f - t, or the 1x1 equality form of f - t
+    localizers = []
+    for k, (f, rel, target) in enumerate(lifted.moment_constraints, start=1):
+        q = _scale_polynomial(f, scales) - target
+        q = _normalize(-q if rel == "<=" else q)
+        if not q.is_zero():
+            localizers.append((f"moment[{k}]", q, 0, rel == "="))
+    for j, (q, rel) in enumerate(lifted.support.constraints):
+        q = _normalize(_scale_polynomial(q, scales))
+        if not q.is_zero():
+            localizers.append((f"q[{j}]", q, tau - math.ceil(q.degree / 2), rel is Relation.EQ))
+
+    # every form's indices fit in int32, checked before any table is built
+    check_pencil_indices(Polynomial.constant(n_z, 1.0), n_z, tau)
+    for _label, q, order, _equality in localizers:
+        check_pencil_indices(q, n_z, order)
+
     basis = monomial_basis(n_z, 2 * tau)
     num_moments = len(basis)
 
@@ -311,23 +331,9 @@ def assemble_relaxation(lifted: LiftedProblem, tau: int | None = None) -> SDPPro
             scale_pow *= np.array([1.0] + [s ** e for e in powers])[column]
             moment_bounds *= np.array([1.0] + [r ** e for e in powers])[column]
 
-    objective_scaled = _scale_polynomial(lifted.objective, scales)
     objective = np.zeros(num_moments)
     alphas = np.array(list(objective_scaled.terms), dtype=np.intp).reshape(-1, n_z)
     objective[graded_lex_index(alphas)] = list(objective_scaled.terms.values())
-    # (label, polynomial, order, equality) of each localizer: expectation
-    # constraint k (from 1; moment[0] is the normalization) as the order-0
-    # localizer of t - f or f - t, or the 1x1 equality form of f - t
-    localizers = []
-    for k, (f, rel, target) in enumerate(lifted.moment_constraints, start=1):
-        q = _scale_polynomial(f, scales) - target
-        q = _normalize(-q if rel == "<=" else q)
-        if not q.is_zero():
-            localizers.append((f"moment[{k}]", q, 0, rel == "="))
-    for j, (q, rel) in enumerate(lifted.support.constraints):
-        q = _normalize(_scale_polynomial(q, scales))
-        if not q.is_zero():
-            localizers.append((f"q[{j}]", q, tau - math.ceil(q.degree / 2), rel is Relation.EQ))
 
     # one index table per relaxation; the localizers need only its corner
     tables = IndexTables(basis, tau)

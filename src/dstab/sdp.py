@@ -8,10 +8,10 @@ where y is the vector of scaled moments.  G holds the normalization
 y_0 = 1, the only inhomogeneous row of the SDP (the constant monomial
 heads every graded-lex basis, so y_0 is its moment), and, for each
 equality form A_e(y) = 0 (support equalities and expectation equalities
-alike), one row per upper-triangle entry of A_e in row-major order.  The
+alike), one row per entry of A_e in row-major order (its pencil).  The
 reduction maps each row onto the live row it stands for (`_row_classes`):
 the empty rows are dropped, and every row equal up to sign to an earlier
-one, exact repeats included, stands for the first.
+one, exact repeats included ((c, r) repeats (r, c)), stands for the first.
 The PSD blocks are the moment matrix and the localizers of the
 inequalities, expectation constraints among them as 1x1 blocks (`relax`).
 Each block, each piece of a block (see below) and each equality form is
@@ -75,7 +75,7 @@ scattered back to the full size in the original order by one rule
 elsewhere, averaged over the four powers of the turn (`_turn_average`,
 which leaves a block without a turn as it is); each multiplier is spread
 evenly over its class of rows, with the row's sign, and the multipliers
-of each equality's rows are gathered into its multiplier matrix.  The
+of each equality's rows, reshaped, are its multiplier matrix.  The
 dual residual then vanishes on every moment, not only summed over each
 orbit.
 `upper_bound` is evaluated on the full problem from the scattered dual;
@@ -428,43 +428,25 @@ def _pencil(sdp: SDPProblem, form) -> _Pencil:
 
 def _compile(sdp: SDPProblem):
     """Lower the SDP into solver arrays: the objective c, the linear rows
-    G y = e_0 (the normalization, then the rows of the equality forms,
-    `_equality_rows`, all homogeneous), and each PSD block as (dimension,
-    pencil).  Every row of G is kept here; `_row_classes` picks those the
-    iteration takes."""
+    G y = e_0 (the normalization, then the pencil of each equality form,
+    every entry (r, c) in row-major order, all homogeneous), and each PSD
+    block as (dimension, pencil).  Every row of G is kept here;
+    `_row_classes` picks those the iteration takes."""
     norm_row = _Pencil((1, sdp.num_moments), [0], [0], [1.0])
-    g_mat = _vstack([norm_row, _equality_rows(sdp)])
+    g_mat = _vstack([norm_row] + [_pencil(sdp, form) for _label, form in sdp.equalities])
     blocks = [(form.dimension, _pencil(sdp, form)) for _label, form in sdp.psd_blocks]
     return -sdp.objective, g_mat, blocks  # the solver minimizes
 
 
-def _equality_rows(sdp: SDPProblem) -> _Pencil:
-    """The equality forms A_e(y) = 0 as sparse rows over y: the rows of
-    their stacked pencils that belong to upper-triangle entries (r, c), in
-    row-major order, equality after equality.  Rows that are empty or
-    repeat an earlier one are left to the reduction (`_row_classes`)."""
-    if not sdp.equalities:
-        return _Pencil((0, sdp.num_moments), [], [], [])
-    forms = [form for _label, form in sdp.equalities]
-    offsets = np.cumsum([0] + [form.dimension ** 2 for form in forms])
-    upper = np.concatenate([offset + np.flatnonzero(np.triu(np.ones((form.dimension,) * 2, bool)))
-                            for form, offset in zip(forms, offsets)])
-    return _vstack([_pencil(sdp, form) for form in forms]).take_rows(upper)
-
-
 def _multiplier_matrices(sdp: SDPProblem, multipliers: np.ndarray) -> list[np.ndarray]:
-    """The multiplier matrix W_e of each equality from the multipliers of
-    its rows (`_equality_rows`): A_e*(W_e) equals the rows' adjoint (the
-    off-diagonal weight is split between the two triangles)."""
+    """The multiplier matrix W_e of each equality, its k^2 rows' multipliers
+    reshaped, so A_e*(W_e) is their adjoint; a row and its transpose share
+    a class (`_row_classes`), so W_e is symmetric."""
     out, start = [], 0
     for _label, form in sdp.equalities:
-        r, cc = np.triu_indices(form.dimension)
-        weight = np.where(r == cc, 1.0, 0.5) * multipliers[start:start + len(r)]
-        start += len(r)
-        w = np.zeros((form.dimension, form.dimension))
-        w[r, cc] = weight
-        w[cc, r] = weight
-        out.append(w)
+        k = form.dimension
+        out.append(multipliers[start:start + k * k].reshape(k, k))
+        start += k * k
     return out
 
 
@@ -472,14 +454,15 @@ def _rounding_allowance(c, g_mat, nu, blocks, x_blocks) -> np.ndarray:
     """Componentwise bound on the rounding error of the computed dual
     residual r_c = c - G'nu - sum_b A_b*(X_b): gamma_k times the same sum
     taken in absolute values, where gamma_k = k u / (1 - k u), u = 2^-53
-    and k is the largest number of terms summed into one component (Higham,
-    "Accuracy and Stability of Numerical Algorithms", 2nd ed., sec. 3.1)."""
+    and k is the number of terms summed into that component, whatever the
+    order of the sum (Higham, "Accuracy and Stability of Numerical
+    Algorithms", 2nd ed., sec. 3.1)."""
     magnitude = np.abs(c)
     terms = np.ones(len(c), dtype=np.intp)
     for p, w in [(g_mat, nu)] + [(p, x.ravel()) for (_k, p), x in zip(blocks, x_blocks)]:
         magnitude += np.bincount(p.cols, np.abs(p.vals) * np.abs(w)[p.rows], minlength=len(c))
         terms += np.bincount(p.cols, minlength=len(c))
-    ku = float(terms.max()) * 2.0 ** -53
+    ku = terms * 2.0 ** -53
     return ku / (1.0 - ku) * magnitude
 
 
@@ -523,19 +506,18 @@ def _components(dim: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         label = new
 
 
-def _truncation(sdp: SDPProblem, blocks: list, equalities: list):
+def _truncation(sdp: SDPProblem, blocks: list, g_mat: _Pencil):
     """The part of the relaxation of x-degree <= 2, x the eigenvector
     coordinates `SDPProblem.x_coordinates`.  Entry (r, c) of the localizer
     of q uses moments up to x-degree xdeg(beta_r) + xdeg(beta_c) + xdeg(q).
     Returns, for each PSD block (dimension k, pencil), the rows r whose
-    diagonal entry stays within x-degree 2, and for each sparse matrix in
-    `equalities`, whose rows are equality entries (the rows of
-    `_equality_rows` or of a pencil), the mask of the rows that do."""
+    diagonal entry stays within x-degree 2, and the mask of the rows of G
+    (`_compile`: the normalization and the equality entries) that do."""
     high = np.zeros(sdp.num_moments, dtype=bool)
     if sdp.x_coordinates:
         high = sdp.basis[:, list(sdp.x_coordinates)].sum(axis=1) > 2
     rows = [np.flatnonzero(~p.rows_using(high)[::k + 1]) for k, p in blocks]
-    return rows, [~m.rows_using(high) for m in equalities]
+    return rows, ~g_mat.rows_using(high)
 
 
 def _turn(sdp: SDPProblem):
@@ -594,7 +576,7 @@ def _reduce(sdp: SDPProblem, blocks: list, g_mat):
     Returns the orbits, the mask of kept rows of G, and per piece that
     carries entries (source block index, its rows in the source block, the
     piece's folded pencil)."""
-    block_rows, (g_rows,) = _truncation(sdp, blocks, [g_mat])
+    block_rows, g_rows = _truncation(sdp, blocks, g_mat)
     subs = [p.take_rows((rows[:, None] * k + rows).ravel())
             for (k, p), rows in zip(blocks, block_rows)]
     used = np.zeros(sdp.num_moments, dtype=bool)
@@ -1145,11 +1127,11 @@ def _row_classes(g_folded: _Pencil, g_rows: np.ndarray):
     (G y = e_0), stands for itself.  Any other row is dropped when the
     truncation drops it or it has no entry, and otherwise stands for the
     first such row equal to it up to sign.  That drops exact repeats (an
-    equality's entries repeat wherever beta_r + beta_c does, and so may
-    whole equalities) as well as the turn's images (the turn maps each
-    eigen-equation row onto one of the other part, which folds to the same
-    row up to sign).  A folded row holds its columns ascending and no
-    zero."""
+    equality's entries repeat wherever beta_r + beta_c does, (c, r) that of
+    (r, c) among them, and whole equalities may repeat) as well as the
+    turn's images (the turn maps each eigen-equation row onto one of the
+    other part, which folds to the same row up to sign).  A folded row
+    holds its columns ascending and no zero."""
     rows = np.arange(len(g_rows))
     starts = np.searchsorted(g_folded.rows, np.arange(len(g_rows) + 1))
     rep = np.where(g_rows & ((np.diff(starts) > 0) | (rows == 0)), rows, -1)
@@ -1404,34 +1386,31 @@ def solve(sdp: SDPProblem, settings: SolverSettings | None = None) -> SDPSolutio
 def residuals(sdp: SDPProblem, solution: SDPSolution) -> dict:
     """Recompute feasibility and gap measures from scratch (the solver loop
     is not trusted), on the part of the SDP the solver keeps
-    (`_truncation`): normalization violation, worst negative eigenvalue of
-    a kept principal submatrix and worst kept equality entry on the primal
-    side, dual stationarity residual on the dual side, and gap =
+    (`_truncation`): the worst kept row of G y = e_0 (the normalization and
+    the equality entries, `_compile`) and worst negative eigenvalue of a
+    kept principal submatrix on the primal side, the dual stationarity
+    residual c - G'nu - sum_b A_b*(X_b) on the dual side, and gap =
     dual_value - primal_value."""
     m_scaled = solution.moments.values / sdp.scale_pow
-    primal = abs(m_scaled[0] - 1.0)
-    blocks = [(form.dimension, _pencil(sdp, form)) for _label, form in sdp.psd_blocks]
-    equalities = [_pencil(sdp, form) for _label, form in sdp.equalities]
-    block_rows, entries = _truncation(sdp, blocks, equalities)
+    c, g_mat, blocks = _compile(sdp)
+    block_rows, g_rows = _truncation(sdp, blocks, g_mat)
+    violation = g_mat @ m_scaled
+    violation[0] -= 1.0
+    primal = float(np.abs(violation)[g_rows].max())
     for (k, p), rows in zip(blocks, block_rows):
         mat = (p @ m_scaled).reshape(k, k)[np.ix_(rows, rows)]
         primal = max(primal, -float(np.linalg.eigvalsh(mat).min(initial=0.0)))
-    for p, mask in zip(equalities, entries):
-        primal = max(primal, float(np.abs(p @ m_scaled)[mask].max(initial=0.0)))
 
     # Dual stationarity in the minimize form, against the full SDP; the
     # normalization's multiplier is -dual_value.
-    stationarity = -sdp.objective
-    stationarity[0] += solution.dual_value
-    pencils = [p for _k, p in blocks] + equalities
-    duals = (*solution.dual_psd_blocks, *solution.equality_duals)
-    adjoint = np.zeros(sdp.num_moments)
-    for p, x in zip(pencils, duals):
-        adjoint += p.adjoint(np.ravel(x))
-    dual = float(np.linalg.norm(stationarity - adjoint, np.inf))
+    nu = np.concatenate([[-solution.dual_value], *map(np.ravel, solution.equality_duals)])
+    stationarity = c - g_mat.adjoint(nu)
+    for (_k, p), x in zip(blocks, solution.dual_psd_blocks):
+        stationarity -= p.adjoint(np.ravel(x))
+    dual = float(np.linalg.norm(stationarity, np.inf))
 
     return {
-        "primal_infeas": float(primal),
+        "primal_infeas": primal,
         "dual_infeas": dual,
         "gap": float(solution.dual_value - solution.primal_value),
     }

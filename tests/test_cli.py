@@ -212,12 +212,16 @@ class TestLoadProblem:
          "moment lines look like 'E[expr] = value', got 'E[rho = 0.5'", 11, "moments"),
         (_BASE + "[moments]\nE[rho] 0.5\n", "missing relation in 'E[rho] 0.5'", 11, "moments"),
         (_BASE + "[options]\ntau 2\n", "options are 'key = value', got 'tau 2'", 11, "options"),
+        (_BASE.replace("rho in [0, 1]", "rho >= sigma"), "unknown identifier 'sigma'", 7,
+         "delta"),
+        (_BASE.replace("left_half_plane_closure", "lre >= lre^"), "exponent must be", 9,
+         "region"),
     ], ids=["unknown-section", "duplicate-section", "content-before-sections",
             "duplicate-variable", "no-variables", "empty-matrix", "matrix-without-size",
             "empty-delta", "empty-region", "unknown-delta-variable", "bounds-without-brackets",
             "three-bounds", "bad-bound-number", "preset-and-inline-region",
             "moment-without-expectation", "moment-without-bracket", "moment-without-relation",
-            "option-without-equals"])
+            "option-without-equals", "unparsable-delta-row", "unparsable-region-row"])
     def test_malformed_file_names_its_line_and_section(self, tmp_path, text, message, line,
                                                        section):
         path = tmp_path / "bad.prob"

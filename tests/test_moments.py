@@ -10,6 +10,7 @@ from conftest import PROBLEMS_DIR, hurwitz_problem, running_problem
 from dstab import relax
 from dstab.cli import load_problem
 from dstab.moments import (
+    IndexTables,
     MomentVector,
     assemble,
     localizing_matrix_form,
@@ -303,6 +304,14 @@ class TestIndexWidth:
         q = Polynomial(2000, {(4,) + (0,) * 1999: 1.0})
         with pytest.raises(PolynomialError, match="32-bit"):
             localizing_matrix_form(q, 2000, 0)
+
+    def test_tables_too_small_for_the_pencil_are_rejected(self):
+        # tables of degree 2 and Hankel order 1 hold neither the degree-4
+        # moments nor the order-2 corner of the moment matrix of order 2
+        tables = IndexTables(monomial_basis(2, 2), 1)
+        with pytest.raises(PolynomialError, match="degree 2 and order 1 cannot hold a pencil "
+                                                  "of degree 4 and order 2"):
+            moment_matrix_form(2, 2, tables)
 
 
 class TestLocalizingForm:

@@ -21,7 +21,7 @@ from dstab.oracle import (
 )
 from dstab.poly import parse_polynomial
 from dstab.problem import DStabilityProblem, UncertainMatrix, delta_box_bounds
-from dstab.sets import Relation, box_set, custom_region, region_preset
+from dstab.sets import Relation, SemialgebraicSet, box_set, custom_region, region_preset
 
 
 def _sorted(values):
@@ -218,6 +218,16 @@ class TestGridSearch:
         witness = deepest_witness(problem, pts, spectra(problem, pts))
         assert witness is not None and witness.rho[0] == 1.0
 
+    def test_a_deepest_level_that_fails_validation_is_dropped(self, support_problem):
+        # a fake eigenvalue 5 at rho = 0.5 is the deepest candidate, but no
+        # eigenvector validates it, so the next level wins: lambda = 0 at
+        # rho = 1
+        pts = np.array([[0.5], [1.0]])
+        point_spectra = spectra(support_problem, pts)
+        point_spectra[0, -1] = 5.0
+        witness = deepest_witness(support_problem, pts, point_spectra)
+        assert witness.rho[0] == 1.0 and witness.lam == 0.0
+
 
 class TestSimplex:
     def test_basic(self):
@@ -244,6 +254,11 @@ class TestSimplex:
         first = simplex_maximize(*args)
         second = simplex_maximize(*args)
         assert np.array_equal(first[0], second[0]) and first[1] == second[1]
+
+    def test_unbounded(self):
+        # x1 = x2 leaves x1 free to grow
+        with pytest.raises(OracleError, match="LP is unbounded"):
+            simplex_maximize([1.0, 0.0], a_eq=[[1.0, -1.0]], b_eq=[0.0])
 
     def test_beale_cycling_lp(self):
         # Beale's LP cycles under pure Dantzig pricing with this ratio
@@ -287,6 +302,10 @@ class TestAtomicLP:
     def test_atom_outside_support_rejected(self, mean_problem):
         with pytest.raises(OracleError):
             atomic_lp_bound(mean_problem, [[0.0], [1.5]])
+
+    def test_atoms_of_the_wrong_dimension_rejected(self, mean_problem):
+        with pytest.raises(OracleError, match="atoms have dimension 2, expected 1"):
+            atomic_lp_bound(mean_problem, [[0.0, 1.0]])
 
     def test_refinement_monotonicity(self, mean_problem):
         coarse = atomic_lp_bound(mean_problem, [[0.0], [0.5], [1.0]])
@@ -336,6 +355,14 @@ class TestGridPoints:
     def test_fewer_than_one_point_per_axis_rejected(self, mean_problem, points_per_axis):
         with pytest.raises(OracleError, match="at least 1"):
             grid_points(mean_problem, points_per_axis)
+
+    def test_delta_without_box_bounds_rejected(self, support_problem):
+        # 0 <= rho <= 1 as one quadratic row: no box bounds to grid over
+        delta = SemialgebraicSet(("rho",), ((parse_polynomial("rho - rho^2", ["rho"]),
+                                             Relation.GE),))
+        assert delta_box_bounds(delta) is None
+        with pytest.raises(OracleError, match="delta has no box bounds"):
+            grid_points(dataclasses.replace(support_problem, delta=delta), 11)
 
     def test_box_grid(self, mean_problem):
         pts = grid_points(mean_problem, 11)

@@ -15,7 +15,7 @@ import dstab.relax
 
 from dstab.cli import load_problem
 from dstab.moments import LinearMatrixForm, MomentVector, assemble, moments_of_atomic
-from dstab.poly import graded_lex_position, monomial_basis
+from dstab.poly import PolynomialError, graded_lex_position, monomial_basis
 from dstab.problem import LiftedProblem, build_lifted, minimal_order
 from dstab.relax import (RelaxationError, SDPProblem, SolverStatus, _file_blocks, _numbers,
                          _turned, _words, _write_rows, assemble_relaxation, export_sdp)
@@ -87,6 +87,17 @@ class TestRunningAssembly:
         lifted = build_lifted(hurwitz_problem())
         with pytest.raises(RelaxationError, match="minimal order"):
             assemble_relaxation(lifted, 1)
+
+    def test_indices_past_int32_are_rejected_before_any_table(self, monkeypatch):
+        # at order 12 the 50388 x 50388 moment matrix passes 2^31 - 1
+        # entries, and its index tables alone would take 9.5 GB
+        def unbuilt(*_args):
+            raise AssertionError("built before the size check")
+
+        monkeypatch.setattr(dstab.relax, "IndexTables", unbuilt)
+        monkeypatch.setattr(dstab.relax, "monomial_basis", unbuilt)
+        with pytest.raises(PolynomialError, match="50388 with 1 terms .* exceeds 32-bit"):
+            assemble_relaxation(build_lifted(hurwitz_problem()), 12)
 
 
 class TestFormLifetime:

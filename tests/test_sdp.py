@@ -3,6 +3,7 @@ import gc
 import io
 import tracemalloc
 import weakref
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -32,7 +33,6 @@ from dstab.sdp import (
     SolverSettings,
     _batches,
     _compile,
-    _equality_rows,
     _Group,
     _lower,
     _max_steps,
@@ -335,19 +335,27 @@ class TestQuarterTurn:
         assert solution.status is SolverStatus.OPTIMAL
         assert residuals(sdp, solution)["dual_infeas"] <= 1e-7
         assert solution.upper_bound - solution.primal_value <= 1e-7
-        # at order 4 the kept rows of G hold exact repeats, which share
-        # their multiplier; a mean over the turn alone would leave every
-        # copy but the first at 0
+        # the kept rows of G hold exact repeats, which share their
+        # multiplier; a mean over the turn alone would leave every copy but
+        # the first at 0.  Each entry repeats its transpose, and at order 4
+        # other entries repeat too
         low = _lower(sdp)
         keys = _row_keys(low.g_mat, signed=False)
         copies: dict = {}
         for row in np.flatnonzero(low.classes[0] >= 0):
             copies.setdefault(keys[row], []).append(row)
         repeats = [rows for rows in copies.values() if len(rows) > 1]
-        assert bool(repeats) == (tau == 4)
+        dims = [form.dimension for _label, form in sdp.equalities]
+        offsets = 1 + np.cumsum([0] + [k * k for k in dims])
+        transpose = np.concatenate([[0]] + [o + np.arange(k * k).reshape(k, k).T.ravel()
+                                            for k, o in zip(dims, offsets)])
+        assert all(transpose[row] in rows for rows in repeats for row in rows)
+        beyond = [rows for rows in repeats if set(rows) != {rows[0], transpose[rows[0]]}]
+        assert bool(beyond) == (tau == 4)
         nu = _multipliers(solution)
         assert all(np.all(nu[rows] == nu[rows[0]]) for rows in repeats)
         assert all(nu[rows[0]] != 0.0 for rows in repeats)
+        assert all(np.array_equal(w, w.T) for w in solution.equality_duals)
 
     @pytest.mark.parametrize("name,tau", [("hurwitz", 3), ("hurwitz", 4), ("lti_stability", 2),
                                           ("lti_hinf", 2)])
@@ -530,7 +538,7 @@ class TestTruncation:
         # the rows `residuals` scores
         sdp = dataclasses.replace(mean_sdp, sign_symmetries=())
         _c, g_mat, blocks = _compile(sdp)
-        block_rows, _ = _truncation(sdp, blocks, [])
+        block_rows, _ = _truncation(sdp, blocks, g_mat)
         _orbits, _g_rows, pieces = _reduce(sdp, blocks, g_mat)
         for b, rows in enumerate(block_rows):
             covered = np.concatenate([idx for src, idx, _p in pieces if src == b])
@@ -547,28 +555,24 @@ class TestTruncation:
 
 
 def _dense_equality_rows(sdp, n_y):
-    """Reference: one dense row per upper-triangle entry (r, c) of each
-    equality form in row-major order, equality after equality."""
+    """Reference: one dense row per entry (r, c) of each equality form in
+    row-major order, equality after equality."""
     rows = []
     for _label, form in sdp.equalities:
         k = form.dimension
-        entries = {(r, c): np.zeros(n_y) for r in range(k) for c in range(r, k)}
+        entries = {(r, c): np.zeros(n_y) for r in range(k) for c in range(k)}
         for alpha, rr, cc, vals in form.terms:
             for r, c, v in zip(rr, cc, vals):
-                if r <= c:
-                    entries[int(r), int(c)][graded_lex_position(alpha, sdp.n_z, 2 * sdp.tau)] += v
+                entries[int(r), int(c)][graded_lex_position(alpha, sdp.n_z, 2 * sdp.tau)] += v
         rows += [entries[key] for key in sorted(entries)]
     return np.array(rows).reshape(-1, n_y)
 
 
 def _multipliers(solution) -> np.ndarray:
     """nu over the rows of G: -dual_value on the normalization, then each
-    equality row's multiplier, read back from the multiplier matrices."""
-    nu = [np.array([-solution.dual_value])]
-    for w in solution.equality_duals:
-        r, cc = np.triu_indices(len(w))
-        nu.append(w[r, cc] * np.where(r == cc, 1.0, 2.0))
-    return np.concatenate(nu)
+    equality's multiplier matrix, entry (r, c) the multiplier of its row
+    r k + c."""
+    return np.concatenate([[-solution.dual_value], *map(np.ravel, solution.equality_duals)])
 
 
 def _row_keys(p, signed):
@@ -592,15 +596,16 @@ class TestEqualityRows:
     def test_rows_match_dense_reference(self, tau):
         sdp = assemble_relaxation(build_lifted(hurwitz_problem()), tau)
         n_y = sdp.num_moments
-        rows = _equality_rows(sdp)
+        _c, g_mat, _blocks = _compile(sdp)
+        rows = g_mat.take_rows(np.arange(1, g_mat.shape[0]))  # past the normalization
         reference = _dense_equality_rows(sdp, n_y)
         assert rows.shape == reference.shape
         assert np.array_equal(rows.toarray(), reference)
         if tau == 3:
-            assert rows.shape[0] == 144
-        # one row per upper-triangle entry of each equality
+            assert rows.shape[0] == 256
+        # one row per entry of each equality
         dims = [form.dimension for _label, form in sdp.equalities]
-        assert rows.shape[0] == sum(d * (d + 1) // 2 for d in dims)
+        assert rows.shape[0] == sum(d * d for d in dims)
 
     def test_repeated_equality_adds_no_row(self, mean_sdp, mean_solution):
         # the repeat's rows reach G, and the reduction drops them
@@ -667,19 +672,36 @@ class TestEqualityRows:
 
 class TestRoundingAllowance:
     def test_covers_a_reordered_evaluation(self):
-        # the dense and the sparse product G'nu sum the same terms in other
-        # orders; both lie within the allowance of the exact value
+        # r_c = c - G'nu - sum_b A_b*(X_b) summed as the scatter-back sums
+        # it and in seeded random orders of all its terms: each component
+        # lies within its allowance of the exact sum of the same products
         sdp = assemble_relaxation(build_lifted(hurwitz_problem()), 3)
         solution = solve(sdp)
         c, g_mat, blocks = _compile(sdp)
         nu = _multipliers(solution)
         assert len(nu) == g_mat.shape[0]
         assert np.abs(nu).max() > 100.0
-        allowance = _rounding_allowance(c, g_mat, nu, blocks, solution.dual_psd_blocks)
-        gap = np.abs(g_mat.toarray().T @ nu - g_mat.adjoint(nu))
-        assert gap.max() > 0.0
-        assert np.all(gap <= allowance)
-
+        x_blocks = solution.dual_psd_blocks
+        allowance = _rounding_allowance(c, g_mat, nu, blocks, x_blocks)
+        # each term of r_c as (its component, value, weight)
+        pencils = [(g_mat, nu)] + [(p, np.ravel(x)) for (_k, p), x in zip(blocks, x_blocks)]
+        cols = np.concatenate([np.arange(len(c))] + [p.cols for p, _w in pencils])
+        vals = np.concatenate([c] + [-p.vals for p, _w in pencils])
+        weights = np.concatenate([np.ones(len(c))] + [w[p.rows] for p, w in pencils])
+        exact = [Fraction(0)] * len(c)
+        for col, v, w in zip(cols.tolist(), vals.tolist(), weights.tolist()):
+            exact[col] += Fraction(v) * Fraction(w)
+        evaluations = [c - g_mat.adjoint(nu) - sum(p.adjoint(w) for p, w in pencils[1:])]
+        rng = np.random.default_rng(20261021)
+        for _ in range(20):
+            order = rng.permutation(len(cols))
+            r_c = np.zeros(len(c))
+            np.add.at(r_c, cols[order], (vals * weights)[order])
+            evaluations.append(r_c)
+        bound = [Fraction(a) for a in allowance.tolist()]
+        errors = [[abs(Fraction(r) - e) for r, e in zip(r_c.tolist(), exact)] for r_c in evaluations]
+        assert max(map(max, errors)) > 0
+        assert all(err <= a for row in errors for err, a in zip(row, bound))
 
 def _pencil_cases():
     variance, _ = load_problem(PROBLEMS_DIR / "running_example_variance.prob", {"sigma2": 0.1})
@@ -927,6 +949,26 @@ class TestSolveMany:
         assert [s.status for s in batched] == [SolverStatus.OPTIMAL] * 6 + [SolverStatus.INFEASIBLE]
         for sdp, solution in zip(sdps, batched):
             _assert_identical(solution, solve(sdp))
+
+    def test_a_run_without_moment_bounds_drops_an_instance(self, tmp_path, monkeypatch):
+        # with Delta a semialgebraic row, not a box, the moments have no
+        # finite a-priori bounds, so the run carries none; the four SDPs
+        # share one run and stop apart (15, 14, 12 and 10 iterations alone)
+        text = (PROBLEMS_DIR / "running_example_variance.prob").read_text()
+        path = tmp_path / "variance_without_box.prob"
+        path.write_text(text.replace("rho in [0, 1]", "rho - rho^2 >= 0")
+                        .replace("tau = 2", "tau = 2\nlambda_radius = 2"))
+        sdps = [assemble_relaxation(build_lifted(load_problem(path, {"sigma2": s})[0]), 2)
+                for s in (0.0, 0.05, 0.1, 0.2)]
+        assert all(_lower(sdp).y_bound is None for sdp in sdps)
+        sizes = self._record_runs(monkeypatch)
+        batched = solve_many(sdps)
+        assert sizes == [4]
+        alone = [solve(sdp) for sdp in sdps]
+        assert [s.iterations for s in alone] == [15, 14, 12, 10]
+        for solution, single in zip(batched, alone):
+            assert solution.upper_bound == np.inf
+            _assert_identical(solution, single)
 
     @staticmethod
     def _hurwitz_sdps(tau=3):
