@@ -559,7 +559,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, tau=False, solver=False)
     p.add_argument("--grid", type=int, default=101, help="grid points per axis")
     p.add_argument("--seed", type=int, default=0,
-                   help="seed for rejection sampling on non-box supports")
+                   help="seed of the sample that replaces a grid of more than "
+                        "200000 points")
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("export-sdp", help="write the assembled SDP as sparse text")

@@ -12,8 +12,9 @@ nonnegative.
 Entry (i, j) of the localizer of q is sum_gamma q_gamma m_{beta_i + beta_j
 + gamma}, so every pencil is a shifted copy of the moment matrix's Hankel
 index pattern (Lasserre, SIAM J. Optim. 11(3), 2001).  `IndexTables` holds
-that pattern once per relaxation, with the successor and lex-rank tables
-that shift and sort it, and every pencil is a few gathers from them.
+that pattern once per relaxation, with the successor table that shifts it,
+and every pencil is a few gathers from them, laid out row by row as the
+solver reads it.
 
 Every call builds its form afresh and the module keeps none, so a form
 lives exactly as long as the SDP that holds it; the tables live as long
@@ -28,8 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .poly import (Exponent, Polynomial, PolynomialError, graded_lex_below, graded_lex_position,
-                   monomial_basis)
+from .poly import (Exponent, Polynomial, PolynomialError, graded_lex_below, graded_lex_index,
+                   graded_lex_position, monomial_basis)
 
 
 @dataclass(frozen=True)
@@ -63,9 +64,9 @@ class LinearMatrixForm:
     """Symmetric matrix pencil sum_alpha B_alpha m_alpha: entry e adds
     coeffs[term[e]] m_alpha to (rows[e], cols[e]), alpha the monomial at
     graded-lex position moments[e].  Each entry of each B_alpha appears
-    once, both triangles included, ordered by alpha ascending
-    lexicographically and by (i, j, gamma) within one alpha; the export
-    writes them in this order.
+    once, both triangles included, in row-major order: (rows, cols)
+    ascending, then moments strictly ascending within one (row, col).  The
+    solver and the export read them in this order.
 
     An entry of the localizer of q carries one of q's t coefficients, so a
     form keeps them once (`coeffs`, float64) and each entry only the index
@@ -95,12 +96,15 @@ class LinearMatrixForm:
 
     @functools.cached_property
     def terms(self) -> tuple[tuple[Exponent, np.ndarray, np.ndarray, np.ndarray], ...]:
-        """(alpha, rows, cols, vals) of each B_alpha in entry order, built on
-        first read: a view for readers outside `dstab`."""
-        bounds = np.flatnonzero(np.diff(self.moments, prepend=-1, append=-1)).tolist()
-        alphas = monomial_basis(self.num_vars, self.max_degree())[self.moments[bounds[:-1]]]
-        vals = self.vals  # once: each read gathers every entry
-        return tuple((tuple(alpha), self.rows[lo:hi], self.cols[lo:hi], vals[lo:hi])
+        """(alpha, rows, cols, vals) of each B_alpha, alpha in graded-lex
+        order and its entries in entry order, built on first read: a view
+        for readers outside `dstab`."""
+        order = np.argsort(self.moments, kind="stable")
+        moments = self.moments[order]
+        bounds = np.flatnonzero(np.diff(moments, prepend=-1, append=-1)).tolist()
+        alphas = monomial_basis(self.num_vars, self.max_degree())[moments[bounds[:-1]]]
+        rows, cols, vals = self.rows[order], self.cols[order], self.coeffs[self.term[order]]
+        return tuple((tuple(alpha), rows[lo:hi], cols[lo:hi], vals[lo:hi])
                      for alpha, lo, hi in zip(alphas.tolist(), bounds, bounds[1:]))
 
 
@@ -117,10 +121,7 @@ class IndexTables:
 
     `succ[v, k]` is the index of basis[k] + e_v for every row k of degree
     below top; `hankel[i, j]` the index of basis[i] + basis[j] for i, j
-    below C(n + order, order); `rank[k]` the position of basis[k] in
-    lexicographic order.  Lex order is translation-invariant, so one
-    permutation of the order-d corner of `hankel` sorts the entries of
-    every term of every pencil of order d; `corner` keeps it per order."""
+    below C(n + order, order)."""
 
     def __init__(self, basis: np.ndarray, order: int):
         """Tables of `basis`, a `monomial_basis` of degree top >= 2 order in
@@ -136,8 +137,6 @@ class IndexTables:
         steps = below[after + 1, count] - below[after, count]
         succ = np.arange(len(inner))[:, None] + np.cumsum(steps, axis=1)
         self.succ = np.ascontiguousarray(succ.T, dtype=np.int32)
-        self.rank = np.empty(len(basis), dtype=np.int32)
-        self.rank[np.lexsort(basis.T[::-1])] = np.arange(len(basis), dtype=np.int32)
         # each row i > 0 of degree d is row p of degree d - 1 plus e_v, (p, v)
         # the first pair whose successor it is
         size = _prefix(num_vars, order)
@@ -149,25 +148,11 @@ class IndexTables:
         for d in range(1, order + 1):
             rows = slice(_prefix(num_vars, d - 1), _prefix(num_vars, d))
             self.hankel[rows] = self.succ[var[rows, None], self.hankel[parent[rows]]]
-        self._corners: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     def restrict(self, order: int) -> None:
-        """Keep only the corner of `hankel` (and the sorted corners) up to
-        `order`."""
+        """Keep only the corner of `hankel` up to `order`."""
         size = _prefix(self.num_vars, order)
         self.order, self.hankel = order, self.hankel[:size, :size].copy()
-        self._corners = {d: c for d, c in self._corners.items() if d <= order}
-
-    def corner(self, order: int) -> tuple[np.ndarray, np.ndarray]:
-        """(positions i * n + j of the order-`order` corner of `hankel`,
-        sorted by the lex rank of hankel[i, j], then i, then j; the corner's
-        entries in that order), both int32."""
-        if order not in self._corners:
-            size = _prefix(self.num_vars, order)
-            entries = self.hankel[:size, :size].ravel()
-            by_rank = np.argsort(self.rank[entries], kind="stable").astype(np.int32)
-            self._corners[order] = by_rank, entries[by_rank]
-        return self._corners[order]
 
 
 def check_pencil_indices(q: Polynomial, num_vars: int, order: int) -> None:
@@ -187,14 +172,14 @@ def _pencil(q: Polynomial, num_vars: int, order: int,
     `order`).
 
     The moments of term gamma are shift_gamma[hankel corner], shift_gamma
-    being |gamma| `succ` gathers over the degree-2 order prefix.  Each
-    term's entries come sorted by (rank, i, j) from `IndexTables.corner`,
-    so the t terms merge by one stable argsort of their sorted runs on the
-    unique int64 key rank * n^2 t + (i n + j) t + g.  The form keeps q's
-    coefficients once and the term g of each merged entry, with i and j
-    narrowed to the smallest type that holds n - 1.  Raises
-    PolynomialError when an entry or moment index would not fit in int32
-    (`check_pencil_indices`), before any table is built."""
+    being |gamma| `succ` gathers over the degree-2 order prefix.  The
+    entries come row by row: (i, j), then the terms of q in graded-lex
+    order of gamma.  Graded-lex is a monomial order, so the moments within
+    one (i, j) ascend and the form is in row-major order as built.  The
+    form keeps q's coefficients once, in their dict order, and the term of
+    each entry, with i and j narrowed to the smallest type that holds
+    n - 1.  Raises PolynomialError when an entry or moment index would not
+    fit in int32 (`check_pencil_indices`), before any table is built."""
     check_pencil_indices(q, num_vars, order)
     n, t, top = _prefix(num_vars, order), len(q.terms), 2 * order + q.degree
     if tables is None:
@@ -203,29 +188,24 @@ def _pencil(q: Polynomial, num_vars: int, order: int,
         raise PolynomialError(f"index tables of degree {tables.top} and order "
                               f"{tables.order} cannot hold a pencil of degree {top} "
                               f"and order {order}")
-    by_rank, entries = tables.corner(order)
+    gammas = list(q.terms)
+    by_position = np.argsort(graded_lex_index(np.array(gammas).reshape(t, num_vars)))
+    corner = tables.hankel[:n, :n]
     span = np.arange(_prefix(num_vars, 2 * order), dtype=np.int32)
-    moments = np.empty((t, n * n), dtype=np.int32)
-    for g, gamma in enumerate(q.terms):
+    moments = np.empty((n, n, t), dtype=np.int32)
+    for k, g in enumerate(by_position.tolist()):
         shift = span
-        for v, e in enumerate(gamma):
+        for v, e in enumerate(gammas[g]):
             for _ in range(e):
                 shift = tables.succ[v, shift]
-        moments[g] = shift[entries]
-    coeffs = np.array(list(q.terms.values()), dtype=float)
-    index = np.min_scalar_type(n - 1)
-    if t == 1:  # one run, already in order
-        rows, cols = np.divmod(by_rank, n)
-        return LinearMatrixForm(n, num_vars, rows.astype(index), cols.astype(index), moments[0],
-                                np.broadcast_to(np.uint8(0), (n * n,)), coeffs)
-    keys = (tables.rank[moments].astype(np.int64) * (n * n * t) + by_rank * t
-            + np.arange(t)[:, None])
-    merged = np.argsort(keys.ravel(), kind="stable")
-    del keys
-    g, position = np.divmod(merged.astype(np.int32), n * n)
-    rows, cols = np.divmod(by_rank[position], n)
-    return LinearMatrixForm(n, num_vars, rows.astype(index), cols.astype(index),
-                            moments.ravel()[merged], g.astype(np.min_scalar_type(t - 1)), coeffs)
+        moments[:, :, k] = shift[corner]
+    index, narrow = np.min_scalar_type(n - 1), np.min_scalar_type(t - 1)
+    line = np.arange(n, dtype=index)
+    term = (np.broadcast_to(np.uint8(0), (n * n,)) if t == 1  # readers only gather
+            else np.tile(by_position.astype(narrow), n * n))
+    return LinearMatrixForm(n, num_vars, np.repeat(line, n * t), np.tile(np.repeat(line, t), n),
+                            moments.reshape(-1), term,
+                            np.array(list(q.terms.values()), dtype=float))
 
 
 def moment_matrix_form(num_vars: int, order: int,

@@ -93,8 +93,10 @@ class ViolationWitness:
 def _region_depth(problem: DStabilityProblem, lam: np.ndarray, tol: float) -> np.ndarray:
     """Depth of each eigenvalue in the array lam inside the instability
     region (NaN when outside): the smallest constraint residual, with
-    equalities scored as -|value|, and 0 when it is not finite.  A region
-    restricted to the real axis is read at lre alone, as in
+    equalities scored as -|value|, and 0 when it is not finite.  An
+    eigenvalue is inside when every score is at least -tol, which is
+    `SemialgebraicSet.contains` on the same values (a NaN score excludes
+    it).  A region restricted to the real axis is read at lre alone, as in
     `StabilityRegionComplement.contains`."""
     region_set = problem.region.region_set
     if problem.region.real_spectrum_only:
@@ -102,12 +104,14 @@ def _region_depth(problem: DStabilityProblem, lam: np.ndarray, tol: float) -> np
     else:
         points = np.stack((lam.real, lam.imag), axis=-1)
     depth = np.full(lam.shape, np.inf)
+    inside = np.ones(lam.shape, dtype=bool)
     for p, rel in region_set.constraints:
         value = p.evaluate(points)
         score = value if rel is Relation.GE else -np.abs(value)
         depth = np.where(score < depth, score, depth)
+        inside &= score >= -tol
     depth = np.where(np.isfinite(depth), depth, 0.0)
-    return np.where(region_set.contains(points, tol), depth, np.nan)
+    return np.where(inside, depth, np.nan)
 
 
 # Points per stacked evaluation and eigenvalues call: keeps the (chunk, n, n)
@@ -185,9 +189,10 @@ def grid_violation_search(
     max_points: int = 200_000,
     seed: int = 0,
 ) -> ViolationWitness | None:
-    """Scan a deterministic grid over Delta (rejection sampling when Delta
-    is not a box), compute every spectrum, and return the deepest witness
-    of an eigenvalue inside the instability region, or None.
+    """Scan the candidate points of `grid_points` over Delta (a full grid,
+    or a seeded sample when the grid would pass max_points), compute every
+    spectrum, and return the deepest witness of an eigenvalue inside the
+    instability region, or None.
 
     Depths within DEPTH_TIE_TOL of the deepest remaining one count as
     equal (they differ by rounding noise alone, e.g. for eigenvalues on the

@@ -432,8 +432,9 @@ def export_sdp(sdp: SDPProblem, path) -> tuple[int, ...]:
     Layout: a header with the dimensions, the graded-lex basis (one
     exponent vector per line), the objective as (moment-index, coefficient)
     pairs, the normalization as the one linear row `constraint 0`, then
-    each PSD block as (row, col, moment-index, coefficient) quadruples,
-    with every equality form written as a +/- block pair.  Indices are
+    each PSD block as (row, col, moment-index, coefficient) quadruples in
+    the order its form holds them (row by row, then by moment), with every
+    equality form written as a +/- block pair.  Indices are
     zero-based.  Lines end in "\\n" on every platform.
 
     Every text a column can hold is formatted once into a table of words

@@ -416,14 +416,12 @@ def _pencil(sdp: SDPProblem, form) -> _Pencil:
     """The pencil A(y) = sum_i y_i A_i of a form as one sparse matrix P of
     shape (k^2, num_moments) with P y = vec A(y): row r k + c holds entry
     (r, c), column i the moment y_i.  A form holds each entry of each B_alpha
-    once (`moments`), so P is the form's entry arrays in row-major order;
-    its narrow indices are widened first, since flat * n_y passes 2^31 on
-    the larger relaxations."""
-    k, n_y = form.dimension, sdp.num_moments
-    flat = form.rows.astype(np.intp) * k + form.cols
-    order = np.argsort(flat * n_y + form.moments)
-    return _Pencil((k * k, n_y), flat[order], form.moments[order],
-                   form.coeffs[form.term[order]])
+    once, in row-major order, so P is the form's entry arrays as they are;
+    its narrow rows are widened first, since r k passes 2^31 on the larger
+    relaxations."""
+    k = form.dimension
+    return _Pencil((k * k, sdp.num_moments), form.rows.astype(np.intp) * k + form.cols,
+                   form.moments, form.vals)
 
 
 def _compile(sdp: SDPProblem):

@@ -784,22 +784,23 @@ class TestCommands:
 # `dstab export-sdp` output pinned byte for byte: the file writes the
 # normalization as its one linear row, then the moment block, the
 # expectation constraints and the support localizers, each equality form as
-# a +/- block pair, whatever form the solver uses for it.
+# a +/- block pair, whatever form the solver uses for it, each block's
+# entries row by row, then by moment.
 EXPORT_GOLDEN = [
     (["hurwitz.prob", "--tau", "3"],
-     "b921c76d4f7d6ffd622d3dcd065e4319696d1af8d1a64f77082fc02c75acd963",
+     "9cbbb7e7a00f0ef38f8f0b7e6a46e42623e942ce9fab01c6af559040cdb5a1bf",
      "tau 3: 1716 moment variables, blocks [120, 36, 36, 36, 8, 8, 8, 8, 8, 8, 8, 8, "
      "36, 36], 1 linear rows -> "),
     ([VARIANCE, "--bind", "sigma2=0.1"],
-     "ce48f2ddd21e7732b3ba609f8a82e646b3e9e89bd9fd31f3b4d96249b246f1d9",
+     "b0868b449ddd4cf63803ac1eb228ba0a92e9d9a658ddfe81c43e8fc1f5f35d93",
      "tau 2: 70 moment variables, blocks [15, 1, 1, 1, 5, 5, 5, 5, 5, 5, 5, 5, 5], "
      "1 linear rows -> "),
     (["bifurcation.prob", "--bind", "k=0.45", "--tau", "3"],
-     "9c1ea9d5533ef2c25804867a559038b9e85e8c9dafb5fcef0176b3ef990ae080",
+     "32e0d4ae3cb8b39a41f53a2ddc463e2be5cd58513fd2af93043bb21089cc8587",
      "tau 3: 12376 moment variables, blocks [364, " + "78, " * 16 + "1, 1, 12, 12, 1, 1, "
      "12, 12, 78, 78], 1 linear rows -> "),
     (["lti_hinf.prob", "--tau", "2"],
-     "0e5623529c2add3a6208d0338125af2ad383b51a8332cc91e53623ae03aca629",
+     "8838e0c44496aaf34f3a4c3eb7d88b57022ff4b65ce72f276f01333e9bc74b8c",
      "tau 2: 14950 moment variables, blocks [276, " + "23, " * 16 + "1, 1, 1, 1, "
      "23, 23, 23, 23, 1, 1, " + "23, " * 6 + "1, 1, 1, 1, 23, 23, 23, 23, 1, 1, 23, 23], "
      "1 linear rows -> "),

@@ -57,35 +57,46 @@ class TestMomentMatrixForm:
         assert np.linalg.matrix_rank(mat, tol=1e-12) == 1
 
 
+def _graded_lex(alpha) -> tuple:
+    """Sort key of graded-lex order: degree, then the exponents descending
+    lexicographically (x0 before x1)."""
+    return sum(alpha), tuple(-e for e in alpha)
+
+
 def _loop_form(q: Polynomial, num_vars: int, order: int):
-    """Reference pencil built entry by entry in (i, j, gamma) order, the
-    terms sorted by exponent."""
+    """Reference pencil built entry by entry: (i, j, alpha, coefficient) in
+    (i, j, gamma) order, the terms gamma of q in graded-lex order."""
     basis = monomial_basis(num_vars, order).tolist()
-    by_alpha = {}
-    for i, bi in enumerate(basis):
-        for j, bj in enumerate(basis):
-            for gamma, coeff in q.terms.items():
-                alpha = tuple(a + b + g for a, b, g in zip(bi, bj, gamma))
-                rows, cols, vals = by_alpha.setdefault(alpha, ([], [], []))
-                rows.append(i)
-                cols.append(j)
-                vals.append(coeff)
-    return [(alpha, *by_alpha[alpha]) for alpha in sorted(by_alpha)]
+    terms = sorted(q.terms.items(), key=lambda item: _graded_lex(item[0]))
+    return [(i, j, tuple(a + b + g for a, b, g in zip(bi, bj, gamma)), coeff)
+            for i, bi in enumerate(basis) for j, bj in enumerate(basis)
+            for gamma, coeff in terms]
+
+
+def _by_moment(reference):
+    """(alpha, rows, cols, vals) of each moment of `_loop_form`'s entries,
+    alpha in graded-lex order and its entries in entry order."""
+    groups = {}
+    for i, j, alpha, coeff in reference:
+        rows, cols, vals = groups.setdefault(alpha, ([], [], []))
+        rows.append(i)
+        cols.append(j)
+        vals.append(coeff)
+    return [(alpha, *groups[alpha]) for alpha in sorted(groups, key=_graded_lex)]
 
 
 def _assert_matches_loop_reference(form, q: Polynomial, num_vars: int, order: int):
     """The form holds `_loop_form`'s entries, array for array and dtype for
-    dtype, and its `terms` view reads them back."""
+    dtype, and its `terms` view reads them back grouped by moment."""
     reference = _loop_form(q, num_vars, order)
-    top = max(sum(alpha) for alpha, *_rest in reference)
+    top = max(sum(alpha) for _i, _j, alpha, _v in reference)
     index = np.min_scalar_type(form.dimension - 1)
     expected = [
-        np.array([i for _a, rows, _c, _v in reference for i in rows], dtype=index),
-        np.array([j for _a, _r, cols, _v in reference for j in cols], dtype=index),
-        np.array([k for alpha, rows, _c, _v in reference
-                  for k in [graded_lex_position(alpha, num_vars, top)] * len(rows)],
+        np.array([i for i, _j, _a, _v in reference], dtype=index),
+        np.array([j for _i, j, _a, _v in reference], dtype=index),
+        np.array([graded_lex_position(alpha, num_vars, top) for _i, _j, alpha, _v in reference],
                  dtype=np.int32),
-        np.array([v for _a, _r, _c, vals in reference for v in vals], dtype=float),
+        np.array([v for _i, _j, _a, v in reference], dtype=float),
     ]
     for got, want in zip((form.rows, form.cols, form.moments, form.vals), expected):
         assert got.dtype == want.dtype and np.array_equal(got, want)
@@ -93,7 +104,7 @@ def _assert_matches_loop_reference(form, q: Polynomial, num_vars: int, order: in
     assert form.term.dtype == np.min_scalar_type(len(q.terms) - 1)
     assert form.dimension == math.comb(num_vars + order, order)
     assert [(alpha, rows.tolist(), cols.tolist(), vals.tolist())
-            for alpha, rows, cols, vals in form.terms] == reference
+            for alpha, rows, cols, vals in form.terms] == _by_moment(reference)
 
 
 class TestFormsMatchLoopReference:
@@ -105,7 +116,7 @@ class TestFormsMatchLoopReference:
         q = parse_polynomial(text, Z_RUN)
         form = moment_matrix_form(4, order) if text == "1" else \
             localizing_matrix_form(q, 4, order)
-        reference = _loop_form(q, 4, order)
+        reference = _by_moment(_loop_form(q, 4, order))
         assert [alpha for alpha, *_rest in form.terms] == [r[0] for r in reference]
         for (alpha, rows, cols, vals), (_a, r_rows, r_cols, r_vals) in zip(form.terms, reference):
             assert isinstance(alpha[0], int)
@@ -180,18 +191,15 @@ class TestRelaxationIndexTables:
         for q, order, form in built:
             n = form.dimension
             assert len(form.vals) == n * n * len(q.terms)
-            # exponents lex non-decreasing: the first nonzero step is positive
+            # row-major: the entry (i, j) never decreases, and within one
+            # entry the moments rise strictly, one per term gamma of q
+            flat = form.rows.astype(np.intp) * n + form.cols
+            step = np.diff(flat)
+            assert np.all(step >= 0)
+            assert np.all(np.diff(form.moments)[step == 0] > 0)
+            assert np.array_equal(np.bincount(flat, minlength=n * n),
+                                  np.full(n * n, len(q.terms)))
             alphas = sdp.basis[form.moments].astype(np.int16)
-            step = np.diff(alphas, axis=0)
-            lead = step[np.arange(len(step)), np.argmax(step != 0, axis=1)]
-            assert np.all(lead >= 0)
-            # within one moment (i, j) increases strictly: an entry (i, j)
-            # of moment alpha has the one term gamma = alpha - beta_i - beta_j
-            tie = np.diff(form.moments) == 0
-            assert np.array_equal(tie, lead == 0)
-            di = np.diff(form.rows.astype(np.intp))[tie]
-            dj = np.diff(form.cols.astype(np.intp))[tie]
-            assert np.all((di > 0) | ((di == 0) & (dj > 0)))
             # a sample of entries: the moment is the graded-lex index of
             # beta_i + beta_j + gamma for a term gamma of q with that coefficient
             basis = monomial_basis(sdp.n_z, order)
@@ -257,14 +265,17 @@ class TestIndexWidth:
             tracemalloc.stop()
         assert peak < 4 << 20
         assert len(terms) == 1716 and len(form.moments) == 14400
+        # the runs hold the form's arrays in their stable order by moment
+        by_moment = np.argsort(form.moments, kind="stable")
         for column, want in [(1, form.rows), (2, form.cols), (3, form.vals)]:
-            assert np.array_equal(np.concatenate([term[column] for term in terms]), want)
+            assert np.array_equal(np.concatenate([term[column] for term in terms]),
+                                  want[by_moment])
         # each run holds the entries of one moment, that of its alpha
         basis = monomial_basis(form.num_vars, 6)
         position = {tuple(alpha): k for k, alpha in enumerate(basis.tolist())}
         lengths = [len(rows) for _alpha, rows, _c, _v in terms]
         assert np.array_equal(np.repeat([position[alpha] for alpha, *_rest in terms], lengths),
-                              form.moments)
+                              form.moments[by_moment])
 
     def test_entries_past_int32_are_rejected(self):
         # C(312, 2) = 48516 rows, and 48516^2 entries pass 2^31 - 1

@@ -175,6 +175,37 @@ class TestGridSearch:
             assert np.array_equal(single, depths[index], equal_nan=True)
         assert not np.isnan(depths).all()
 
+    @pytest.mark.parametrize("region", [
+        region_preset("left_half_plane_closure"),
+        region_preset("imaginary_axis"),
+        region_preset("origin"),
+        region_preset("left_half_plane_closure").restricted_to_real(),
+        custom_region([(parse_polynomial("lre^3 - lim + 0.5", ["lre", "lim"]), Relation.GE),
+                       (parse_polynomial("lre*lim^2 - lre", ["lre", "lim"]), Relation.EQ)]),
+    ])
+    def test_region_depth_is_defined_where_the_region_contains(self, region, support_problem):
+        # random spectra, points at and next to the tolerance, and points
+        # whose constraints evaluate to NaN (a NaN part, or inf * 0)
+        problem = dataclasses.replace(support_problem, region=region)
+        tol = 1e-6
+        rng = np.random.default_rng(38)
+        lam = rng.uniform(-1.5, 1.5, (40, 3)) + 1j * rng.uniform(-1.5, 1.5, (40, 3))
+        near = rng.choice([-1, 1], (13, 3)) * rng.choice(
+            [0.0, tol, np.nextafter(tol, 0), np.nextafter(tol, 1)], (13, 3))
+        lam[:10] = near[:10] + 1j * lam[:10].imag
+        lam[10:13] = near[10:] + 1j * near[10:, ::-1]
+        lam[13] = [complex(np.nan, 0.5), complex(0.0, np.nan), complex(np.inf, 0.0)]
+        if region.real_spectrum_only:
+            points = lam.real[..., None]
+        else:
+            points = np.stack((lam.real, lam.imag), axis=-1)
+        with np.errstate(invalid="ignore", over="ignore"):
+            depths = oracle._region_depth(problem, lam, tol)
+            contains = region.region_set.contains(points, tol)
+        assert np.array_equal(~np.isnan(depths), contains)
+        assert contains.any() and not contains.all()
+        assert not contains[13, 0]
+
     def test_witness_ignores_rounding_noise_in_depths(self, problems_dir, monkeypatch):
         # eigenvalues on the imaginary axis have real parts of about 1e-15,
         # so the witness must not depend on their sign or size

@@ -402,12 +402,9 @@ def _loop_export(sdp, path) -> None:
     lines.append("constraint 0 = 1.0 1 moment[0]")
     lines.append("0 1.0")
     for k, (label, form, sign) in enumerate(_file_blocks(sdp)):
-        count = sum(len(vals) for _a, _r, _c, vals in form.terms)
-        lines.append(f"block {k} {form.dimension} {count} {label}")
-        for alpha, rows, cols, vals in form.terms:
-            idx = graded_lex_position(alpha, sdp.n_z, 2 * sdp.tau)
-            for r, c, v in zip(rows, cols, sign * vals):
-                lines.append(f"{r} {c} {idx} {float(v)!r}")
+        lines.append(f"block {k} {form.dimension} {len(form.moments)} {label}")
+        for r, c, m, v in zip(form.rows, form.cols, form.moments, sign * form.vals):
+            lines.append(f"{r} {c} {m} {float(v)!r}")
     lines.append("end")
     with open(path, "w") as handle:
         handle.write("\n".join(lines) + "\n")

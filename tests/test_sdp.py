@@ -753,15 +753,15 @@ class TestPencil:
         assert np.array_equal(p.take_rows(rows) @ y, (p @ y)[rows])
 
     def test_int32_form_indices_are_widened(self):
-        # rows * k + cols passes 2^31 at k = 50000, and flat * n_y passes
-        # it further; the form of uint16 rows and columns, int32 moments and
-        # uint8 terms gives the pencil of the intp one
+        # rows * k + cols passes 2^31 at k = 50000; the form of uint16 rows
+        # and columns, int32 moments and uint8 terms, in row-major order,
+        # gives the pencil of the intp one
         k = 50_000
-        rows, cols, moments = [49_999, 0, 49_999, 1], [49_999, 3, 0, 2], [6, 1, 2, 0]
+        rows, cols, moments = [0, 1, 49_999, 49_999], [3, 2, 0, 49_999], [1, 0, 2, 6]
 
         def form(index, moment, term):
             return LinearMatrixForm(k, 1, np.array(rows, index), np.array(cols, index),
-                                    np.array(moments, moment), np.array([3, 2, 1, 0], term),
+                                    np.array(moments, moment), np.array([2, 0, 1, 3], term),
                                     np.array([4.0, 3.0, 2.0, 1.0]))
 
         sdp = dataclasses.replace(hankel_sdp(), basis=monomial_basis(1, 6))
@@ -772,6 +772,7 @@ class TestPencil:
                      (narrow.vals, wide.vals)):
             assert np.array_equal(a, b)
         assert narrow.rows.tolist() == [3, 50_002, 49_999 * k, 49_999 * k + 49_999]
+        assert narrow.vals.tolist() == [2.0, 4.0, 3.0, 1.0]
 
 
 class TestSchurFactor:
