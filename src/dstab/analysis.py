@@ -27,7 +27,6 @@ import numpy as np
 from .problem import DStabilityProblem, LiftedProblem, build_lifted, minimal_order
 from .relax import SDPProblem, SDPSolution, SolverStatus, assemble_relaxation
 from .sdp import SolverSettings, solve, solve_many
-from .sets import Relation
 
 DEFAULT_CERTIFICATION_MARGIN = 1e-3
 MONOTONICITY_TOL = 1e-6  # a larger rise of the raw value between orders is an anomaly
@@ -127,15 +126,10 @@ def extract_candidate(solution: SDPSolution, lifted: LiftedProblem) -> Candidate
     else:
         n_a = lifted.matrix_size
         x = xs[:n_a] + 1j * xs[n_a:]
-    worst = 0.0
-    for p, rel in lifted.support.constraints:
-        value = p.evaluate(first)
-        violation = abs(value) if rel is Relation.EQ else max(0.0, -value)
-        worst = max(worst, violation)
     gap = abs(solution.primal_value - lifted.objective.evaluate(first))
     return CandidatePoint(
         rho=rho, lam=complex(lam_re, lam_im), x=x,
-        max_support_violation=worst, objective_gap=gap,
+        max_support_violation=max(0.0, -lifted.support.slack(first)), objective_gap=gap,
     )
 
 
@@ -160,8 +154,10 @@ def upper_probability(
     primal value is reported as `raw_value`.  Support-only problems with
     upper_bound < 1 - margin are certified robustly D-stable (the exact
     value is then 0); with moment information p_upper itself is the
-    probability bound.  A solver status other than Optimal yields
-    Inconclusive with diagnostics attached.  On an Infeasible solve no
+    probability bound.  The bound holds for any dual iterate, so a
+    SlowProgress or IterLimit solve is judged by the same rule, while an
+    Infeasible or Unbounded one is Inconclusive; only an Optimal solve
+    yields a candidate point.  On an Infeasible solve no
     measure meets the moment constraints, so any figure holds vacuously (the
     bound is typically far below 0); p_upper is then reported as the
     trivial 1 and p_lower as 0, so the figures never read as a stability
@@ -205,13 +201,12 @@ def _report(problem, lifted, sdp, solution, margin, seconds) -> AnalysisReport:
     candidate = None
     if solution.status is SolverStatus.OPTIMAL:
         candidate = extract_candidate(solution, lifted)
-        if support_only:
-            if solution.upper_bound < 1.0 - margin:
-                verdict = Verdict.CERTIFIED_ROBUSTLY_DSTABLE
-            else:
-                verdict = Verdict.INCONCLUSIVE
-        else:
-            verdict = Verdict.VIOLATION_PROBABILITY_BOUND
+    if solution.status in (SolverStatus.INFEASIBLE, SolverStatus.UNBOUNDED):
+        verdict = Verdict.INCONCLUSIVE
+    elif not support_only:
+        verdict = Verdict.VIOLATION_PROBABILITY_BOUND
+    elif solution.upper_bound < 1.0 - margin:
+        verdict = Verdict.CERTIFIED_ROBUSTLY_DSTABLE
     else:
         verdict = Verdict.INCONCLUSIVE
 
@@ -243,8 +238,9 @@ def certify_robust(
 ) -> AnalysisReport:
     """Robust D-stability certificate for a support-only problem: the
     `upper_probability` report, whose verdict is CertifiedRobustlyDStable
-    iff the solve is Optimal and its rigorous upper bound on the violation
-    probability stays below 1 by the given margin."""
+    iff the solve is neither Infeasible nor Unbounded and its rigorous upper
+    bound on the violation probability stays below 1 by the given margin,
+    whether the solver stopped Optimal, SlowProgress or IterLimit."""
     if not problem.is_support_only():
         raise ValueError(
             "certification applies to support-only problems; drop the moment "

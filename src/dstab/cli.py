@@ -27,7 +27,7 @@ from pathlib import Path
 from . import analysis, oracle
 from .poly import IDENTIFIER, Polynomial, PolynomialError, parse_polynomial
 from .problem import DStabilityProblem, MomentConstraint, UncertainMatrix, build_lifted
-from .relax import assemble_relaxation, export_sdp
+from .relax import SolverStatus, assemble_relaxation, export_sdp
 from .sdp import SolverSettings
 from .sets import (
     REGION_VARS,
@@ -349,6 +349,13 @@ def _numbers(text: str) -> list[float]:
     return values
 
 
+def _unless_optimal(report: analysis.AnalysisReport) -> str:
+    """The solver status to print beside a verdict, when it is not Optimal."""
+    if report.solver_status is SolverStatus.OPTIMAL:
+        return ""
+    return f"   (solver: {report.solver_status.value})"
+
+
 def _print_report(report: analysis.AnalysisReport, out) -> None:
     print(f"tau:        {report.tau}   (moment variables: {report.num_moments}; "
           f"solved {report.solved_moments}, largest block {report.solved_largest_block})",
@@ -360,7 +367,7 @@ def _print_report(report: analysis.AnalysisReport, out) -> None:
     print(f"raw value:  {fmt(report.raw_value)}", file=out)
     print(f"p_upper:    {fmt(report.p_upper)}   (violation probability bound)", file=out)
     print(f"p_lower:    {fmt(report.p_lower_stability)}   (D-stability probability)", file=out)
-    print(f"verdict:    {report.verdict.value}", file=out)
+    print(f"verdict:    {report.verdict.value}{_unless_optimal(report)}", file=out)
     if report.candidate is not None:
         cand = report.candidate
         rho = ", ".join(fmt(v) for v in cand.rho)
@@ -405,7 +412,8 @@ def _cmd_certify(args, out) -> int:
     _print_report(report, out)
     certified = report.verdict is analysis.Verdict.CERTIFIED_ROBUSTLY_DSTABLE
     print(f"certificate: {report.verdict.value if certified else 'NotCertified'} "
-          f"(bound {fmt(report.upper_bound)}, margin {fmt(report.margin)})", file=out)
+          f"(bound {fmt(report.upper_bound)}, margin {fmt(report.margin)})"
+          f"{_unless_optimal(report)}", file=out)
     return 0 if certified else 2
 
 
@@ -471,12 +479,15 @@ def _cmd_oracle(args, out) -> int:
     points = oracle.grid_points(problem, args.grid, seed=args.seed)
     spectra = oracle.spectra(problem, points)
     witness = oracle.deepest_witness(problem, points, spectra)
+    search = f"grid search ({args.grid} points/axis"
+    if args.grid ** len(problem.uncertainty_variables) > oracle.MAX_GRID_POINTS:
+        search += f"; a seeded sample of {len(points)} points replaced the grid"
     if witness is None:
-        print(f"grid search ({args.grid} points/axis): no violation found", file=out)
+        print(f"{search}): no violation found", file=out)
     else:
         rho = ", ".join(fmt(v) for v in witness.rho)
         print(
-            f"grid search ({args.grid} points/axis): witness rho = ({rho}), "
+            f"{search}): witness rho = ({rho}), "
             f"lambda = {fmt(witness.lam.real)}{'+' if witness.lam.imag >= 0 else '-'}"
             f"{fmt(abs(witness.lam.imag))}j, region depth {fmt(witness.min_region_residual)}, "
             f"eigenpair residual {fmt(witness.eig_residual)}", file=out,
@@ -560,7 +571,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=int, default=101, help="grid points per axis")
     p.add_argument("--seed", type=int, default=0,
                    help="seed of the sample that replaces a grid of more than "
-                        "200000 points")
+                        f"{oracle.MAX_GRID_POINTS} points")
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("export-sdp", help="write the assembled SDP as sparse text")

@@ -24,8 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problem import DStabilityProblem, delta_box_bounds, is_box
-from .sets import Relation
+from .problem import DStabilityProblem
 
 EIG_RESIDUAL_TOL = 1e-8
 # An eigenvalue this far outside the instability region still counts as
@@ -92,27 +91,16 @@ class ViolationWitness:
 
 def _region_depth(problem: DStabilityProblem, lam: np.ndarray, tol: float) -> np.ndarray:
     """Depth of each eigenvalue in the array lam inside the instability
-    region (NaN when outside): the smallest constraint residual, with
-    equalities scored as -|value|, and 0 when it is not finite.  An
-    eigenvalue is inside when every score is at least -tol, which is
-    `SemialgebraicSet.contains` on the same values (a NaN score excludes
-    it).  A region restricted to the real axis is read at lre alone, as in
-    `StabilityRegionComplement.contains`."""
-    region_set = problem.region.region_set
-    if problem.region.real_spectrum_only:
-        points = lam.real[..., None]
-    else:
-        points = np.stack((lam.real, lam.imag), axis=-1)
-    depth = np.full(lam.shape, np.inf)
-    inside = np.ones(lam.shape, dtype=bool)
-    for p, rel in region_set.constraints:
-        value = p.evaluate(points)
-        score = value if rel is Relation.GE else -np.abs(value)
-        depth = np.where(score < depth, score, depth)
-        inside &= score >= -tol
-    depth = np.where(np.isfinite(depth), depth, 0.0)
-    return np.where(inside, depth, np.nan)
+    region: its `StabilityRegionComplement.slack`, 0 where that is +inf,
+    and NaN where the eigenvalue is outside, that is, where the region's
+    `contains` at tol is False (a NaN row excludes it)."""
+    slack = problem.region.slack(lam)
+    depth = np.where(np.isfinite(slack), slack, 0.0)
+    return np.where(slack >= -tol, depth, np.nan)
 
+
+# A grid of more points than this is replaced by a seeded sample of as many.
+MAX_GRID_POINTS = 200_000
 
 # Points per stacked evaluation and eigenvalues call: keeps the (chunk, n, n)
 # buffer small on 200 000-point grids.
@@ -132,10 +120,11 @@ def spectra(problem: DStabilityProblem, points) -> np.ndarray:
 
 
 def grid_points(problem: DStabilityProblem, points_per_axis: int,
-                max_points: int = 200_000, seed: int = 0) -> np.ndarray:
-    """Candidate uncertainty values: a uniform grid over the box part of
-    Delta (membership-filtered when Delta carries extra constraints), or
-    seeded rejection sampling when the full grid would be too large.  A
+                max_points: int = MAX_GRID_POINTS, seed: int = 0) -> np.ndarray:
+    """Candidate uncertainty values: a uniform grid over Delta's `box()`,
+    membership-filtered unless the box is exact, or, when the full grid
+    would pass max_points, a seeded rejection sample of at most max_points
+    points, which the `oracle` command's grid search line reports.  A
     sample can miss a thin violation set that a smaller full grid holds:
     on running_example_variance.prob at sigma2 = 0.13 the 200 000-point
     grid holds the witness rho = 1, and the sample that replaces a
@@ -146,20 +135,19 @@ def grid_points(problem: DStabilityProblem, points_per_axis: int,
     inside its box."""
     if points_per_axis < 1:
         raise OracleError(f"points per axis must be at least 1, got {points_per_axis}")
-    bounds = delta_box_bounds(problem.delta)
-    if bounds is None:
+    box = problem.delta.box()
+    if box is None:
         raise OracleError(
             "delta has no box bounds to sample from; check chosen points with "
             "oracle.deepest_witness and oracle.spectra, or with oracle.atomic_lp_bound"
         )
-    lower, upper = bounds
+    lower, upper, exact = box
     n = len(lower)
-    box_only = is_box(problem.delta)
     if points_per_axis ** n <= max_points:
         axes = [np.linspace(lower[i], upper[i], points_per_axis) for i in range(n)]
         mesh = np.meshgrid(*axes, indexing="ij")
         pts = np.stack([m.ravel() for m in mesh], axis=1)
-        if box_only:
+        if exact:
             return pts
         pts = pts[problem.delta.contains(pts, 1e-9)]
     else:
@@ -186,7 +174,7 @@ def grid_points(problem: DStabilityProblem, points_per_axis: int,
 def grid_violation_search(
     problem: DStabilityProblem,
     points_per_axis: int,
-    max_points: int = 200_000,
+    max_points: int = MAX_GRID_POINTS,
     seed: int = 0,
 ) -> ViolationWitness | None:
     """Scan the candidate points of `grid_points` over Delta (a full grid,

@@ -207,65 +207,15 @@ def interval_evaluate(p: Polynomial, lower, upper) -> tuple[float, float]:
     return total_lo, total_hi
 
 
-def _box_row(p: Polynomial, num_vars: int):
-    """Recognize c*v_i + const with a single active variable; returns
-    (i, c, const) or None."""
-    if p.degree != 1:
-        return None
-    linear = {}
-    const = 0.0
-    for alpha, coeff in p.terms.items():
-        deg = sum(alpha)
-        if deg == 0:
-            const = coeff
-        else:
-            linear[alpha.index(1)] = linear.get(alpha.index(1), 0.0) + coeff
-    active = [i for i, c in linear.items() if c != 0.0]
-    if len(active) != 1:
-        return None
-    return active[0], linear[active[0]], const
-
-
-def is_box(delta: SemialgebraicSet) -> bool:
-    """True when every constraint of Delta is a single-variable interval
-    bound, so a coordinate grid enumerates the set faithfully."""
-    return all(_box_row(p, delta.num_vars) is not None for p, _rel in delta.constraints)
-
-
-def delta_box_bounds(delta: SemialgebraicSet) -> tuple[np.ndarray, np.ndarray] | None:
-    """Recover per-variable interval bounds from the linear one-variable
-    constraints of Delta; None when some variable is unbounded."""
-    n = delta.num_vars
-    lower = np.full(n, -np.inf)
-    upper = np.full(n, np.inf)
-    for p, rel in delta.constraints:
-        row = _box_row(p, n)
-        if row is None:
-            continue
-        i, c, const = row
-        # c*v + const >= 0  (equalities give both bounds)
-        bound = -const / c
-        if rel is Relation.EQ:
-            lower[i] = max(lower[i], bound)
-            upper[i] = min(upper[i], bound)
-        elif c > 0:
-            lower[i] = max(lower[i], bound)
-        else:
-            upper[i] = min(upper[i], bound)
-    if np.any(np.isinf(lower)) or np.any(np.isinf(upper)):
-        return None
-    return lower, upper
-
-
 def spectral_bound(matrix: UncertainMatrix, delta: SemialgebraicSet) -> float:
     """Radius R with |lambda| <= R for every eigenvalue of A(rho), rho in
     Delta: the max over rows of the interval bound on sum_j |A_ij(rho)|."""
-    bounds = delta_box_bounds(delta)
-    if bounds is None:
+    box = delta.box()
+    if box is None:
         raise ProblemError(
             "delta has no recoverable box bounds; supply lambda_radius explicitly"
         )
-    lower, upper = bounds
+    lower, upper, _exact = box
     best = 0.0
     for row in matrix.entries:
         row_sum = 0.0
@@ -380,9 +330,9 @@ def build_lifted(problem: DStabilityProblem) -> LiftedProblem:
     # box of a bounded region) for lambda, ||x|| <= 1 for x.
     scales = [1.0] * n_z
     var_bounds = [np.inf] * (n_rho + len(lam_idx)) + [1.0] * len(x_idx)
-    bounds = delta_box_bounds(problem.delta)
-    if bounds is not None:
-        lower, upper = bounds
+    box = problem.delta.box()
+    if box is not None:
+        lower, upper, _exact = box
         for k, i in enumerate(rho_idx):
             var_bounds[i] = float(max(abs(lower[k]), abs(upper[k])))
             scales[i] = max(var_bounds[i], 1e-9)
@@ -390,7 +340,7 @@ def build_lifted(problem: DStabilityProblem) -> LiftedProblem:
         for i in lam_idx:
             scales[i] = var_bounds[i] = radius
     else:
-        region_box = delta_box_bounds(region.region_set)
+        region_box = region.region_set.box()
         if region_box is not None:
             for k, i in enumerate(lam_idx):
                 var_bounds[i] = float(max(abs(region_box[0][k]), abs(region_box[1][k])))

@@ -1,5 +1,5 @@
-"""Semialgebraic set descriptions: uncertainty supports, instability regions
-and membership tests.
+"""Semialgebraic set descriptions: uncertainty supports, instability regions,
+their slack and membership, and the box bounds their rows state.
 
 A set is a conjunction of polynomial relations (>= 0 or = 0) over an ordered
 variable list.  Equality constraints are first-class here and in the
@@ -54,21 +54,54 @@ class SemialgebraicSet:
     def num_vars(self) -> int:
         return len(self.variables)
 
-    def contains(self, point, tol: float = DEFAULT_MEMBERSHIP_TOL):
-        """Numeric membership: >= constraints may dip to -tol, equalities
-        must hold within |value| <= tol.  A bool for one point of shape
-        (num_vars,), a bool array of shape (...) for a stack (..., num_vars).
-        A constraint that evaluates to NaN (e.g. inf * 0) excludes the point."""
-        x = np.asarray(point, dtype=float)
+    def slack(self, points):
+        """Least slack of the relations at each point: the smallest of each
+        >= row's value and each equality row's -|value|, +inf with no rows,
+        NaN where a row evaluates to NaN (e.g. inf * 0).  A float for one
+        point of shape (num_vars,), an array of shape (...) for a stack
+        (..., num_vars).  Ties keep the earlier row's value."""
+        x = np.asarray(points, dtype=float)
         if x.ndim == 0 or x.shape[-1] != self.num_vars:
             raise PolynomialError(
                 f"point shape {x.shape} does not match set dimension {self.num_vars}"
             )
-        inside = np.ones(x.shape[:-1], dtype=bool)
+        least = np.full(x.shape[:-1], np.inf)
         for p, rel in self.constraints:
             value = p.evaluate(x)
-            inside &= value >= -tol if rel is Relation.GE else abs(value) <= tol
-        return bool(inside) if x.ndim == 1 else inside
+            score = value if rel is Relation.GE else -np.abs(value)
+            least = np.where((score < least) | np.isnan(score), score, least)
+        return float(least) if x.ndim == 1 else least
+
+    def contains(self, point, tol: float = DEFAULT_MEMBERSHIP_TOL):
+        """Numeric membership, slack >= -tol: >= rows may dip to -tol,
+        equalities must hold within |value| <= tol, and a NaN row excludes
+        the point.  A bool for one point, a bool array for a stack."""
+        return self.slack(point) >= -float(tol)
+
+    def box(self) -> tuple[np.ndarray, np.ndarray, bool] | None:
+        """Per-variable bounds (lower, upper, exact) from the rows
+        c*v_i + const (>= 0 or = 0, an equality bounding both sides) in a
+        single variable, at -const/c; `exact` when every row is one, so the
+        box is the set itself and a coordinate grid enumerates it
+        faithfully.  None when some variable is unbounded."""
+        n = self.num_vars
+        lower = np.full(n, -np.inf)
+        upper = np.full(n, np.inf)
+        exact = True
+        for p, rel in self.constraints:
+            linear = {alpha.index(1): c for alpha, c in p.terms.items() if sum(alpha) == 1}
+            if p.degree != 1 or len(linear) != 1:
+                exact = False
+                continue
+            (i, c), = linear.items()
+            bound = -p.terms.get((0,) * n, 0.0) / c
+            if rel is Relation.EQ or c > 0:
+                lower[i] = max(lower[i], bound)
+            if rel is Relation.EQ or c < 0:
+                upper[i] = min(upper[i], bound)
+        if np.any(np.isinf(lower)) or np.any(np.isinf(upper)):
+            return None
+        return lower, upper, exact
 
 
 def box_set(variables, lower, upper) -> SemialgebraicSet:
@@ -119,12 +152,18 @@ class StabilityRegionComplement:
     def variables(self) -> tuple[str, ...]:
         return self.region_set.variables
 
-    def contains(self, lam: complex, tol: float = DEFAULT_MEMBERSHIP_TOL) -> bool:
-        """Membership of a complex eigenvalue in D^c."""
-        lam = complex(lam)
+    def slack(self, lam):
+        """`SemialgebraicSet.slack` of eigenvalues read as (lre, lim), or as
+        lre alone on the real axis: a float for one, an array of lam's shape
+        for an array."""
+        lam = np.asarray(lam, dtype=complex)
         if self.real_spectrum_only:
-            return self.region_set.contains((lam.real,), tol)
-        return self.region_set.contains((lam.real, lam.imag), tol)
+            return self.region_set.slack(lam.real[..., None])
+        return self.region_set.slack(np.stack((lam.real, lam.imag), axis=-1))
+
+    def contains(self, lam, tol: float = DEFAULT_MEMBERSHIP_TOL):
+        """Membership of eigenvalues in D^c, slack >= -tol."""
+        return self.slack(lam) >= -float(tol)
 
     def restricted_to_real(self) -> "StabilityRegionComplement":
         """Substitute lim = 0 and drop it; trivially-true constraints vanish,

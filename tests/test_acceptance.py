@@ -302,7 +302,7 @@ def test_criterion_10_stretch_bifurcation_bisection():
 
 def _verdict(problem, solution) -> analysis.Verdict:
     """The verdict `upper_probability` draws from a solution."""
-    if solution.status is not SolverStatus.OPTIMAL:
+    if solution.status in (SolverStatus.INFEASIBLE, SolverStatus.UNBOUNDED):
         return analysis.Verdict.INCONCLUSIVE
     if not problem.is_support_only():
         return analysis.Verdict.VIOLATION_PROBABILITY_BOUND

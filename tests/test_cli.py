@@ -67,8 +67,7 @@ class TestLoadProblem:
             "[delta]\nrho in [9 - $k, 9 + $k]\n[region]\nimaginary_axis\n"
         )
         problem, _ = load_problem(path, {"k": 0.5})
-        from dstab.problem import delta_box_bounds
-        lower, upper = delta_box_bounds(problem.delta)
+        lower, upper, _exact = problem.delta.box()
         assert lower[0] == 8.5 and upper[0] == 9.5
 
     def test_numpy_float_binding(self, problems_dir):
@@ -408,8 +407,29 @@ class TestOptions:
     def test_solver_options_reach_the_solver(self, problems_dir, tmp_path, capsys):
         path = tmp_path / "short.prob"
         path.write_text((problems_dir / RUNNING).read_text() + "max_iterations = 1\n")
-        assert main(["analyze", str(path)]) == 2
-        assert "IterLimit, 1 iterations" in capsys.readouterr().out
+        # the verdict rests on the rigorous bound, which a stopped-short
+        # solve still gives: here the trivial p_upper of 1
+        assert main(["analyze", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "IterLimit, 1 iterations" in out
+        assert "p_upper:    1   " in out
+        assert "verdict:    ViolationProbabilityBound   (solver: IterLimit)\n" in out
+
+    @pytest.mark.parametrize("iterations, code, certificate", [
+        (6, 2, "NotCertified (bound 1.03231581"),
+        (7, 0, "CertifiedRobustlyDStable (bound 0.986007574"),
+    ])
+    def test_stopped_short_solve_certifies_on_its_bound(self, problems_dir, tmp_path, capsys,
+                                                        iterations, code, certificate):
+        # Hurwitz at tau 3 stops IterLimit either way: its rigorous bound is
+        # above 1 after 6 iterations and below 1 - margin after 7
+        path = tmp_path / "short.prob"
+        path.write_text((problems_dir / "hurwitz.prob").read_text()
+                        + f"max_iterations = {iterations}\n")
+        assert main(["certify", str(path)]) == code
+        out = capsys.readouterr().out
+        assert f"solver:     IterLimit, {iterations} iterations" in out
+        assert f"\ncertificate: {certificate}, margin 0.001)   (solver: IterLimit)\n" in out
 
     def test_flag_wins_over_the_file(self, problems_dir, tmp_path, capsys):
         path = tmp_path / "margin.prob"
@@ -897,6 +917,20 @@ def test_oracle_refined_grid_keeps_the_lp_bound(problems_dir, capsys):
     coarse = _lp_bound(problems_dir, capsys, 10_000)
     fine = _lp_bound(problems_dir, capsys, 10_001)
     assert coarse > 0.342 and fine >= coarse
+
+
+def test_oracle_says_when_a_sample_replaced_the_grid(problems_dir, capsys):
+    # past oracle.MAX_GRID_POINTS a seeded sample replaces the grid; at
+    # sigma2 = 0.13 it misses the witness rho = 1 that the full grid holds
+    args = ["oracle", str(problems_dir / VARIANCE), "--bind", "sigma2=0.13", "--grid"]
+    assert main(args + ["200000"]) == 0
+    assert capsys.readouterr().out.startswith(
+        "grid search (200000 points/axis): witness rho = (1), lambda = 0+0j, ")
+    assert main(args + ["200001"]) == 0
+    assert capsys.readouterr().out == (
+        "grid search (200001 points/axis; a seeded sample of 200000 points replaced the "
+        "grid): no violation found\n"
+        "atomic LP over 200000 atoms: lower bound 0 on the violation probability\n")
 
 
 @pytest.mark.parametrize("args, code, stdout, stderr", ORACLE_GOLDEN,

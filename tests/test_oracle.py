@@ -20,7 +20,7 @@ from dstab.oracle import (
     unit_eigenvector,
 )
 from dstab.poly import parse_polynomial
-from dstab.problem import DStabilityProblem, UncertainMatrix, delta_box_bounds
+from dstab.problem import DStabilityProblem, UncertainMatrix
 from dstab.sets import Relation, SemialgebraicSet, box_set, custom_region, region_preset
 
 
@@ -391,7 +391,7 @@ class TestGridPoints:
         # 0 <= rho <= 1 as one quadratic row: no box bounds to grid over
         delta = SemialgebraicSet(("rho",), ((parse_polynomial("rho - rho^2", ["rho"]),
                                              Relation.GE),))
-        assert delta_box_bounds(delta) is None
+        assert delta.box() is None
         with pytest.raises(OracleError, match="delta has no box bounds"):
             grid_points(dataclasses.replace(support_problem, delta=delta), 11)
 
@@ -444,7 +444,7 @@ class TestGridPointsOnDisc:
 
     @staticmethod
     def _reference(problem, points_per_axis, max_points, seed):
-        lower, upper = delta_box_bounds(problem.delta)
+        lower, upper, _exact = problem.delta.box()
         n = len(lower)
         if points_per_axis ** n <= max_points:
             axes = [np.linspace(lower[i], upper[i], points_per_axis) for i in range(n)]

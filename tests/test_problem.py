@@ -13,7 +13,6 @@ from dstab.problem import (
     ProblemError,
     UncertainMatrix,
     build_lifted,
-    delta_box_bounds,
     interval_evaluate,
     minimal_order,
     spectral_bound,
@@ -247,9 +246,9 @@ class TestSpectralBound:
 
     def test_box_recovery(self):
         box = box_set(("a", "b"), [-1.0, 2.0], [3.0, 2.5])
-        lower, upper = delta_box_bounds(box)
-        assert np.allclose(lower, [-1.0, 2.0]) and np.allclose(upper, [3.0, 2.5])
-        assert delta_box_bounds(SemialgebraicSet(("a",))) is None
+        lower, upper, exact = box.box()
+        assert np.allclose(lower, [-1.0, 2.0]) and np.allclose(upper, [3.0, 2.5]) and exact
+        assert SemialgebraicSet(("a",)).box() is None
 
     def test_box_recovery_from_an_equality(self):
         # an equality row c v + d = 0 bounds v from both sides by -d / c, on
@@ -260,10 +259,10 @@ class TestSpectralBound:
             (parse_polynomial("2*b - 3", names), Relation.EQ),
             (parse_polynomial("a - 0.5", names), Relation.EQ),
         ))
-        lower, upper = delta_box_bounds(eq)
-        assert lower.tolist() == [0.5, 1.5] and upper.tolist() == [0.5, 1.5]
+        lower, upper, exact = eq.box()
+        assert lower.tolist() == [0.5, 1.5] and upper.tolist() == [0.5, 1.5] and exact
         only_eq = SemialgebraicSet(("a",), ((parse_polynomial("4 - 2*a", ["a"]), Relation.EQ),))
-        assert [b.tolist() for b in delta_box_bounds(only_eq)] == [[2.0], [2.0]]
+        assert [b.tolist() for b in only_eq.box()[:2]] == [[2.0], [2.0]]
 
 
 class TestMinimalOrder:

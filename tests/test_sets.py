@@ -6,6 +6,7 @@ import pytest
 
 from dstab.poly import Polynomial, parse_polynomial
 from dstab.sets import (
+    RegionPreset,
     Relation,
     SemialgebraicSet,
     StabilityRegionComplement,
@@ -169,3 +170,123 @@ class TestRegionValidation:
         region = custom_region([(p, Relation.EQ)])
         with pytest.raises(ValueError):
             region.restricted_to_real()
+
+
+def _rows(names, *rows):
+    return tuple((parse_polynomial(text, names), rel) for text, rel in rows)
+
+
+_AB = ("a", "b")
+_BOX = box_set(_AB, [-1.0, 0.0], [3.0, 5.0])
+# every kind of set the verifiers ask for slack: supports and regions
+SLACK_CASES = {
+    "delta_box": _BOX,
+    "delta_box_and_polynomial": SemialgebraicSet(
+        _AB, _BOX.constraints + _rows(_AB, ("1 - a^2 - b^2", Relation.GE))),
+    "delta_with_equality": SemialgebraicSet(
+        _AB, _BOX.constraints + _rows(_AB, ("a*b - 0.5", Relation.EQ))),
+    **{preset.value: region_preset(preset) for preset in RegionPreset},
+    "real_axis": region_preset("unit_disk_exterior_closure").restricted_to_real(),
+    "custom_with_equality": custom_region(_rows(
+        ["lre", "lim"], ("lre^3 - lim + 0.5", Relation.GE), ("lre*lim^2 - lre", Relation.EQ))),
+}
+
+
+def _reference_slack(s, point):
+    """Least row score at one point, row by row: a >= row's value, an
+    equality's -|value|, NaN when any row is NaN, +inf without rows."""
+    scores = [p.evaluate(point) if rel is Relation.GE else -abs(p.evaluate(point))
+              for p, rel in s.constraints]
+    if any(math.isnan(v) for v in scores):
+        return math.nan
+    return min(scores, default=math.inf)
+
+
+def _reference_contains(s, point, tol):
+    """Membership row by row, as the relations read."""
+    return all(p.evaluate(point) >= -tol if rel is Relation.GE else abs(p.evaluate(point)) <= tol
+               for p, rel in s.constraints)
+
+
+class TestSlack:
+    """One slack rule: `slack` and `contains` of every kind of set against
+    a per-row reference, at random points, at each point's own slack as
+    the tolerance and one ulp either side, and at NaN and infinite points."""
+
+    @staticmethod
+    def _points(case):
+        rng = np.random.default_rng(5)
+        if isinstance(case, StabilityRegionComplement):
+            lam = rng.uniform(-2, 2, 60) + 1j * rng.uniform(-2, 2, 60)
+            lam[:6] = [0j, 1, -1, 1j, 0.5j, 2]
+            special = [math.nan, math.inf, -math.inf, complex(math.inf, 0),
+                       complex(0, -math.inf), complex(math.nan, 1), complex(1, math.nan)]
+            return np.concatenate([lam, special])
+        x = rng.uniform(-2, 5, size=(60, case.num_vars))
+        x[:4] = [[-1.0, 0.0], [3.0, 5.0], [0.5, 1.0], [1.0, 0.5]]  # corners, a*b = 0.5
+        special = [[math.nan, 1.0], [1.0, math.inf], [-math.inf, 0.0], [math.inf, math.nan]]
+        return np.concatenate([x, special])
+
+    @staticmethod
+    def _coordinates(case, point):
+        if not isinstance(case, StabilityRegionComplement):
+            return point
+        lam = complex(point)
+        return [lam.real] if case.real_spectrum_only else [lam.real, lam.imag]
+
+    @pytest.mark.parametrize("name", SLACK_CASES)
+    def test_slack_and_contains_match_the_rows(self, name):
+        case = SLACK_CASES[name]
+        s = case.region_set if isinstance(case, StabilityRegionComplement) else case
+        points = self._points(case)
+        slack = case.slack(points)
+        assert slack.shape == (len(points),)
+        for k, point in enumerate(points):
+            coords = self._coordinates(case, point)
+            expected = _reference_slack(s, coords)
+            single = case.slack(point)
+            assert isinstance(single, float)
+            assert np.array_equal([single, slack[k]], [expected, expected], equal_nan=True)
+            if math.isnan(expected):
+                assert not case.contains(point, math.inf)
+            edge = abs(expected) if math.isfinite(expected) else 1.0
+            for tol in (edge, np.nextafter(edge, math.inf), np.nextafter(edge, 0.0), 0.0):
+                inside = _reference_contains(s, coords, tol)
+                assert case.contains(point, tol) is inside
+                assert case.contains(points, tol)[k] == inside
+        assert not np.isnan(slack).all() and np.isnan(slack).any()
+        inside = case.contains(points, 1e-9)
+        assert inside.dtype == bool and inside.any() and not inside.all()
+
+
+class TestBox:
+    @pytest.mark.parametrize("s, expected", [
+        (_BOX, ([-1.0, 0.0], [3.0, 5.0], True)),
+        # c*v + const with c < 0 bounds from above; an equality from both sides
+        (SemialgebraicSet(_AB, _rows(_AB, ("3 - 2*a", Relation.GE), ("-b", Relation.GE),
+                                     ("2*b + 6", Relation.GE), ("a + 2", Relation.GE))),
+         ([-2.0, -3.0], [1.5, 0.0], True)),
+        (SemialgebraicSet(_AB, _BOX.constraints + _rows(
+            _AB, ("4 - 2*a", Relation.EQ), ("b - 0.25", Relation.EQ))),
+         ([2.0, 0.25], [2.0, 0.25], True)),
+        # rows in two variables or of degree 2 bound nothing and make the box inexact
+        (SLACK_CASES["delta_box_and_polynomial"], ([-1.0, 0.0], [3.0, 5.0], False)),
+        (SemialgebraicSet(_AB, _BOX.constraints + _rows(_AB, ("a + b", Relation.GE))),
+         ([-1.0, 0.0], [3.0, 5.0], False)),
+        (region_preset("origin").region_set, ([0.0, 0.0], [0.0, 0.0], True)),
+        (region_preset("origin").restricted_to_real().region_set, ([0.0], [0.0], True)),
+        # an unbounded variable, on one side or both
+        (SemialgebraicSet(_AB, _rows(_AB, ("a", Relation.GE), ("1 - a", Relation.GE),
+                                     ("b", Relation.GE))), None),
+        (SemialgebraicSet(_AB), None),
+        (region_preset("left_half_plane_closure").region_set, None),
+        (SemialgebraicSet(("a",), _rows(["a"], ("a - a^2", Relation.GE))), None),
+    ], ids=["box", "one_sided_rows", "equalities", "polynomial_row", "two_variable_row",
+            "origin", "origin_real", "half_unbounded", "no_rows", "half_plane", "quadratic"])
+    def test_hand_computed_bounds(self, s, expected):
+        box = s.box()
+        if expected is None:
+            assert box is None
+            return
+        lower, upper, exact = box
+        assert (lower.tolist(), upper.tolist(), exact) == expected
